@@ -7,7 +7,8 @@
 //! size. Two machines run it at the same collection cadence:
 //!
 //! * **full** — every periodic collection is a full mark-sweep
-//!   (`gc_interval = P`): each collection re-scans the whole live heap.
+//!   (`gc_full_interval = P`): each collection re-scans the whole live
+//!   heap.
 //! * **generational** — minor collections at the same cadence with an
 //!   occasional full (`gc_minor_interval = P`, `gc_full_interval = 8P`):
 //!   minor marks traverse only roots + pinned residents + remembered set
@@ -17,10 +18,9 @@
 //! architectural cost of the collector per unit of useful work. The
 //! acceptance bar: the generational configuration spends ≥2× fewer scanned
 //! words per freed word, and its per-collection scan stays flat as the
-//! live heap grows (sublinearity). Wall clock is reported with the same
-//! paired-median protocol as `BENCH_interp.json`: each round times both
-//! configurations back to back, and the round with the median ratio is
-//! reported.
+//! live heap grows (sublinearity). Wall clock is reported with a
+//! paired-median protocol: each round times both configurations back to
+//! back, and the round with the median ratio is reported.
 //!
 //! Architectural integrity is asserted, not assumed: for every size the
 //! generational configuration is run through both interpreter loops and
@@ -109,7 +109,7 @@ pub fn churn_at(size: i64) -> Workload {
 
 fn full_config() -> MachineConfig {
     MachineConfig {
-        gc_interval: Some(MINOR_INTERVAL),
+        gc_full_interval: Some(MINOR_INTERVAL),
         ..MachineConfig::default()
     }
 }

@@ -5,7 +5,6 @@
 #![forbid(unsafe_code)]
 
 pub mod gc;
-pub mod interp;
 pub mod parallel;
 pub mod server;
 pub mod sessions;

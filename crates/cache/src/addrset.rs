@@ -4,12 +4,12 @@
 //! The COM's instruction cache is probed once per simulated instruction; a
 //! generic key/value cache with per-set `Vec`s and a hashing indexer is
 //! measurable overhead there. `AddrSet` models exactly the same cache —
-//! identical geometry semantics (`addr % sets` indexing, the configured
-//! replacement policy, identical hit/miss/fill/eviction accounting as
+//! identical geometry semantics (`addr % sets` indexing, LRU replacement,
+//! identical hit/miss/fill/eviction accounting as
 //! [`SetAssocCache::with_indexer`] with the identity indexer) — but stores
 //! only tags, in one flat allocation.
 
-use crate::{CacheConfig, CacheStats, Replacement};
+use crate::{CacheConfig, CacheStats};
 
 /// Sentinel tag for an invalid line. Word addresses in the COM are at most
 /// 36-bit, so the all-ones tag can never collide with a real address.
@@ -40,9 +40,7 @@ pub struct AddrSet {
     ways: usize,
     tags: Vec<u64>,
     last_used: Vec<u64>,
-    filled_at: Vec<u64>,
     clock: u64,
-    rng: u64,
     stats: CacheStats,
 }
 
@@ -62,9 +60,7 @@ impl AddrSet {
             ways,
             tags: vec![EMPTY; sets * ways],
             last_used: vec![0; sets * ways],
-            filled_at: vec![0; sets * ways],
             clock: 0,
-            rng: config.seed(),
             stats: CacheStats::default(),
         }
     }
@@ -121,8 +117,8 @@ impl AddrSet {
         false
     }
 
-    /// Inserts `addr`, evicting per the configured policy if the set is
-    /// full. Returns the evicted address, if any.
+    /// Inserts `addr`, evicting the LRU line if the set is full. Returns
+    /// the evicted address, if any.
     pub fn fill(&mut self, addr: u64) -> Option<u64> {
         self.clock += 1;
         self.stats.fills += 1;
@@ -137,30 +133,16 @@ impl AddrSet {
             if self.tags[base + w] == EMPTY {
                 self.tags[base + w] = addr;
                 self.last_used[base + w] = self.clock;
-                self.filled_at[base + w] = self.clock;
                 return None;
             }
         }
-        let victim = match self.config.replacement() {
-            Replacement::Lru => (0..self.ways)
-                .min_by_key(|w| self.last_used[base + w])
-                .expect("ways >= 1"),
-            Replacement::Fifo => (0..self.ways)
-                .min_by_key(|w| self.filled_at[base + w])
-                .expect("ways >= 1"),
-            Replacement::Random => {
-                // xorshift64* (same generator as SetAssocCache)
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                (self.rng % self.ways as u64) as usize
-            }
-        };
+        let victim = (0..self.ways)
+            .min_by_key(|w| self.last_used[base + w])
+            .expect("ways >= 1");
         self.stats.evictions += 1;
         let old = self.tags[base + victim];
         self.tags[base + victim] = addr;
         self.last_used[base + victim] = self.clock;
-        self.filled_at[base + victim] = self.clock;
         Some(old)
     }
 

@@ -2,17 +2,15 @@
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 
-use crate::{CacheConfig, CacheStats, FxHasher, HashKind, Replacement};
+use crate::{CacheConfig, CacheStats};
 
 /// One line of a set.
 #[derive(Debug, Clone)]
 struct Line<K, V> {
     key: K,
     value: V,
-    /// Monotonic counter value at last use (LRU) …
+    /// Monotonic counter value at last use (LRU).
     last_used: u64,
-    /// … and at fill time (FIFO).
-    filled_at: u64,
 }
 
 /// A set-associative key/value cache with hit/miss accounting.
@@ -20,7 +18,7 @@ struct Line<K, V> {
 /// Keys are mapped to a set either by the default hash indexer or by a
 /// custom indexing function (address-bit indexing for instruction caches,
 /// for example — see [`SetAssocCache::with_indexer`]); within a set, the
-/// configured [`Replacement`] policy picks victims.
+/// least recently used line is the victim.
 ///
 /// This is a *simulation* structure: it models the COM's associative
 /// memories (ITLB, ATLB, instruction cache, cache levels of physical
@@ -32,7 +30,6 @@ pub struct SetAssocCache<K, V> {
     config: CacheConfig,
     sets: Vec<Vec<Line<K, V>>>,
     clock: u64,
-    rng: u64,
     stats: CacheStats,
     indexer: Option<fn(&K) -> u64>,
 }
@@ -53,7 +50,6 @@ impl<K: Hash + Eq + Clone, V> SetAssocCache<K, V> {
             config,
             sets: (0..config.sets()).map(|_| Vec::new()).collect(),
             clock: 0,
-            rng: config.seed(),
             stats: CacheStats::default(),
             indexer: None,
         }
@@ -100,18 +96,11 @@ impl<K: Hash + Eq + Clone, V> SetAssocCache<K, V> {
     fn set_index(&self, key: &K) -> usize {
         let h = match self.indexer {
             Some(f) => f(key),
-            None => match self.config.hash_kind() {
-                HashKind::Sip => {
-                    let mut hasher = DefaultHasher::new();
-                    key.hash(&mut hasher);
-                    hasher.finish()
-                }
-                HashKind::Fx => {
-                    let mut hasher = FxHasher::default();
-                    key.hash(&mut hasher);
-                    hasher.finish()
-                }
-            },
+            None => {
+                let mut hasher = DefaultHasher::new();
+                key.hash(&mut hasher);
+                hasher.finish()
+            }
         };
         (h % self.config.sets() as u64) as usize
     }
@@ -141,7 +130,7 @@ impl<K: Hash + Eq + Clone, V> SetAssocCache<K, V> {
             .map(|l| &l.value)
     }
 
-    /// Inserts `key → value`, evicting per policy if the set is full.
+    /// Inserts `key → value`, evicting the LRU line if the set is full.
     /// Returns the evicted pair, if any. Filling an already-present key
     /// replaces its value in place (no eviction).
     pub fn fill(&mut self, key: K, value: V) -> Option<(K, V)> {
@@ -150,7 +139,6 @@ impl<K: Hash + Eq + Clone, V> SetAssocCache<K, V> {
         self.stats.fills += 1;
         let set = self.set_index(&key);
         let ways = self.config.ways();
-        let replacement = self.config.replacement();
         let lines = &mut self.sets[set];
 
         if let Some(line) = lines.iter_mut().find(|l| l.key == key) {
@@ -163,31 +151,15 @@ impl<K: Hash + Eq + Clone, V> SetAssocCache<K, V> {
                 key,
                 value,
                 last_used: clock,
-                filled_at: clock,
             });
             return None;
         }
-        let victim = match replacement {
-            Replacement::Lru => lines
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_used)
-                .map(|(i, _)| i)
-                .expect("set is full, so nonempty"),
-            Replacement::Fifo => lines
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.filled_at)
-                .map(|(i, _)| i)
-                .expect("set is full, so nonempty"),
-            Replacement::Random => {
-                // xorshift64*
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                (self.rng % ways as u64) as usize
-            }
-        };
+        let victim = lines
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, l)| l.last_used)
+            .map(|(i, _)| i)
+            .expect("set is full, so nonempty");
         self.stats.evictions += 1;
         let old = std::mem::replace(
             &mut lines[victim],
@@ -195,7 +167,6 @@ impl<K: Hash + Eq + Clone, V> SetAssocCache<K, V> {
                 key,
                 value,
                 last_used: clock,
-                filled_at: clock,
             },
         );
         Some((old.key, old.value))
@@ -274,17 +245,6 @@ mod tests {
         assert_eq!(evicted, Some((2, ())));
         assert!(c.peek(&1).is_some());
         assert!(c.peek(&3).is_some());
-    }
-
-    #[test]
-    fn fifo_evicts_oldest_fill() {
-        let c2 = cfg(2, 2).with_replacement(Replacement::Fifo);
-        let mut c: SetAssocCache<u64, ()> = SetAssocCache::new(c2);
-        c.fill(1, ());
-        c.fill(2, ());
-        c.lookup(&1); // recency must not matter for FIFO
-        let evicted = c.fill(3, ());
-        assert_eq!(evicted, Some((1, ())));
     }
 
     #[test]
@@ -369,21 +329,5 @@ mod tests {
                 ways: 4
             }
         );
-    }
-
-    #[test]
-    fn random_policy_is_deterministic() {
-        let build = || {
-            let cfgr = cfg(2, 2)
-                .with_replacement(Replacement::Random)
-                .with_seed(42);
-            let mut c: SetAssocCache<u64, ()> = SetAssocCache::new(cfgr);
-            for k in 0..100 {
-                c.fill(k, ());
-                c.lookup(&(k / 2));
-            }
-            c.stats()
-        };
-        assert_eq!(build(), build());
     }
 }

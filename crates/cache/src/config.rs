@@ -1,36 +1,12 @@
-//! Cache geometry and replacement policy.
+//! Cache geometry.
 
 use crate::CacheError;
-
-/// Replacement policy applied within each set.
-///
-/// The paper's simulations (§5) sweep associativity under LRU; FIFO and a
-/// seeded pseudo-random policy are provided for ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Replacement {
-    /// Evict the least recently used line.
-    #[default]
-    Lru,
-    /// Evict the oldest-filled line regardless of use.
-    Fifo,
-    /// Evict a pseudo-randomly chosen line (xorshift, deterministic seed).
-    Random,
-}
-
-impl core::fmt::Display for Replacement {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Replacement::Lru => write!(f, "lru"),
-            Replacement::Fifo => write!(f, "fifo"),
-            Replacement::Random => write!(f, "random"),
-        }
-    }
-}
 
 /// Geometry of a set-associative cache: total entry count and ways per set.
 ///
 /// `entries / ways` sets are used; a fully associative cache is
-/// `ways == entries`. Direct mapped is `ways == 1`.
+/// `ways == entries`. Direct mapped is `ways == 1`. Every set replaces its
+/// least recently used line, the policy of the paper's simulations (§5).
 ///
 /// ```
 /// use com_cache::CacheConfig;
@@ -41,25 +17,6 @@ impl core::fmt::Display for Replacement {
 pub struct CacheConfig {
     entries: usize,
     ways: usize,
-    replacement: Replacement,
-    seed: u64,
-    hash: HashKind,
-}
-
-/// Which hash indexes keys to sets in [`SetAssocCache`](crate::SetAssocCache).
-///
-/// `Sip` (the standard library's SipHash) is the historical default and is
-/// kept for reproducibility of recorded figures. `Fx` is a multiply-xor
-/// hash that is an order of magnitude cheaper per lookup; set mappings (and
-/// therefore conflict-miss patterns) differ between the two, so a given
-/// cache must pick one and stay with it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HashKind {
-    /// SipHash via [`std::hash::DefaultHasher`].
-    #[default]
-    Sip,
-    /// Multiply-xor fast hash ([`crate::FxHasher`]).
-    Fx,
 }
 
 impl CacheConfig {
@@ -73,13 +30,7 @@ impl CacheConfig {
         if entries == 0 || ways == 0 || !entries.is_multiple_of(ways) {
             return Err(CacheError::BadGeometry { entries, ways });
         }
-        Ok(CacheConfig {
-            entries,
-            ways,
-            replacement: Replacement::Lru,
-            seed: 0x9E37_79B9_7F4A_7C15,
-            hash: HashKind::Sip,
-        })
+        Ok(CacheConfig { entries, ways })
     }
 
     /// Creates a fully associative geometry of `entries` lines.
@@ -89,29 +40,6 @@ impl CacheConfig {
     /// Returns [`CacheError::BadGeometry`] when `entries` is zero.
     pub fn fully_associative(entries: usize) -> Result<Self, CacheError> {
         Self::new(entries, entries.max(1))
-    }
-
-    /// Replaces the replacement policy.
-    pub fn with_replacement(mut self, replacement: Replacement) -> Self {
-        self.replacement = replacement;
-        self
-    }
-
-    /// Replaces the seed used by [`Replacement::Random`].
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed.max(1);
-        self
-    }
-
-    /// Switches set indexing to the fast multiply-xor hash.
-    pub fn with_fast_hash(mut self) -> Self {
-        self.hash = HashKind::Fx;
-        self
-    }
-
-    /// The set-indexing hash.
-    pub fn hash_kind(self) -> HashKind {
-        self.hash
     }
 
     /// Total number of lines.
@@ -128,21 +56,11 @@ impl CacheConfig {
     pub fn sets(self) -> usize {
         self.entries / self.ways
     }
-
-    /// The replacement policy.
-    pub fn replacement(self) -> Replacement {
-        self.replacement
-    }
-
-    /// The random-policy seed.
-    pub fn seed(self) -> u64 {
-        self.seed
-    }
 }
 
 impl core::fmt::Display for CacheConfig {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}x{}-way {}", self.entries, self.ways, self.replacement)
+        write!(f, "{}x{}-way lru", self.entries, self.ways)
     }
 }
 
@@ -169,9 +87,7 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let c = CacheConfig::new(512, 2)
-            .unwrap()
-            .with_replacement(Replacement::Fifo);
-        assert_eq!(c.to_string(), "512x2-way fifo");
+        let c = CacheConfig::new(512, 2).unwrap();
+        assert_eq!(c.to_string(), "512x2-way lru");
     }
 }

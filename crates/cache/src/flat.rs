@@ -1,7 +1,7 @@
 //! A flat-array set-associative cache for hot-path key/value translation.
 //!
 //! Same architectural semantics as [`SetAssocCache`](crate::SetAssocCache)
-//! — configured geometry, per-set replacement policy, hit/miss/fill/
+//! — configured geometry, per-set LRU replacement, hit/miss/fill/
 //! eviction accounting — but all lines live in one flat allocation, the
 //! set index comes from the [`FxHasher`](crate::FxHasher) fold instead of
 //! SipHash, and the ways of a set are probed in place. Use it for caches
@@ -10,16 +10,14 @@
 
 use std::hash::{Hash, Hasher};
 
-use crate::{CacheConfig, CacheStats, FxHasher, Replacement};
+use crate::{CacheConfig, CacheStats, FxHasher};
 
 #[derive(Debug, Clone)]
 struct FlatLine<K, V> {
     key: K,
     value: V,
-    /// Monotonic counter value at last use (LRU) …
+    /// Monotonic counter value at last use (LRU).
     last_used: u64,
-    /// … and at fill time (FIFO).
-    filled_at: u64,
 }
 
 /// A set-associative key/value cache in one flat allocation.
@@ -45,7 +43,6 @@ pub struct FlatCache<K, V> {
     ways: usize,
     lines: Vec<Option<FlatLine<K, V>>>,
     clock: u64,
-    rng: u64,
     stats: CacheStats,
 }
 
@@ -67,7 +64,6 @@ impl<K: Copy + Eq + Hash, V> FlatCache<K, V> {
             ways,
             lines,
             clock: 0,
-            rng: config.seed(),
             stats: CacheStats::default(),
         }
     }
@@ -139,7 +135,7 @@ impl<K: Copy + Eq + Hash, V> FlatCache<K, V> {
         }
     }
 
-    /// Inserts `key → value`, evicting per policy if the set is full.
+    /// Inserts `key → value`, evicting the LRU line if the set is full.
     /// Returns the evicted pair, if any. Filling an already-present key
     /// replaces its value in place (no eviction).
     pub fn fill(&mut self, key: K, value: V) -> Option<(K, V)> {
@@ -161,42 +157,23 @@ impl<K: Copy + Eq + Hash, V> FlatCache<K, V> {
                     key,
                     value,
                     last_used: self.clock,
-                    filled_at: self.clock,
                 });
                 return None;
             }
         }
-        let victim = match self.config.replacement() {
-            Replacement::Lru => (0..self.ways)
-                .min_by_key(|w| {
-                    self.lines[base + w]
-                        .as_ref()
-                        .expect("set is full")
-                        .last_used
-                })
-                .expect("ways >= 1"),
-            Replacement::Fifo => (0..self.ways)
-                .min_by_key(|w| {
-                    self.lines[base + w]
-                        .as_ref()
-                        .expect("set is full")
-                        .filled_at
-                })
-                .expect("ways >= 1"),
-            Replacement::Random => {
-                // xorshift64* (same generator as SetAssocCache)
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                (self.rng % self.ways as u64) as usize
-            }
-        };
+        let victim = (0..self.ways)
+            .min_by_key(|w| {
+                self.lines[base + w]
+                    .as_ref()
+                    .expect("set is full")
+                    .last_used
+            })
+            .expect("ways >= 1");
         self.stats.evictions += 1;
         let old = self.lines[base + victim].replace(FlatLine {
             key,
             value,
             last_used: self.clock,
-            filled_at: self.clock,
         });
         old.map(|l| (l.key, l.value))
     }

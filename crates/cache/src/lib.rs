@@ -3,19 +3,22 @@
 //! The COM uses caching "throughout … to achieve performance by accelerating
 //! frequently used translations" (§3.1): the **ITLB** (opcode × operand
 //! classes → method), the **ATLB** (virtual segment → absolute descriptor),
-//! an **instruction cache**, a **context cache**, and every level of the
-//! physical memory hierarchy treated as a cache of absolute space.
+//! an **instruction cache** and a **context cache**.
 //!
-//! This crate provides the generic machinery all of those share:
+//! This crate provides the generic machinery the set-associative ones
+//! share. Every cache replaces the least recently used line of a set, as
+//! in the paper's simulations (§5), and records [`CacheStats`] with a
+//! warmup-aware reset (the paper ran "a warmup trace … before the
+//! measurement trace", §5).
 //!
-//! * [`SetAssocCache`] — a key/value set-associative cache with configurable
-//!   entry count, associativity, replacement policy, and indexing function;
-//!   it records [`CacheStats`] with a warmup-aware reset (the paper ran "a
-//!   warmup trace … before the measurement trace", §5).
-//! * [`CacheConfig`] / [`Replacement`] — cache geometry and policy.
-//! * [`MemoryHierarchy`] — a stack of cache levels in front of a backing
-//!   store, each level "treated as a cache in which frequently accessed
-//!   portions of absolute space may be stored" (§3.1).
+//! * [`SetAssocCache`] — a key/value cache with configurable entry count,
+//!   associativity and indexing function (trace replay, the ITLB's second
+//!   level).
+//! * [`FlatCache`] — the same cache in one flat allocation, for structures
+//!   probed on every memory reference (the ATLB).
+//! * [`AddrSet`] — a presence-only flat cache over addresses (the
+//!   instruction cache).
+//! * [`CacheConfig`] — cache geometry.
 //!
 //! ```
 //! use com_cache::{CacheConfig, SetAssocCache};
@@ -40,14 +43,12 @@ mod config;
 mod error;
 mod flat;
 mod fxhash;
-mod hierarchy;
 mod stats;
 
 pub use addrset::AddrSet;
 pub use cache::SetAssocCache;
-pub use config::{CacheConfig, HashKind, Replacement};
+pub use config::CacheConfig;
 pub use error::CacheError;
 pub use flat::FlatCache;
 pub use fxhash::{FxBuildHasher, FxHasher};
-pub use hierarchy::{AccessOutcome, LevelSpec, MemoryHierarchy};
 pub use stats::CacheStats;

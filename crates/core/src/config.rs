@@ -9,8 +9,9 @@ use com_obj::{ItlbConfig, LookupCost};
 /// The defaults reproduce the paper's machine: a 512×2-way ITLB (§5), a
 /// 4096-entry 2-way instruction cache (§5 Figure 11), a 32-block context
 /// cache (§2.3: "a context cache of this modest size would almost never
-/// miss") with copyback enabled, and the §3.6 stall penalties. Every switch
-/// exists for one of the DESIGN.md ablations.
+/// miss") with copyback enabled, and the §3.6 stall penalties. The
+/// switches select the paper's ablations (no ITLB, no context cache, no
+/// eager LIFO freeing) and the garbage collector's cadence.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
     /// Virtual address format (COM 36-bit by default).
@@ -23,16 +24,6 @@ pub struct MachineConfig {
     /// Instruction cache geometry; `None` disables it (every fetch pays the
     /// miss penalty).
     pub icache: Option<CacheConfig>,
-    /// Use the legacy generic cache as icache storage (the pre-overhaul
-    /// simulator structure). Access-for-access identical to the flat
-    /// probe array used by default (both index by `addr % sets`) — the
-    /// wall-clock bench baseline opts in.
-    pub icache_reference: bool,
-    /// Route method residency, the copyback low-water check and the
-    /// context-directory probe through the pre-overhaul data paths
-    /// (translation + SipHash map per call/return, per-step block scans).
-    /// Architecturally identical; only simulator wall-clock differs.
-    pub reference_interpreter: bool,
     /// Number of context cache blocks; `None` disables the context cache
     /// (ablation A2: contexts live in plain memory).
     pub ctx_blocks: Option<usize>,
@@ -52,18 +43,14 @@ pub struct MachineConfig {
     pub memory_penalty: u64,
     /// Cycles to fault a context block in from memory (block fill).
     pub ctx_fault_penalty: u64,
-    /// Steps between automatic **full** garbage collections; `None`
-    /// collects only when the free list and allocator are exhausted.
-    /// (The legacy knob; [`gc_full_interval`](Self::gc_full_interval) is
-    /// its generational twin — either triggers a full collection.)
-    pub gc_interval: Option<u64>,
     /// Steps between **minor** (nursery-only) collections; `None` disables
     /// periodic minor collection. When a step is a multiple of both the
-    /// minor and a full interval, the full collection wins.
+    /// minor and the full interval, the full collection wins.
     pub gc_minor_interval: Option<u64>,
-    /// Steps between **full** collections when running generationally
-    /// (typically a large multiple of
-    /// [`gc_minor_interval`](Self::gc_minor_interval)).
+    /// Steps between automatic **full** garbage collections; `None`
+    /// collects only when the free list and allocator are exhausted. When
+    /// running generationally this is typically a large multiple of
+    /// [`gc_minor_interval`](Self::gc_minor_interval).
     pub gc_full_interval: Option<u64>,
     /// Eagerly free LIFO contexts at return (§2.3). Disabling leaves every
     /// context to the garbage collector (half of experiment T5).
@@ -77,8 +64,6 @@ impl Default for MachineConfig {
             space_log2: 26,
             itlb: Some(ItlbConfig::paper_default().expect("paper geometry is valid")),
             icache: Some(CacheConfig::new(4096, 2).expect("paper geometry is valid")),
-            icache_reference: false,
-            reference_interpreter: false,
             ctx_blocks: Some(32),
             copyback: true,
             copyback_low_water: 2,
@@ -87,7 +72,6 @@ impl Default for MachineConfig {
             icache_miss_penalty: 8,
             memory_penalty: 4,
             ctx_fault_penalty: 32,
-            gc_interval: None,
             gc_minor_interval: None,
             gc_full_interval: None,
             eager_lifo_free: true,
@@ -148,24 +132,6 @@ impl MachineConfig {
     /// allocator exhaustion).
     pub fn with_minor_gc_interval(mut self, minor: u64) -> Self {
         self.gc_minor_interval = Some(minor);
-        self
-    }
-
-    /// The pre-overhaul interpreter's simulator structures: legacy
-    /// map-backed ITLB storage, the legacy generic icache, and the
-    /// pre-overhaul residency/memory paths. Pair with
-    /// [`Machine::run_stepwise`](crate::Machine::run_stepwise) to measure
-    /// the pre-overhaul interpreter (the `BENCH_interp.json` baseline).
-    /// The reference ITLB storage hashes keys to sets differently, so on
-    /// a working set with set conflicts the simulated lookup work may
-    /// diverge from the default machine — the bench harness asserts the
-    /// full `CycleStats` matched for every workload it reports.
-    pub fn reference_interpreter(mut self) -> Self {
-        if let Some(itlb) = self.itlb {
-            self.itlb = Some(itlb.with_reference_storage());
-        }
-        self.icache_reference = true;
-        self.reference_interpreter = true;
         self
     }
 }

@@ -89,9 +89,6 @@ impl Block {
 /// owns the memory); the cache owns residency, the access vectors and LRU.
 #[derive(Debug)]
 pub struct ContextCache {
-    /// Pre-overhaul allocation order: scan the block array for the first
-    /// free block instead of popping the free stack (bench baseline).
-    reference: bool,
     blocks: Vec<Block>,
     current: Option<usize>,
     next: Option<usize>,
@@ -132,7 +129,6 @@ impl ContextCache {
     pub fn new(blocks: usize) -> Self {
         assert!(blocks >= 3, "context cache needs at least 3 blocks");
         ContextCache {
-            reference: false,
             blocks: (0..blocks).map(|_| Block::empty()).collect(),
             current: None,
             next: None,
@@ -141,11 +137,6 @@ impl ContextCache {
             clock: 0,
             stats: CtxCacheStats::default(),
         }
-    }
-
-    /// Selects pre-overhaul block-allocation order (first-free scan).
-    pub fn set_reference_paths(&mut self, reference: bool) {
-        self.reference = reference;
     }
 
     /// Counter snapshot.
@@ -211,33 +202,10 @@ impl ContextCache {
         }
     }
 
-    /// Directory lookup through the pre-overhaul linear scan of the block
-    /// array (the reference-interpreter baseline). Same result and stats
-    /// as [`find`](Self::find); only the simulator-side cost differs.
-    pub fn find_reference(&mut self, abs: AbsAddr) -> Option<usize> {
-        self.stats.directory_lookups += 1;
-        let hit = self.blocks.iter().position(|b| b.abs == Some(abs));
-        if hit.is_some() {
-            self.stats.directory_hits += 1;
-        }
-        hit
-    }
-
-    /// The free count by the pre-overhaul scan (reference baseline).
-    pub fn free_count_reference(&self) -> usize {
-        self.blocks.iter().filter(|b| b.abs.is_none()).count()
-    }
-
     /// Picks a victim block: a free one if available, else the LRU block
     /// that is neither current nor next. Returns `(index, eviction)`.
     fn victim(&mut self) -> (usize, Option<Eviction>) {
-        if self.reference {
-            // Pre-overhaul order: first free block by scan.
-            if let Some(i) = self.blocks.iter().position(|b| b.abs.is_none()) {
-                self.free_stack.retain(|&f| f != i);
-                return (i, None);
-            }
-        } else if let Some(i) = self.free_stack.pop() {
+        if let Some(i) = self.free_stack.pop() {
             // The caller occupies the block immediately.
             return (i, None);
         }

@@ -21,11 +21,10 @@
 //!   flushed at run end, trap, or control transfer.
 //!
 //! [`Machine::step`] (and [`Machine::run_stepwise`], which drives it) is
-//! the reference interpreter: one instruction per call with every
-//! invariant re-established from machine state, exactly as the
-//! pre-overhaul loop did. It is the baseline the bench pipeline
-//! (`BENCH_interp.json`) measures the threaded loop against, and the
-//! oracle the differential tests compare it to.
+//! the oracle: one instruction per call over the same caches and memory,
+//! with operands fetched generically and hazards re-derived from machine
+//! state each time instead of from the decode-time lowered form. The
+//! differential tests require the two loops to agree bit for bit.
 
 // The hot paths repeatedly need one field of `self` (a context register)
 // while `self.cc` is known-present; `if self.cc.is_some()` + a later
@@ -36,7 +35,7 @@ use std::collections::{HashMap, HashSet};
 
 use std::sync::Arc;
 
-use com_cache::{AddrSet, CacheStats, FxBuildHasher, SetAssocCache};
+use com_cache::{AddrSet, CacheStats, FxBuildHasher};
 use com_fpa::{Fpa, SegmentName};
 use com_isa::{CodeObject, Instr, Opcode, OpcodeTable, Operand, PrimOp};
 use com_mem::{
@@ -69,13 +68,17 @@ pub(crate) enum LowOperand {
     Imm(Word, ClassId),
     /// Constant index beyond the method's table (the index is carried for
     /// the trap). Kept as a lowered form — not a decode error — because
-    /// the reference interpreter only traps this if the instruction
-    /// actually executes.
+    /// the stepwise loop only traps this if the instruction actually
+    /// executes.
     BadConst(u8),
 }
 
 /// A context-slot hazard source: (reads next context?, raw word offset).
 type HazardSrc = Option<(bool, u64)>;
+
+/// The B and C source operands of an instruction (value and class tag) and
+/// the ITLB key they form.
+type Fetched = ((Word, ClassId), (Word, ClassId), ItlbKey);
 
 /// One instruction with its operands pre-lowered (§3.6 fast path).
 #[derive(Debug, Clone, Copy)]
@@ -217,61 +220,6 @@ struct Decoded {
     abs: AbsAddr,
     /// The decoded instruction stream and constants (possibly shared).
     body: Arc<DecodedBody>,
-}
-
-/// Instruction-cache storage: the flat probe array, or the legacy generic
-/// cache (the pre-overhaul structure, kept for the bench baseline). The two
-/// are access-for-access identical in hits/misses/evictions.
-#[derive(Debug)]
-enum Icache {
-    Fast(AddrSet),
-    Reference(SetAssocCache<u64, ()>),
-}
-
-impl Icache {
-    #[inline]
-    fn probe(&mut self, addr: u64) -> bool {
-        match self {
-            Icache::Fast(c) => {
-                if c.lookup(addr) {
-                    true
-                } else {
-                    c.fill(addr);
-                    false
-                }
-            }
-            Icache::Reference(c) => {
-                if c.lookup(&addr).is_some() {
-                    true
-                } else {
-                    c.fill(addr, ());
-                    false
-                }
-            }
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        match self {
-            Icache::Fast(c) => c.stats(),
-            Icache::Reference(c) => c.stats(),
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        match self {
-            Icache::Fast(c) => c.reset_stats(),
-            Icache::Reference(c) => c.reset_stats(),
-        }
-    }
-
-    /// Drops all contents (statistics are kept).
-    fn clear(&mut self) {
-        match self {
-            Icache::Fast(c) => c.clear(),
-            Icache::Reference(c) => c.clear(),
-        }
-    }
 }
 
 /// A context register: virtual address plus its pretranslated absolute base
@@ -424,17 +372,14 @@ impl std::fmt::Debug for DispatchObserver {
 #[derive(Debug)]
 pub struct Machine {
     config: MachineConfig,
-    /// Mirror of [`MachineConfig::reference_interpreter`]: route method
-    /// residency, the copyback check, and context-directory probes through
-    /// the pre-overhaul data paths (the wall-clock bench baseline).
-    reference: bool,
     space: ObjectSpace,
     team: TeamId,
     classes: ClassTable,
     atoms: AtomTable,
     opcodes: OpcodeTable,
     itlb: Option<Itlb>,
-    icache: Option<Icache>,
+    /// The instruction cache (tags only: the decoded slab holds the code).
+    icache: Option<AddrSet>,
     cc: Option<ContextCache>,
     /// Decoded-method slab: a resident-method hit is one array index.
     decoded: Vec<Arc<Decoded>>,
@@ -442,10 +387,6 @@ pub struct Machine {
     /// when a dictionary entry has not been resolved to a slab slot yet
     /// (and on shadow-miss returns, to re-enter the caller's method).
     decoded_index: HashMap<u64, u32, FxBuildHasher>,
-    /// The pre-overhaul residency index (translated absolute base, SipHash
-    /// map), used instead of the slab fast paths when
-    /// [`MachineConfig::reference_interpreter`] is set.
-    methods_reference: HashMap<u64, u32>,
     code_roots: Vec<Fpa>,
     context_class: ClassId,
     cp: Option<CtxReg>,
@@ -493,10 +434,7 @@ pub struct Machine {
 impl Machine {
     /// Creates a machine with standard primitives installed and one team.
     pub fn new(config: MachineConfig) -> Self {
-        let mut space = ObjectSpace::new(config.space_log2, config.format);
-        if config.reference_interpreter {
-            space.set_reference_paths(true);
-        }
+        let space = ObjectSpace::new(config.space_log2, config.format);
         let mut classes = ClassTable::new();
         com_obj::install_standard_primitives(&mut classes);
         let context_class = classes
@@ -524,10 +462,7 @@ impl Machine {
     ) -> Result<Machine, MachineError> {
         match loaded.template_for(config.format, config.space_log2) {
             Some(t) => {
-                let mut space = t.space.lock().expect("template lock").clone();
-                if config.reference_interpreter {
-                    space.set_reference_paths(true);
-                }
+                let space = t.space.lock().expect("template lock").clone();
                 let mut m = Self::assemble(config, space, t.classes.clone(), t.context_class);
                 m.finish_template_adopt(loaded, t);
                 Ok(m)
@@ -549,20 +484,9 @@ impl Machine {
         context_class: ClassId,
     ) -> Machine {
         Machine {
-            reference: config.reference_interpreter,
             itlb: config.itlb.map(Itlb::new),
-            icache: config.icache.map(|c| {
-                if config.icache_reference {
-                    Icache::Reference(SetAssocCache::with_indexer(c, |k| *k))
-                } else {
-                    Icache::Fast(AddrSet::new(c))
-                }
-            }),
-            cc: config.ctx_blocks.map(|b| {
-                let mut cc = ContextCache::new(b);
-                cc.set_reference_paths(config.reference_interpreter);
-                cc
-            }),
+            icache: config.icache.map(AddrSet::new),
+            cc: config.ctx_blocks.map(ContextCache::new),
             config,
             space,
             team: TeamId(0),
@@ -571,7 +495,6 @@ impl Machine {
             opcodes: OpcodeTable::new(),
             decoded: Vec::new(),
             decoded_index: HashMap::default(),
-            methods_reference: HashMap::new(),
             code_roots: Vec::new(),
             context_class,
             cp: None,
@@ -650,11 +573,7 @@ impl Machine {
         if pristine {
             if let Some(t) = loaded.template_for(self.config.format, self.config.space_log2) {
                 self.invalidate_decoded();
-                let mut space = t.space.lock().expect("template lock").clone();
-                if self.reference {
-                    space.set_reference_paths(true);
-                }
-                self.space = space;
+                self.space = t.space.lock().expect("template lock").clone();
                 self.classes = t.classes.clone();
                 self.context_class = t.context_class;
                 self.code_roots.clear();
@@ -728,7 +647,6 @@ impl Machine {
         self.release_entry();
         self.decoded.clear();
         self.decoded_index.clear();
-        self.methods_reference.clear();
         self.shadow.clear();
         self.cur_slab = DefinedMethod::UNRESOLVED;
         self.entry_slab = None;
@@ -789,7 +707,7 @@ impl Machine {
 
     /// Instruction cache statistics, if configured.
     pub fn icache_stats(&self) -> Option<CacheStats> {
-        self.icache.as_ref().map(Icache::stats)
+        self.icache.as_ref().map(AddrSet::stats)
     }
 
     /// Context cache statistics, if configured.
@@ -965,13 +883,7 @@ impl Machine {
         };
         if self.cc.is_some() && kind == AllocKind::Context {
             let base = AbsAddr(t.abs.0 & !(CONTEXT_WORDS - 1));
-            let cc = self.cc.as_mut().expect("checked");
-            let hit = if self.reference {
-                cc.find_reference(base)
-            } else {
-                cc.find(base)
-            };
-            if let Some(block) = hit {
+            if let Some(block) = self.cc.as_mut().expect("checked").find(base) {
                 let off = t.abs.0 & (CONTEXT_WORDS - 1);
                 return Ok(self.cc.as_mut().expect("checked").read(block, off));
             }
@@ -1000,13 +912,7 @@ impl Machine {
         };
         if self.cc.is_some() && target_is_context {
             let base = AbsAddr(t.abs.0 & !(CONTEXT_WORDS - 1));
-            let cc = self.cc.as_mut().expect("checked");
-            let hit = if self.reference {
-                cc.find_reference(base)
-            } else {
-                cc.find(base)
-            };
-            if let Some(block) = hit {
+            if let Some(block) = self.cc.as_mut().expect("checked").find(base) {
                 let off = t.abs.0 & (CONTEXT_WORDS - 1);
                 self.cc
                     .as_mut()
@@ -1022,33 +928,31 @@ impl Machine {
     /// Stores a method result through its result pointer. The common case
     /// — a LIFO return storing into the *caller's* context — is resolved
     /// against the shadow stack's pretranslated base instead of paying a
-    /// translation; anything else (heap result cells, rewritten pointers,
-    /// the reference baseline) takes the general coherent write.
+    /// translation; anything else (heap result cells, rewritten pointers)
+    /// takes the general coherent write.
     fn store_result(&mut self, p: Fpa, value: Word, class: ClassId) -> Result<(), MachineError> {
-        if !self.reference {
-            if let Some(frame) = self.shadow.last() {
-                let seg = frame.reg.fpa.segment();
-                if p.segment() == seg && p.offset() < CONTEXT_WORDS {
-                    // Alignment invariant: context bases are multiples of
-                    // the segment capacity, so OR equals ADD.
-                    let abs = AbsAddr(frame.reg.abs.0 | p.offset());
-                    // Mirror of `mem_write`'s context-target path (the
-                    // target is a context, so no escape marking applies).
-                    if self.cc.is_some() {
-                        let base = AbsAddr(abs.0 & !(CONTEXT_WORDS - 1));
-                        let hit = self.cc.as_mut().expect("checked").find(base);
-                        if let Some(block) = hit {
-                            let off = abs.0 & (CONTEXT_WORDS - 1);
-                            self.cc
-                                .as_mut()
-                                .expect("checked")
-                                .write(block, off, value, class);
-                            return Ok(());
-                        }
+        if let Some(frame) = self.shadow.last() {
+            let seg = frame.reg.fpa.segment();
+            if p.segment() == seg && p.offset() < CONTEXT_WORDS {
+                // Alignment invariant: context bases are multiples of the
+                // segment capacity, so OR equals ADD.
+                let abs = AbsAddr(frame.reg.abs.0 | p.offset());
+                // Mirror of `mem_write`'s context-target path (the target
+                // is a context, so no escape marking applies).
+                if self.cc.is_some() {
+                    let base = AbsAddr(abs.0 & !(CONTEXT_WORDS - 1));
+                    let hit = self.cc.as_mut().expect("checked").find(base);
+                    if let Some(block) = hit {
+                        let off = abs.0 & (CONTEXT_WORDS - 1);
+                        self.cc
+                            .as_mut()
+                            .expect("checked")
+                            .write(block, off, value, class);
+                        return Ok(());
                     }
-                    self.space.write_abs(abs, value, AllocKind::Context)?;
-                    return Ok(());
                 }
+                self.space.write_abs(abs, value, AllocKind::Context)?;
+                return Ok(());
             }
         }
         self.mem_write(p, value, class)
@@ -1133,18 +1037,11 @@ impl Machine {
             return Ok(());
         }
         let low = self.config.copyback_low_water;
-        let reference = self.reference;
         loop {
             let Some(cc) = &mut self.cc else {
                 return Ok(());
             };
-            let free = if reference {
-                // The pre-overhaul low-water check scanned the block array.
-                cc.free_count_reference()
-            } else {
-                cc.free_count()
-            };
-            if free > low {
+            if !cc.needs_copyback(low) {
                 return Ok(());
             }
             let Some(ev) = cc.copyback_victim() else {
@@ -1235,12 +1132,11 @@ impl Machine {
 
     /// Decodes a synthesized entry method into the machine's reusable
     /// entry slab slot (creating the slot on first use), so repeated sends
-    /// do not grow the slab. Mirrors what [`method_slot`](Self::method_slot)
-    /// would record on both the overhauled and reference residency paths.
+    /// do not grow the slab. Indexes it exactly as
+    /// [`ensure_decoded`](Self::ensure_decoded) would.
     fn install_entry(&mut self, code: Fpa) -> Result<u32, MachineError> {
         let base = code.base();
         let d = Arc::new(self.decode_from_memory(code)?);
-        let abs = d.abs;
         let id = match self.entry_slab {
             Some(slot) => {
                 self.decoded[slot as usize] = d;
@@ -1254,9 +1150,6 @@ impl Machine {
             }
         };
         self.decoded_index.insert(base.raw(), id);
-        if self.reference {
-            self.methods_reference.insert(abs.0, id);
-        }
         Ok(id)
     }
 
@@ -1273,10 +1166,7 @@ impl Machine {
             if let Some(pos) = self.code_roots.iter().rposition(|f| *f == base) {
                 self.code_roots.swap_remove(pos);
             }
-            if let Some(id) = self.decoded_index.remove(&base.base().raw()) {
-                let abs = self.decoded[id as usize].abs;
-                self.methods_reference.remove(&abs.0);
-            }
+            self.decoded_index.remove(&base.base().raw());
         }
     }
 
@@ -1292,25 +1182,6 @@ impl Machine {
     fn slab_entry(&self, id: u32) -> (Fpa, AbsAddr, Arc<Decoded>) {
         let d = &self.decoded[id as usize];
         (d.base, d.abs, Arc::clone(d))
-    }
-
-    /// The slab slot for `code`, through the configured residency path:
-    /// the overhauled index, or the pre-overhaul translate + SipHash map
-    /// sequence (reference baseline).
-    fn method_slot(&mut self, code: Fpa) -> Result<u32, MachineError> {
-        if !self.reference {
-            return self.ensure_decoded(code);
-        }
-        // The pre-overhaul sequence: translate the base, then probe the
-        // residency map keyed on the absolute address.
-        let base = code.base();
-        let t = self.space.translate(self.team, base)?;
-        if let Some(&id) = self.methods_reference.get(&t.abs.0) {
-            return Ok(id);
-        }
-        let id = self.ensure_decoded(code)?;
-        self.methods_reference.insert(t.abs.0, id);
-        Ok(id)
     }
 
     /// Installs a new current method, invalidating the threaded loop's
@@ -1337,6 +1208,21 @@ impl Machine {
                     .copied()
                     .ok_or(MachineError::ConstOutOfRange { index: i })
             }
+        }
+    }
+
+    /// The implicit operands of a zero-address send: arg1 (the receiver)
+    /// and arg2 of the next context, and the ITLB key they form. Dispatch
+    /// keys on the receiver's class even for `nargs = 0` sends (the
+    /// receiver slot is always arg1). Shared by both interpreter loops.
+    #[inline(always)]
+    fn implicit_operands(&mut self, op: Opcode, nargs: u8) -> Result<Fetched, MachineError> {
+        let bv = self.ctx_read(true, 1)?;
+        if nargs >= 2 {
+            let cv = self.ctx_read(true, 2)?;
+            Ok((bv, cv, ItlbKey::binary(op, bv.1, cv.1)))
+        } else {
+            Ok((bv, (Word::Uninit, ClassId::NONE), ItlbKey::unary(op, bv.1)))
         }
     }
 
@@ -1460,7 +1346,10 @@ impl Machine {
     // Execution
     // ------------------------------------------------------------------
 
-    /// Executes one instruction.
+    /// Executes one instruction: the instruction-at-a-time oracle for the
+    /// threaded [`run`](Self::run) loop. It works on the same caches and
+    /// memory, but fetches operands generically and re-derives hazards
+    /// from machine state rather than from the decode-time lowered form.
     ///
     /// # Errors
     ///
@@ -1480,7 +1369,8 @@ impl Machine {
         // Step 1: fetch through the instruction cache.
         if let Some(ic) = &mut self.icache {
             let addr = method_abs.0 + CodeObject::HEADER_WORDS + self.pc;
-            if !ic.probe(addr) {
+            if !ic.lookup(addr) {
+                ic.fill(addr);
                 self.stats.icache_miss_cycles += self.config.icache_miss_penalty;
             }
         }
@@ -1513,23 +1403,7 @@ impl Machine {
                 let cv = self.fetch_operand(c)?;
                 (bv, cv, ItlbKey::binary(op, bv.1, cv.1))
             }
-            Instr::Zero { op, nargs, .. } => {
-                // Implicit operands: arg1 (receiver) and arg2 in the next
-                // context. Dispatch still keys on the receiver's class even
-                // for nargs = 0 sends (the receiver slot is always arg1).
-                let bv = self.ctx_read(true, 1)?;
-                let cv = if nargs >= 2 {
-                    self.ctx_read(true, 2)?
-                } else {
-                    (Word::Uninit, ClassId::NONE)
-                };
-                let key = if nargs >= 2 {
-                    ItlbKey::binary(op, bv.1, cv.1)
-                } else {
-                    ItlbKey::unary(op, bv.1)
-                };
-                (bv, cv, key)
-            }
+            Instr::Zero { op, nargs, .. } => self.implicit_operands(op, nargs)?,
         };
         if self.observer.is_some() {
             self.observe_dispatch(key);
@@ -1857,19 +1731,6 @@ impl Machine {
                     };
                     Word::Ptr(r.fpa.with_offset(o as u64 + OPERAND_BIAS)?)
                 };
-                // The pre-overhaul call sequence re-read both source
-                // operands here; the baseline keeps that cost. A reified
-                // handler call must not re-read: its argument register is
-                // the trap message, not the faulting C operand.
-                let (b, c) = if self.reference && !reified {
-                    if let Instr::Three { b: bo, c: co, .. } = instr {
-                        (self.fetch_operand(bo)?, self.fetch_operand(co)?)
-                    } else {
-                        (b, c)
-                    }
-                } else {
-                    (b, c)
-                };
                 let arg0 = (result_ptr, self.context_class);
                 if self.cc.is_some() {
                     let block = match self.ncp.as_ref() {
@@ -1912,14 +1773,12 @@ impl Machine {
 
         // CP <- NCP; the next context's RCP was set at allocation.
         let new_cp = self.ctx_reg(true)?;
-        if !self.reference {
-            if let Some(caller) = self.cp {
-                self.shadow.push(ShadowFrame {
-                    reg: caller,
-                    rip,
-                    slab: self.cur_slab,
-                });
-            }
+        if let Some(caller) = self.cp {
+            self.shadow.push(ShadowFrame {
+                reg: caller,
+                rip,
+                slab: self.cur_slab,
+            });
         }
         self.cp = Some(new_cp);
         if let Some(cc) = &mut self.cc {
@@ -1937,13 +1796,11 @@ impl Machine {
 
         // IP <- first instruction of the method. A slab-resolved reference
         // (the warm path: every ITLB hit) is one array index; only an
-        // unresolved dictionary reference pays the decode/index probe. The
-        // reference baseline always pays the pre-overhaul translate+map
-        // sequence instead.
-        let id = if d.is_resolved() && !self.reference {
+        // unresolved dictionary reference pays the decode/index probe.
+        let id = if d.is_resolved() {
             d.slab
         } else {
-            self.method_slot(d.code)?
+            self.ensure_decoded(d.code)?
         };
         let (f, a, dec) = self.slab_entry(id);
         self.set_ip(f, a, dec);
@@ -2107,9 +1964,7 @@ impl Machine {
                     match ncp.block {
                         // The pre-allocated next is still resident in its
                         // block; skip the directory probe.
-                        Some(b) if !self.reference && cc.block_abs(b) == Some(ncp.abs) => {
-                            cc.release_block(b)
-                        }
+                        Some(b) if cc.block_abs(b) == Some(ncp.abs) => cc.release_block(b),
                         _ => cc.release(ncp.abs),
                     }
                 }
@@ -2130,8 +1985,8 @@ impl Machine {
         // CP <- RCP: the caller may have been copied back; fault it in.
         // A LIFO return finds the caller's pretranslated base (and its
         // method's slab slot) on the shadow stack; anything else (xfer
-        // games, RCP rewritten through memory, the reference baseline)
-        // misses the memo and pays the translation.
+        // games, RCP rewritten through memory) misses the memo and pays
+        // the translation.
         let frame = match self.shadow.pop() {
             Some(f) if f.reg.fpa == caller_fpa => Some(f),
             Some(_) => {
@@ -2144,27 +1999,20 @@ impl Machine {
             Some(f) => f.reg.abs,
             None => self.space.translate(self.team, caller_fpa)?.abs,
         };
-        let reference = self.reference;
         // The memoized caller block is still valid when it caches the same
         // absolute base (copyback may have evicted it mid-call); then the
         // directory need not be consulted at all.
-        let memo_block = match (&frame, reference) {
-            (Some(f), false) => f.reg.block.filter(|b| {
+        let memo_block = frame.and_then(|f| {
+            f.reg.block.filter(|b| {
                 self.cc
                     .as_ref()
                     .is_some_and(|cc| cc.block_abs(*b) == Some(caller_abs))
-            }),
-            _ => None,
-        };
+            })
+        });
         let caller_block = if let Some(b) = memo_block {
             Some(b)
         } else if let Some(cc) = &mut self.cc {
-            let hit = if reference {
-                cc.find_reference(caller_abs)
-            } else {
-                cc.find(caller_abs)
-            };
-            match hit {
+            match cc.find(caller_abs) {
                 Some(bi) => Some(bi),
                 None => {
                     // Context cache miss: fault the caller in from memory.
@@ -2215,7 +2063,7 @@ impl Machine {
         let pc = rip.offset() - CodeObject::HEADER_WORDS;
         let id = match frame {
             Some(f) if f.rip == rip && (f.slab as usize) < self.decoded.len() => f.slab,
-            _ => self.method_slot(rip.base())?,
+            _ => self.ensure_decoded(rip.base())?,
         };
         let (f, a, dec) = self.slab_entry(id);
         self.set_ip(f, a, dec);
@@ -2252,7 +2100,7 @@ impl Machine {
         let tip = tip.as_ptr().ok_or(MachineError::NoContext)?;
         let method = tip.base();
         let pc = tip.offset() - CodeObject::HEADER_WORDS;
-        let id = self.method_slot(method)?;
+        let id = self.ensure_decoded(method)?;
         let (f, a, dec) = self.slab_entry(id);
         self.set_ip(f, a, dec);
         self.cur_slab = id;
@@ -2357,10 +2205,7 @@ impl Machine {
     /// [`run`](Self::run) loop so the two charge GC cycles at identical
     /// boundaries; a step on both cadences runs the full collection.
     fn gc_due(&self, step: u64) -> Option<GcKind> {
-        for interval in [self.config.gc_interval, self.config.gc_full_interval]
-            .into_iter()
-            .flatten()
-        {
+        if let Some(interval) = self.config.gc_full_interval {
             if step.is_multiple_of(interval) {
                 return Some(GcKind::Full);
             }
@@ -2625,9 +2470,8 @@ impl Machine {
                 None => return Err(MachineError::NoContext),
             };
             let gen = self.ip_gen;
-            let gc_on = self.config.gc_interval.is_some()
-                || self.config.gc_minor_interval.is_some()
-                || self.config.gc_full_interval.is_some();
+            let gc_on =
+                self.config.gc_minor_interval.is_some() || self.config.gc_full_interval.is_some();
             let steps_base = self.steps;
             // Instructions completed against `dec`, not yet in the stats.
             let mut done: u64 = 0;
@@ -2641,12 +2485,13 @@ impl Machine {
                 // Step 1: fetch through the instruction cache.
                 if let Some(ic) = &mut self.icache {
                     let addr = method_abs.0 + CodeObject::HEADER_WORDS + self.pc;
-                    if !ic.probe(addr) {
+                    if !ic.lookup(addr) {
+                        ic.fill(addr);
                         self.stats.icache_miss_cycles += self.config.icache_miss_penalty;
                     }
                 }
                 // The instruction issues: it counts even if a later stage
-                // traps, exactly as the reference interpreter counts it.
+                // traps, exactly as the stepwise loop counts it.
                 done += 1;
                 if let Err(e) = self.exec_low(low) {
                     break SegEnd::Trap(e);
@@ -2655,7 +2500,7 @@ impl Machine {
                     break SegEnd::GcDue;
                 }
                 if self.ip_gen != gen || self.halted.is_some() {
-                    // The reference loop runs the copyback check after
+                    // The stepwise loop runs the copyback check after
                     // every instruction; here it runs only after control
                     // transfers (and halts). The two are event-identical:
                     // the free-block count only *decreases* via context
@@ -2689,7 +2534,7 @@ impl Machine {
                     }));
                 }
                 SegEnd::GcDue => {
-                    // Mirrors the reference interpreter's post-instruction
+                    // Mirrors the stepwise loop's post-instruction
                     // sequence: collect, then copyback, then re-dispatch
                     // (the outer loop re-checks halt).
                     let kind = self.gc_due(self.steps).expect("a collection was due");
@@ -2737,20 +2582,7 @@ impl Machine {
                 let cv = self.read_low(low.c)?;
                 (bv, cv, ItlbKey::binary(op, bv.1, cv.1))
             }
-            Instr::Zero { op, nargs, .. } => {
-                let bv = self.ctx_read(true, 1)?;
-                let cv = if nargs >= 2 {
-                    self.ctx_read(true, 2)?
-                } else {
-                    (Word::Uninit, ClassId::NONE)
-                };
-                let key = if nargs >= 2 {
-                    ItlbKey::binary(op, bv.1, cv.1)
-                } else {
-                    ItlbKey::unary(op, bv.1)
-                };
-                (bv, cv, key)
-            }
+            Instr::Zero { op, nargs, .. } => self.implicit_operands(op, nargs)?,
         };
         if self.observer.is_some() {
             self.observe_dispatch(key);
@@ -2830,13 +2662,11 @@ impl Machine {
         }
     }
 
-    /// Runs via the reference single-step interpreter: one
-    /// [`step`](Self::step) per instruction, every invariant
-    /// re-established from machine state each time — the pre-overhaul
-    /// loop. Results and architectural statistics are bit-identical to
-    /// [`run`](Self::run); only wall-clock differs. The bench pipeline
-    /// measures the threaded loop against this baseline, and the
-    /// differential tests use it as the oracle.
+    /// Runs via the single-step oracle: one [`step`](Self::step) per
+    /// instruction, every invariant re-established from machine state each
+    /// time. Results and architectural statistics must be bit-identical to
+    /// [`run`](Self::run); the differential tests hold the threaded loop
+    /// to that.
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 //! Regression tests for the threaded interpreter fast paths.
 //!
 //! The architectural contract (see `com_core::machine` module docs): the
-//! threaded loop ([`Machine::run`]) and the reference single-step loop
+//! threaded loop ([`Machine::run`]) and the single-step oracle
 //! ([`Machine::run_stepwise`]) must be *bit-identical* in everything the
 //! simulation models — results, instruction counts, [`CycleStats`], and
 //! cache statistics. Only wall-clock may differ.
@@ -184,7 +184,7 @@ fn loops_agree_at_step_limit_cutoff() {
 fn loops_agree_with_periodic_gc() {
     let (img, sel) = sumto_image();
     let cfg = MachineConfig {
-        gc_interval: Some(97),
+        gc_full_interval: Some(97),
         ..MachineConfig::default()
     };
     let a = observe(&img, sel, Word::Int(80), cfg, 1_000_000, false);
@@ -199,7 +199,7 @@ fn loops_agree_with_generational_gc() {
     // The write barrier and the minor/full cadence must not perturb the
     // architectural contract: CycleStats (including `gc_cycles` from
     // `GcStats::cost_cycles`) bit-identical between the threaded loop and
-    // the stepwise reference loop. Prime intervals land collections in the
+    // the stepwise oracle. Prime intervals land collections in the
     // middle of call bursts rather than on convenient boundaries.
     let (img, sel) = sumto_image();
     let configs = [
@@ -212,12 +212,6 @@ fn loops_agree_with_generational_gc() {
         MachineConfig {
             gc_minor_interval: Some(101),
             gc_full_interval: Some(809),
-            ..MachineConfig::default()
-        },
-        // Legacy full knob and the minor knob together.
-        MachineConfig {
-            gc_interval: Some(613),
-            gc_minor_interval: Some(97),
             ..MachineConfig::default()
         },
         // Contexts left to the collector: the generational sweep carries
@@ -247,65 +241,13 @@ fn loops_agree_with_generational_gc() {
             "minor collections must actually run"
         );
         assert!(a.stats.gc_cycles > 0, "GC cost must be charged");
-        if cfg.gc_full_interval.is_some() || cfg.gc_interval.is_some() {
+        if cfg.gc_full_interval.is_some() {
             assert!(
                 a.stats.gc_runs > a.stats.gc_minor_runs,
                 "full collections must actually run"
             );
         }
     }
-}
-
-#[test]
-fn reference_interpreter_agrees_under_generational_gc() {
-    // The pre-overhaul data paths see the same collections at the same
-    // boundaries (the bench baseline must stay comparable).
-    let (img, sel) = sumto_image();
-    let cfg = MachineConfig {
-        gc_minor_interval: Some(101),
-        gc_full_interval: Some(809),
-        ..MachineConfig::default()
-    };
-    let fast = observe(&img, sel, Word::Int(120), cfg, 1_000_000, false);
-    let reference = observe(
-        &img,
-        sel,
-        Word::Int(120),
-        MachineConfig {
-            gc_minor_interval: Some(101),
-            gc_full_interval: Some(809),
-            ..MachineConfig::default().reference_interpreter()
-        },
-        1_000_000,
-        true,
-    );
-    assert_eq!(fast.result, reference.result);
-    assert_eq!(fast.stats, reference.stats);
-}
-
-#[test]
-fn reference_interpreter_is_architecturally_identical() {
-    // The bench baseline (pre-overhaul data paths) models the same
-    // machine: same answers, same cycle accounting on a fixed workload.
-    let (img, sel) = sumto_image();
-    let fast = observe(
-        &img,
-        sel,
-        Word::Int(150),
-        MachineConfig::default(),
-        1_000_000,
-        false,
-    );
-    let reference = observe(
-        &img,
-        sel,
-        Word::Int(150),
-        MachineConfig::default().reference_interpreter(),
-        1_000_000,
-        true,
-    );
-    assert_eq!(fast.result, reference.result);
-    assert_eq!(fast.stats, reference.stats);
 }
 
 #[test]
@@ -354,7 +296,7 @@ fn warm_resends_reuse_the_slab_and_agree() {
 }
 
 /// Every trap path, through both loops: the threaded loop and the
-/// stepwise reference must agree on the error, the statistics accrued up
+/// stepwise oracle must agree on the error, the statistics accrued up
 /// to the faulting instruction, and every cache's counters — and both
 /// must unwind to machines that answer a follow-up send identically.
 #[test]

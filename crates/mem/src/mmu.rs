@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use com_cache::{CacheConfig, CacheStats, FlatCache, SetAssocCache};
+use com_cache::{CacheConfig, CacheStats, FlatCache};
 use com_fpa::{Fpa, FpaFormat, SegmentName};
 
 use crate::{AbsAddr, ClassId, MemError, SegmentDescriptor, TeamId, TeamSpace};
@@ -25,66 +25,14 @@ pub struct Translation {
     pub atlb_hit: bool,
 }
 
-/// ATLB storage: the flat probe array, or the pre-overhaul generic cache
-/// (kept for the bench baseline). Architecturally interchangeable.
-#[derive(Debug, Clone)]
-enum Atlb {
-    Flat(FlatCache<(TeamId, SegmentName), SegmentDescriptor>),
-    Reference(SetAssocCache<(TeamId, SegmentName), SegmentDescriptor>),
-}
-
-impl Atlb {
-    #[inline]
-    fn lookup(&mut self, key: &(TeamId, SegmentName)) -> Option<&SegmentDescriptor> {
-        match self {
-            Atlb::Flat(c) => c.lookup(key),
-            Atlb::Reference(c) => c.lookup(key),
-        }
-    }
-
-    fn fill(&mut self, key: (TeamId, SegmentName), desc: SegmentDescriptor) {
-        match self {
-            Atlb::Flat(c) => {
-                c.fill(key, desc);
-            }
-            Atlb::Reference(c) => {
-                c.fill(key, desc);
-            }
-        }
-    }
-
-    fn invalidate(&mut self, key: &(TeamId, SegmentName)) {
-        match self {
-            Atlb::Flat(c) => {
-                c.invalidate(key);
-            }
-            Atlb::Reference(c) => {
-                c.invalidate(key);
-            }
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        match self {
-            Atlb::Flat(c) => c.stats(),
-            Atlb::Reference(c) => c.stats(),
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        match self {
-            Atlb::Flat(c) => c.reset_stats(),
-            Atlb::Reference(c) => c.reset_stats(),
-        }
-    }
-}
-
 /// The memory management unit: team spaces plus the ATLB.
 #[derive(Debug, Clone)]
 pub struct Mmu {
     format: FpaFormat,
     teams: HashMap<TeamId, TeamSpace>,
-    atlb: Atlb,
+    /// The ATLB, probed on every translation — so it lives in a flat probe
+    /// array indexed by the fast hash.
+    atlb: FlatCache<(TeamId, SegmentName), SegmentDescriptor>,
     bounds_traps: u64,
     forward_traps: u64,
 }
@@ -105,28 +53,10 @@ impl Mmu {
         Mmu {
             format,
             teams: HashMap::new(),
-            // The ATLB is probed on every translation — it lives in a
-            // flat probe array with the fast hash. The exact conflict
-            // mapping is not a recorded figure (unlike the trace-replay
-            // caches), so the hash change is fair game.
-            atlb: Atlb::Flat(FlatCache::new(atlb)),
+            atlb: FlatCache::new(atlb),
             bounds_traps: 0,
             forward_traps: 0,
         }
-    }
-
-    /// Switches the ATLB to the pre-overhaul generic cache storage (the
-    /// wall-clock bench baseline). Drops current ATLB contents.
-    pub fn set_reference_paths(&mut self, reference: bool) {
-        let cfg = match &self.atlb {
-            Atlb::Flat(c) => c.config(),
-            Atlb::Reference(c) => c.config(),
-        };
-        self.atlb = if reference {
-            Atlb::Reference(SetAssocCache::new(cfg))
-        } else {
-            Atlb::Flat(FlatCache::new(cfg))
-        };
     }
 
     /// The address format in use.

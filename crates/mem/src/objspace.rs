@@ -290,14 +290,6 @@ impl ObjectSpace {
         &mut self.mem
     }
 
-    /// Switches the memory system's hot paths to their pre-overhaul forms
-    /// (ATLB generic-cache storage, unmemoized bounds checks) — the
-    /// wall-clock bench baseline. Architecturally identical either way.
-    pub fn set_reference_paths(&mut self, reference: bool) {
-        self.mem.set_reference_paths(reference);
-        self.mmu.set_reference_paths(reference);
-    }
-
     /// Allocation statistics for experiment T5.
     pub fn stats(&self) -> AllocStats {
         self.stats

@@ -10,13 +10,11 @@
 //! The first level is a fixed-size probe array — the direct-mapped /
 //! set-associative RAM the hardware actually describes: the key is packed
 //! into one word, a multiplicative hash selects the set, and the ways of
-//! that set are probed in place. No per-lookup heap hashing is involved,
-//! which matters because *every* COM instruction translates through this
-//! structure. The legacy map-backed storage is kept behind
-//! [`ItlbConfig::with_reference_storage`] as the pre-overhaul baseline for
-//! the wall-clock bench pipeline.
+//! that set are probed in place, replacing the least recently used line.
+//! No per-lookup heap hashing is involved, which matters because *every*
+//! COM instruction translates through this structure.
 
-use com_cache::{CacheConfig, CacheError, CacheStats, Replacement, SetAssocCache};
+use com_cache::{CacheConfig, CacheError, CacheStats, SetAssocCache};
 use com_isa::Opcode;
 use com_mem::ClassId;
 
@@ -88,16 +86,6 @@ pub struct ItlbConfig {
     pub l1: CacheConfig,
     /// Optional second-level geometry (in main memory; slower but larger).
     pub l2: Option<CacheConfig>,
-    /// Use the legacy map-backed L1 storage instead of the probe array.
-    /// Same geometry and replacement policy, but the two storages hash
-    /// keys to sets differently (SipHash vs the packed-key Fibonacci
-    /// hash), so conflict evictions — and therefore miss counts — can
-    /// differ once a working set collides within sets. They are exactly
-    /// equivalent when fully associative (tested), and in practice for
-    /// working sets well under capacity; the bench pipeline asserts the
-    /// simulated stats matched on every workload it reports. Exists so
-    /// the bench can measure the pre-overhaul interpreter.
-    pub reference_storage: bool,
 }
 
 impl ItlbConfig {
@@ -112,7 +100,6 @@ impl ItlbConfig {
         Ok(ItlbConfig {
             l1: CacheConfig::new(512, 2)?,
             l2: None,
-            reference_storage: false,
         })
     }
 
@@ -124,12 +111,6 @@ impl ItlbConfig {
     pub fn with_l2(mut self, entries: usize, ways: usize) -> Result<Self, CacheError> {
         self.l2 = Some(CacheConfig::new(entries, ways)?);
         Ok(self)
-    }
-
-    /// Selects the legacy map-backed first-level storage (bench baseline).
-    pub fn with_reference_storage(mut self) -> Self {
-        self.reference_storage = true;
-        self
     }
 }
 
@@ -149,10 +130,8 @@ pub enum ItlbHit {
 struct ProbeLine {
     tag: u64,
     value: MethodRef,
-    /// Monotonic counter value at last use (LRU) …
+    /// Monotonic counter value at last use (LRU).
     last_used: u64,
-    /// … and at fill time (FIFO).
-    filled_at: u64,
 }
 
 /// The fixed-size probe array backing the first level: `sets × ways` lines
@@ -161,7 +140,6 @@ struct ProbeLine {
 /// set's lines linearly, exactly as the hardware comparators would.
 #[derive(Debug)]
 struct ProbeArray {
-    config: CacheConfig,
     sets: usize,
     /// `sets - 1` when the set count is a power of two (single AND), else 0
     /// (fall back to modulo).
@@ -169,7 +147,6 @@ struct ProbeArray {
     ways: usize,
     lines: Vec<Option<ProbeLine>>,
     clock: u64,
-    rng: u64,
     stats: CacheStats,
 }
 
@@ -178,7 +155,6 @@ impl ProbeArray {
         let sets = config.sets();
         let ways = config.ways();
         ProbeArray {
-            config,
             sets,
             mask: if sets.is_power_of_two() {
                 sets as u64 - 1
@@ -188,7 +164,6 @@ impl ProbeArray {
             ways,
             lines: vec![None; sets * ways],
             clock: 0,
-            rng: config.seed(),
             stats: CacheStats::default(),
         }
     }
@@ -244,39 +219,22 @@ impl ProbeArray {
                     tag,
                     value,
                     last_used: self.clock,
-                    filled_at: self.clock,
                 });
                 return None;
             }
         }
-        // Set full: evict per the configured policy.
-        let victim = match self.config.replacement() {
-            Replacement::Lru => slot
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.expect("set is full").last_used)
-                .map(|(i, _)| i)
-                .expect("set is nonempty"),
-            Replacement::Fifo => slot
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.expect("set is full").filled_at)
-                .map(|(i, _)| i)
-                .expect("set is nonempty"),
-            Replacement::Random => {
-                // xorshift64*
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                (self.rng % self.ways as u64) as usize
-            }
-        };
+        // Set full: evict the least recently used line.
+        let victim = slot
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, l)| l.expect("set is full").last_used)
+            .map(|(i, _)| i)
+            .expect("set is nonempty");
         self.stats.evictions += 1;
         let old = slot[victim].replace(ProbeLine {
             tag,
             value,
             last_used: self.clock,
-            filled_at: self.clock,
         });
         old.map(|l| (ItlbKey::unpack(l.tag), l.value))
     }
@@ -289,13 +247,6 @@ impl ProbeArray {
     fn len(&self) -> usize {
         self.lines.iter().filter(|l| l.is_some()).count()
     }
-}
-
-/// First-level storage: the probe array, or the legacy map-backed cache.
-#[derive(Debug)]
-enum L1 {
-    Probe(ProbeArray),
-    Reference(SetAssocCache<ItlbKey, MethodRef>),
 }
 
 /// The ITLB: a (possibly two-level) cache from [`ItlbKey`] to [`MethodRef`].
@@ -317,7 +268,7 @@ enum L1 {
 /// ```
 #[derive(Debug)]
 pub struct Itlb {
-    l1: L1,
+    l1: ProbeArray,
     l2: Option<SetAssocCache<ItlbKey, MethodRef>>,
     last_hit: ItlbHit,
 }
@@ -326,44 +277,24 @@ impl Itlb {
     /// Creates an ITLB with the given geometry.
     pub fn new(config: ItlbConfig) -> Self {
         Itlb {
-            l1: if config.reference_storage {
-                L1::Reference(SetAssocCache::new(config.l1))
-            } else {
-                L1::Probe(ProbeArray::new(config.l1))
-            },
+            l1: ProbeArray::new(config.l1),
             l2: config.l2.map(SetAssocCache::new),
             last_hit: ItlbHit::Miss,
-        }
-    }
-
-    #[inline]
-    fn l1_lookup(&mut self, key: ItlbKey) -> Option<MethodRef> {
-        match &mut self.l1 {
-            L1::Probe(p) => p.lookup(key),
-            L1::Reference(c) => c.lookup(&key).copied(),
-        }
-    }
-
-    fn l1_fill(&mut self, key: ItlbKey, value: MethodRef) -> Option<(ItlbKey, MethodRef)> {
-        match &mut self.l1 {
-            L1::Probe(p) => p.fill(key, value),
-            L1::Reference(c) => c.fill(key, value),
         }
     }
 
     /// Looks up a key; L2 hits are promoted into L1 (victims demoted).
     #[inline]
     pub fn lookup(&mut self, key: ItlbKey) -> Option<MethodRef> {
-        if let Some(m) = self.l1_lookup(key) {
+        if let Some(m) = self.l1.lookup(key) {
             self.last_hit = ItlbHit::L1;
             return Some(m);
         }
-        if self.l2.is_some() {
-            let hit = self.l2.as_mut().expect("checked").lookup(&key).copied();
-            if let Some(m) = hit {
+        if let Some(l2) = &mut self.l2 {
+            if let Some(m) = l2.lookup(&key).copied() {
                 self.last_hit = ItlbHit::L2;
-                if let Some((vk, vv)) = self.l1_fill(key, m) {
-                    self.l2.as_mut().expect("checked").fill(vk, vv);
+                if let Some((vk, vv)) = self.l1.fill(key, m) {
+                    l2.fill(vk, vv);
                 }
                 return Some(m);
             }
@@ -379,7 +310,7 @@ impl Itlb {
 
     /// Installs a resolution after a miss; L1 victims demote to L2.
     pub fn fill(&mut self, key: ItlbKey, method: MethodRef) {
-        if let Some((vk, vv)) = self.l1_fill(key, method) {
+        if let Some((vk, vv)) = self.l1.fill(key, method) {
             if let Some(l2) = &mut self.l2 {
                 l2.fill(vk, vv);
             }
@@ -393,10 +324,7 @@ impl Itlb {
     /// redefined — "no object code need ever be modified", §2.1, but stale
     /// translations must go).
     pub fn flush(&mut self) {
-        match &mut self.l1 {
-            L1::Probe(p) => p.clear(),
-            L1::Reference(c) => c.clear(),
-        }
+        self.l1.clear();
         if let Some(l2) = &mut self.l2 {
             l2.clear();
         }
@@ -404,18 +332,12 @@ impl Itlb {
 
     /// Number of resolutions resident in the first level.
     pub fn l1_len(&self) -> usize {
-        match &self.l1 {
-            L1::Probe(p) => p.len(),
-            L1::Reference(c) => c.len(),
-        }
+        self.l1.len()
     }
 
     /// First-level statistics.
     pub fn l1_stats(&self) -> CacheStats {
-        match &self.l1 {
-            L1::Probe(p) => p.stats,
-            L1::Reference(c) => c.stats(),
-        }
+        self.l1.stats
     }
 
     /// Second-level statistics, if a second level exists.
@@ -425,10 +347,7 @@ impl Itlb {
 
     /// Resets statistics on both levels (warmup boundary, §5).
     pub fn reset_stats(&mut self) {
-        match &mut self.l1 {
-            L1::Probe(p) => p.stats = CacheStats::default(),
-            L1::Reference(c) => c.reset_stats(),
-        }
+        self.l1.stats = CacheStats::default();
         if let Some(l2) = &mut self.l2 {
             l2.reset_stats();
         }
@@ -448,21 +367,19 @@ mod tests {
         MethodRef::Primitive(PrimOp::Add)
     }
 
-    fn both_storages() -> Vec<Itlb> {
-        let cfg = ItlbConfig::paper_default().unwrap();
-        vec![Itlb::new(cfg), Itlb::new(cfg.with_reference_storage())]
+    fn paper_itlb() -> Itlb {
+        Itlb::new(ItlbConfig::paper_default().unwrap())
     }
 
     #[test]
     fn fill_then_hit() {
-        for mut itlb in both_storages() {
-            assert_eq!(itlb.lookup(key(1, 1)), None);
-            assert_eq!(itlb.last_hit(), ItlbHit::Miss);
-            itlb.fill(key(1, 1), add());
-            assert_eq!(itlb.lookup(key(1, 1)), Some(add()));
-            assert_eq!(itlb.last_hit(), ItlbHit::L1);
-            assert_eq!(itlb.l1_stats().hits, 1);
-        }
+        let mut itlb = paper_itlb();
+        assert_eq!(itlb.lookup(key(1, 1)), None);
+        assert_eq!(itlb.last_hit(), ItlbHit::Miss);
+        itlb.fill(key(1, 1), add());
+        assert_eq!(itlb.lookup(key(1, 1)), Some(add()));
+        assert_eq!(itlb.last_hit(), ItlbHit::L1);
+        assert_eq!(itlb.l1_stats().hits, 1);
     }
 
     #[test]
@@ -484,15 +401,14 @@ mod tests {
 
     #[test]
     fn distinct_class_signatures_are_distinct_entries() {
-        for mut itlb in both_storages() {
-            itlb.fill(key(1, 1), add());
-            assert_eq!(itlb.lookup(key(1, 2)), None, "different receiver class");
-            assert_eq!(
-                itlb.lookup(ItlbKey::unary(Opcode(1), ClassId(1))),
-                None,
-                "different arity signature"
-            );
-        }
+        let mut itlb = paper_itlb();
+        itlb.fill(key(1, 1), add());
+        assert_eq!(itlb.lookup(key(1, 2)), None, "different receiver class");
+        assert_eq!(
+            itlb.lookup(ItlbKey::unary(Opcode(1), ClassId(1))),
+            None,
+            "different arity signature"
+        );
     }
 
     #[test]
@@ -500,7 +416,6 @@ mod tests {
         let cfg = ItlbConfig {
             l1: CacheConfig::new(2, 2).unwrap(),
             l2: Some(CacheConfig::new(64, 2).unwrap()),
-            reference_storage: false,
         };
         let mut itlb = Itlb::new(cfg);
         // Fill three keys: one must be evicted from the tiny L1 into L2.
@@ -523,11 +438,10 @@ mod tests {
 
     #[test]
     fn flush_clears_everything() {
-        for mut itlb in both_storages() {
-            itlb.fill(key(1, 1), add());
-            itlb.flush();
-            assert_eq!(itlb.lookup(key(1, 1)), None);
-            assert_eq!(itlb.l1_len(), 0);
-        }
+        let mut itlb = paper_itlb();
+        itlb.fill(key(1, 1), add());
+        itlb.flush();
+        assert_eq!(itlb.lookup(key(1, 1)), None);
+        assert_eq!(itlb.l1_len(), 0);
     }
 }

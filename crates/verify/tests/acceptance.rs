@@ -140,29 +140,45 @@ fn every_malformed_class_is_refused_at_load_with_its_code() {
 }
 
 /// Strict verification on the builder path changes nothing about
-/// execution: run and run_stepwise remain bit-identical over a verified
-/// workload, and results match the workload's calibrated expectation.
+/// execution: run and run_stepwise remain bit-identical over every
+/// verified workload — results, `CycleStats`, and the ITLB, icache and
+/// context-cache counters — on the paper machine and under generational
+/// GC, and results match the workload's calibrated expectation.
 #[test]
 fn verified_images_run_bit_identically_both_interpreters() {
-    for w in workloads::all().into_iter().take(4) {
+    let configs = [
+        MachineConfig::default(),
+        // The benchmark's allocating workload cadence.
+        MachineConfig::default().with_generational_gc(1009, 8 * 1009),
+    ];
+    for w in workloads::all() {
         let image = compile_com(w.source, CompileOptions::default()).unwrap();
         verify_image(&image).unwrap();
-        let observe = |stepwise: bool| {
-            let mut m = Machine::new(MachineConfig::default());
-            m.load(&image).unwrap();
-            let sel = m.opcodes().get(w.entry).unwrap();
-            m.start_send(sel, Word::Int(w.size), &[]).unwrap();
-            let r = if stepwise {
-                m.run_stepwise(50_000_000)
-            } else {
-                m.run(50_000_000)
-            }
-            .unwrap();
-            (r.result, r.steps, m.stats())
-        };
-        let fast = observe(false);
-        let slow = observe(true);
-        assert_eq!(fast, slow, "{} diverged between interpreters", w.name);
-        assert_eq!(fast.0, Word::Int(w.expected), "{} result", w.name);
+        for cfg in configs {
+            let observe = |stepwise: bool| {
+                let mut m = Machine::new(cfg);
+                m.load(&image).unwrap();
+                let sel = m.opcodes().get(w.entry).unwrap();
+                m.start_send(sel, Word::Int(w.size), &[]).unwrap();
+                let r = if stepwise {
+                    m.run_stepwise(workloads::MAX_STEPS)
+                } else {
+                    m.run(workloads::MAX_STEPS)
+                }
+                .unwrap();
+                (
+                    (r.result, r.steps, m.stats()),
+                    (m.itlb_stats(), m.icache_stats(), m.ctx_cache_stats()),
+                )
+            };
+            let fast = observe(false);
+            let slow = observe(true);
+            assert_eq!(
+                fast, slow,
+                "{} diverged between interpreters under {cfg:?}",
+                w.name
+            );
+            assert_eq!(fast.0 .0, Word::Int(w.expected), "{} result", w.name);
+        }
     }
 }

@@ -370,9 +370,11 @@ fn submit_within_blocks_until_space_or_times_out() {
     }
     let queued = server.submit("a", Request::new("tri", 5i64)).unwrap();
     // The queue (depth 1) is now full; a blocking submit waits for the
-    // worker to pop the queued request and then gets in.
+    // worker to pop the queued request and then gets in. The spin takes
+    // close to 10 s in a debug build, so the deadline leaves wide room;
+    // the call returns as soon as space opens either way.
     let waited = server
-        .submit_within("a", Request::new("tri", 6i64), Duration::from_secs(10))
+        .submit_within("a", Request::new("tri", 6i64), Duration::from_secs(120))
         .unwrap();
     assert_eq!(waited.wait().result_as::<i64>().unwrap(), 21);
     assert_eq!(queued.wait().result_as::<i64>().unwrap(), 15);
