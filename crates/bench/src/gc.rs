@@ -33,6 +33,8 @@ use com_mem::Word;
 use com_stc::{compile_com, CompileOptions};
 use com_workloads::{Workload, CHURN};
 
+use crate::json_num;
+
 /// The shared collection cadence (prime, so collections land mid-burst).
 pub const MINOR_INTERVAL: u64 = 1009;
 /// Generational full collections every `MINOR_INTERVAL * FULL_FACTOR`.
@@ -228,13 +230,6 @@ pub fn gc_rows(sizes: &[i64], repeats: u32) -> Result<Vec<GcRow>, MachineError> 
 
 /// Renders the rows as the machine-readable `BENCH_gc.json` document.
 pub fn rows_to_json(rows: &[GcRow]) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
     let mut s = String::new();
     s.push_str("{\n  \"bench\": \"gc\",\n  \"schema\": 1,\n");
     s.push_str(&format!(
@@ -255,14 +250,14 @@ pub fn rows_to_json(rows: &[GcRow]) -> String {
                 m.minor_collections,
                 m.words_scanned,
                 m.words_freed,
-                num(m.scanned_per_freed()),
-                num(m.scanned_per_collection()),
+                json_num(m.scanned_per_freed()),
+                json_num(m.scanned_per_collection()),
                 m.wall_ns,
             ));
         }
         s.push_str(&format!(
             "     \"scan_efficiency\": {}}}",
-            num(r.scan_efficiency())
+            json_num(r.scan_efficiency())
         ));
         s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -274,7 +269,7 @@ pub fn rows_to_json(rows: &[GcRow]) -> String {
     };
     s.push_str(&format!(
         "  \"summary\": {{\"geomean_scan_efficiency\": {}, \"target_2x_met\": {}}}\n}}\n",
-        num(geomean),
+        json_num(geomean),
         rows.iter().all(|r| r.scan_efficiency() >= 2.0),
     ));
     s

@@ -80,6 +80,16 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// Formats a number for the `BENCH_*.json` writers: three decimals, or
+/// `null` when it is not finite (JSON has no NaN or infinity).
+pub(crate) fn json_num(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x:.3}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Formats an optional ratio as a percentage.
 pub fn pct(x: Option<f64>) -> String {
     match x {

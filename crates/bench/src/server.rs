@@ -22,6 +22,8 @@ use com_vm::server::{
 };
 use com_vm::{Vm, VmError};
 
+use crate::json_num;
+
 /// Default concurrent tenants (the ISSUE 6 headline scale).
 pub const TENANTS: usize = 1000;
 
@@ -269,21 +271,14 @@ pub fn report(tenants: usize, workers: usize, repeats: u32) -> Result<ServerRepo
 
 /// Renders the report as the machine-readable `BENCH_server.json`.
 pub fn report_to_json(r: &ServerReport) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
     fn row(p: &PhaseRow) -> String {
         format!(
             "    {{\"faults\": {}, \"wall_ns\": {}, \"req_per_s\": {}, \"p50_us\": {}, \"p99_us\": {}, \"completed\": {}, \"failed\": {}, \"retries\": {}, \"faults_injected\": {}, \"max_queued\": {}}}",
             p.faults,
             p.wall_ns,
-            num(p.req_per_s),
-            num(p.p50_us),
-            num(p.p99_us),
+            json_num(p.req_per_s),
+            json_num(p.p50_us),
+            json_num(p.p99_us),
             p.completed,
             p.failed,
             p.retries,
@@ -313,8 +308,8 @@ pub fn report_to_json(r: &ServerReport) -> String {
     s.push_str("\n  ],\n");
     s.push_str(&format!(
         "  \"summary\": {{\"req_per_s\": {}, \"p99_ratio\": {}, \"target_2x_met\": {}, \"host_cores\": {}, \"host_limited\": {}}}\n}}\n",
-        num(r.without.req_per_s),
-        num(r.p99_ratio()),
+        json_num(r.without.req_per_s),
+        json_num(r.p99_ratio()),
         r.target_met(),
         r.host_cores,
         r.host_limited(),

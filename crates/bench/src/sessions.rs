@@ -22,6 +22,8 @@ use com_stc::CompileOptions;
 use com_vm::{Scheduler, Session, Vm, VmError};
 use com_workloads::{self as workloads, Workload};
 
+use crate::json_num;
+
 /// Instruction slice each tenant receives per scheduler round.
 pub const SLICE_STEPS: u64 = 5_000;
 
@@ -334,13 +336,6 @@ pub fn report(sessions: usize, repeats: u32) -> Result<SessionsReport, VmError> 
 
 /// Renders the report as the machine-readable `BENCH_sessions.json`.
 pub fn report_to_json(r: &SessionsReport) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
     let mut s = String::new();
     s.push_str("{\n  \"bench\": \"sessions\",\n  \"schema\": 1,\n");
     s.push_str(&format!(
@@ -360,7 +355,7 @@ pub fn report_to_json(r: &SessionsReport) -> String {
         "  \"spinup\": {{\"fresh_ns\": {}, \"session_ns\": {}, \"speedup\": {}, \"target_10x_met\": {}}},\n",
         r.spinup.fresh_ns,
         r.spinup.session_ns,
-        num(r.spinup.speedup()),
+        json_num(r.spinup.speedup()),
         r.spinup.speedup() >= 10.0,
     ));
     s.push_str(&format!(
@@ -392,7 +387,7 @@ pub fn report_to_json(r: &SessionsReport) -> String {
     s.push_str("    ]\n  },\n");
     s.push_str(&format!(
         "  \"summary\": {{\"spinup_speedup\": {}, \"target_10x_met\": {}, \"roundrobin_matches\": {}, \"preseed_lookups_avoided\": {}}}\n}}\n",
-        num(r.spinup.speedup()),
+        json_num(r.spinup.speedup()),
         r.spinup.speedup() >= 10.0,
         r.all_match(),
         r.preseed.lookups_avoided(),

@@ -99,12 +99,13 @@ pub enum VmError {
         /// stopped.
         slice: u64,
     },
-    /// A worker thread panicked while driving a slice of this tenant's
-    /// call — an engine invariant violation or an injected fault
+    /// A thread panicked while driving a slice of this tenant's call —
+    /// an engine invariant violation or an injected fault
     /// ([`FaultPlan`](crate::server::FaultPlan)), never an ordinary
     /// program trap (those surface as [`VmError::Trap`]). The panic was
-    /// **contained to the tenant**: the driving executor
-    /// ([`ParallelExecutor`](crate::ParallelExecutor) or the
+    /// **contained to the tenant**: the driving executor (the
+    /// [`Scheduler`](crate::Scheduler), the
+    /// [`ParallelExecutor`](crate::ParallelExecutor) or the
     /// [`server`](crate::server) runtime) caught it, cancelled the
     /// in-flight call, and both the session and every sibling tenant
     /// remain serviceable. Classified **retry-safe** by

@@ -21,15 +21,20 @@
 //!   per-tenant results and statistics bit-identical to solo runs.
 //! * Execution is **parallel**: the whole engine layer is `Send`, and
 //!   the [`ParallelExecutor`] drains any number of in-flight sessions
-//!   across a fixed pool of worker threads — same yield cadence, same
-//!   bit-identical per-tenant results and statistics, N tenants on M
-//!   cores.
-//! * Execution is **supervised**: the [`server`] module wraps the pool
-//!   in a long-lived service runtime — bounded admission with typed
-//!   backpressure, per-request deadlines, per-tenant fuel budgets and
-//!   weighted fair scheduling, retry with capped backoff, overload
-//!   shedding, a drain that never loses a session, and a deterministic
-//!   fault-injection harness ([`server::FaultPlan`]) to prove all of it.
+//!   across a fixed pool of worker threads, each taking the next session
+//!   from one shared queue — same yield cadence, same bit-identical
+//!   per-tenant results and statistics, N tenants on M cores.
+//! * Execution is **supervised**: the [`server`] module runs named
+//!   sessions on its own long-lived worker threads — bounded admission
+//!   with typed backpressure, per-request deadlines, per-tenant fuel
+//!   budgets and weighted fair scheduling, retry with capped backoff,
+//!   overload shedding, a drain that never loses a session, and a
+//!   deterministic fault-injection harness ([`server::FaultPlan`]) to
+//!   prove all of it.
+//!
+//! All three executors run every slice through one function that
+//! contains panics, so a panic while driving a tenant surfaces as that
+//! tenant's [`VmError::EnginePanic`] and never reaches its siblings.
 //!
 //! # Thread safety
 //!
@@ -92,8 +97,8 @@ mod session;
 
 pub use convert::{FromWord, ToWord};
 pub use error::{Trap, VmError};
-pub use pool::{ParallelExecutor, TenantRun};
-pub use sched::{Scheduler, TaskId};
+pub use pool::ParallelExecutor;
+pub use sched::{Scheduler, TaskId, TenantRun};
 pub use session::{Outcome, Session};
 
 // The engine types an embedder meets at this boundary.

@@ -1,116 +1,29 @@
-//! A parallel worker-pool executor: drain any number of in-flight
-//! sessions across a fixed set of OS threads.
+//! A parallel executor: drain any number of in-flight sessions across a
+//! fixed set of OS threads.
 //!
 //! The pool exists because sessions are **architecturally isolated**:
 //! each owns its object space, context cache and statistics, and shares
 //! only the immutable pre-decoded image. A tenant's [`CycleStats`]
 //! therefore depend solely on its own instruction stream — never on
-//! which worker ran a slice, in what order slices interleaved, or how a
-//! yielded session migrated between threads. That is what lets the
+//! which worker ran it or what ran beside it. That is what lets the
 //! executor promise *bit-identical* results and statistics to solo (or
 //! single-threaded [`Scheduler`](crate::Scheduler)) execution while
 //! using every core: parallelism costs nothing in fidelity.
 //!
-//! Shape: one shared **injector deque** seeds the run; each worker
-//! drains its **local deque** front-to-back (preserving round-robin
-//! fairness among the tenants it holds), pushes tenants that yield back
-//! onto its own tail, and — when it runs dry — pulls from the injector
-//! or **steals** from the tail of another worker's deque. Finished
-//! tenants flow back to the caller over a channel. All of it is plain
-//! `std` (`Mutex`/`Condvar`/`mpsc`, `thread::scope`); there is no
-//! dependency to vendor and no unsafe code.
+//! Shape: the sessions wait in one shared queue; each worker takes the
+//! next one and drives it to completion in `slice`-instruction resumes,
+//! then takes another, until the queue is empty. A session stays on the
+//! worker that took it, and workers share nothing but the queue. Every
+//! slice is the [`Scheduler`](crate::Scheduler)'s panic-contained
+//! [`TenantRun`] step. All of it is plain `std` (`Mutex`,
+//! `thread::scope`); there is no dependency to vendor and no unsafe code.
 //!
 //! [`CycleStats`]: com_core::CycleStats
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
-use com_mem::Word;
-
-use crate::error::panic_message;
-use crate::{FromWord, Outcome, Session, VmError};
-
-/// A pre-slice hook for fault injection: called with (tenant index,
-/// slices so far) before every resume; a panicking hook lands on the
-/// worker exactly like an engine panic would. Tests and the fault
-/// harness use it to prove panic containment.
-pub(crate) type SliceHook<'a> = &'a (dyn Fn(usize, u64) + Sync);
-
-/// One tenant drained by [`ParallelExecutor::run`], returned in spawn
-/// order.
-#[derive(Debug)]
-pub struct TenantRun {
-    /// The session, back from the pool: inspect
-    /// [`last_run`](Session::last_run) and statistics on a completed
-    /// tenant, or keep calling it — a trapped tenant's session is
-    /// unwound and stays serviceable (its `last_run` is cleared; the
-    /// trapped call's accounting is in [`error`](Self::error)).
-    pub session: Session,
-    /// The raw result word, if the call completed.
-    pub result: Option<Word>,
-    /// The error that ended the call, if it trapped (or stalled, or its
-    /// worker panicked): [`VmError::Trap`](crate::VmError::Trap) carries
-    /// the cause plus the unwound call's partial
-    /// [`CycleStats`](com_core::CycleStats); a caught worker panic
-    /// surfaces as [`VmError::EnginePanic`](crate::VmError::EnginePanic).
-    /// A tenant's failure never disturbs a sibling — every other
-    /// tenant's results and statistics stay bit-identical to solo runs.
-    pub error: Option<VmError>,
-    /// Resume slices the tenant consumed.
-    pub slices: u64,
-    /// Times the tenant resumed on a different worker than its previous
-    /// slice — direct evidence of cross-thread session movement.
-    pub migrations: u64,
-}
-
-impl TenantRun {
-    /// The completed result, converted.
-    ///
-    /// # Errors
-    ///
-    /// [`VmError::Type`] if the result does not convert.
-    pub fn result_as<R: FromWord>(&self) -> Result<Option<R>, VmError> {
-        match self.result {
-            Some(w) => Ok(Some(R::from_word(w)?)),
-            None => Ok(None),
-        }
-    }
-}
-
-/// A task in flight through the pool.
-struct Task {
-    index: usize,
-    session: Session,
-    slices: u64,
-    migrations: u64,
-    last_worker: Option<usize>,
-}
-
-/// A task that left the pool: completed, trapped, or stalled.
-struct Finished {
-    task: Task,
-    result: Option<Word>,
-    error: Option<VmError>,
-}
-
-/// State shared by every worker for one [`ParallelExecutor::run`].
-struct Shared {
-    /// Seed queue: tasks not yet claimed by any worker.
-    injector: Mutex<VecDeque<Task>>,
-    /// Per-worker deques: the owner pops the front and pushes yields on
-    /// the back; thieves steal from the back.
-    locals: Vec<Mutex<VecDeque<Task>>>,
-    /// Parking lot for workers that found no runnable task.
-    idle: Mutex<()>,
-    wake: Condvar,
-    /// Tasks still inside the pool; 0 tells every worker to exit.
-    remaining: AtomicUsize,
-    /// Successful steals (observability; surfaced by the bench).
-    steals: AtomicU64,
-}
+use crate::sched::SliceHook;
+use crate::{Session, TenantRun};
 
 /// A fixed pool of worker threads that drains in-flight resumable
 /// sessions, preserving the cooperative [`Session::resume`] yield
@@ -144,7 +57,8 @@ pub struct ParallelExecutor {
 impl ParallelExecutor {
     /// A pool of `workers` threads granting `slice` instructions per
     /// resume. A zero `slice` cannot make progress; rather than spin,
-    /// [`run`](Self::run) reports every tenant as [`VmError::Stalled`].
+    /// [`run`](Self::run) reports every tenant as
+    /// [`VmError::Stalled`](crate::VmError::Stalled).
     ///
     /// # Panics
     ///
@@ -152,12 +66,6 @@ impl ParallelExecutor {
     pub fn new(workers: usize, slice: u64) -> ParallelExecutor {
         assert!(workers > 0, "a pool needs at least one worker");
         ParallelExecutor { workers, slice }
-    }
-
-    /// A pool sized to the host: one worker per available core.
-    pub fn host_sized(slice: u64) -> ParallelExecutor {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        ParallelExecutor::new(workers, slice)
     }
 
     /// Worker threads in the pool.
@@ -173,260 +81,58 @@ impl ParallelExecutor {
     /// Drains every session to completion (or trap) across the pool and
     /// returns them in spawn order. Sessions should have a resumable
     /// call in flight (see [`Session::call_start`]); one that does not
-    /// comes straight back with [`VmError::NoCallInProgress`] as its
-    /// [`TenantRun::error`]. Per-tenant conditions — traps, stalls, an
-    /// idle session — are recorded per tenant, exactly like the
-    /// single-threaded scheduler: one tenant's failure never disturbs
-    /// another, and **no session is ever lost** — every one comes back
-    /// in the returned runs.
+    /// comes straight back with
+    /// [`VmError::NoCallInProgress`](crate::VmError::NoCallInProgress)
+    /// as its [`TenantRun::error`]. Per-tenant conditions — traps,
+    /// stalls, an idle session — are recorded per tenant, exactly like
+    /// the single-threaded scheduler: one tenant's failure never
+    /// disturbs another, and **no session is ever lost** — every one
+    /// comes back in the returned runs.
     ///
-    /// Even a **panic** on a worker thread is contained per tenant: the
-    /// slice is wrapped in `catch_unwind`, the panicking tenant's call
-    /// is cancelled and reported as [`VmError::EnginePanic`], and every
-    /// other tenant (including those queued on the panicking worker)
-    /// drains normally — one wedged tenant cannot poison the pool.
+    /// Even a **panic** while driving a tenant is contained to it: the
+    /// tenant's call is cancelled and reported as
+    /// [`VmError::EnginePanic`](crate::VmError::EnginePanic), and its
+    /// worker goes on to the next session — one wedged tenant cannot
+    /// poison the pool.
     pub fn run(&self, sessions: Vec<Session>) -> Vec<TenantRun> {
-        self.run_counting_steals(sessions).0
-    }
-
-    /// [`run`](Self::run), also returning the total successful steals —
-    /// tests and the bench use it to show the stealing path is real.
-    pub fn run_counting_steals(&self, sessions: Vec<Session>) -> (Vec<TenantRun>, u64) {
         self.run_inner(sessions, None)
     }
 
-    /// [`run_counting_steals`](Self::run_counting_steals) with a fault
-    /// hook invoked before every slice (see [`SliceHook`]) — the panic
-    /// containment tests drive injected panics through it.
+    /// [`run`](Self::run) with a fault hook invoked before every slice
+    /// (see [`SliceHook`]) — the panic containment tests drive injected
+    /// panics through it.
     #[cfg(test)]
-    pub(crate) fn run_hooked(
-        &self,
-        sessions: Vec<Session>,
-        hook: SliceHook<'_>,
-    ) -> (Vec<TenantRun>, u64) {
+    pub(crate) fn run_hooked(&self, sessions: Vec<Session>, hook: SliceHook<'_>) -> Vec<TenantRun> {
         self.run_inner(sessions, Some(hook))
     }
 
-    fn run_inner(
-        &self,
-        sessions: Vec<Session>,
-        hook: Option<SliceHook<'_>>,
-    ) -> (Vec<TenantRun>, u64) {
-        let total = sessions.len();
-        if total == 0 {
-            return (Vec::new(), 0);
-        }
-        let mut out: Vec<Option<TenantRun>> = (0..total).map(|_| None).collect();
-        let mut runnable: VecDeque<Task> = VecDeque::new();
-        for (index, session) in sessions.into_iter().enumerate() {
-            if session.in_flight() {
-                runnable.push_back(Task {
-                    index,
-                    session,
-                    slices: 0,
-                    migrations: 0,
-                    last_worker: None,
-                });
-            } else {
-                // Nothing to resume: hand the session straight back with
-                // a per-tenant error instead of failing (and dropping)
-                // the whole batch.
-                out[index] = Some(TenantRun {
-                    session,
-                    result: None,
-                    error: Some(VmError::NoCallInProgress),
-                    slices: 0,
-                    migrations: 0,
-                });
-            }
-        }
-        if runnable.is_empty() {
-            return (
-                out.into_iter()
-                    .map(|t| t.expect("all tenants were idle"))
-                    .collect(),
-                0,
-            );
-        }
-        let in_pool = runnable.len();
-        let shared = Shared {
-            injector: Mutex::new(runnable),
-            locals: (0..self.workers)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            remaining: AtomicUsize::new(in_pool),
-            steals: AtomicU64::new(0),
-        };
-        let (tx, rx) = mpsc::channel::<Finished>();
-        std::thread::scope(|scope| {
-            for w in 0..self.workers {
-                let shared = &shared;
-                let tx = tx.clone();
-                let slice = self.slice;
-                scope.spawn(move || worker_loop(w, slice, shared, &tx, hook));
-            }
-            drop(tx);
-            // Every task leaves the pool exactly once; when the last
-            // worker exits, the channel closes and this loop ends.
-            for fin in rx {
-                let slot = &mut out[fin.task.index];
-                *slot = Some(TenantRun {
-                    session: fin.task.session,
-                    result: fin.result,
-                    error: fin.error,
-                    slices: fin.task.slices,
-                    migrations: fin.task.migrations,
-                });
-            }
+    fn run_inner(&self, sessions: Vec<Session>, hook: Option<SliceHook<'_>>) -> Vec<TenantRun> {
+        let workers = self.workers.min(sessions.len());
+        let queue = Mutex::new(sessions.into_iter().enumerate());
+        let next = || queue.lock().expect("session queue lock").next();
+        let mut runs: Vec<(usize, TenantRun)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut drained = Vec::new();
+                        while let Some((index, session)) = next() {
+                            let mut run = TenantRun::new(session);
+                            while !run.finished() {
+                                run.step(index, self.slice, hook);
+                            }
+                            drained.push((index, run));
+                        }
+                        drained
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("slices are panic-contained"))
+                .collect()
         });
-        (
-            out.into_iter()
-                .map(|t| t.expect("every spawned tenant leaves the pool"))
-                .collect(),
-            shared.steals.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// One worker: claim a task (own deque, then injector, then steal), give
-/// it one slice, route it back into the pool or out through the channel.
-fn worker_loop(
-    w: usize,
-    slice: u64,
-    shared: &Shared,
-    tx: &mpsc::Sender<Finished>,
-    hook: Option<SliceHook<'_>>,
-) {
-    loop {
-        if shared.remaining.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let Some(mut task) = claim(w, shared) else {
-            // Nothing runnable. Park briefly: a yield push or the drain
-            // finishing notifies; the timeout bounds any lost wakeup.
-            let guard = shared.idle.lock().expect("idle lock");
-            if shared.remaining.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            drop(
-                shared
-                    .wake
-                    .wait_timeout(guard, Duration::from_micros(200))
-                    .expect("idle wait"),
-            );
-            continue;
-        };
-        if task.last_worker.is_some_and(|prev| prev != w) {
-            task.migrations += 1;
-        }
-        task.last_worker = Some(w);
-        task.slices += 1;
-        // Contain panics to the tenant: an engine invariant violation (or
-        // an injected fault) must not unwind into the scoped pool, where
-        // it would poison every lock and abort the whole drain.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(h) = hook {
-                h(task.index, task.slices);
-            }
-            task.session.resume_raw_guarded(slice)
-        }));
-        match outcome {
-            Ok(Ok(Outcome::Yielded)) => {
-                shared.locals[w]
-                    .lock()
-                    .expect("local deque lock")
-                    .push_back(task);
-                shared.wake.notify_one();
-            }
-            Ok(Ok(Outcome::Done(word))) => finish(
-                shared,
-                tx,
-                Finished {
-                    task,
-                    result: Some(word),
-                    error: None,
-                },
-            ),
-            // Includes Stalled: a yield that retired nothing (zero
-            // slice, or a wedged machine) would requeue forever.
-            Ok(Err(e)) => finish(
-                shared,
-                tx,
-                Finished {
-                    task,
-                    result: None,
-                    error: Some(e),
-                },
-            ),
-            Err(payload) => {
-                let message = panic_message(&*payload);
-                // Abandon the interrupted call so the session comes back
-                // re-callable; if the machine is wedged enough that even
-                // the unwind panics, still hand the session back.
-                let _ = catch_unwind(AssertUnwindSafe(|| task.session.cancel()));
-                finish(
-                    shared,
-                    tx,
-                    Finished {
-                        task,
-                        result: None,
-                        error: Some(VmError::EnginePanic { message }),
-                    },
-                );
-            }
-        }
-    }
-}
-
-/// Claim the next runnable task for worker `w`: own deque front, then
-/// the injector, then steal from the back of the busiest sibling.
-fn claim(w: usize, shared: &Shared) -> Option<Task> {
-    if let Some(t) = shared.locals[w]
-        .lock()
-        .expect("local deque lock")
-        .pop_front()
-    {
-        return Some(t);
-    }
-    if let Some(t) = shared.injector.lock().expect("injector lock").pop_front() {
-        return Some(t);
-    }
-    // Steal from the sibling with the most queued work, from the back.
-    // Taking a victim's only queued task is safe: a task is never in a
-    // deque while it runs, and an owner that finds its deque empty falls
-    // back to the injector or steals in turn — nothing is ever lost.
-    let n = shared.locals.len();
-    let mut victim: Option<(usize, usize)> = None;
-    for v in 0..n {
-        if v == w {
-            continue;
-        }
-        let len = shared.locals[v].lock().expect("sibling deque lock").len();
-        if len > 0 && victim.is_none_or(|(_, best)| len > best) {
-            victim = Some((v, len));
-        }
-    }
-    let (v, _) = victim?;
-    let stolen = shared.locals[v]
-        .lock()
-        .expect("victim deque lock")
-        .pop_back();
-    if stolen.is_some() {
-        shared.steals.fetch_add(1, Ordering::Relaxed);
-    }
-    stolen
-}
-
-/// Route a task out of the pool; the last one wakes every parked worker
-/// so the pool can exit.
-fn finish(shared: &Shared, tx: &mpsc::Sender<Finished>, fin: Finished) {
-    // The receiver outlives every worker (it drains until all senders
-    // drop), so the send cannot fail while a worker runs.
-    tx.send(fin).expect("result channel open");
-    if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        shared.wake.notify_all();
+        runs.sort_by_key(|(index, _)| *index);
+        runs.into_iter().map(|(_, run)| run).collect()
     }
 }
 
@@ -434,7 +140,7 @@ fn finish(shared: &Shared, tx: &mpsc::Sender<Finished>, fin: Finished) {
 mod tests {
     use super::*;
     use crate::server::FaultPlan;
-    use crate::Vm;
+    use crate::{Vm, VmError};
 
     const TRI: &str = r#"
         class SmallInteger
@@ -477,7 +183,7 @@ mod tests {
         let bad_index = sessions.len() - 1;
 
         let pool = ParallelExecutor::new(3, 17);
-        let (runs, _) = pool.run_hooked(sessions, &move |index, slices| {
+        let runs = pool.run_hooked(sessions, &move |index, slices| {
             if index == bad_index && slices == 2 {
                 panic!("{}", crate::server::injector::INJECTED_PANIC);
             }
@@ -518,7 +224,7 @@ mod tests {
             sessions.push(s);
         }
         let pool = ParallelExecutor::new(2, 25);
-        let (runs, _) = pool.run_hooked(sessions, &|_, _| {
+        let runs = pool.run_hooked(sessions, &|_, _| {
             panic!("{}", crate::server::injector::INJECTED_PANIC);
         });
         assert_eq!(runs.len(), 6, "a session was lost");

@@ -1,4 +1,6 @@
-//! A cooperative round-robin scheduler over resumable sessions.
+//! A cooperative round-robin scheduler over resumable sessions, and the
+//! per-tenant slice step it shares with the
+//! [`ParallelExecutor`](crate::ParallelExecutor).
 
 use com_mem::Word;
 
@@ -8,12 +10,87 @@ use crate::{FromWord, Outcome, Session, VmError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskId(usize);
 
+/// A pre-slice hook for fault injection: called with (tenant index,
+/// slices so far) before every resume; a panicking hook lands exactly
+/// where an engine panic would. Tests use it to prove panic containment.
+pub(crate) type SliceHook<'a> = &'a (dyn Fn(usize, u64) + Sync);
+
+/// One tenant driven by a [`Scheduler`] or drained by
+/// [`ParallelExecutor::run`](crate::ParallelExecutor::run), which returns
+/// them in spawn order.
 #[derive(Debug)]
-struct Task {
-    session: Session,
-    result: Option<Word>,
-    error: Option<VmError>,
-    slices: u64,
+pub struct TenantRun {
+    /// The session, back from the executor: inspect
+    /// [`last_run`](Session::last_run) and statistics on a completed
+    /// tenant, or keep calling it — a trapped tenant's session is
+    /// unwound and stays serviceable (its `last_run` is cleared; the
+    /// trapped call's accounting is in [`error`](Self::error)).
+    pub session: Session,
+    /// The raw result word, if the call completed.
+    pub result: Option<Word>,
+    /// The error that ended the call, if it trapped (or stalled, or its
+    /// slice panicked): [`VmError::Trap`](crate::VmError::Trap) carries
+    /// the cause plus the unwound call's partial
+    /// [`CycleStats`](com_core::CycleStats); a contained panic surfaces
+    /// as [`VmError::EnginePanic`](crate::VmError::EnginePanic).
+    /// A tenant's failure never disturbs a sibling — every other
+    /// tenant's results and statistics stay bit-identical to solo runs.
+    pub error: Option<VmError>,
+    /// Resume slices the tenant consumed.
+    pub slices: u64,
+}
+
+impl TenantRun {
+    /// The completed result, converted.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Type`] if the result does not convert.
+    pub fn result_as<R: FromWord>(&self) -> Result<Option<R>, VmError> {
+        match self.result {
+            Some(w) => Ok(Some(R::from_word(w)?)),
+            None => Ok(None),
+        }
+    }
+
+    /// A tenant yet to be driven; one with nothing to resume is finished
+    /// at once with [`VmError::NoCallInProgress`].
+    pub(crate) fn new(session: Session) -> TenantRun {
+        let error = (!session.in_flight()).then_some(VmError::NoCallInProgress);
+        TenantRun {
+            session,
+            result: None,
+            error,
+            slices: 0,
+        }
+    }
+
+    /// Whether the call has ended: completed, trapped, stalled or
+    /// panicked.
+    pub(crate) fn finished(&self) -> bool {
+        self.result.is_some() || self.error.is_some()
+    }
+
+    /// Grants the tenant (spawn position `index`) one `slice`-instruction
+    /// resume under [`Session::contained`], recording how the call ended
+    /// if it did.
+    pub(crate) fn step(&mut self, index: usize, slice: u64, hook: Option<SliceHook<'_>>) {
+        self.slices += 1;
+        let slices = self.slices;
+        let outcome = self.session.contained(|s| {
+            if let Some(h) = hook {
+                h(index, slices);
+            }
+            s.resume_raw_guarded(slice)
+        });
+        match outcome {
+            Ok(Outcome::Yielded) => {}
+            Ok(Outcome::Done(w)) => self.result = Some(w),
+            // Includes Stalled: a yield that retired nothing can never
+            // finish, and rescheduling it would spin forever.
+            Err(e) => self.error = Some(e),
+        }
+    }
 }
 
 /// Interleaves any number of in-flight [`Session`] calls on one thread by
@@ -46,7 +123,7 @@ struct Task {
 #[derive(Debug)]
 pub struct Scheduler {
     slice: u64,
-    tasks: Vec<Task>,
+    tasks: Vec<TenantRun>,
     rounds: u64,
 }
 
@@ -76,12 +153,7 @@ impl Scheduler {
             return Err(VmError::NoCallInProgress);
         }
         let id = TaskId(self.tasks.len());
-        self.tasks.push(Task {
-            session,
-            result: None,
-            error: None,
-            slices: 0,
-        });
+        self.tasks.push(TenantRun::new(session));
         Ok(id)
     }
 
@@ -93,21 +165,19 @@ impl Scheduler {
     /// scheduled, its session stays serviceable (reclaim it via
     /// [`into_sessions`](Self::into_sessions)), and every other tenant's
     /// results and statistics remain bit-identical to solo runs (the trap
-    /// unwound inside that tenant's own machine; nothing is shared).
+    /// unwound inside that tenant's own machine; nothing is shared). A
+    /// panic while driving a task is contained the same way: the task's
+    /// call is cancelled and reported as [`VmError::EnginePanic`].
     pub fn tick(&mut self) -> bool {
-        let slice = self.slice;
+        self.tick_hooked(None)
+    }
+
+    fn tick_hooked(&mut self, hook: Option<SliceHook<'_>>) -> bool {
         let mut all_done = true;
-        for task in &mut self.tasks {
-            if task.result.is_some() || task.error.is_some() {
-                continue;
-            }
-            task.slices += 1;
-            match task.session.resume_raw_guarded(slice) {
-                Ok(Outcome::Done(w)) => task.result = Some(w),
-                Ok(Outcome::Yielded) => all_done = false,
-                // Includes Stalled: a yield that retired nothing can
-                // never finish, and rescheduling it would spin forever.
-                Err(e) => task.error = Some(e),
+        for (index, task) in self.tasks.iter_mut().enumerate() {
+            if !task.finished() {
+                task.step(index, self.slice, hook);
+                all_done &= task.finished();
             }
         }
         self.rounds += 1;
@@ -120,6 +190,13 @@ impl Scheduler {
     /// rescheduled forever).
     pub fn run(&mut self) {
         while !self.tick() {}
+    }
+
+    /// [`run`](Self::run) with a fault hook invoked before every slice
+    /// (see [`SliceHook`]).
+    #[cfg(test)]
+    fn run_hooked(&mut self, hook: SliceHook<'_>) {
+        while !self.tick_hooked(Some(hook)) {}
     }
 
     /// Number of tasks spawned.
@@ -148,10 +225,7 @@ impl Scheduler {
     ///
     /// [`VmError::Type`] if the result does not convert.
     pub fn result_as<R: FromWord>(&self, id: TaskId) -> Result<Option<R>, VmError> {
-        match self.result(id) {
-            Some(w) => Ok(Some(R::from_word(w)?)),
-            None => Ok(None),
-        }
+        self.tasks.get(id.0).map_or(Ok(None), TenantRun::result_as)
     }
 
     /// The trap that ended a task, if it trapped.
@@ -172,5 +246,80 @@ impl Scheduler {
     /// Tears the scheduler down into its sessions, in spawn order.
     pub fn into_sessions(self) -> Vec<Session> {
         self.tasks.into_iter().map(|t| t.session).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::FaultPlan;
+    use crate::Vm;
+
+    const TRI: &str = r#"
+        class SmallInteger
+          method tri | acc |
+            acc := 0. 1 to: self do: [ :i | acc := acc + i ]. ^acc
+          end
+        end
+    "#;
+
+    /// A panic while the scheduler drives one task comes back as that
+    /// task's `VmError::EnginePanic` with a re-callable session; the
+    /// sweep goes on, and every sibling finishes bit-identical to solo.
+    #[test]
+    fn task_panic_is_contained_per_tenant() {
+        FaultPlan::silence_injected_panics();
+        let vm = Vm::new(TRI).unwrap();
+        let sizes = [9i64, 14, 21, 33, 47];
+        let solos: Vec<_> = sizes
+            .iter()
+            .map(|n| {
+                let mut s = vm.session().unwrap();
+                let _ = s.call::<i64>("tri", *n).unwrap();
+                let run = s.last_run().unwrap();
+                (run.result, run.stats)
+            })
+            .collect();
+
+        let mut sched = Scheduler::new(17);
+        // The panicking task is spawned *first*, so every sibling still
+        // has slices to run in the sweep its panic interrupts.
+        let mut bad = vm.session().unwrap();
+        bad.call_start("tri", 10_000i64).unwrap();
+        let bad_id = sched.spawn(bad).unwrap();
+        let mut ids = Vec::new();
+        for n in sizes {
+            let mut s = vm.session().unwrap();
+            s.call_start("tri", n).unwrap();
+            ids.push(sched.spawn(s).unwrap());
+        }
+
+        sched.run_hooked(&move |index, slices| {
+            if index == bad_id.0 && slices == 2 {
+                panic!("{}", crate::server::injector::INJECTED_PANIC);
+            }
+        });
+
+        match sched.error(bad_id) {
+            Some(VmError::EnginePanic { message }) => {
+                assert!(message.contains("injected worker panic"));
+            }
+            other => panic!("expected EnginePanic, got {other:?}"),
+        }
+        assert_eq!(sched.result(bad_id), None);
+        assert_eq!(sched.slices(bad_id), 2);
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(sched.error(*id), None, "sibling {i} disturbed");
+            let run = sched.session(*id).unwrap().last_run().unwrap();
+            assert_eq!(run.result, solos[i].0);
+            assert_eq!(
+                run.stats, solos[i].1,
+                "sibling {i}: a task panic changed its statistics"
+            );
+        }
+        // The panicked task's session is cancelled and re-callable.
+        let mut revived = sched.into_sessions().remove(bad_id.0);
+        assert!(!revived.in_flight());
+        assert_eq!(revived.call::<i64>("tri", 4).unwrap(), 10);
     }
 }

@@ -40,8 +40,8 @@ pub enum FaultKind {
     /// ran dry. Retry-safe when the budget is below the policy's
     /// `retry_fuel_limit`.
     OutOfFuel,
-    /// The worker thread driving the victim's slice panics. Contained by
-    /// the supervisor's `catch_unwind` and reported as
+    /// The worker thread driving the victim's slice panics. Contained
+    /// exactly like an engine panic and reported as
     /// [`VmError::EnginePanic`](crate::VmError::EnginePanic); retry-safe
     /// (panics are transient), though non-idempotent in-flight calls are
     /// still never retried.

@@ -1,13 +1,14 @@
 //! The service runtime: a supervised, long-lived front door over the
 //! multi-tenant engine.
 //!
-//! [`Vm`](crate::Vm)/[`Session`](crate::Session) (PR 3) made tenants
-//! cheap, the [`ParallelExecutor`](crate::ParallelExecutor) (PR 4) ran a
-//! fixed batch across worker threads, and the recoverable-trap work
-//! (PR 5) made per-tenant failure survivable. This module turns those
-//! pieces into something operable under sustained, hostile load: a
-//! [`Server`] that accepts an **unbounded stream** of typed requests
-//! against named sessions and enforces a service contract —
+//! [`Vm`](crate::Vm)/[`Session`](crate::Session) make tenants cheap,
+//! resumable calls let any thread drive a tenant in slices, and
+//! recoverable traps make per-tenant failure survivable. This module
+//! turns those pieces into something operable under sustained, hostile
+//! load: a [`Server`] that runs its own long-lived worker threads (it
+//! does not use the batch [`ParallelExecutor`](crate::ParallelExecutor)),
+//! accepts an **unbounded stream** of typed requests against named
+//! sessions, and enforces a service contract —
 //!
 //! * **Admission control** — a bounded queue with typed backpressure
 //!   ([`SubmitError::QueueFull`]) and a blocking submit with deadline
@@ -21,9 +22,11 @@
 //! * **Graceful degradation** — overload sheds the lowest-priority
 //!   queued request ([`ServeError::Shed`]) instead of stalling every
 //!   tenant; worker panics are contained per tenant
-//!   ([`VmError::EnginePanic`](crate::VmError::EnginePanic));
+//!   ([`VmError::EnginePanic`](crate::VmError::EnginePanic)) by the
+//!   same panic containment the [`Scheduler`](crate::Scheduler) and the
+//!   executor use;
 //! * **Drain** — [`Server::drain`] completes or cancels everything and
-//!   returns every session: the PR 4 "no session lost" guarantee,
+//!   returns every session: the executors' "no session lost" guarantee,
 //!   extended to shutdown;
 //! * **Deterministic fault injection** — [`FaultPlan`] fires chosen
 //!   faults (traps, stalls, worker panics, fuel exhaustion) on chosen

@@ -2,7 +2,6 @@
 //! of requests against named sessions.
 
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -12,7 +11,6 @@ use std::time::{Duration, Instant};
 use com_core::{CycleStats, MachineError};
 use com_mem::Word;
 
-use crate::error::panic_message;
 use crate::server::admission::{Request, Response, ServeError, SubmitError, Ticket};
 use crate::server::injector::{FaultKind, FaultPlan, InjectedFault, INJECTED_PANIC};
 use crate::server::policy::{RetryPolicy, TenantConfig};
@@ -114,7 +112,6 @@ struct Tenant {
     mailbox: VecDeque<Job>,
     /// The started (in-flight or backoff-gated) request, if any.
     current: Option<Job>,
-    running: bool,
     /// Whether the tenant is already in `run_queue`.
     enqueued: bool,
     next_seq: u64,
@@ -257,7 +254,6 @@ impl Server {
                     session: Some(session),
                     mailbox: VecDeque::new(),
                     current: None,
-                    running: false,
                     enqueued: false,
                     next_seq: 0,
                 });
@@ -399,7 +395,7 @@ impl Server {
             deadline,
             not_before: None,
         });
-        let enqueue = !t.enqueued && !t.running;
+        let enqueue = !t.enqueued && t.session.is_some();
         if enqueue {
             t.enqueued = true;
         }
@@ -445,18 +441,17 @@ impl Server {
                 // Cancel everything not currently held by a worker;
                 // workers cancel what they hold at their next slice
                 // boundary.
-                let names: Vec<String> = st.tenants.keys().cloned().collect();
                 let mut victims: Vec<Job> = Vec::new();
                 let mut from_mailbox = 0usize;
-                for name in &names {
-                    let t = st.tenants.get_mut(name).expect("registered tenant");
+                for t in st.tenants.values_mut() {
                     from_mailbox += t.mailbox.len();
                     victims.extend(t.mailbox.drain(..));
-                    if !t.running {
+                    if let Some(s) = t.session.as_mut() {
                         if let Some(job) = t.current.take() {
-                            if let Some(s) = t.session.as_mut() {
-                                let _ = catch_unwind(AssertUnwindSafe(|| s.cancel()));
-                            }
+                            let _ = s.contained(|s| {
+                                s.cancel();
+                                Ok(())
+                            });
                             victims.push(job);
                         }
                     }
@@ -566,9 +561,9 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Blocks until a tenant is runnable (claims it) or the server stops
-/// (`None`). A claimed tenant is marked `running`; its session and the
-/// job to drive are moved out of the shared state, so the slice runs
-/// without holding the lock.
+/// (`None`). A claimed tenant's session and the job to drive are moved
+/// out of the shared state (its `session` is `None` while a worker
+/// drives it), so the slice runs without holding the lock.
 fn claim(shared: &Shared) -> Option<(String, Session, Job, TenantConfig)> {
     let mut st = shared.state.lock().expect("server state poisoned");
     loop {
@@ -590,7 +585,7 @@ fn claim(shared: &Shared) -> Option<(String, Session, Job, TenantConfig)> {
             let readiness = {
                 let t = st.tenants.get_mut(&name).expect("queued tenant");
                 t.enqueued = false;
-                if t.running || t.session.is_none() {
+                if t.session.is_none() {
                     Readiness::Idle
                 } else if let Some(job) = &t.current {
                     match job.not_before {
@@ -620,7 +615,6 @@ fn claim(shared: &Shared) -> Option<(String, Session, Job, TenantConfig)> {
         if let Some(name) = chosen {
             let (session, job, from_mailbox, cfg) = {
                 let t = st.tenants.get_mut(&name).expect("chosen tenant");
-                t.running = true;
                 let session = t.session.take().expect("idle tenant holds its session");
                 let (job, from_mailbox) = match t.current.take() {
                     Some(job) => (job, false),
@@ -664,13 +658,10 @@ fn drive_turn(shared: &Shared, cfg: TenantConfig, session: &mut Session, job: &m
         job.attempts += 1;
         job.steps_used = 0;
         job.attempt_base = session.stats();
-        let started = catch_unwind(AssertUnwindSafe(|| {
-            session.call_start_with(&job.req.selector, job.req.receiver, &job.req.args)
-        }));
-        match started {
-            Ok(Ok(())) => {}
-            Ok(Err(error)) => return settle(policy, job, session, error),
-            Err(payload) => return panic_turn(policy, job, session, &*payload),
+        let started = session
+            .contained(|s| s.call_start_with(&job.req.selector, job.req.receiver, &job.req.args));
+        if let Err(error) = started {
+            return settle(policy, job, session, error);
         }
     }
     // The fault tripwire arms on the first attempt only; retries run
@@ -698,12 +689,11 @@ fn drive_turn(shared: &Shared, cfg: TenantConfig, session: &mut Session, job: &m
         slice = slice.min(f.at_step - job.steps_used);
     }
     let before = session.stats().instructions;
-    let driven = catch_unwind(AssertUnwindSafe(|| session.resume_raw_guarded(slice)));
-    match driven {
-        Ok(Ok(Outcome::Done(word))) => {
+    match session.contained(|s| s.resume_raw_guarded(slice)) {
+        Ok(Outcome::Done(word)) => {
             Turn::Respond(Ok(word), session.stats().since(&job.attempt_base))
         }
-        Ok(Ok(Outcome::Yielded)) => {
+        Ok(Outcome::Yielded) => {
             job.steps_used += session.stats().instructions - before;
             if let Some(f) = fault {
                 if job.steps_used >= f.at_step {
@@ -720,8 +710,7 @@ fn drive_turn(shared: &Shared, cfg: TenantConfig, session: &mut Session, job: &m
             }
             Turn::Yield
         }
-        Ok(Err(error)) => settle(policy, job, session, error),
-        Err(payload) => panic_turn(policy, job, session, &*payload),
+        Err(error) => settle(policy, job, session, error),
     }
 }
 
@@ -738,18 +727,6 @@ fn deadline_turn(session: &Session, job: &Job) -> Turn {
     )
 }
 
-/// A caught worker panic: contain it, cancel the wreckage, classify.
-fn panic_turn(
-    policy: RetryPolicy,
-    job: &mut Job,
-    session: &mut Session,
-    payload: &(dyn std::any::Any + Send),
-) -> Turn {
-    let message = panic_message(payload);
-    let _ = catch_unwind(AssertUnwindSafe(|| session.cancel()));
-    settle(policy, job, session, VmError::EnginePanic { message })
-}
-
 /// Fires a planned fault on its victim: unwind the in-flight call and
 /// surface the fault's typed error (with the attempt's honest partial
 /// statistics), exactly as the organic failure would.
@@ -761,46 +738,29 @@ fn apply_fault(
     fault: InjectedFault,
 ) -> Turn {
     shared.faults_injected.fetch_add(1, Ordering::Relaxed);
-    let partial = session.stats().since(&job.attempt_base);
-    match fault.kind {
+    let error = match fault.kind {
         FaultKind::Trap => {
-            session.cancel();
             let cause = MachineError::BadOperands {
                 opcode: com_isa::Opcode::DIV,
                 reason: "injected fault (FaultPlan)",
             };
-            settle(policy, job, session, VmError::trap(cause, partial))
+            VmError::trap(cause, session.stats().since(&job.attempt_base))
         }
-        FaultKind::Stall => {
-            session.cancel();
-            settle(
-                policy,
-                job,
-                session,
-                VmError::Stalled {
-                    slice: shared.config.base_slice,
-                },
-            )
-        }
-        FaultKind::OutOfFuel => {
-            session.cancel();
-            settle(
-                policy,
-                job,
-                session,
-                VmError::OutOfFuel {
-                    budget: fault.at_step,
-                },
-            )
-        }
-        FaultKind::WorkerPanic => {
-            // A genuine panic-and-unwind on this worker thread, caught
-            // exactly where an organic engine panic would be.
-            let payload = catch_unwind(AssertUnwindSafe(|| panic!("{INJECTED_PANIC}")))
-                .expect_err("the closure always panics");
-            panic_turn(policy, job, session, &*payload)
-        }
-    }
+        FaultKind::Stall => VmError::Stalled {
+            slice: shared.config.base_slice,
+        },
+        FaultKind::OutOfFuel => VmError::OutOfFuel {
+            budget: fault.at_step,
+        },
+        // A genuine panic-and-unwind on this worker thread, contained
+        // (and the call cancelled) exactly where an organic engine panic
+        // would be.
+        FaultKind::WorkerPanic => session
+            .contained(|_| -> Result<(), VmError> { panic!("{INJECTED_PANIC}") })
+            .expect_err("the closure always panics"),
+    };
+    session.cancel();
+    settle(policy, job, session, error)
 }
 
 /// Classifies a failed attempt: retry (gated by backoff) when the error
@@ -864,7 +824,6 @@ fn reintegrate(shared: &Shared, name: &str, mut session: Session, mut job: Job, 
     };
     let requeue = {
         let t = st.tenants.get_mut(name).expect("driven tenant");
-        t.running = false;
         t.session = Some(session);
         t.current = keep;
         let has_work = t.current.is_some() || !t.mailbox.is_empty();

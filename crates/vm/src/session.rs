@@ -1,5 +1,6 @@
 //! Per-tenant sessions: one isolated executor over a shared image.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use com_core::{
@@ -7,6 +8,7 @@ use com_core::{
 };
 use com_mem::{ObjectSpace, Word};
 
+use crate::error::panic_message;
 use crate::{FromWord, ToWord, VmError};
 
 /// The outcome of one [`Session::resume`] slice: the call finished with a
@@ -285,6 +287,33 @@ impl Session {
                 Err(VmError::Stalled { slice: budget })
             }
             outcome => Ok(outcome),
+        }
+    }
+
+    /// Runs `step` on this session with its panics contained: the one
+    /// place every executor drives a slice through (the
+    /// [`Scheduler`](crate::Scheduler), the
+    /// [`ParallelExecutor`](crate::ParallelExecutor) and the
+    /// [`server`](crate::server) workers). A panic inside `step` — an
+    /// engine invariant violation or an injected fault — must not unwind
+    /// into the executor, where it would poison its locks or kill its
+    /// worker: the interrupted call is cancelled so the session comes
+    /// back re-callable, and the panic surfaces as
+    /// [`VmError::EnginePanic`].
+    pub(crate) fn contained<T>(
+        &mut self,
+        step: impl FnOnce(&mut Session) -> Result<T, VmError>,
+    ) -> Result<T, VmError> {
+        match catch_unwind(AssertUnwindSafe(|| step(self))) {
+            Ok(result) => result,
+            Err(payload) => {
+                // If the machine is wedged enough that even the unwind
+                // panics, the session still comes back.
+                let _ = catch_unwind(AssertUnwindSafe(|| self.cancel()));
+                Err(VmError::EnginePanic {
+                    message: panic_message(&*payload),
+                })
+            }
         }
     }
 

@@ -273,7 +273,7 @@ fn many_tenants_over_few_workers_all_finish() {
         sessions.push(s);
         expected.push(fib(n));
     }
-    let (runs, _steals) = ParallelExecutor::new(3, 211).run_counting_steals(sessions);
+    let runs = ParallelExecutor::new(3, 211).run(sessions);
     for (i, run) in runs.iter().enumerate() {
         assert_eq!(run.result_as::<i64>().unwrap(), Some(expected[i]));
     }

@@ -53,23 +53,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         solo.push(s.last_run().expect("completed").clone());
     }
 
-    // Drain all eight across four OS threads, 2000 instructions per
-    // slice. Yielded tenants go back in the queue and may resume on a
-    // different worker — the pool records those migrations.
+    // Drain all eight across four OS threads: each worker takes the next
+    // tenant from a shared queue and drives it to completion in
+    // 2000-instruction slices.
     let pool = ParallelExecutor::new(4, 2_000);
     let runs = pool.run(tenants);
 
-    println!("tenant  call            result                slices  migrations  identical-to-solo");
+    println!("tenant  call            result                slices  identical-to-solo");
     for (i, run) in runs.iter().enumerate() {
         let (selector, n) = jobs[i];
         let result: i64 = run.result_as()?.expect("completed");
         let stats = run.session.last_run().expect("completed").stats;
         let identical = stats == solo[i].stats && run.result == Some(solo[i].result);
         println!(
-            "{i:<7} {:<15} {result:<21} {:<7} {:<11} {identical}",
+            "{i:<7} {:<15} {result:<21} {:<7} {identical}",
             format!("{selector}({n})"),
             run.slices,
-            run.migrations,
         );
         assert!(identical, "parallel execution must not change semantics");
     }
