@@ -7,44 +7,29 @@
 //! segments up to 2^31 words.
 
 use com_bench::print_table;
+use com_cache::Rng;
 use com_fpa::{AddressScheme, FixedFormat, FpaFormat, NamingOutcome};
 
-/// Deterministic splitmix64 generator (no external dependencies).
-struct Rng64(u64);
-
-impl Rng64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo + 1)
-    }
+/// A size in `lo..=hi`.
+fn range(rng: &mut Rng, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo + 1)
 }
 
 fn scheme_rows(schemes: &mut [(&str, Box<dyn AddressScheme>)]) -> Vec<Vec<String>> {
     // A Smalltalk-flavoured object mix: mostly tiny objects, occasional
     // large images (the paper's image-processing motivation).
-    let mut rng = Rng64(1985);
+    let mut rng = Rng::new(1985);
     let mut sizes = Vec::new();
     for _ in 0..400_000 {
-        let r: f64 = rng.unit();
-        let words: u64 = if r < 0.80 {
-            rng.range(1, 8) // tiny: points, pairs, cons cells
-        } else if r < 0.97 {
-            rng.range(9, 64) // small: contexts, small arrays
-        } else if r < 0.999 {
-            rng.range(65, 4096) // medium collections
+        let per_mille = rng.below(1000);
+        let words: u64 = if per_mille < 800 {
+            range(&mut rng, 1, 8) // tiny: points, pairs, cons cells
+        } else if per_mille < 970 {
+            range(&mut rng, 9, 64) // small: contexts, small arrays
+        } else if per_mille < 999 {
+            range(&mut rng, 65, 4096) // medium collections
         } else {
-            rng.range(1 << 18, 1 << 22) // images
+            range(&mut rng, 1 << 18, 1 << 22) // images
         };
         sizes.push(words);
     }

@@ -189,13 +189,10 @@ mod tests {
         // reference stream with reuse and conflicts.
         let mut a = AddrSet::new(cfg(16, 2));
         let mut b: SetAssocCache<u64, ()> = SetAssocCache::with_indexer(cfg(16, 2), |k| *k);
-        let mut x: u64 = 12345;
+        let mut rng = crate::Rng::new(12345);
         for i in 0..10_000u64 {
             // Mix a hot working set with a sweeping stream.
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let addr = if i % 3 == 0 { i % 24 } else { x % 64 };
+            let addr = if i % 3 == 0 { i % 24 } else { rng.below(64) };
             let ha = a.lookup(addr);
             let hb = b.lookup(&addr).is_some();
             assert_eq!(ha, hb, "divergence at access {i} addr {addr}");

@@ -20,6 +20,10 @@
 //!   instruction cache).
 //! * [`CacheConfig`] — cache geometry.
 //!
+//! It also holds the two small utilities every layer shares: the
+//! [`FxHasher`] for hot-path maps and the seeded [`Rng`] for reproducible
+//! random streams.
+//!
 //! ```
 //! use com_cache::{CacheConfig, SetAssocCache};
 //!
@@ -43,6 +47,7 @@ mod config;
 mod error;
 mod flat;
 mod fxhash;
+mod rng;
 mod stats;
 
 pub use addrset::AddrSet;
@@ -51,4 +56,5 @@ pub use config::CacheConfig;
 pub use error::CacheError;
 pub use flat::FlatCache;
 pub use fxhash::{FxBuildHasher, FxHasher};
+pub use rng::Rng;
 pub use stats::CacheStats;

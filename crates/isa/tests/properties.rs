@@ -1,106 +1,77 @@
-//! Property-based tests for instruction encoding invariants.
+//! Randomized instruction-encoding invariants, over instructions and
+//! payloads drawn from the workspace's seeded generator.
 
+use com_cache::Rng;
 use com_isa::{Instr, IsaError, Opcode, Operand};
-use proptest::prelude::*;
 
-fn arb_operand() -> impl Strategy<Value = Operand> {
-    prop_oneof![
-        (0u8..=63).prop_map(Operand::Cur),
-        (0u8..=63).prop_map(Operand::Next),
-        (0u8..=127).prop_map(Operand::Const),
-    ]
+const CASES: u32 = 4096;
+
+fn dst_operand(rng: &mut Rng) -> Operand {
+    let slot = rng.below(64) as u8;
+    match rng.below(2) {
+        0 => Operand::Cur(slot),
+        _ => Operand::Next(slot),
+    }
 }
 
-fn arb_src_operand() -> impl Strategy<Value = Operand> {
-    arb_operand()
+fn src_operand(rng: &mut Rng) -> Operand {
+    match rng.below(3) {
+        0 => Operand::Const(rng.below(128) as u8),
+        _ => dst_operand(rng),
+    }
 }
 
-fn arb_dst_operand() -> impl Strategy<Value = Operand> {
-    prop_oneof![
-        (0u8..=63).prop_map(Operand::Cur),
-        (0u8..=63).prop_map(Operand::Next),
-    ]
-}
-
-proptest! {
-    /// Every constructible three-address instruction round-trips through
-    /// its 36-bit encoding.
-    #[test]
-    fn three_address_roundtrip(
-        op in 0u16..=0x3FF,
-        ret in any::<bool>(),
-        a in arb_dst_operand(),
-        b in arb_src_operand(),
-        c in arb_src_operand(),
-    ) {
-        let i = Instr::three_ret(Opcode(op), a, b, c, ret).expect("valid");
-        let encoded = i.encode();
-        prop_assert!(encoded < (1 << 36), "payload exceeds 36 bits");
-        prop_assert_eq!(Instr::decode(encoded).expect("decodes"), i);
-    }
-
-    /// Zero-address instructions round-trip for all selectors and arities.
-    #[test]
-    fn zero_address_roundtrip(op in 0u16..=0x3FF, nargs in 0u8..=2, ret in any::<bool>()) {
-        let i = Instr::zero(Opcode(op), nargs, ret).expect("valid");
-        prop_assert_eq!(Instr::decode(i.encode()).expect("decodes"), i);
-    }
-
-    /// Decoding is total over valid payloads and never panics over
-    /// arbitrary 36-bit patterns; when it succeeds, re-encoding the decoded
-    /// instruction reproduces the bits (decode is a partial inverse).
-    #[test]
-    fn decode_never_panics_and_reencodes(raw in 0u64..(1 << 36)) {
-        if let Ok(i) = Instr::decode(raw) {
-            prop_assert_eq!(i.encode(), raw);
-        }
-    }
-
-    /// Payloads above 36 bits are always rejected.
-    #[test]
-    fn wide_payloads_rejected(raw in (1u64 << 36)..u64::MAX) {
-        prop_assert!(matches!(Instr::decode(raw), Err(IsaError::BadEncoding(_))));
-    }
-
-    /// A constant in the destination slot is rejected for every opcode.
-    #[test]
-    fn const_destination_always_rejected(
-        op in 0u16..=0x3FF,
-        k in 0u8..=127,
-        b in arb_src_operand(),
-        c in arb_src_operand(),
-    ) {
-        let rejected = matches!(
-            Instr::three(Opcode(op), Operand::Const(k), b, c),
-            Err(IsaError::MisplacedConstant { position: 0 })
+/// Every constructible three- and zero-address instruction round-trips
+/// through its 36-bit encoding; a constant in the destination slot is
+/// rejected for every opcode; and `sources()` / `destination()` agree with
+/// the operand fields: sources are exactly B and C, and the destination is
+/// A except for jumps and stores.
+#[test]
+fn instructions_roundtrip_and_keep_their_operand_contract() {
+    let mut rng = Rng::new(1);
+    for _ in 0..CASES {
+        let op = Opcode(rng.below(0x400) as u16);
+        let ret = rng.below(2) == 0;
+        let (a, b, c) = (
+            dst_operand(&mut rng),
+            src_operand(&mut rng),
+            src_operand(&mut rng),
         );
-        prop_assert!(rejected);
-    }
+        let i = Instr::three_ret(op, a, b, c, ret).expect("valid");
+        assert!(i.encode() < (1 << 36), "payload exceeds 36 bits");
+        assert_eq!(Instr::decode(i.encode()).expect("decodes"), i);
 
-    /// `sources()` and `destination()` are consistent with the operand
-    /// fields: sources are exactly B and C; the destination is A except
-    /// for jumps and stores.
-    #[test]
-    fn source_destination_contract(
-        op in 0u16..=0x3FF,
-        a in arb_dst_operand(),
-        b in arb_src_operand(),
-        c in arb_src_operand(),
-    ) {
-        let i = Instr::three(Opcode(op), a, b, c).expect("valid");
-        prop_assert_eq!(i.sources(), vec![b, c]);
-        let opc = Opcode(op);
-        if opc == Opcode::FJMP || opc == Opcode::RJMP || opc == Opcode::ATPUT {
-            prop_assert_eq!(i.destination(), None);
+        let z = Instr::zero(op, rng.below(3) as u8, ret).expect("valid");
+        assert_eq!(Instr::decode(z.encode()).expect("decodes"), z);
+
+        let k = Operand::Const(rng.below(128) as u8);
+        assert!(matches!(
+            Instr::three(op, k, b, c),
+            Err(IsaError::MisplacedConstant { position: 0 })
+        ));
+
+        assert_eq!(i.sources(), vec![b, c]);
+        if op == Opcode::FJMP || op == Opcode::RJMP || op == Opcode::ATPUT {
+            assert_eq!(i.destination(), None);
         } else {
-            prop_assert_eq!(i.destination(), Some(a));
+            assert_eq!(i.destination(), Some(a));
         }
     }
+}
 
-    /// Operand descriptors round-trip through their byte encoding for all
-    /// 256 values (exhaustive via proptest shrink coverage).
-    #[test]
-    fn operand_byte_roundtrip(byte in any::<u8>()) {
-        prop_assert_eq!(Operand::decode(byte).encode(), byte);
+/// Decoding never panics: over arbitrary 36-bit patterns, whatever decodes
+/// re-encodes to the same bits (decode is a partial inverse of encode),
+/// and every payload above 36 bits is rejected.
+#[test]
+fn decode_is_a_partial_inverse_of_encode() {
+    let mut rng = Rng::new(2);
+    for _ in 0..CASES {
+        let bits = rng.next_u64();
+        let raw = bits & ((1 << 36) - 1);
+        if let Ok(i) = Instr::decode(raw) {
+            assert_eq!(i.encode(), raw);
+        }
+        let wide = bits | (1 << 36);
+        assert!(matches!(Instr::decode(wide), Err(IsaError::BadEncoding(_))));
     }
 }

@@ -344,6 +344,7 @@ pub fn build_list(
 mod tests {
     use super::*;
     use crate::ClassId;
+    use com_cache::Rng;
     use com_fpa::FpaFormat;
 
     const TEAM: TeamId = TeamId(0);
@@ -357,12 +358,15 @@ mod tests {
     fn unreachable_objects_are_swept() {
         let mut s = space();
         let keep = s.create(TEAM, CLS, 4, AllocKind::Object).unwrap();
-        let _garbage = s.create(TEAM, CLS, 4, AllocKind::Object).unwrap();
+        let garbage = s.create(TEAM, CLS, 4, AllocKind::Object).unwrap();
         let st = collect_simple(&mut s, TEAM, &[keep]).unwrap();
         assert_eq!(st.marked_segments, 1);
         assert_eq!(st.swept_segments, 1);
         assert_eq!(st.blocks_freed, 1);
         assert!(s.read(TEAM, keep).is_ok());
+        assert!(s.read(TEAM, garbage).is_err());
+        let st = collect_simple(&mut s, TEAM, &[keep]).unwrap();
+        assert_eq!(st.swept_segments, 0, "a second collection sweeps nothing");
     }
 
     #[test]
@@ -573,75 +577,74 @@ mod tests {
 
     // --- Randomized equivalence (satellite: minor+full vs full) --------
 
-    fn xorshift(x: &mut u64) -> u64 {
-        *x ^= *x << 13;
-        *x ^= *x >> 7;
-        *x ^= *x << 17;
-        *x
+    /// Grows `pick` by 8 to 31 words, tracking its new name.
+    fn grow_tracked(s: &mut ObjectSpace, rng: &mut Rng, objs: &mut Vec<Fpa>, pick: Fpa) {
+        if let Ok(len) = s.length_of(TEAM, pick) {
+            if let Ok(new) = s.grow(TEAM, pick, len + 8 + rng.below(24)) {
+                objs.push(new);
+            }
+        }
     }
 
     /// Deterministically builds a two-generation object graph: phase-1
     /// objects promoted by a full collection, phase-2 young objects,
-    /// random cross-generation pointers and grows. Returns every tracked
+    /// random cross-generation pointers, grows of young objects and, once
+    /// the roots are drawn, grows of tenured ones. Returns every tracked
     /// capability and the final root set.
     fn build_random_graph(s: &mut ObjectSpace, seed: u64) -> (Vec<Fpa>, Vec<Fpa>) {
-        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+        let mut rng = Rng::new(seed);
         let mut objs: Vec<Fpa> = Vec::new();
         // Phase 1: the future tenured generation.
-        for _ in 0..(6 + xorshift(&mut rng) % 6) {
-            if xorshift(&mut rng).is_multiple_of(3) {
-                let n = 1 + (xorshift(&mut rng) % 5) as usize;
+        for _ in 0..(6 + rng.below(6)) {
+            if rng.below(3) == 0 {
+                let n = 1 + rng.below(5) as usize;
                 objs.extend(build_list(s, TEAM, CLS, n).unwrap());
             } else {
-                let words = 2 + xorshift(&mut rng) % 6;
+                let words = 2 + rng.below(6);
                 objs.push(s.create(TEAM, CLS, words, AllocKind::Object).unwrap());
             }
         }
         // Promote a random subset; the rest dies before tenuring.
-        let keep: Vec<Fpa> = objs
-            .iter()
-            .filter(|_| !xorshift(&mut rng).is_multiple_of(4))
-            .copied()
-            .collect();
+        let keep: Vec<Fpa> = objs.iter().filter(|_| rng.below(4) != 0).copied().collect();
         collect(s, TEAM, &keep, &[]).unwrap();
         // Phase 2: the nursery.
         let phase1 = objs.len();
-        for _ in 0..(6 + xorshift(&mut rng) % 6) {
-            if xorshift(&mut rng).is_multiple_of(3) {
-                let n = 1 + (xorshift(&mut rng) % 5) as usize;
+        for _ in 0..(6 + rng.below(6)) {
+            if rng.below(3) == 0 {
+                let n = 1 + rng.below(5) as usize;
                 objs.extend(build_list(s, TEAM, CLS, n).unwrap());
             } else {
-                let words = 2 + xorshift(&mut rng) % 6;
+                let words = 2 + rng.below(6);
                 objs.push(s.create(TEAM, CLS, words, AllocKind::Object).unwrap());
             }
         }
         // Random cross-generation pointers (old→young exercises the
         // barrier, young→old the generation cut-off) and a few grows
         // (forward edges across the generations).
-        for _ in 0..(8 + xorshift(&mut rng) % 8) {
-            let src = objs[(xorshift(&mut rng) as usize) % objs.len()];
-            let dst = objs[(xorshift(&mut rng) as usize) % objs.len()];
+        for _ in 0..(8 + rng.below(8)) {
+            let src = objs[rng.below(objs.len() as u64) as usize];
+            let dst = objs[rng.below(objs.len() as u64) as usize];
             let _ = s.write(TEAM, src, Word::Ptr(dst));
         }
-        for _ in 0..(xorshift(&mut rng) % 3) {
-            let pick = objs[phase1 + (xorshift(&mut rng) as usize) % (objs.len() - phase1)];
-            if let Ok(len) = s.length_of(TEAM, pick) {
-                if let Ok(new) = s.grow(TEAM, pick, len + 8 + xorshift(&mut rng) % 24) {
-                    objs.push(new);
-                }
-            }
+        for _ in 0..rng.below(3) {
+            let pick = objs[phase1 + rng.below((objs.len() - phase1) as u64) as usize];
+            grow_tracked(s, &mut rng, &mut objs, pick);
         }
-        let roots: Vec<Fpa> = objs
-            .iter()
-            .filter(|_| xorshift(&mut rng).is_multiple_of(3))
-            .copied()
-            .collect();
+        let roots: Vec<Fpa> = objs.iter().filter(|_| rng.below(3) == 0).copied().collect();
+        // Then grow tenured objects, with the roots already drawn: a grown
+        // phase-1 list node is a tenured object whose old name only its
+        // successor holds (a tenured holder linked before promotion, so the
+        // barrier never remembered it) and whose new name no root holds.
+        for _ in 0..1 + rng.below(3) {
+            let pick = objs[rng.below(phase1 as u64) as usize];
+            grow_tracked(s, &mut rng, &mut objs, pick);
+        }
         (objs, roots)
     }
 
     #[test]
     fn minor_plus_full_frees_exactly_what_a_full_sweep_frees() {
-        for seed in 1..=12u64 {
+        for seed in 1..=64u64 {
             let mut subject = space();
             let mut reference = space();
             let (objs_s, roots_s) = build_random_graph(&mut subject, seed);

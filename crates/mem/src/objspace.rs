@@ -105,8 +105,10 @@ impl AllocStats {
 /// data, not to the whole heap. The soundness invariant: *every tenured
 /// segment that may hold a pointer into the nursery is in the remembered
 /// set* — maintained by the write barrier in [`ObjectSpace::write_abs`] /
-/// [`ObjectSpace::write_kind`] (context-cache-resident contexts bypass the
-/// barrier and are instead pinned by the machine at collection time).
+/// [`ObjectSpace::write_kind`], and by [`ObjectSpace::grow`], whose
+/// forward edges out of tenured aliases are nursery pointers too
+/// (context-cache-resident contexts bypass the barrier and are instead
+/// pinned by the machine at collection time).
 ///
 /// The book is space-global while collections are per-team, so the
 /// generational split currently assumes a **single collected team** (the
@@ -133,7 +135,8 @@ pub(crate) struct GcBook {
     pub(crate) base_names: HashMap<u64, Vec<SegmentName>, FxBuildHasher>,
     /// Pointer stores that consulted the barrier.
     pub(crate) barrier_stores: u64,
-    /// Barrier consultations that newly remembered a tenured segment.
+    /// Barrier consultations and grows that newly remembered a tenured
+    /// segment.
     pub(crate) barrier_remembers: u64,
 }
 
@@ -159,6 +162,13 @@ impl GcBook {
         self.base_names.remove(&base.0);
         self.nursery_bases.remove(&base.0);
     }
+
+    /// A tenured segment may now hold a pointer into the nursery.
+    fn remember(&mut self, seg: SegmentName) {
+        if self.remembered.insert(seg) {
+            self.barrier_remembers += 1;
+        }
+    }
 }
 
 /// Read-only snapshot of the generational bookkeeping (reports, benches).
@@ -170,7 +180,8 @@ pub struct BarrierStats {
     pub remembered_segments: usize,
     /// Pointer stores that consulted the write barrier.
     pub pointer_stores: u64,
-    /// Stores that newly remembered a tenured segment.
+    /// Stores (and grows of tenured objects) that newly remembered a
+    /// tenured segment.
     pub remembers: u64,
 }
 
@@ -264,9 +275,7 @@ impl ObjectSpace {
         let Some(canon) = self.segment_at_base(base) else {
             return;
         };
-        if self.book.remembered.insert(canon) {
-            self.book.barrier_remembers += 1;
-        }
+        self.book.remember(canon);
     }
 
     /// The underlying MMU (teams, ATLB, trap counters).
@@ -467,14 +476,19 @@ impl ObjectSpace {
         }
         // The new block (and its new name) enter the nursery; the aliases
         // move with the storage, so the base index keeps the canonical
-        // (widest) name first, followed by every alias. A tenured alias
-        // re-pointed here is scanned by minor collections through the
-        // nursery-base rule, which keeps its forward edge live.
+        // (widest) name first, followed by every alias. Each alias now
+        // forwards into the nursery, so a tenured alias is a tenured
+        // segment holding a nursery pointer and joins the remembered set:
+        // a minor collection that reaches it only through a tenured holder
+        // never scans that holder, and would otherwise sweep the new name.
         self.book.on_create(new_addr.segment(), new_abs);
         if let Some(names) = self.book.base_names.get_mut(&new_abs.0) {
             names.extend(aliases.iter().copied());
         }
         for name in aliases {
+            if !self.book.nursery_segs.contains(&name) {
+                self.book.remember(name);
+            }
             self.mmu.invalidate(team, name);
         }
         self.mem.free_block(old_base)?;

@@ -1,5 +1,8 @@
-//! Review scratch: minor GC vs a tenured object grown after promotion,
-//! reachable only from an unremembered tenured holder.
+//! Minor collection after a tenured object is grown (§2.2: "both the old
+//! and the new pointers are set to point to the new segment"), when the
+//! old name is held only by a tenured holder that the write barrier never
+//! remembered. The grow must remember the forwarding alias, or the minor
+//! collection sweeps the new name while it is still reachable.
 
 use com_fpa::FpaFormat;
 use com_mem::{gc, AllocKind, ClassId, ObjectSpace, TeamId, Word};
@@ -25,8 +28,7 @@ fn grown_tenured_object_survives_minor_gc_via_tenured_holder() {
     assert_eq!(s.read(TEAM, new).unwrap(), Word::Int(7));
 
     // Minor collection rooted at the tenured holder only.
-    let st = gc::collect_minor(&mut s, TEAM, &[holder], &[]).unwrap();
-    eprintln!("minor stats: {st:?}");
+    gc::collect_minor(&mut s, TEAM, &[holder], &[]).unwrap();
 
     // The object is fully reachable: holder -> obj -(forward)-> new.
     assert_eq!(s.read(TEAM, obj).unwrap(), Word::Int(7), "stale alias read");
@@ -52,9 +54,9 @@ fn grown_tenured_matches_reference_full_sweep() {
     let mut subject = ObjectSpace::new(22, FpaFormat::COM);
     let mut reference = ObjectSpace::new(22, FpaFormat::COM);
     let (h_s, o_s, n_s) = build(&mut subject);
-    let (_h_r, o_r, n_r) = build(&mut reference);
+    let (h_r, o_r, n_r) = build(&mut reference);
 
-    gc::collect(&mut reference, TEAM, &[_h_r], &[]).unwrap();
+    gc::collect(&mut reference, TEAM, &[h_r], &[]).unwrap();
     gc::collect_minor(&mut subject, TEAM, &[h_s], &[]).unwrap();
     gc::collect(&mut subject, TEAM, &[h_s], &[]).unwrap();
 

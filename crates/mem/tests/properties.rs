@@ -1,215 +1,107 @@
-//! Property-based tests for memory-system invariants.
+//! Randomized memory-system invariants, over inputs drawn from the
+//! workspace's seeded generator. The minor-plus-full against full-only
+//! collection equivalence runs in `gc`'s unit tests.
 
+use com_cache::Rng;
 use com_fpa::FpaFormat;
-use com_mem::{gc, AllocKind, BuddyAllocator, ClassId, ObjectSpace, TeamId, Word};
-use proptest::prelude::*;
+use com_mem::{AbsAddr, AllocKind, BuddyAllocator, ClassId, ObjectSpace, TeamId, Word};
 
 const TEAM: TeamId = TeamId(0);
+const CASES: u32 = 256;
 
-proptest! {
-    /// Buddy blocks are always aligned to their size and never overlap.
-    #[test]
-    fn buddy_alignment_and_disjointness(orders in prop::collection::vec(0u8..6, 1..40)) {
+/// In arbitrary alloc/free interleavings, buddy blocks are aligned to
+/// their size and never overlap, allocated words equal the sum of live
+/// block sizes, and freeing everything coalesces back to the full space.
+#[test]
+fn buddy_blocks_stay_aligned_disjoint_and_conserved() {
+    let mut rng = Rng::new(1);
+    for _ in 0..CASES {
         let mut b = BuddyAllocator::new(12);
-        let mut live: Vec<(u64, u64)> = Vec::new(); // (base, words)
-        for o in orders {
-            if let Ok(a) = b.alloc(o) {
-                let words = 1u64 << o;
-                prop_assert_eq!(a.0 % words, 0, "misaligned block");
-                for &(lb, lw) in &live {
-                    let disjoint = a.0 + words <= lb || lb + lw <= a.0;
-                    prop_assert!(disjoint, "overlap: ({},{}) vs ({},{})", a.0, words, lb, lw);
+        let mut live: Vec<(AbsAddr, u8)> = Vec::new();
+        for _ in 0..1 + rng.below(60) {
+            let order = rng.below(6) as u8;
+            if rng.below(2) == 0 && !live.is_empty() {
+                let (a, o) = live.swap_remove(0);
+                b.free(a, o).unwrap();
+            } else if let Ok(a) = b.alloc(order) {
+                let words = 1u64 << order;
+                assert_eq!(a.0 % words, 0, "misaligned block");
+                for &(l, lo) in &live {
+                    let disjoint = a.0 + words <= l.0 || l.0 + (1 << lo) <= a.0;
+                    assert!(
+                        disjoint,
+                        "overlap: ({},{words}) vs ({},{})",
+                        a.0,
+                        l.0,
+                        1 << lo
+                    );
                 }
-                live.push((a.0, words));
-            }
-        }
-    }
-
-    /// Alloc/free in arbitrary interleavings conserves words: allocated
-    /// words equal the sum of live block sizes, and freeing everything
-    /// coalesces back to the full space.
-    #[test]
-    fn buddy_conservation(script in prop::collection::vec((0u8..6, any::<bool>()), 1..60)) {
-        let mut b = BuddyAllocator::new(12);
-        let mut live: Vec<(com_mem::AbsAddr, u8)> = Vec::new();
-        for (o, free_one) in script {
-            if free_one && !live.is_empty() {
-                let (a, order) = live.swap_remove(0);
-                b.free(a, order).unwrap();
-            } else if let Ok(a) = b.alloc(o) {
-                live.push((a, o));
+                live.push((a, order));
             }
             let expect: u64 = live.iter().map(|&(_, o)| 1u64 << o).sum();
-            prop_assert_eq!(b.allocated_words(), expect);
+            assert_eq!(b.allocated_words(), expect);
         }
         for (a, o) in live.drain(..) {
             b.free(a, o).unwrap();
         }
-        prop_assert_eq!(b.allocated_words(), 0);
+        assert_eq!(b.allocated_words(), 0);
         // Full coalescing: the whole space is one block again.
-        prop_assert!(b.alloc(12).is_ok());
+        assert!(b.alloc(12).is_ok());
     }
+}
 
-    /// Read-after-write through virtual addresses returns exactly what was
-    /// written, for arbitrary object sizes and offsets.
-    #[test]
-    fn read_after_write(
-        sizes in prop::collection::vec(1u64..200, 1..20),
-        payload in any::<i64>(),
-    ) {
+/// Read-after-write through virtual addresses returns exactly what was
+/// written, for arbitrary object sizes, and one past the end bounds-traps.
+#[test]
+fn read_after_write() {
+    let mut rng = Rng::new(2);
+    for _ in 0..CASES {
         let mut s = ObjectSpace::new(22, FpaFormat::COM);
-        for words in sizes {
-            let obj = s.create(TEAM, ClassId(9), words, AllocKind::Object).unwrap();
-            let off = words - 1;
-            let a = obj.with_offset(off).unwrap();
-            s.write(TEAM, a, Word::Int(payload)).unwrap();
-            prop_assert_eq!(s.read(TEAM, a).unwrap(), Word::Int(payload));
-            // One past the end must bounds-trap.
-            if off + 1 < obj.capacity() {
-                let oob = obj.with_offset(off + 1).unwrap();
-                prop_assert!(s.read(TEAM, oob).is_err());
+        let payload = Word::Int(rng.next_u64() as i64);
+        for _ in 0..1 + rng.below(19) {
+            let words = 1 + rng.below(199);
+            let obj = s
+                .create(TEAM, ClassId(9), words, AllocKind::Object)
+                .unwrap();
+            let last = obj.with_offset(words - 1).unwrap();
+            s.write(TEAM, last, payload).unwrap();
+            assert_eq!(s.read(TEAM, last).unwrap(), payload);
+            if words < obj.capacity() {
+                let oob = obj.with_offset(words).unwrap();
+                assert!(s.read(TEAM, oob).is_err());
             }
         }
     }
+}
 
-    /// Growing an object preserves every word, through both old and new
-    /// names, for arbitrary grow chains.
-    #[test]
-    fn grow_preserves_contents(
-        initial in 1u64..32,
-        grows in prop::collection::vec(1u64..200, 1..5),
-    ) {
+/// Growing an object preserves every word, through both the newest and
+/// the original name, for arbitrary grow chains (§2.2 aliasing).
+#[test]
+fn grow_chains_preserve_contents_through_every_name() {
+    let mut rng = Rng::new(3);
+    for _ in 0..CASES {
         let mut s = ObjectSpace::new(22, FpaFormat::COM);
-        let first = s.create(TEAM, ClassId(9), initial, AllocKind::Object).unwrap();
+        let initial = 1 + rng.below(31);
+        let first = s
+            .create(TEAM, ClassId(9), initial, AllocKind::Object)
+            .unwrap();
         for i in 0..initial {
-            s.write(TEAM, first.with_offset(i).unwrap(), Word::Int(i as i64)).unwrap();
+            s.write(TEAM, first.with_offset(i).unwrap(), Word::Int(i as i64))
+                .unwrap();
         }
         let mut cur = first;
         let mut len = initial;
-        for g in grows {
-            let target = len + g;
+        for _ in 0..1 + rng.below(4) {
+            let target = len + 1 + rng.below(199);
             cur = s.grow(TEAM, cur, target).unwrap();
             len = s.length_of(TEAM, cur).unwrap();
-            prop_assert!(len >= target);
+            assert!(len >= target);
         }
         for i in 0..initial {
-            prop_assert_eq!(
-                s.read(TEAM, cur.with_offset(i).unwrap()).unwrap(),
-                Word::Int(i as i64)
-            );
-            // The original name still reaches the same data (§2.2 aliasing).
-            prop_assert_eq!(
-                s.read(TEAM, first.with_offset(i).unwrap()).unwrap(),
-                Word::Int(i as i64)
-            );
-        }
-    }
-
-    /// A minor collection followed by a full collection frees exactly the
-    /// same objects (and the same number of words) as one reference full
-    /// mark-sweep, on randomized two-generation object graphs with
-    /// cross-generation pointers. (The deterministic-seed twin of this
-    /// property runs unconditionally in `gc::tests`.)
-    #[test]
-    fn generational_collection_matches_reference_full_sweep(
-        phase1 in prop::collection::vec((1u64..6, any::<bool>()), 2..12),
-        phase2 in prop::collection::vec((1u64..6, any::<bool>()), 2..12),
-        crosses in prop::collection::vec((any::<u16>(), any::<u16>()), 0..16),
-        root_mask in prop::collection::vec(any::<bool>(), 64),
-    ) {
-        let build = |s: &mut ObjectSpace| -> (Vec<com_fpa::Fpa>, Vec<com_fpa::Fpa>) {
-            let mut objs = Vec::new();
-            for (words, chain) in &phase1 {
-                if *chain {
-                    objs.extend(gc::build_list(s, TEAM, ClassId(9), *words as usize).unwrap());
-                } else {
-                    objs.push(s.create(TEAM, ClassId(9), *words, AllocKind::Object).unwrap());
-                }
-            }
-            // Promote everything allocated so far: the tenured generation.
-            gc::collect(s, TEAM, &objs, &[]).unwrap();
-            for (words, chain) in &phase2 {
-                if *chain {
-                    objs.extend(gc::build_list(s, TEAM, ClassId(9), *words as usize).unwrap());
-                } else {
-                    objs.push(s.create(TEAM, ClassId(9), *words, AllocKind::Object).unwrap());
-                }
-            }
-            for (a, b) in &crosses {
-                let src = objs[*a as usize % objs.len()];
-                let dst = objs[*b as usize % objs.len()];
-                let _ = s.write(TEAM, src, Word::Ptr(dst));
-            }
-            let roots: Vec<_> = objs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| root_mask[i % root_mask.len()])
-                .map(|(_, o)| *o)
-                .collect();
-            (objs, roots)
-        };
-        let mut subject = ObjectSpace::new(22, FpaFormat::COM);
-        let mut reference = ObjectSpace::new(22, FpaFormat::COM);
-        let (objs_s, roots_s) = build(&mut subject);
-        let (objs_r, roots_r) = build(&mut reference);
-        prop_assert_eq!(&objs_s, &objs_r);
-        gc::collect(&mut reference, TEAM, &roots_r, &[]).unwrap();
-        gc::collect_minor(&mut subject, TEAM, &roots_s, &[]).unwrap();
-        // Soundness: nothing the reference keeps may die in the minor pass.
-        for o in &objs_s {
-            if reference.read(TEAM, *o).is_ok() {
-                prop_assert!(subject.read(TEAM, *o).is_ok(), "minor swept a live object");
+            for name in [cur, first] {
+                let word = s.read(TEAM, name.with_offset(i).unwrap()).unwrap();
+                assert_eq!(word, Word::Int(i as i64));
             }
         }
-        gc::collect(&mut subject, TEAM, &roots_s, &[]).unwrap();
-        for o in &objs_s {
-            prop_assert_eq!(
-                subject.read(TEAM, *o).is_ok(),
-                reference.read(TEAM, *o).is_ok(),
-                "liveness diverged"
-            );
-        }
-        prop_assert_eq!(
-            subject.memory().buddy().allocated_words(),
-            reference.memory().buddy().allocated_words()
-        );
-    }
-
-    /// GC never reclaims reachable objects and always reclaims unreachable
-    /// ones; running it twice is idempotent.
-    #[test]
-    fn gc_precision(keep_mask in prop::collection::vec(any::<bool>(), 1..30)) {
-        let mut s = ObjectSpace::new(22, FpaFormat::COM);
-        let mut roots = Vec::new();
-        let mut dead = Vec::new();
-        for (i, keep) in keep_mask.iter().enumerate() {
-            let obj = s.create(TEAM, ClassId(9), 3, AllocKind::Object).unwrap();
-            s.write(TEAM, obj.with_offset(1).unwrap(), Word::Int(i as i64)).unwrap();
-            if *keep {
-                roots.push(obj);
-            } else {
-                dead.push(obj);
-            }
-        }
-        let st = gc::collect_simple(&mut s, TEAM, &roots).unwrap();
-        prop_assert_eq!(st.marked_segments as usize, roots.len());
-        prop_assert_eq!(st.swept_segments as usize, dead.len());
-        for (i, r) in roots.iter().enumerate() {
-            let expected: Vec<i64> = keep_mask
-                .iter()
-                .enumerate()
-                .filter(|(_, k)| **k)
-                .map(|(j, _)| j as i64)
-                .collect();
-            prop_assert_eq!(
-                s.read(TEAM, r.with_offset(1).unwrap()).unwrap(),
-                Word::Int(expected[i])
-            );
-        }
-        for d in &dead {
-            prop_assert!(s.read(TEAM, *d).is_err());
-        }
-        let st2 = gc::collect_simple(&mut s, TEAM, &roots).unwrap();
-        prop_assert_eq!(st2.swept_segments, 0, "second collection sweeps nothing");
     }
 }

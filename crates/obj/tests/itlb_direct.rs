@@ -2,7 +2,7 @@
 //! fill, evict, hit-rate, and equivalence with the generic
 //! [`SetAssocCache`] as an LRU oracle.
 
-use com_cache::{CacheConfig, SetAssocCache};
+use com_cache::{CacheConfig, Rng, SetAssocCache};
 use com_isa::{Opcode, PrimOp};
 use com_mem::ClassId;
 use com_obj::{Itlb, ItlbConfig, ItlbHit, ItlbKey, MethodRef};
@@ -30,16 +30,13 @@ fn cfg(entries: usize, ways: usize) -> ItlbConfig {
 /// A deterministic stream of keys with a skewed (hot working set + tail)
 /// distribution, like real dispatch traffic.
 fn key_stream(n: usize) -> Vec<ItlbKey> {
-    let mut x: u64 = 0x1985;
+    let mut rng = Rng::new(0x1985);
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
         let k = if i % 4 != 0 {
-            (x >> 33) % 16 // hot set: 16 signatures
+            rng.below(16) // hot set: 16 signatures
         } else {
-            (x >> 33) % 600 // tail: 600 signatures
+            rng.below(600) // tail: 600 signatures
         } as u16;
         out.push(key(k % 64, k / 64 + 1, 7));
     }

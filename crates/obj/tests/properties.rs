@@ -1,92 +1,99 @@
-//! Property-based tests for the object system: dictionary model
-//! equivalence, lookup laws, ITLB transparency.
+//! Randomized invariants of the object system: dictionary model
+//! equivalence, lookup laws, ITLB transparency. Inputs come from the
+//! workspace's seeded generator.
 
 use std::collections::HashMap;
 
+use com_cache::{CacheConfig, Rng};
 use com_isa::{Opcode, PrimOp};
 use com_mem::ClassId;
 use com_obj::{
     install_standard_primitives, lookup_method, ClassTable, Itlb, ItlbConfig, ItlbKey,
     MessageDictionary, MethodRef,
 };
-use proptest::prelude::*;
 
-fn prim(i: usize) -> MethodRef {
+const CASES: u32 = 256;
+
+fn prim(i: u64) -> MethodRef {
     // A small rotating set of distinguishable method payloads.
-    const PRIMS: [PrimOp; 5] = [PrimOp::Add, PrimOp::Sub, PrimOp::Mul, PrimOp::Div, PrimOp::Move];
-    MethodRef::Primitive(PRIMS[i % PRIMS.len()])
+    const PRIMS: [PrimOp; 5] = [
+        PrimOp::Add,
+        PrimOp::Sub,
+        PrimOp::Mul,
+        PrimOp::Div,
+        PrimOp::Move,
+    ];
+    MethodRef::Primitive(PRIMS[i as usize % PRIMS.len()])
 }
 
-proptest! {
-    /// The open-addressing message dictionary behaves exactly like a
-    /// HashMap under arbitrary insert/lookup interleavings (model-based
-    /// test), and probe counts stay bounded by the occupancy.
-    #[test]
-    fn dictionary_matches_model(script in prop::collection::vec((0u16..200, 0usize..5, any::<bool>()), 1..300)) {
+/// The open-addressing message dictionary behaves exactly like a HashMap
+/// under arbitrary insert/lookup interleavings (model-based test), and
+/// probe counts stay bounded by the occupancy.
+#[test]
+fn dictionary_matches_model() {
+    let mut rng = Rng::new(1);
+    for _ in 0..CASES {
         let mut dict = MessageDictionary::new();
         let mut model: HashMap<u16, MethodRef> = HashMap::new();
-        for (sel, payload, is_insert) in script {
-            if is_insert {
-                dict.insert(Opcode(sel), prim(payload));
-                model.insert(sel, prim(payload));
+        for _ in 0..1 + rng.below(300) {
+            let sel = rng.below(200) as u16;
+            let payload = prim(rng.below(5));
+            if rng.below(2) == 0 {
+                dict.insert(Opcode(sel), payload);
+                model.insert(sel, payload);
             } else {
                 let (got, probes) = dict.lookup(Opcode(sel));
-                prop_assert_eq!(got, model.get(&sel).copied());
-                prop_assert!(probes as usize <= dict.len() + 1);
+                assert_eq!(got, model.get(&sel).copied());
+                assert!(probes as usize <= dict.len() + 1);
             }
         }
-        prop_assert_eq!(dict.len(), model.len());
+        assert_eq!(dict.len(), model.len());
         // Every model binding is reachable through iter().
         let mut seen: Vec<u16> = dict.iter().map(|(s, _)| s.0).collect();
         seen.sort_unstable();
         let mut expect: Vec<u16> = model.keys().copied().collect();
         expect.sort_unstable();
-        prop_assert_eq!(seen, expect);
+        assert_eq!(seen, expect);
     }
+}
 
-    /// Lookup through a class chain equals lookup in the first class of the
-    /// chain that binds the selector (shadowing law), regardless of chain
-    /// depth.
-    #[test]
-    fn lookup_shadowing_law(
-        depth in 1usize..8,
-        bind_at in prop::collection::vec(any::<bool>(), 8),
-        sel in 64u16..100,
-    ) {
+/// Lookup through a class chain equals lookup in the class nearest the
+/// leaf that binds the selector (shadowing law), at any chain depth.
+#[test]
+fn lookup_shadowing_law() {
+    let mut rng = Rng::new(2);
+    for _ in 0..CASES {
         let mut t = ClassTable::new();
         let mut chain = vec![ClassTable::OBJECT];
-        for i in 0..depth {
+        for i in 0..1 + rng.below(7) {
             let parent = *chain.last().expect("nonempty");
             chain.push(t.define(&format!("C{i}"), Some(parent), 0).expect("fresh"));
         }
-        // Bind the selector at the marked classes with distinct payloads.
+        let sel = Opcode(64 + rng.below(36) as u16);
+        // Bind the selector at random classes with distinct payloads.
+        let bound: Vec<bool> = chain.iter().map(|_| rng.below(2) == 0).collect();
         for (i, class) in chain.iter().enumerate() {
-            if bind_at[i % bind_at.len()] {
-                t.install(*class, Opcode(sel), prim(i));
+            if bound[i] {
+                t.install(*class, sel, prim(i as u64));
             }
         }
-        // The binding nearest the leaf (highest index) shadows the rest.
-        let leaf = *chain.last().expect("nonempty");
-        let mut expected = None;
-        for i in (0..chain.len()).rev() {
-            if bind_at[i % bind_at.len()] {
-                expected = Some(prim(i));
-                break;
-            }
-        }
-        let got = lookup_method(&t, leaf, Opcode(sel));
-        prop_assert_eq!(got.method, expected);
-        prop_assert!(got.classes_visited as usize <= chain.len());
+        let expected = (0..chain.len())
+            .rev()
+            .find(|&i| bound[i])
+            .map(|i| prim(i as u64));
+        let got = lookup_method(&t, *chain.last().expect("nonempty"), sel);
+        assert_eq!(got.method, expected);
+        assert!(got.classes_visited as usize <= chain.len());
     }
+}
 
-    /// The ITLB is semantically transparent: for any access sequence, a
-    /// machine that consults the ITLB (fill-on-miss) always produces the
-    /// same resolution as one that does a full lookup every time.
-    #[test]
-    fn itlb_transparency(
-        accesses in prop::collection::vec((0u16..40, 0u16..6), 1..400),
-        entries_pow in 1u32..7,
-    ) {
+/// The ITLB is semantically transparent: for any access sequence, a
+/// machine that consults the ITLB (fill-on-miss) always produces the same
+/// resolution as one that does a full lookup every time.
+#[test]
+fn itlb_transparency() {
+    let mut rng = Rng::new(3);
+    for _ in 0..CASES {
         let mut t = ClassTable::new();
         install_standard_primitives(&mut t);
         // A few user classes with scattered methods.
@@ -97,18 +104,20 @@ proptest! {
             ClassTable::OBJECT,
         ];
         for i in 0..2 {
-            let c = t.define(&format!("U{i}"), Some(ClassTable::OBJECT), 0).expect("fresh");
-            t.install(c, Opcode(70 + i), prim(i as usize));
+            let c = t
+                .define(&format!("U{i}"), Some(ClassTable::OBJECT), 0)
+                .expect("fresh");
+            t.install(c, Opcode(70 + i), prim(i as u64));
             classes.push(c);
         }
         let cfg = ItlbConfig {
-            l1: com_cache::CacheConfig::new(1 << entries_pow, 2).expect("valid"),
+            l1: CacheConfig::new(1 << (1 + rng.below(6)), 2).expect("valid"),
             l2: None,
         };
         let mut itlb = Itlb::new(cfg);
-        for (sel, class_i) in accesses {
-            let class = classes[class_i as usize % classes.len()];
-            let key = ItlbKey::unary(Opcode(sel % 80), class);
+        for _ in 0..1 + rng.below(400) {
+            let class = classes[rng.below(classes.len() as u64) as usize];
+            let key = ItlbKey::unary(Opcode(rng.below(80) as u16), class);
             let truth = lookup_method(&t, class, key.opcode).method;
             let via_itlb = match itlb.lookup(key) {
                 Some(m) => Some(m),
@@ -119,7 +128,7 @@ proptest! {
                     truth
                 }
             };
-            prop_assert_eq!(via_itlb, truth, "ITLB diverged from full lookup");
+            assert_eq!(via_itlb, truth, "ITLB diverged from full lookup");
         }
     }
 }

@@ -1,121 +1,80 @@
 //! Differential testing: randomly generated arithmetic/control programs
 //! must produce identical results on the COM (three-address) and the Fith
-//! (stack) machine — the two backends cross-validate each other and both
-//! machines underneath.
+//! (stack) machine, and on every COM cache geometry — the two backends
+//! cross-validate each other and both machines underneath. Programs are
+//! drawn from the workspace's seeded generator, so a failure names a
+//! reproducible source text.
 
+use com_cache::Rng;
 use com_core::{Machine, MachineConfig};
 use com_fith::FithMachine;
 use com_mem::Word;
 use com_stc::{compile_com, compile_fith, CompileOptions};
-use proptest::prelude::*;
 
-/// A tiny expression AST we can render to COM Smalltalk source.
-#[derive(Debug, Clone)]
-enum E {
-    N(i8),
-    SelfRef,
-    Add(Box<E>, Box<E>),
-    Sub(Box<E>, Box<E>),
-    Mul(Box<E>, Box<E>),
-    Mod(Box<E>, Box<E>),
-    Min(Box<E>, Box<E>),
-    IfPos(Box<E>, Box<E>, Box<E>),
-}
+/// Generated programs per run.
+const PROGRAMS: usize = 1000;
+const FUEL: u64 = 5_000_000;
 
-fn arb_expr() -> impl Strategy<Value = E> {
-    let leaf = prop_oneof![(-9i8..=9).prop_map(E::N), Just(E::SelfRef)];
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Add(a.into(), b.into())),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Sub(a.into(), b.into())),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Mul(a.into(), b.into())),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Mod(a.into(), b.into())),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Min(a.into(), b.into())),
-            (inner.clone(), inner.clone(), inner)
-                .prop_map(|(c, t, f)| E::IfPos(c.into(), t.into(), f.into())),
-        ]
-    })
-}
-
-/// Renders to source. Modulo guards against zero divisors by adding a
-/// constant offset inside `(… abs + 1)`.
-fn render(e: &E) -> String {
-    match e {
-        E::N(n) => {
-            if *n < 0 {
-                format!("(0 - {})", -(*n as i64))
-            } else {
-                format!("{n}")
-            }
-        }
-        E::SelfRef => "self".to_string(),
-        E::Add(a, b) => format!("({} + {})", render(a), render(b)),
-        E::Sub(a, b) => format!("({} - {})", render(a), render(b)),
-        E::Mul(a, b) => format!("(({} \\\\ 997) * ({} \\\\ 997))", render(a), render(b)),
-        E::Mod(a, b) => format!("({} \\\\ (({}) abs + 1))", render(a), render(b)),
-        E::Min(a, b) => format!("({} min: {})", render(a), render(b)),
-        E::IfPos(c, t, f) => format!(
-            "(({}) > 0 ifTrue: [ {} ] ifFalse: [ {} ])",
-            render(c),
-            render(t),
-            render(f)
+/// Renders a random expression of at most `depth` nested operations as
+/// COM Smalltalk source. Products reduce their operands modulo 997 and
+/// modulo adds one to the absolute divisor, so no program overflows or
+/// divides by zero.
+fn expr(rng: &mut Rng, depth: u32) -> String {
+    if depth == 0 || rng.below(3) == 0 {
+        return match rng.below(2) {
+            0 => "self".to_string(),
+            _ => match rng.below(19) as i64 - 9 {
+                n if n < 0 => format!("(0 - {})", -n),
+                n => n.to_string(),
+            },
+        };
+    }
+    let a = expr(rng, depth - 1);
+    let b = expr(rng, depth - 1);
+    match rng.below(6) {
+        0 => format!("({a} + {b})"),
+        1 => format!("({a} - {b})"),
+        2 => format!("(({a} \\\\ 997) * ({b} \\\\ 997))"),
+        3 => format!("({a} \\\\ (({b}) abs + 1))"),
+        4 => format!("({a} min: {b})"),
+        _ => format!(
+            "(({a}) > 0 ifTrue: [ {b} ] ifFalse: [ {} ])",
+            expr(rng, depth - 1)
         ),
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-    /// COM and Fith agree on randomly generated expression programs.
-    #[test]
-    fn backends_agree_on_random_expressions(e in arb_expr(), recv in -50i64..50) {
+/// COM, under the paper machine and each ablated cache geometry, agrees
+/// with Fith on every generated program: equal results, or a trap on both.
+#[test]
+fn com_and_fith_agree_on_random_programs() {
+    let configs = [
+        MachineConfig::default(),
+        MachineConfig::default().without_itlb(),
+        MachineConfig::default().without_context_cache(),
+        MachineConfig::default().with_ctx_blocks(4),
+    ];
+    let opts = CompileOptions::default();
+    let mut rng = Rng::new(1985);
+    for _ in 0..PROGRAMS {
         let src = format!(
             "class SmallInteger method probe ^{} end end",
-            render(&e)
+            expr(&mut rng, 3)
         );
-        let opts = CompileOptions::default();
+        let recv = Word::Int(rng.below(100) as i64 - 50);
         let com_image = compile_com(&src, opts).expect("COM compiles");
         let fith_image = compile_fith(&src, opts).expect("Fith compiles");
-
-        let mut m = Machine::new(MachineConfig::default());
-        m.load(&com_image).expect("loads");
-        let com = m.send("probe", Word::Int(recv), &[], 5_000_000);
-
-        let mut f = FithMachine::new(&fith_image);
-        let fith = f.send(&fith_image, "probe", Word::Int(recv), &[], 5_000_000);
-
-        match (com, fith) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a.result, b.result, "src: {}", src),
-            // Both may trap (e.g. overflow-free here, but keep symmetric).
-            (Err(_), Err(_)) => {}
-            (a, b) => prop_assert!(false, "divergent outcomes: {a:?} vs {b:?} (src: {src})"),
-        }
-    }
-
-    /// The ablated COM configurations agree with the default on the same
-    /// random programs (machine invariance under cache/ITLB geometry).
-    #[test]
-    fn com_configs_agree_on_random_expressions(e in arb_expr(), recv in -20i64..20) {
-        let src = format!(
-            "class SmallInteger method probe ^{} end end",
-            render(&e)
-        );
-        let image = compile_com(&src, CompileOptions::default()).expect("compiles");
-        let mut results = Vec::new();
-        for cfg in [
-            MachineConfig::default(),
-            MachineConfig::default().without_itlb(),
-            MachineConfig::default().without_context_cache(),
-            MachineConfig::default().with_ctx_blocks(4),
-        ] {
+        let fith = FithMachine::new(&fith_image)
+            .send(&fith_image, "probe", recv, &[], FUEL)
+            .map(|r| r.result);
+        for cfg in configs {
             let mut m = Machine::new(cfg);
-            m.load(&image).expect("loads");
-            results.push(m.send("probe", Word::Int(recv), &[], 5_000_000).map(|r| r.result));
-        }
-        for w in results.windows(2) {
-            match (&w[0], &w[1]) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "src: {}", src),
+            m.load(&com_image).expect("loads");
+            let com = m.send("probe", recv, &[], FUEL).map(|r| r.result);
+            match (&com, &fith) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{cfg:?} (self = {recv:?}): {src}"),
                 (Err(_), Err(_)) => {}
-                (a, b) => prop_assert!(false, "config divergence: {a:?} vs {b:?}"),
+                _ => panic!("divergent outcomes {com:?} vs {fith:?} under {cfg:?}: {src}"),
             }
         }
     }

@@ -4,29 +4,12 @@
 //! Zero interpreter panics, across the whole space the mutator reaches —
 //! the verifier's soundness contract, falsified empirically.
 
+use com_cache::Rng;
 use com_core::{Machine, MachineConfig};
 use com_isa::Instr;
 use com_stc::{compile_com, CompileOptions};
 use com_verify::verify_words;
 use com_vm::Word;
-
-/// xorshift64*: deterministic, seedable, dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 const PROGRAM: &str = r#"
     class SmallInteger
@@ -47,7 +30,7 @@ const FUEL: u64 = 20_000;
 fn thousands_of_bitflipped_images_never_panic_the_interpreter() {
     let image = compile_com(PROGRAM, CompileOptions::default()).unwrap();
     assert!(com_verify::verify_image(&image).is_ok());
-    let mut rng = Rng(0x5eed_c0de_0b5e_55ed);
+    let mut rng = Rng::new(0x5eed_c0de_0b5e_55ed);
     let mut rejected = 0usize;
     let mut executed = 0usize;
     let mut trapped = 0usize;

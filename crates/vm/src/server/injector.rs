@@ -6,8 +6,8 @@
 //! step 12*. The supervisor consults the plan at the `resume(budget)`
 //! cadence — it caps the slice so the victim lands **exactly** on the
 //! chosen step count, then applies the fault — so a seeded plan replays
-//! bit-identically run after run. Random plans use the same seeded
-//! xorshift64* generator as the GC equivalence tests, so a soak run is
+//! bit-identically run after run. Random plans draw from the workspace's
+//! seeded xorshift64 generator ([`com_cache::Rng`]), so a soak run is
 //! reproducible from its seed alone.
 //!
 //! Faults apply to the **first attempt** of a request only: a retry (see
@@ -16,6 +16,8 @@
 //! "request failed terminally".
 
 use std::collections::{BTreeMap, HashMap};
+
+use com_cache::Rng;
 
 /// The panic message used by injected worker panics (and matched by
 /// [`FaultPlan::silence_injected_panics`]).
@@ -110,12 +112,11 @@ impl FaultPlan {
         self
     }
 
-    /// Samples a plan with the seeded xorshift64* generator (the same
-    /// generator the GC equivalence tests use): each of `requests` per
-    /// tenant is faulted with probability `per_mille`/1000, with the
-    /// fault kind cycled pseudo-randomly over all four kinds and
-    /// `at_step` drawn from `1..=max_at_step`. The same inputs always
-    /// produce the same plan.
+    /// Samples a plan with the seeded xorshift64 generator
+    /// ([`com_cache::Rng`]): each of `requests` per tenant is faulted with
+    /// probability `per_mille`/1000, with the fault kind cycled
+    /// pseudo-randomly over all four kinds and `at_step` drawn from
+    /// `1..=max_at_step`. The same inputs always produce the same plan.
     pub fn seeded(
         seed: u64,
         tenants: &[String],
@@ -123,7 +124,7 @@ impl FaultPlan {
         per_mille: u32,
         max_at_step: u64,
     ) -> FaultPlan {
-        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+        let mut rng = Rng::new(seed);
         let mut plan = FaultPlan::new();
         let kinds = [
             FaultKind::Trap,
@@ -133,9 +134,9 @@ impl FaultPlan {
         ];
         for tenant in tenants {
             for request in 0..requests {
-                if xorshift(&mut rng) % 1000 < u64::from(per_mille) {
-                    let kind = kinds[(xorshift(&mut rng) % 4) as usize];
-                    let at_step = 1 + xorshift(&mut rng) % max_at_step.max(1);
+                if rng.below(1000) < u64::from(per_mille) {
+                    let kind = kinds[rng.below(4) as usize];
+                    let at_step = 1 + rng.below(max_at_step.max(1));
                     plan = plan.inject(tenant, request, kind, at_step);
                 }
             }
@@ -196,14 +197,6 @@ impl FaultPlan {
     }
 }
 
-/// xorshift64* step — the exact generator of the GC randomized tests.
-fn xorshift(x: &mut u64) -> u64 {
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    *x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,6 +251,48 @@ mod tests {
         .map(|k| a.count_of(*k))
         .sum();
         assert_eq!(total, a.len());
+    }
+
+    #[test]
+    fn seeded_plans_are_pinned() {
+        // bench_server's fault schedule (64 tenants, 4 requests each, at
+        // most 40 steps) at its 10 per mille, and denser at 50, listed
+        // exactly: a change to the generator or to the order of its draws
+        // must not move a soak's or a benchmark's faults silently.
+        let tenants: Vec<String> = (0..64).map(|i| format!("t{i}")).collect();
+        let listed = |per_mille| {
+            let plan = FaultPlan::seeded(0x5EED_5EED, &tenants, 4, per_mille, 40);
+            let mut faults = Vec::new();
+            for tenant in &tenants {
+                for request in 0..4 {
+                    if let Some(f) = plan.fault_for(tenant, request) {
+                        faults.push((tenant.as_str(), request, f.kind, f.at_step));
+                    }
+                }
+            }
+            faults
+        };
+        use FaultKind::*;
+        assert_eq!(
+            listed(10),
+            [("t49", 3, OutOfFuel, 8), ("t50", 3, Stall, 28)]
+        );
+        assert_eq!(
+            listed(50),
+            [
+                ("t3", 1, Stall, 16),
+                ("t12", 3, Stall, 38),
+                ("t26", 0, OutOfFuel, 8),
+                ("t31", 2, WorkerPanic, 8),
+                ("t33", 3, Trap, 7),
+                ("t47", 1, OutOfFuel, 8),
+                ("t48", 1, Stall, 28),
+                ("t53", 3, Stall, 37),
+                ("t54", 0, WorkerPanic, 37),
+                ("t58", 1, Stall, 4),
+                ("t62", 3, Trap, 19),
+            ]
+        );
     }
 
     #[test]
