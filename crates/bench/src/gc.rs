@@ -33,12 +33,18 @@ use com_mem::Word;
 use com_stc::{compile_com, CompileOptions};
 use com_workloads::{Workload, CHURN};
 
-use crate::json_num;
+use crate::protocol::{self, artifact, num, obj, paired_median, ratio, text, Host};
 
 /// The shared collection cadence (prime, so collections land mid-burst).
 pub const MINOR_INTERVAL: u64 = 1009;
 /// Generational full collections every `MINOR_INTERVAL * FULL_FACTOR`.
 pub const FULL_FACTOR: u64 = 8;
+
+/// Churn problem sizes measured: the live heap roughly doubles each step.
+pub const SIZES: [i64; 3] = [120, 240, 480];
+
+/// Paired wall-clock rounds per size.
+pub const ROUNDS: u32 = 3;
 
 /// One configuration's collector work plus its wall time.
 #[derive(Debug, Clone, Copy)]
@@ -58,12 +64,12 @@ pub struct GcMeasure {
 impl GcMeasure {
     /// Words scanned per word reclaimed — the collector's unit cost.
     pub fn scanned_per_freed(&self) -> f64 {
-        self.words_scanned as f64 / self.words_freed.max(1) as f64
+        ratio(self.words_scanned, self.words_freed)
     }
 
     /// Words scanned per collection (the sublinearity probe).
     pub fn scanned_per_collection(&self) -> f64 {
-        self.words_scanned as f64 / self.collections.max(1) as f64
+        ratio(self.words_scanned, self.collections)
     }
 }
 
@@ -184,19 +190,16 @@ pub fn measure_size(size: i64, repeats: u32) -> Result<GcRow, MachineError> {
     );
 
     // Paired wall rounds: time full then generational under the same
-    // conditions; keep the round with the median ratio.
-    let mut rounds: Vec<(u64, u64)> = Vec::new();
-    for _ in 0..repeats.max(1) {
-        let (_, _, _, full_ns) = run_once(&w, full_config(), false)?;
-        let (_, _, _, gen_ns) = run_once(&w, generational_config(), false)?;
-        rounds.push((full_ns, gen_ns));
-    }
-    rounds.sort_by(|a, b| {
-        let ra = a.0 as f64 / a.1.max(1) as f64;
-        let rb = b.0 as f64 / b.1.max(1) as f64;
-        ra.partial_cmp(&rb).expect("finite ratios")
-    });
-    let (full_ns, gen_ns) = rounds[rounds.len() / 2];
+    // conditions.
+    let (full_ns, gen_ns) = paired_median(
+        repeats,
+        || {
+            let (_, _, _, full_ns) = run_once(&w, full_config(), false)?;
+            let (_, _, _, gen_ns) = run_once(&w, generational_config(), false)?;
+            Ok::<_, MachineError>((full_ns, gen_ns))
+        },
+        |&(full_ns, gen_ns)| ratio(full_ns, gen_ns),
+    )?;
 
     Ok(GcRow {
         size,
@@ -219,60 +222,74 @@ pub fn measure_size(size: i64, repeats: u32) -> Result<GcRow, MachineError> {
     })
 }
 
-/// Runs the full pipeline across `sizes`.
+/// Runs the full pipeline: every size in [`SIZES`], [`ROUNDS`] paired
+/// rounds each.
 ///
 /// # Errors
 ///
 /// Propagates machine errors.
-pub fn gc_rows(sizes: &[i64], repeats: u32) -> Result<Vec<GcRow>, MachineError> {
-    sizes.iter().map(|s| measure_size(*s, repeats)).collect()
+pub fn report() -> Result<Vec<GcRow>, MachineError> {
+    SIZES.iter().map(|s| measure_size(*s, ROUNDS)).collect()
 }
 
 /// Renders the rows as the machine-readable `BENCH_gc.json` document.
-pub fn rows_to_json(rows: &[GcRow]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"bench\": \"gc\",\n  \"schema\": 1,\n");
-    s.push_str(&format!(
-        "  \"protocol\": {{\"workload\": \"churn\", \"minor_interval\": {MINOR_INTERVAL}, \"full_factor\": {FULL_FACTOR}}},\n"
-    ));
-    s.push_str("  \"unit\": {\"scanned_per_freed\": \"mark-phase words scanned per word of storage reclaimed\", \"scan_efficiency\": \"full scanned_per_freed over generational scanned_per_freed\"},\n");
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"size\": {}, \"live_words\": {}, \"instructions\": {},\n",
-            r.size, r.live_words, r.instructions
-        ));
-        for (label, m) in [("full", r.full), ("generational", r.generational)] {
-            s.push_str(&format!(
-                "     \"{}\": {{\"collections\": {}, \"minor_collections\": {}, \"words_scanned\": {}, \"words_freed\": {}, \"scanned_per_freed\": {}, \"scanned_per_collection\": {}, \"wall_ns\": {}}},\n",
-                label,
-                m.collections,
-                m.minor_collections,
-                m.words_scanned,
-                m.words_freed,
-                json_num(m.scanned_per_freed()),
-                json_num(m.scanned_per_collection()),
-                m.wall_ns,
-            ));
-        }
-        s.push_str(&format!(
-            "     \"scan_efficiency\": {}}}",
-            json_num(r.scan_efficiency())
-        ));
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    let geomean = if rows.is_empty() {
-        f64::NAN
-    } else {
-        (rows.iter().map(|r| r.scan_efficiency().ln()).sum::<f64>() / rows.len() as f64).exp()
+pub fn to_json(rows: &[GcRow], host: &Host) -> String {
+    let measure = |m: &GcMeasure| {
+        obj(&[
+            ("collections", &m.collections),
+            ("minor_collections", &m.minor_collections),
+            ("words_scanned", &m.words_scanned),
+            ("words_freed", &m.words_freed),
+            ("scanned_per_freed", &num(m.scanned_per_freed())),
+            ("scanned_per_collection", &num(m.scanned_per_collection())),
+            ("wall_ns", &m.wall_ns),
+        ])
     };
-    s.push_str(&format!(
-        "  \"summary\": {{\"geomean_scan_efficiency\": {}, \"target_2x_met\": {}}}\n}}\n",
-        json_num(geomean),
-        rows.iter().all(|r| r.scan_efficiency() >= 2.0),
-    ));
-    s
+    let row = |r: &GcRow| {
+        obj(&[
+            ("size", &r.size),
+            ("live_words", &r.live_words),
+            ("instructions", &r.instructions),
+            ("full", &measure(&r.full)),
+            ("generational", &measure(&r.generational)),
+            ("scan_efficiency", &num(r.scan_efficiency())),
+        ])
+    };
+    // No rows: 0/0 is NaN, written as null.
+    let geomean =
+        (rows.iter().map(|r| r.scan_efficiency().ln()).sum::<f64>() / rows.len() as f64).exp();
+    artifact(
+        "gc",
+        host,
+        &obj(&[
+            ("workload", &text(CHURN.name)),
+            ("minor_interval", &MINOR_INTERVAL),
+            ("full_factor", &FULL_FACTOR),
+        ]),
+        &obj(&[
+            (
+                "scanned_per_freed",
+                &text("mark-phase words scanned per word of storage reclaimed"),
+            ),
+            (
+                "scan_efficiency",
+                &text("full scanned_per_freed over generational scanned_per_freed"),
+            ),
+        ]),
+        &[
+            ("rows", &protocol::rows(rows.iter().map(row))),
+            (
+                "summary",
+                &obj(&[
+                    ("geomean_scan_efficiency", &num(geomean)),
+                    (
+                        "target_2x_met",
+                        &rows.iter().all(|r| r.scan_efficiency() >= 2.0),
+                    ),
+                ]),
+            ),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -309,11 +326,13 @@ mod tests {
             full: m,
             generational: g,
         }];
-        let j = rows_to_json(&rows);
+        let host = Host {
+            cores: 2,
+            commit: "abc1234".to_string(),
+        };
+        let j = to_json(&rows, &host);
         assert!(j.contains("\"scan_efficiency\": 5.000"));
         assert!(j.contains("\"target_2x_met\": true"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 
     #[test]

@@ -1,16 +1,23 @@
 //! Experiment harness support: shared trace construction and report
-//! formatting for the figure/table binaries (see `src/bin/`).
+//! formatting for the figure/table binaries (see `src/bin/`), and the
+//! four wall-clock bench pipelines `bench_all` runs over one shared
+//! [`protocol`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod gc;
 pub mod parallel;
+pub mod protocol;
 pub mod server;
 pub mod sessions;
 
+use com_core::{CycleStats, MachineConfig};
+use com_mem::Word;
+use com_stc::CompileOptions;
 use com_trace::Trace;
-use com_workloads as workloads;
+use com_vm::{Vm, VmError};
+use com_workloads::{self as workloads, Workload};
 
 /// Builds the merged Fith trace of all portable workloads — the
 /// reproduction's counterpart of the paper's "several traces … the longest
@@ -80,14 +87,44 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Formats a number for the `BENCH_*.json` writers: three decimals, or
-/// `null` when it is not finite (JSON has no NaN or infinity).
-pub(crate) fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
+/// A workload, its shared image, and its outcome when run alone on a
+/// fresh session: the reference every tenant of a multi-tenant run is
+/// compared with.
+pub(crate) struct Solo {
+    /// The workload.
+    pub workload: Workload,
+    /// The image tenants of this workload boot from.
+    pub vm: Vm,
+    /// The solo run's result word.
+    pub result: Word,
+    /// The solo run's statistics.
+    pub stats: CycleStats,
+}
+
+/// Boots one image per workload in `set` and runs each workload alone.
+///
+/// # Panics
+///
+/// Panics if a workload fails its self-check.
+pub(crate) fn solo_baselines(set: &[Workload]) -> Result<Vec<Solo>, VmError> {
+    set.iter()
+        .map(|w| {
+            let vm = workloads::vm_for(w, MachineConfig::default(), CompileOptions::default());
+            let out = workloads::run_on(w, &mut vm.session()?, workloads::MAX_STEPS)?;
+            assert_eq!(
+                out.result,
+                Word::Int(w.expected),
+                "{} failed its self-check solo",
+                w.name
+            );
+            Ok(Solo {
+                workload: *w,
+                vm,
+                result: out.result,
+                stats: out.stats,
+            })
+        })
+        .collect()
 }
 
 /// Formats an optional ratio as a percentage.

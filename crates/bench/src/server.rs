@@ -7,10 +7,10 @@
 //! worker panics, fuel exhaustion via [`FaultPlan`]) must not blow up
 //! tail latency for everyone else: `p99_faults ≤ 2 × p99_without`.
 //!
-//! Protocol: paired rounds, like the other pipelines. Each round runs
-//! the identical tenant/request schedule twice back to back — once
-//! fault-free, once under the seeded plan — on a fresh server each
-//! phase; the reported round is the one with the median p99 ratio.
+//! Protocol: the shared [`paired_median`]. Each round runs the identical
+//! tenant/request schedule twice back to back — once fault-free, once
+//! under the seeded plan — on a fresh server each phase; the reported
+//! round is the one with the median p99 ratio.
 //! Latency is measured server-side per request (admission to terminal
 //! response, queue wait included), so backpressure is part of the
 //! number, not hidden by it.
@@ -22,16 +22,19 @@ use com_vm::server::{
 };
 use com_vm::{Vm, VmError};
 
-use crate::json_num;
+use crate::protocol::{artifact, num, obj, paired_median, rows, text, Host};
 
-/// Default concurrent tenants (the ISSUE 6 headline scale).
+/// Concurrent tenants: the runtime's headline scale.
 pub const TENANTS: usize = 1000;
 
 /// Requests each tenant submits per phase.
 pub const REQUESTS_PER_TENANT: usize = 4;
 
-/// Default worker threads.
+/// Worker threads.
 pub const WORKERS: usize = 4;
+
+/// Paired (fault-free, faulted) rounds.
+pub const ROUNDS: u32 = 5;
 
 /// Admission-queue depth — deliberately far below the request count so
 /// the bench exercises real backpressure, not an unbounded buffer.
@@ -98,14 +101,10 @@ pub struct ServerReport {
     pub with_faults: PhaseRow,
     /// Tenants per phase.
     pub tenants: usize,
-    /// Requests per tenant per phase.
-    pub requests_per_tenant: usize,
     /// Worker threads.
     pub workers: usize,
     /// Paired rounds timed.
     pub rounds: u32,
-    /// Cores the host exposes.
-    pub host_cores: usize,
 }
 
 impl ServerReport {
@@ -114,17 +113,12 @@ impl ServerReport {
         self.with_faults.p99_us / self.without.p99_us.max(f64::MIN_POSITIVE)
     }
 
-    /// Whether the ≤2× tail-latency bar is met.
+    /// Whether the ≤2× tail-latency bar is met. On a host with fewer
+    /// cores than workers ([`Host::limited`]) wall-clock figures reflect
+    /// time-slicing, but the p99 *ratio* is still meaningful (both phases
+    /// are equally limited), which is why the bar is judged on it.
     pub fn target_met(&self) -> bool {
         self.p99_ratio() <= 2.0
-    }
-
-    /// Whether the host has fewer cores than the configured workers, so
-    /// wall-clock figures reflect time-slicing rather than true
-    /// parallelism. The p99 *ratio* is still meaningful (both phases are
-    /// equally limited), which is why the bar is judged on it.
-    pub fn host_limited(&self) -> bool {
-        self.host_cores < self.workers
     }
 }
 
@@ -242,79 +236,79 @@ pub fn report(tenants: usize, workers: usize, repeats: u32) -> Result<ServerRepo
     phase(&vm, warm, workers, FaultPlan::new())?;
     phase(&vm, warm, workers, warm_plan)?;
 
-    let mut rounds: Vec<(PhaseRow, PhaseRow)> = Vec::new();
-    for _ in 0..repeats.max(1) {
-        let (without, stats_a) = phase(&vm, tenants, workers, FaultPlan::new())?;
-        assert_eq!(stats_a.failed, 0, "the fault-free phase must not fail");
-        assert_eq!(stats_a.shed, 0, "blocking submits must not shed");
-        let (with_faults, stats_b) = phase(&vm, tenants, workers, plan.clone())?;
-        assert_eq!(
-            stats_b.completed + stats_b.failed,
-            (tenants * REQUESTS_PER_TENANT) as u64,
-            "every admitted request must terminate"
-        );
-        rounds.push((without, with_faults));
-    }
-    let ratio = |r: &(PhaseRow, PhaseRow)| r.1.p99_us / r.0.p99_us.max(f64::MIN_POSITIVE);
-    rounds.sort_by(|a, b| ratio(a).partial_cmp(&ratio(b)).expect("finite ratios"));
-    let (without, with_faults) = rounds[rounds.len() / 2];
+    let (without, with_faults) = paired_median(
+        repeats,
+        || {
+            let (without, stats_a) = phase(&vm, tenants, workers, FaultPlan::new())?;
+            assert_eq!(stats_a.failed, 0, "the fault-free phase must not fail");
+            assert_eq!(stats_a.shed, 0, "blocking submits must not shed");
+            let (with_faults, stats_b) = phase(&vm, tenants, workers, plan.clone())?;
+            assert_eq!(
+                stats_b.completed + stats_b.failed,
+                (tenants * REQUESTS_PER_TENANT) as u64,
+                "every admitted request must terminate"
+            );
+            Ok::<_, VmError>((without, with_faults))
+        },
+        |(without, with_faults)| with_faults.p99_us / without.p99_us.max(f64::MIN_POSITIVE),
+    )?;
     Ok(ServerReport {
         without,
         with_faults,
         tenants,
-        requests_per_tenant: REQUESTS_PER_TENANT,
         workers,
         rounds: repeats.max(1),
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
     })
 }
 
 /// Renders the report as the machine-readable `BENCH_server.json`.
-pub fn report_to_json(r: &ServerReport) -> String {
-    fn row(p: &PhaseRow) -> String {
-        format!(
-            "    {{\"faults\": {}, \"wall_ns\": {}, \"req_per_s\": {}, \"p50_us\": {}, \"p99_us\": {}, \"completed\": {}, \"failed\": {}, \"retries\": {}, \"faults_injected\": {}, \"max_queued\": {}}}",
-            p.faults,
-            p.wall_ns,
-            json_num(p.req_per_s),
-            json_num(p.p50_us),
-            json_num(p.p99_us),
-            p.completed,
-            p.failed,
-            p.retries,
-            p.faults_injected,
-            p.max_queued,
-        )
-    }
-    let mut s = String::new();
-    s.push_str("{\n  \"bench\": \"server\",\n  \"schema\": 1,\n");
-    s.push_str(&format!(
-        "  \"protocol\": {{\"tenants\": {}, \"requests_per_tenant\": {}, \"workers\": {}, \"queue_depth\": {}, \"base_slice\": {}, \"fault_per_mille\": {}, \"seed\": {}, \"paired_rounds\": {}, \"host_cores\": {}}},\n",
-        r.tenants,
-        r.requests_per_tenant,
-        r.workers,
-        QUEUE_DEPTH,
-        BASE_SLICE,
-        FAULT_PER_MILLE,
-        SEED,
-        r.rounds,
-        r.host_cores,
-    ));
-    s.push_str("  \"unit\": {\"latency\": \"microseconds from admission to terminal response, queue wait included, measured server-side; paired fault-free/faulted phases per round, median p99-ratio round kept\"},\n");
-    s.push_str("  \"rows\": [\n");
-    s.push_str(&row(&r.without));
-    s.push_str(",\n");
-    s.push_str(&row(&r.with_faults));
-    s.push_str("\n  ],\n");
-    s.push_str(&format!(
-        "  \"summary\": {{\"req_per_s\": {}, \"p99_ratio\": {}, \"target_2x_met\": {}, \"host_cores\": {}, \"host_limited\": {}}}\n}}\n",
-        json_num(r.without.req_per_s),
-        json_num(r.p99_ratio()),
-        r.target_met(),
-        r.host_cores,
-        r.host_limited(),
-    ));
-    s
+pub fn to_json(r: &ServerReport, host: &Host) -> String {
+    let row = |p: &PhaseRow| {
+        obj(&[
+            ("faults", &p.faults),
+            ("wall_ns", &p.wall_ns),
+            ("req_per_s", &num(p.req_per_s)),
+            ("p50_us", &num(p.p50_us)),
+            ("p99_us", &num(p.p99_us)),
+            ("completed", &p.completed),
+            ("failed", &p.failed),
+            ("retries", &p.retries),
+            ("faults_injected", &p.faults_injected),
+            ("max_queued", &p.max_queued),
+        ])
+    };
+    artifact(
+        "server",
+        host,
+        &obj(&[
+            ("tenants", &r.tenants),
+            ("requests_per_tenant", &REQUESTS_PER_TENANT),
+            ("workers", &r.workers),
+            ("queue_depth", &QUEUE_DEPTH),
+            ("base_slice", &BASE_SLICE),
+            ("fault_per_mille", &FAULT_PER_MILLE),
+            ("seed", &SEED),
+            ("paired_rounds", &r.rounds),
+            ("host_cores", &host.cores),
+        ]),
+        &obj(&[(
+            "latency",
+            &text("microseconds from admission to terminal response, queue wait included, measured server-side; paired fault-free/faulted phases per round, median p99-ratio round kept"),
+        )]),
+        &[
+            ("rows", &rows([row(&r.without), row(&r.with_faults)])),
+            (
+                "summary",
+                &obj(&[
+                    ("req_per_s", &num(r.without.req_per_s)),
+                    ("p99_ratio", &num(r.p99_ratio())),
+                    ("target_2x_met", &r.target_met()),
+                    ("host_cores", &host.cores),
+                    ("host_limited", &host.limited(r.workers)),
+                ]),
+            ),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -363,21 +357,21 @@ mod tests {
             without: p,
             with_faults: q,
             tenants: 1000,
-            requests_per_tenant: 4,
             workers: 4,
             rounds: 5,
-            host_cores: 8,
         };
         assert!((r.p99_ratio() - 1.666).abs() < 0.01);
         assert!(r.target_met());
-        assert!(!r.host_limited());
-        let j = report_to_json(&r);
+        let host = Host {
+            cores: 8,
+            commit: "abc1234".to_string(),
+        };
+        let j = to_json(&r, &host);
         assert!(j.contains("\"bench\": \"server\""));
         assert!(j.contains("\"p99_ratio\": 1.667"));
         assert!(j.contains("\"target_2x_met\": true"));
         assert!(j.contains("\"host_cores\": 8"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        assert!(j.contains("\"host_limited\": false"));
     }
 
     #[test]

@@ -5,27 +5,35 @@
 //! 1. **Spin-up** — spawning a tenant [`Session`] over a shared, immutable
 //!    [`com_vm::LoadedImage`] must be ≥ 10× cheaper (wall clock) than the
 //!    old one-tenant path, a fresh compile + load of the same program.
-//!    Measured with the same paired-median protocol as the other bench
-//!    pipelines: each round times both paths back to back, and the round
-//!    with the median ratio is reported.
+//!    Measured with the shared [`paired_median`] protocol: each round
+//!    times both paths back to back, and the round with the median ratio
+//!    is reported.
 //! 2. **Round-robin fidelity** — a 16-session cooperative round-robin run
 //!    (the [`com_vm::Scheduler`] interleaving tenants in fixed instruction
 //!    slices) must complete every workload with results *and*
-//!    [`CycleStats`] bit-identical to sequential execution. Isolation is
-//!    architectural, so this is asserted exactly, not approximately.
+//!    [`com_core::CycleStats`] bit-identical to sequential execution.
+//!    Isolation is architectural, so this is asserted exactly, not
+//!    approximately.
 
 use std::time::Instant;
 
-use com_core::{CycleStats, MachineConfig, RunResult};
+use com_core::MachineConfig;
 use com_mem::Word;
 use com_stc::CompileOptions;
 use com_vm::{Scheduler, Session, Vm, VmError};
 use com_workloads::{self as workloads, Workload};
 
-use crate::json_num;
+use crate::protocol::{arr, artifact, num, obj, paired_median, ratio, rows, text, Host};
+use crate::solo_baselines;
 
 /// Instruction slice each tenant receives per scheduler round.
 pub const SLICE_STEPS: u64 = 5_000;
+
+/// Tenants in the round-robin run.
+pub const SESSIONS: usize = 16;
+
+/// Paired wall-clock rounds for the spin-up and pre-seeding comparisons.
+pub const ROUNDS: u32 = 5;
 
 /// The workload set tenants cycle through (fast, varied instruction mixes).
 pub fn tenant_workloads() -> Vec<Workload> {
@@ -51,14 +59,12 @@ pub struct SpinupMeasure {
     /// Nanoseconds per `vm.session()` on the shared image (mean of the
     /// round's batch of [`SPAWNS_PER_ROUND`]).
     pub session_ns: u64,
-    /// Paired rounds timed.
-    pub rounds: u32,
 }
 
 impl SpinupMeasure {
     /// How many times cheaper shared-image session spin-up is.
     pub fn speedup(&self) -> f64 {
-        self.fresh_ns as f64 / self.session_ns.max(1) as f64
+        ratio(self.fresh_ns, self.session_ns)
     }
 }
 
@@ -78,8 +84,6 @@ pub struct PreseedMeasure {
     pub cold_first_call_ns: u64,
     /// Nanoseconds for the pre-seeded session's first call.
     pub preseeded_first_call_ns: u64,
-    /// Paired rounds timed.
-    pub rounds: u32,
 }
 
 impl PreseedMeasure {
@@ -120,8 +124,6 @@ pub struct SessionsReport {
     pub tenants: Vec<TenantRow>,
     /// Scheduler rounds the interleaved run took.
     pub rounds: u64,
-    /// Tenants in the round-robin run.
-    pub sessions: usize,
 }
 
 impl SessionsReport {
@@ -159,12 +161,12 @@ fn time_session_batch(vm: &Vm, spawns: u32) -> Result<u64, VmError> {
     Ok(ns / u64::from(spawns.max(1)))
 }
 
-/// The paired-median spin-up comparison over `repeats` rounds.
+/// The paired-median spin-up comparison over [`ROUNDS`] rounds.
 ///
 /// # Errors
 ///
 /// Propagates compile and boot errors.
-pub fn measure_spinup(repeats: u32) -> Result<SpinupMeasure, VmError> {
+pub fn measure_spinup() -> Result<SpinupMeasure, VmError> {
     let source: String = tenant_workloads()
         .iter()
         .map(|w| w.source)
@@ -175,22 +177,18 @@ pub fn measure_spinup(repeats: u32) -> Result<SpinupMeasure, VmError> {
     // Warm both paths once (allocator, lazy statics).
     time_fresh(&source, config)?;
     time_session_batch(&vm, SPAWNS_PER_ROUND)?;
-    let mut rounds: Vec<(u64, u64)> = Vec::new();
-    for _ in 0..repeats.max(1) {
-        let fresh = time_fresh(&source, config)?;
-        let session = time_session_batch(&vm, SPAWNS_PER_ROUND)?;
-        rounds.push((fresh, session));
-    }
-    rounds.sort_by(|a, b| {
-        let ra = a.0 as f64 / a.1.max(1) as f64;
-        let rb = b.0 as f64 / b.1.max(1) as f64;
-        ra.partial_cmp(&rb).expect("finite ratios")
-    });
-    let (fresh_ns, session_ns) = rounds[rounds.len() / 2];
+    let (fresh_ns, session_ns) = paired_median(
+        ROUNDS,
+        || {
+            let fresh = time_fresh(&source, config)?;
+            let session = time_session_batch(&vm, SPAWNS_PER_ROUND)?;
+            Ok::<_, VmError>((fresh, session))
+        },
+        |&(fresh, session)| ratio(fresh, session),
+    )?;
     Ok(SpinupMeasure {
         fresh_ns,
         session_ns,
-        rounds: repeats.max(1),
     })
 }
 
@@ -231,30 +229,23 @@ pub fn measure_preseed(repeats: u32) -> Result<PreseedMeasure, VmError> {
     // Warm both paths once (lazy analysis, allocator).
     first_call(&cold_vm)?;
     first_call(&seeded_vm)?;
-    let mut rounds: Vec<((u64, u64), (u64, u64))> = Vec::new();
-    for _ in 0..repeats.max(1) {
-        let cold = first_call(&cold_vm)?;
-        let seeded = first_call(&seeded_vm)?;
-        rounds.push((cold, seeded));
-    }
-    rounds.sort_by(|a, b| {
-        let ra = a.0 .0 as f64 / a.1 .0.max(1) as f64;
-        let rb = b.0 .0 as f64 / b.1 .0.max(1) as f64;
-        ra.partial_cmp(&rb).expect("finite ratios")
-    });
-    let ((cold_ns, cold_lookups), (seeded_ns, seeded_lookups)) = rounds[rounds.len() / 2];
+    let ((cold_ns, cold_lookups), (seeded_ns, seeded_lookups)) = paired_median(
+        repeats,
+        || Ok::<_, VmError>((first_call(&cold_vm)?, first_call(&seeded_vm)?)),
+        |&((cold_ns, _), (seeded_ns, _))| ratio(cold_ns, seeded_ns),
+    )?;
     Ok(PreseedMeasure {
         keys,
         cold_full_lookups: cold_lookups,
         preseeded_full_lookups: seeded_lookups,
         cold_first_call_ns: cold_ns,
         preseeded_first_call_ns: seeded_ns,
-        rounds: repeats.max(1),
     })
 }
 
-/// Runs `sessions` tenants sequentially, then the same tenants under the
-/// round-robin scheduler, asserting bit-identical results and statistics.
+/// Runs each workload once sequentially, then `sessions` tenants cycling
+/// through the workloads under the round-robin scheduler, asserting
+/// bit-identical results and statistics.
 ///
 /// # Errors
 ///
@@ -264,35 +255,15 @@ pub fn measure_preseed(repeats: u32) -> Result<PreseedMeasure, VmError> {
 ///
 /// Panics if a workload fails its self-check or a tenant never finishes.
 pub fn measure_roundrobin(sessions: usize) -> Result<(Vec<TenantRow>, u64), VmError> {
-    let picks = tenant_workloads();
-    let vms: Vec<Vm> = picks
-        .iter()
-        .map(|w| workloads::vm_for(w, MachineConfig::default(), CompileOptions::default()))
-        .collect();
-    let tenant_vm = |i: usize| &vms[i % picks.len()];
-    let tenant_w = |i: usize| &picks[i % picks.len()];
-
-    // Sequential baselines.
-    let mut baseline: Vec<(Word, CycleStats)> = Vec::new();
-    for i in 0..sessions {
-        let w = tenant_w(i);
-        let mut s: Session = tenant_vm(i).session()?;
-        let out: RunResult = workloads::run_on(w, &mut s, workloads::MAX_STEPS)?;
-        assert_eq!(
-            out.result,
-            Word::Int(w.expected),
-            "{} failed its self-check sequentially",
-            w.name
-        );
-        baseline.push((out.result, out.stats));
-    }
+    let solo = solo_baselines(&tenant_workloads())?;
 
     // Interleaved run.
     let mut sched = Scheduler::new(SLICE_STEPS);
     let mut ids = Vec::new();
     for i in 0..sessions {
-        let mut s = tenant_vm(i).session()?;
-        workloads::start_on(tenant_w(i), &mut s)?;
+        let tenant = &solo[i % solo.len()];
+        let mut s = tenant.vm.session()?;
+        workloads::start_on(&tenant.workload, &mut s)?;
         ids.push(sched.spawn(s)?);
     }
     sched.run();
@@ -304,95 +275,106 @@ pub fn measure_roundrobin(sessions: usize) -> Result<(Vec<TenantRow>, u64), VmEr
             .and_then(Session::last_run)
             .unwrap_or_else(|| panic!("tenant {i} never finished"))
             .clone();
+        let baseline = &solo[i % solo.len()];
         rows.push(TenantRow {
             tenant: i,
-            workload: tenant_w(i).name,
+            workload: baseline.workload.name,
             result: run.result,
             instructions: run.stats.instructions,
             slices: sched.slices(*id),
-            matches_sequential: run.result == baseline[i].0 && run.stats == baseline[i].1,
+            matches_sequential: run.result == baseline.result && run.stats == baseline.stats,
         });
     }
     Ok((rows, sched.rounds()))
 }
 
-/// Runs the whole pipeline.
+/// Runs the whole pipeline: [`ROUNDS`] paired rounds of each wall-clock
+/// comparison and a [`SESSIONS`]-tenant round-robin run.
 ///
 /// # Errors
 ///
 /// Propagates machine errors.
-pub fn report(sessions: usize, repeats: u32) -> Result<SessionsReport, VmError> {
-    let spinup = measure_spinup(repeats)?;
-    let preseed = measure_preseed(repeats)?;
-    let (tenants, rounds) = measure_roundrobin(sessions)?;
+pub fn report() -> Result<SessionsReport, VmError> {
+    let spinup = measure_spinup()?;
+    let preseed = measure_preseed(ROUNDS)?;
+    let (tenants, rounds) = measure_roundrobin(SESSIONS)?;
     Ok(SessionsReport {
         spinup,
         preseed,
-        sessions,
         tenants,
         rounds,
     })
 }
 
 /// Renders the report as the machine-readable `BENCH_sessions.json`.
-pub fn report_to_json(r: &SessionsReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"bench\": \"sessions\",\n  \"schema\": 1,\n");
-    s.push_str(&format!(
-        "  \"protocol\": {{\"sessions\": {}, \"slice_steps\": {}, \"workloads\": [{}], \"paired_rounds\": {}, \"spawns_per_round\": {}}},\n",
-        r.sessions,
-        SLICE_STEPS,
-        tenant_workloads()
-            .iter()
-            .map(|w| format!("\"{}\"", w.name))
-            .collect::<Vec<_>>()
-            .join(", "),
-        r.spinup.rounds,
-        SPAWNS_PER_ROUND,
-    ));
-    s.push_str("  \"unit\": {\"spinup_speedup\": \"fresh compile+load wall-ns over per-session shared-image session() wall-ns (mean of a spawns_per_round batch), median paired round\"},\n");
-    s.push_str(&format!(
-        "  \"spinup\": {{\"fresh_ns\": {}, \"session_ns\": {}, \"speedup\": {}, \"target_10x_met\": {}}},\n",
-        r.spinup.fresh_ns,
-        r.spinup.session_ns,
-        json_num(r.spinup.speedup()),
-        r.spinup.speedup() >= 10.0,
-    ));
-    s.push_str(&format!(
-        "  \"preseed\": {{\"keys\": {}, \"cold_full_lookups\": {}, \"preseeded_full_lookups\": {}, \"lookups_avoided\": {}, \"cold_first_call_ns\": {}, \"preseeded_first_call_ns\": {}, \"note\": \"wall-clock delta is host-limited; lookups_avoided is the deterministic signal\"}},\n",
-        r.preseed.keys,
-        r.preseed.cold_full_lookups,
-        r.preseed.preseeded_full_lookups,
-        r.preseed.lookups_avoided(),
-        r.preseed.cold_first_call_ns,
-        r.preseed.preseeded_first_call_ns,
-    ));
-    s.push_str("  \"roundrobin\": {\n");
-    s.push_str(&format!(
-        "    \"rounds\": {},\n    \"tenants\": [\n",
-        r.rounds
-    ));
-    for (i, t) in r.tenants.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"tenant\": {}, \"workload\": \"{}\", \"result\": \"{}\", \"instructions\": {}, \"slices\": {}, \"matches_sequential\": {}}}{}",
-            t.tenant,
-            t.workload,
-            t.result,
-            t.instructions,
-            t.slices,
-            t.matches_sequential,
-            if i + 1 < r.tenants.len() { ",\n" } else { "\n" },
-        ));
-    }
-    s.push_str("    ]\n  },\n");
-    s.push_str(&format!(
-        "  \"summary\": {{\"spinup_speedup\": {}, \"target_10x_met\": {}, \"roundrobin_matches\": {}, \"preseed_lookups_avoided\": {}}}\n}}\n",
-        json_num(r.spinup.speedup()),
-        r.spinup.speedup() >= 10.0,
-        r.all_match(),
-        r.preseed.lookups_avoided(),
-    ));
-    s
+pub fn to_json(r: &SessionsReport, host: &Host) -> String {
+    let tenant = |t: &TenantRow| {
+        obj(&[
+            ("tenant", &t.tenant),
+            ("workload", &text(t.workload)),
+            ("result", &text(&t.result.to_string())),
+            ("instructions", &t.instructions),
+            ("slices", &t.slices),
+            ("matches_sequential", &t.matches_sequential),
+        ])
+    };
+    artifact(
+        "sessions",
+        host,
+        &obj(&[
+            ("sessions", &r.tenants.len()),
+            ("slice_steps", &SLICE_STEPS),
+            ("workloads", &arr(tenant_workloads().iter().map(|w| text(w.name)))),
+            ("paired_rounds", &ROUNDS),
+            ("spawns_per_round", &SPAWNS_PER_ROUND),
+        ]),
+        &obj(&[(
+            "spinup_speedup",
+            &text("fresh compile+load wall-ns over per-session shared-image session() wall-ns (mean of a spawns_per_round batch), median paired round"),
+        )]),
+        &[
+            (
+                "spinup",
+                &obj(&[
+                    ("fresh_ns", &r.spinup.fresh_ns),
+                    ("session_ns", &r.spinup.session_ns),
+                    ("speedup", &num(r.spinup.speedup())),
+                    ("target_10x_met", &(r.spinup.speedup() >= 10.0)),
+                ]),
+            ),
+            (
+                "preseed",
+                &obj(&[
+                    ("keys", &r.preseed.keys),
+                    ("cold_full_lookups", &r.preseed.cold_full_lookups),
+                    ("preseeded_full_lookups", &r.preseed.preseeded_full_lookups),
+                    ("lookups_avoided", &r.preseed.lookups_avoided()),
+                    ("cold_first_call_ns", &r.preseed.cold_first_call_ns),
+                    ("preseeded_first_call_ns", &r.preseed.preseeded_first_call_ns),
+                    (
+                        "note",
+                        &text("wall-clock delta is host-limited; lookups_avoided is the deterministic signal"),
+                    ),
+                ]),
+            ),
+            (
+                "roundrobin",
+                &obj(&[
+                    ("rounds", &r.rounds),
+                    ("tenants", &rows(r.tenants.iter().map(tenant))),
+                ]),
+            ),
+            (
+                "summary",
+                &obj(&[
+                    ("spinup_speedup", &num(r.spinup.speedup())),
+                    ("target_10x_met", &(r.spinup.speedup() >= 10.0)),
+                    ("roundrobin_matches", &r.all_match()),
+                    ("preseed_lookups_avoided", &r.preseed.lookups_avoided()),
+                ]),
+            ),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -427,7 +409,6 @@ mod tests {
             spinup: SpinupMeasure {
                 fresh_ns: 1_000_000,
                 session_ns: 10_000,
-                rounds: 3,
             },
             preseed: PreseedMeasure {
                 keys: 200,
@@ -435,9 +416,7 @@ mod tests {
                 preseeded_full_lookups: 10,
                 cold_first_call_ns: 2_000,
                 preseeded_first_call_ns: 1_500,
-                rounds: 3,
             },
-            sessions: 2,
             tenants: vec![TenantRow {
                 tenant: 0,
                 workload: "calls",
@@ -448,11 +427,13 @@ mod tests {
             }],
             rounds: 6,
         };
-        let j = report_to_json(&r);
+        let host = Host {
+            cores: 2,
+            commit: "abc1234".to_string(),
+        };
+        let j = to_json(&r, &host);
         assert!(j.contains("\"speedup\": 100.000"));
         assert!(j.contains("\"target_10x_met\": true"));
         assert!(j.contains("\"roundrobin_matches\": true"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 }

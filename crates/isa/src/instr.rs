@@ -66,8 +66,8 @@ impl Instr {
     ///
     /// # Errors
     ///
-    /// Returns [`IsaError::MisplacedConstant`] if `a` or `b` is constant
-    /// mode, [`IsaError::OpcodeOutOfRange`] or
+    /// Returns [`IsaError::MisplacedConstant`] if the destination `a` is
+    /// constant mode, [`IsaError::OpcodeOutOfRange`] or
     /// [`IsaError::OperandOutOfRange`] on field overflow.
     pub fn three(op: Opcode, a: Operand, b: Operand, c: Operand) -> Result<Instr, IsaError> {
         Self::three_ret(op, a, b, c, false)
@@ -91,10 +91,11 @@ impl Instr {
         if a.is_const() {
             return Err(IsaError::MisplacedConstant { position: 0 });
         }
-        // Deviation from the paper's "last operand only" constant rule,
-        // documented in DESIGN.md: we model a dual-ported constant
-        // generator, so either source operand (B or C) may be constant.
-        // Only the destination A must name a context slot.
+        // Deviation from the paper's "last operand only" constant rule
+        // (see "Deviations from the paper" in the README): we model a
+        // dual-ported constant generator, so either source operand (B or
+        // C) may be constant. Only the destination A must name a context
+        // slot.
         a.validated()?;
         b.validated()?;
         c.validated()?;

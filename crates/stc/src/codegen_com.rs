@@ -1191,5 +1191,46 @@ mod tests {
         );
         // Real blocks were created: home contexts escaped to the GC.
         assert!(m.stats().contexts_left_to_gc > 0);
+
+        // Through the standard library's control-flow methods: a discarded
+        // conditional's value, `timesRepeat:`, a negated condition, and an
+        // assignment as an arm's last expression.
+        let opts = CompileOptions {
+            inline_control_flow: false,
+            with_stdlib: true,
+        };
+        for (src, selector, arg, expected) in [
+            (
+                "class SmallInteger method m1 | x | x := 0. self > 2 ifTrue: [ x := 10 ] ifFalse: [ x := 20 ]. ^x end end",
+                "m1",
+                5,
+                10,
+            ),
+            (
+                "class SmallInteger method m2 | x | x := 1. self timesRepeat: [ x := x + x ]. ^x end end",
+                "m2",
+                4,
+                16,
+            ),
+            (
+                "class SmallInteger method m3 | t | t := 0. (self = 1) not ifTrue: [ t := t + 7 ]. ^t end end",
+                "m3",
+                5,
+                7,
+            ),
+            (
+                "class P extends Object vars a method set: k a := k. ^self end method geta ^a end end
+                 class SmallInteger method m4 | p | p := P new set: 0. self > 0 ifTrue: [ p set: 9 ]. ^p geta end end",
+                "m4",
+                3,
+                9,
+            ),
+        ] {
+            let image = crate::compile_com(src, opts).unwrap();
+            let mut m = Machine::new(MachineConfig::default());
+            m.load(&image).unwrap();
+            let out = m.send(selector, Word::Int(arg), &[], 10_000_000).unwrap();
+            assert_eq!(out.result, Word::Int(expected), "{selector}({arg})");
+        }
     }
 }

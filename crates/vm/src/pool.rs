@@ -28,8 +28,8 @@ use crate::{Session, TenantRun};
 /// A fixed pool of worker threads that drains in-flight resumable
 /// sessions, preserving the cooperative [`Session::resume`] yield
 /// cadence — so every tenant finishes with a result and `CycleStats`
-/// bit-identical to running alone (asserted by the `bench_parallel`
-/// pipeline and this module's tests).
+/// bit-identical to running alone (asserted by the parallel pipeline of
+/// `bench_all` and this module's tests).
 ///
 /// ```
 /// # fn main() -> Result<(), com_vm::VmError> {

@@ -100,8 +100,8 @@ impl TenantRun {
 /// caches and statistics) and [`Session::resume`] yields at consistent
 /// machine states, interleaving N tenants produces, for every tenant,
 /// results and [`com_core::CycleStats`] bit-identical to running it
-/// alone — fairness costs nothing in fidelity. The `bench_sessions`
-/// pipeline asserts exactly that.
+/// alone — fairness costs nothing in fidelity. The sessions pipeline of
+/// `bench_all` asserts exactly that.
 ///
 /// ```
 /// # fn main() -> Result<(), com_vm::VmError> {

@@ -255,10 +255,12 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_pinned() {
-        // bench_server's fault schedule (64 tenants, 4 requests each, at
-        // most 40 steps) at its 10 per mille, and denser at 50, listed
-        // exactly: a change to the generator or to the order of its draws
-        // must not move a soak's or a benchmark's faults silently.
+        // The server bench's fault schedule (4 requests per tenant, at
+        // most 40 steps) over its first 64 tenants, at its 10 per mille
+        // and at its warm-up's 50, listed exactly. Draws go tenant by
+        // tenant, so a plan over more tenants starts with these faults. A
+        // change to the generator or to the order of its draws must not
+        // move a soak's or a benchmark's faults silently.
         let tenants: Vec<String> = (0..64).map(|i| format!("t{i}")).collect();
         let listed = |per_mille| {
             let plan = FaultPlan::seeded(0x5EED_5EED, &tenants, 4, per_mille, 40);

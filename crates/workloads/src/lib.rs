@@ -608,15 +608,24 @@ mod tests {
 
     #[test]
     fn every_workload_runs_on_com_and_self_checks() {
+        // With control-flow inlining on, and off as in the A3 ablation,
+        // where conditionals and loops run as real blocks.
+        let no_inline = CompileOptions {
+            inline_control_flow: false,
+            with_stdlib: true,
+        };
         for w in all() {
-            let (out, _) = run_com(&w, MachineConfig::default(), MAX_STEPS)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", w.name));
-            assert_eq!(
-                out.result,
-                Word::Int(w.expected),
-                "{} produced wrong answer",
-                w.name
-            );
+            for options in [CompileOptions::default(), no_inline] {
+                let (out, _) =
+                    run_com_with_options(&w, MachineConfig::default(), options, MAX_STEPS)
+                        .unwrap_or_else(|e| panic!("{} failed ({options:?}): {e}", w.name));
+                assert_eq!(
+                    out.result,
+                    Word::Int(w.expected),
+                    "{} produced wrong answer ({options:?})",
+                    w.name
+                );
+            }
         }
     }
 

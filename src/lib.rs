@@ -3,8 +3,9 @@
 //! Machine precursor, a mini-Smalltalk compiler for both, and the paper's
 //! full experimental apparatus.
 //!
-//! This facade crate re-exports every subsystem; see `DESIGN.md` for the
-//! system inventory and `EXPERIMENTS.md` for paper-vs-measured results.
+//! This facade crate re-exports every subsystem; the repository README
+//! has the crate map, the experiment binaries, and the deviations from
+//! the paper.
 //!
 //! The embedding API is the [`vm`] facade: compile once into a shared
 //! immutable image, then spawn any number of cheap, isolated tenant
