@@ -4,6 +4,14 @@ use com_cache::CacheConfig;
 use com_fpa::FpaFormat;
 use com_obj::{ItlbConfig, LookupCost};
 
+/// Free context-cache blocks at or below which the copyback engine runs
+/// (§2.3: "when only two blocks are free … the cache begins copying the
+/// LRU context back").
+pub(crate) const COPYBACK_LOW_WATER: usize = 2;
+
+/// Cycles to fault a context block in from memory (a block fill).
+pub(crate) const CTX_FAULT_PENALTY: u64 = 32;
+
 /// Configuration of one COM instance.
 ///
 /// The defaults reproduce the paper's machine: a 512×2-way ITLB (§5), a
@@ -11,7 +19,9 @@ use com_obj::{ItlbConfig, LookupCost};
 /// cache (§2.3: "a context cache of this modest size would almost never
 /// miss") with copyback enabled, and the §3.6 stall penalties. The
 /// switches select the paper's ablations (no ITLB, no context cache, no
-/// eager LIFO freeing) and the garbage collector's cadence.
+/// eager LIFO freeing) and the garbage collector's cadence. The copyback
+/// low-water mark and the context fault penalty are fixed
+/// (`COPYBACK_LOW_WATER`, `CTX_FAULT_PENALTY`).
 #[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
     /// Virtual address format (COM 36-bit by default).
@@ -28,10 +38,9 @@ pub struct MachineConfig {
     /// (ablation A2: contexts live in plain memory).
     pub ctx_blocks: Option<usize>,
     /// Enable the §2.3 copyback mechanism ("when only two blocks are free …
-    /// the cache begins copying the LRU context back").
+    /// the cache begins copying the LRU context back"). The T2 table turns
+    /// it off to compare.
     pub copyback: bool,
-    /// Free blocks at or below which copyback engages.
-    pub copyback_low_water: usize,
     /// Treat read-after-write hazards (§3.6: the compiler must separate
     /// dependent instructions) as errors instead of one-cycle interlocks.
     pub strict_hazards: bool,
@@ -41,8 +50,6 @@ pub struct MachineConfig {
     pub icache_miss_penalty: u64,
     /// Cycles added by an `at:`/`at:put:` (or `new`/`grow`) memory access.
     pub memory_penalty: u64,
-    /// Cycles to fault a context block in from memory (block fill).
-    pub ctx_fault_penalty: u64,
     /// Steps between **minor** (nursery-only) collections; `None` disables
     /// periodic minor collection. When a step is a multiple of both the
     /// minor and the full interval, the full collection wins.
@@ -66,12 +73,10 @@ impl Default for MachineConfig {
             icache: Some(CacheConfig::new(4096, 2).expect("paper geometry is valid")),
             ctx_blocks: Some(32),
             copyback: true,
-            copyback_low_water: 2,
             strict_hazards: false,
             lookup_cost: LookupCost::default(),
             icache_miss_penalty: 8,
             memory_penalty: 4,
-            ctx_fault_penalty: 32,
             gc_minor_interval: None,
             gc_full_interval: None,
             eager_lifo_free: true,
@@ -104,15 +109,6 @@ impl MachineConfig {
         self
     }
 
-    /// Replaces the absolute-space size (`2^log2` words). Multi-tenant
-    /// embeddings size each session's object space to its workload; the
-    /// backing store is sparse, so this bounds addressability, not
-    /// resident memory.
-    pub fn with_space_log2(mut self, log2: u8) -> Self {
-        self.space_log2 = log2;
-        self
-    }
-
     /// Disables eager LIFO context freeing (T5's GC-burden comparison).
     pub fn without_eager_lifo_free(mut self) -> Self {
         self.eager_lifo_free = false;
@@ -125,13 +121,6 @@ impl MachineConfig {
     pub fn with_generational_gc(mut self, minor: u64, full: u64) -> Self {
         self.gc_minor_interval = Some(minor);
         self.gc_full_interval = Some(full);
-        self
-    }
-
-    /// Periodic minor collections only (full collections still run on
-    /// allocator exhaustion).
-    pub fn with_minor_gc_interval(mut self, minor: u64) -> Self {
-        self.gc_minor_interval = Some(minor);
         self
     }
 }
@@ -158,9 +147,6 @@ mod tests {
         let c = MachineConfig::paper().with_generational_gc(101, 809);
         assert_eq!(c.gc_minor_interval, Some(101));
         assert_eq!(c.gc_full_interval, Some(809));
-        let c = MachineConfig::paper().with_minor_gc_interval(53);
-        assert_eq!(c.gc_minor_interval, Some(53));
-        assert_eq!(c.gc_full_interval, None);
     }
 
     #[test]

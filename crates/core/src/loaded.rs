@@ -21,7 +21,7 @@ use com_fpa::{Fpa, FpaFormat};
 use com_mem::{AbsAddr, ClassId, MemError, ObjectSpace, TeamId};
 use com_obj::{ClassTable, DefinedMethod, MethodRef};
 
-use crate::machine::DecodedBody;
+use crate::machine::{Decoded, DecodedBody};
 use crate::{MachineConfig, ProgramImage};
 
 /// A fully pre-booted machine state for one space geometry: the image's
@@ -45,8 +45,8 @@ pub(crate) struct BootTemplate {
     pub(crate) classes: ClassTable,
     pub(crate) context_class: ClassId,
     pub(crate) code_roots: Vec<Fpa>,
-    /// The decoded-method slab: base, absolute base, shared body.
-    pub(crate) slab: Vec<(Fpa, AbsAddr, Arc<DecodedBody>)>,
+    /// The decoded-method slab, bound to the template space's code.
+    pub(crate) slab: Vec<Decoded>,
     /// Code virtual base → slab slot.
     pub(crate) index: HashMap<u64, u32, FxBuildHasher>,
 }
@@ -78,7 +78,7 @@ impl BootTemplate {
             &mut code_roots,
             |base, abs, body| {
                 let id = u32::try_from(slab.len()).expect("slab outgrew u32");
-                slab.push((base, abs, body));
+                slab.push(Decoded { base, abs, body });
                 index.insert(base.raw(), id);
                 id
             },

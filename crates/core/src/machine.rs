@@ -20,6 +20,21 @@
 //!   and batches the per-instruction counters into loop-locals that are
 //!   flushed at run end, trap, or control transfer.
 //!
+//! # Dispatch in one word
+//!
+//! A translation hit hands the loop one 8-byte [`Translation`], the §2.1
+//! entry's primitive bit and method field: a function unit, or the
+//! decoded-slab slot of a resolved method. The ITLB fills only resolved
+//! methods, because a miss decodes the method before filling; only a trap
+//! handler found by full lookup may still decode, at the end of its call
+//! sequence. The current method is held the same way: `ip` is the method's
+//! base capability and absolute base, and `cur_slab` is its slot, so a
+//! call, return or transfer copies two words and an index, and touches no
+//! reference count. The threaded loop takes one counted handle on a
+//! method's body the first time a run enters that method, and reuses it
+//! for every later segment (the instructions between two transfers) in
+//! the same method; `step` takes none.
+//!
 //! [`Machine::step`] (and [`Machine::run_stepwise`], which drives it) is
 //! the oracle: one instruction per call over the same caches and memory,
 //! with operands fetched generically and hazards re-derived from machine
@@ -45,9 +60,10 @@ use com_mem::{
 };
 use com_obj::{
     lookup_method, lookup_trap_handler, AtomTable, ClassTable, DefinedMethod, Itlb, ItlbKey,
-    MethodRef, TrapSelector,
+    MethodRef, Translation, TrapSelector,
 };
 
+use crate::config::{COPYBACK_LOW_WATER, CTX_FAULT_PENALTY};
 use crate::{
     ContextCache, CtxCacheStats, CycleStats, MachineConfig, MachineError, ProgramImage,
     CONTEXT_WORDS, CTX_ARG0, CTX_ARG1, CTX_RCP, CTX_RIP, OPERAND_BIAS,
@@ -207,19 +223,19 @@ impl DecodedBody {
 /// A decoded, resident method (simulator-side cache; the architectural
 /// instruction cache is modelled separately for timing). Entries live in
 /// the machine's decoded-method slab and are reached from an ITLB hit by
-/// array index (the small integer carried in [`DefinedMethod::slab`]).
+/// array index (the slot a [`Translation::Code`] carries).
 /// The per-machine part is just the binding — base capability and
 /// absolute base of the stored code object; the body may be shared with
 /// other machines through a [`crate::LoadedImage`].
-#[derive(Debug)]
-struct Decoded {
+#[derive(Debug, Clone)]
+pub(crate) struct Decoded {
     /// Base capability of the stored code object.
-    base: Fpa,
+    pub(crate) base: Fpa,
     /// Its absolute base (code objects are GC roots and the collector is
     /// non-moving, so this stays valid for the machine's lifetime).
-    abs: AbsAddr,
+    pub(crate) abs: AbsAddr,
     /// The decoded instruction stream and constants (possibly shared).
-    body: Arc<DecodedBody>,
+    pub(crate) body: Arc<DecodedBody>,
 }
 
 /// A context register: virtual address plus its pretranslated absolute base
@@ -382,7 +398,7 @@ pub struct Machine {
     icache: Option<AddrSet>,
     cc: Option<ContextCache>,
     /// Decoded-method slab: a resident-method hit is one array index.
-    decoded: Vec<Arc<Decoded>>,
+    decoded: Vec<Decoded>,
     /// Cold-path index (code virtual base → slab slot), consulted only
     /// when a dictionary entry has not been resolved to a slab slot yet
     /// (and on shadow-miss returns, to re-enter the caller's method).
@@ -406,10 +422,12 @@ pub struct Machine {
     /// is discarded on any non-LIFO control flow (xfer, mismatch) and on
     /// GC (segment names can be recycled after a sweep).
     shadow: Vec<ShadowFrame>,
-    /// Slab slot of the method `ip` currently points into.
+    /// The current method: its decoded-slab slot. Valid whenever `ip` is
+    /// `Some`.
     cur_slab: u32,
-    /// Current method: base capability, absolute base, program counter.
-    ip: Option<(Fpa, AbsAddr, Arc<Decoded>)>,
+    /// The current method's base capability and absolute base (the
+    /// program counter is `pc`).
+    ip: Option<(Fpa, AbsAddr)>,
     /// Bumped on every control transfer (call/return/xfer/entry). The
     /// threaded loop snapshots this to know when its borrowed decoded
     /// method is stale and must be re-fetched.
@@ -594,7 +612,7 @@ impl Machine {
             &mut self.code_roots,
             |base, abs, body| {
                 let id = u32::try_from(decoded.len()).expect("slab outgrew u32");
-                decoded.push(Arc::new(Decoded { base, abs, body }));
+                decoded.push(Decoded { base, abs, body });
                 decoded_index.insert(base.raw(), id);
                 id
             },
@@ -613,17 +631,7 @@ impl Machine {
         self.atoms = loaded.image().atoms.clone();
         self.opcodes = loaded.image().opcodes.clone();
         self.code_roots.extend_from_slice(&t.code_roots);
-        self.decoded = t
-            .slab
-            .iter()
-            .map(|(base, abs, body)| {
-                Arc::new(Decoded {
-                    base: *base,
-                    abs: *abs,
-                    body: Arc::clone(body),
-                })
-            })
-            .collect();
+        self.decoded = t.slab.clone();
         self.decoded_index = t.index.clone();
     }
 
@@ -648,6 +656,7 @@ impl Machine {
         self.decoded.clear();
         self.decoded_index.clear();
         self.shadow.clear();
+        self.ip = None;
         self.cur_slab = DefinedMethod::UNRESOLVED;
         self.entry_slab = None;
         if let Some(itlb) = &mut self.itlb {
@@ -1036,12 +1045,11 @@ impl Machine {
         if !self.config.copyback {
             return Ok(());
         }
-        let low = self.config.copyback_low_water;
         loop {
             let Some(cc) = &mut self.cc else {
                 return Ok(());
             };
-            if !cc.needs_copyback(low) {
+            if !cc.needs_copyback(COPYBACK_LOW_WATER) {
                 return Ok(());
             }
             let Some(ev) = cc.copyback_victim() else {
@@ -1066,7 +1074,7 @@ impl Machine {
         if let Some(&id) = self.decoded_index.get(&base.raw()) {
             return Ok(id);
         }
-        let d = Arc::new(self.decode_from_memory(code)?);
+        let d = self.decode_from_memory(code)?;
         let id = u32::try_from(self.decoded.len()).expect("slab outgrew u32");
         self.decoded.push(d);
         self.decoded_index.insert(base.raw(), id);
@@ -1136,7 +1144,7 @@ impl Machine {
     /// [`ensure_decoded`](Self::ensure_decoded) would.
     fn install_entry(&mut self, code: Fpa) -> Result<u32, MachineError> {
         let base = code.base();
-        let d = Arc::new(self.decode_from_memory(code)?);
+        let d = self.decode_from_memory(code)?;
         let id = match self.entry_slab {
             Some(slot) => {
                 self.decoded[slot as usize] = d;
@@ -1177,18 +1185,14 @@ impl Machine {
         self.code_roots.len()
     }
 
-    /// The decoded method at slab slot `id`.
+    /// Makes the method at slab slot `id` current, invalidating the
+    /// threaded loop's borrowed decode. A method switch copies two words
+    /// and an index; no handle to the decoded body is taken.
     #[inline]
-    fn slab_entry(&self, id: u32) -> (Fpa, AbsAddr, Arc<Decoded>) {
+    fn set_ip(&mut self, id: u32) {
         let d = &self.decoded[id as usize];
-        (d.base, d.abs, Arc::clone(d))
-    }
-
-    /// Installs a new current method, invalidating the threaded loop's
-    /// borrowed decode.
-    #[inline]
-    fn set_ip(&mut self, f: Fpa, a: AbsAddr, d: Arc<Decoded>) {
-        self.ip = Some((f, a, d));
+        self.ip = Some((d.base, d.abs));
+        self.cur_slab = id;
         self.ip_gen = self.ip_gen.wrapping_add(1);
     }
 
@@ -1200,14 +1204,15 @@ impl Machine {
         match op {
             Operand::Cur(o) => self.ctx_read(false, o as u64),
             Operand::Next(o) => self.ctx_read(true, o as u64),
-            Operand::Const(i) => {
-                let (_, _, d) = self.ip.as_ref().ok_or(MachineError::NoContext)?;
-                d.body
-                    .consts
-                    .get(i as usize)
-                    .copied()
-                    .ok_or(MachineError::ConstOutOfRange { index: i })
-            }
+            Operand::Const(i) => self
+                .decoded
+                .get(self.cur_slab as usize)
+                .ok_or(MachineError::NoContext)?
+                .body
+                .consts
+                .get(i as usize)
+                .copied()
+                .ok_or(MachineError::ConstOutOfRange { index: i }),
         }
     }
 
@@ -1261,8 +1266,8 @@ impl Machine {
 
     #[cold]
     fn observe_dispatch(&mut self, key: ItlbKey) {
-        let method = match &self.ip {
-            Some((f, _, _)) => *f,
+        let method = match self.ip {
+            Some((f, _)) => f,
             None => return,
         };
         let pc = self.pc;
@@ -1290,31 +1295,35 @@ impl Machine {
             if out.cycle {
                 continue;
             }
-            let Some(mut m) = out.method else { continue };
-            if let MethodRef::Defined(d) = m {
-                if !d.is_resolved() {
-                    match self.ensure_decoded(d.code) {
-                        Ok(id) => m = MethodRef::Defined(d.resolved(id)),
-                        Err(_) => continue,
-                    }
-                }
-            }
+            let Some(m) = out.method else { continue };
+            let Ok(t) = self.translation(m) else { continue };
             if let Some(itlb) = &mut self.itlb {
-                itlb.fill(*key, m);
+                itlb.fill(*key, t);
                 filled += 1;
             }
         }
         filled
     }
 
-    fn resolve(&mut self, key: ItlbKey) -> Result<MethodRef, MachineError> {
+    /// Step 3, translation: an ITLB hit hands back the one-word
+    /// [`Translation`] (function unit or decoded-slab slot) and nothing
+    /// else; only a miss leaves the hot path.
+    #[inline(always)]
+    fn resolve(&mut self, key: ItlbKey) -> Result<Translation, MachineError> {
         if let Some(itlb) = &mut self.itlb {
-            if let Some(m) = itlb.lookup(key) {
-                return Ok(m);
+            if let Some(t) = itlb.lookup(key) {
+                return Ok(t);
             }
         }
-        // Full association: "a step which always occurs in the execution of
-        // Smalltalk" when the buffer misses.
+        self.full_lookup(key)
+    }
+
+    /// The translation miss path: full association, "a step which always
+    /// occurs in the execution of Smalltalk" when the buffer misses, then
+    /// the fill.
+    #[cold]
+    #[inline(never)]
+    fn full_lookup(&mut self, key: ItlbKey) -> Result<Translation, MachineError> {
         let out = lookup_method(&self.classes, key.classes[0], key.opcode);
         self.stats.full_lookups += 1;
         self.stats.lookup_cycles += out.cost_cycles(self.config.lookup_cost);
@@ -1324,22 +1333,35 @@ impl Machine {
                 class: key.classes[0],
             });
         }
-        let mut m = out.method.ok_or(MachineError::DoesNotUnderstand {
+        let m = out.method.ok_or(MachineError::DoesNotUnderstand {
             opcode: key.opcode,
             class: key.classes[0],
         })?;
-        // Resolve defined methods to their decoded-slab slot before caching,
-        // so a later translation hit reaches code by one array index.
-        if let MethodRef::Defined(d) = m {
-            if !d.is_resolved() {
-                let id = self.ensure_decoded(d.code)?;
-                m = MethodRef::Defined(d.resolved(id));
-            }
-        }
+        let t = self.translation(m)?;
         if let Some(itlb) = &mut self.itlb {
-            itlb.fill(key, m);
+            itlb.fill(key, t);
         }
-        Ok(m)
+        Ok(t)
+    }
+
+    /// The one-word translation of a dictionary entry: a defined method is
+    /// decoded into the slab first (if it is not already), so a later
+    /// translation hit reaches its code by one array index.
+    fn translation(&mut self, m: MethodRef) -> Result<Translation, MachineError> {
+        Ok(match m {
+            MethodRef::Primitive(p) => Translation::Primitive(p),
+            MethodRef::Defined(d) => Translation::Code(self.slot(d)?),
+        })
+    }
+
+    /// The decoded-slab slot of a defined method, decoding it if the
+    /// dictionary entry is not resolved yet.
+    fn slot(&mut self, d: DefinedMethod) -> Result<u32, MachineError> {
+        if d.is_resolved() {
+            Ok(d.slab)
+        } else {
+            self.ensure_decoded(d.code)
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1359,13 +1381,15 @@ impl Machine {
         if let Some(w) = self.halted {
             return Err(MachineError::Halted(w));
         }
-        let (method_fpa, method_abs, decoded) = match &self.ip {
-            Some((f, a, d)) => (*f, *a, Arc::clone(d)),
-            None => return Err(MachineError::NoContext),
-        };
-        if self.pc >= decoded.body.low.len() as u64 {
+        let (method_fpa, method_abs) = self.ip.ok_or(MachineError::NoContext)?;
+        let Some(low) = self.decoded[self.cur_slab as usize]
+            .body
+            .low
+            .get(self.pc as usize)
+        else {
             return Err(MachineError::BadMethod(method_fpa));
-        }
+        };
+        let instr = low.instr;
         // Step 1: fetch through the instruction cache.
         if let Some(ic) = &mut self.icache {
             let addr = method_abs.0 + CodeObject::HEADER_WORDS + self.pc;
@@ -1374,7 +1398,6 @@ impl Machine {
                 self.stats.icache_miss_cycles += self.config.icache_miss_penalty;
             }
         }
-        let instr = decoded.body.low[self.pc as usize].instr;
         self.stats.instructions += 1;
         self.stats.base_cycles += 2;
         self.steps += 1;
@@ -1414,8 +1437,8 @@ impl Machine {
         // A failed translation is offered to software trap dispatch
         // before it is allowed to kill the send.
         match self.resolve(key) {
-            Ok(MethodRef::Primitive(p)) => self.exec_primitive(instr, p, b, c)?,
-            Ok(MethodRef::Defined(d)) => self.do_call(instr, d, b, c)?,
+            Ok(Translation::Primitive(p)) => self.exec_primitive(instr, p, b, c)?,
+            Ok(Translation::Code(id)) => self.do_call(instr, id, b, c)?,
             Err(e) => self.trap_dispatch(instr, b, c, e)?,
         }
 
@@ -1680,20 +1703,25 @@ impl Machine {
     // Calls, returns, transfers
     // ------------------------------------------------------------------
 
+    /// Calls the method a translation hit named by its slab slot `id`.
     fn do_call(
         &mut self,
         instr: Instr,
-        d: DefinedMethod,
+        id: u32,
         b: (Word, ClassId),
         c: (Word, ClassId),
     ) -> Result<(), MachineError> {
-        self.do_call_impl(instr, d, b, c, false)
+        self.do_call_impl(instr, b, c, false)?;
+        self.enter(id, 0);
+        Ok(())
     }
 
     /// Calls a software trap handler in place of the faulting instruction:
     /// like [`do_call`](Self::do_call), but the argument register (arg2 of
     /// the handler's context) carries the reified trap message instead of
-    /// the faulting instruction's C operand.
+    /// the faulting instruction's C operand, and the handler comes from a
+    /// full lookup, so it may not be decoded yet: that happens at the end
+    /// of the call sequence.
     fn do_call_reified(
         &mut self,
         instr: Instr,
@@ -1701,13 +1729,17 @@ impl Machine {
         b: (Word, ClassId),
         msg: (Word, ClassId),
     ) -> Result<(), MachineError> {
-        self.do_call_impl(instr, d, b, msg, true)
+        self.do_call_impl(instr, b, msg, true)?;
+        let id = self.slot(d)?;
+        self.enter(id, 0);
+        Ok(())
     }
 
+    /// The call sequence up to entering the callee: operand copy, linkage
+    /// charges, the continuation, CP <- NCP and a fresh next context.
     fn do_call_impl(
         &mut self,
         instr: Instr,
-        d: DefinedMethod,
         b: (Word, ClassId),
         c: (Word, ClassId),
         reified: bool,
@@ -1767,7 +1799,7 @@ impl Machine {
         self.stats.operand_copy_cycles += copied;
 
         // Store the continuation into the current context.
-        let (method_fpa, _, _) = self.ip.as_ref().ok_or(MachineError::NoContext)?;
+        let (method_fpa, _) = self.ip.ok_or(MachineError::NoContext)?;
         let rip = method_fpa.with_offset(CodeObject::HEADER_WORDS + self.pc + 1)?;
         self.ctx_write_raw(false, CTX_RIP, Word::Ptr(rip), ClassId::INSTR)?;
 
@@ -1793,21 +1825,16 @@ impl Machine {
         }
         self.ncp = Some(next);
         self.ctx_write_raw(true, CTX_RCP, Word::Ptr(new_cp.fpa), self.context_class)?;
-
-        // IP <- first instruction of the method. A slab-resolved reference
-        // (the warm path: every ITLB hit) is one array index; only an
-        // unresolved dictionary reference pays the decode/index probe.
-        let id = if d.is_resolved() {
-            d.slab
-        } else {
-            self.ensure_decoded(d.code)?
-        };
-        let (f, a, dec) = self.slab_entry(id);
-        self.set_ip(f, a, dec);
-        self.cur_slab = id;
-        self.pc = 0;
-        self.last_dest = None;
         Ok(())
+    }
+
+    /// IP <- instruction `pc` of the method at slab slot `id`: the last
+    /// step of a call, return or transfer.
+    #[inline]
+    fn enter(&mut self, id: u32, pc: u64) {
+        self.set_ip(id);
+        self.pc = pc;
+        self.last_dest = None;
     }
 
     // ------------------------------------------------------------------
@@ -2016,7 +2043,7 @@ impl Machine {
                 Some(bi) => Some(bi),
                 None => {
                     // Context cache miss: fault the caller in from memory.
-                    self.stats.ctx_fault_cycles += self.config.ctx_fault_penalty;
+                    self.stats.ctx_fault_cycles += CTX_FAULT_PENALTY;
                     let mut words = Vec::with_capacity(CONTEXT_WORDS as usize);
                     for off in 0..CONTEXT_WORDS {
                         let w = self
@@ -2065,11 +2092,7 @@ impl Machine {
             Some(f) if f.rip == rip && (f.slab as usize) < self.decoded.len() => f.slab,
             _ => self.ensure_decoded(rip.base())?,
         };
-        let (f, a, dec) = self.slab_entry(id);
-        self.set_ip(f, a, dec);
-        self.cur_slab = id;
-        self.pc = pc;
-        self.last_dest = None;
+        self.enter(id, pc);
         Ok(())
     }
 
@@ -2081,7 +2104,7 @@ impl Machine {
         self.shadow.clear();
         self.stats.calls += 1;
         self.stats.call_linkage_cycles += 2;
-        let (method_fpa, _, _) = self.ip.as_ref().ok_or(MachineError::NoContext)?;
+        let (method_fpa, _) = self.ip.ok_or(MachineError::NoContext)?;
         let rip = method_fpa.with_offset(CodeObject::HEADER_WORDS + self.pc + 1)?;
         self.ctx_write_raw(false, CTX_RIP, Word::Ptr(rip), ClassId::INSTR)?;
         let new_cp = self.ctx_reg(true)?;
@@ -2101,11 +2124,7 @@ impl Machine {
         let method = tip.base();
         let pc = tip.offset() - CodeObject::HEADER_WORDS;
         let id = self.ensure_decoded(method)?;
-        let (f, a, dec) = self.slab_entry(id);
-        self.set_ip(f, a, dec);
-        self.cur_slab = id;
-        self.pc = pc;
-        self.last_dest = None;
+        self.enter(id, pc);
         Ok(())
     }
 
@@ -2369,11 +2388,7 @@ impl Machine {
         }
 
         let id = self.install_entry(entry_base)?;
-        let (f, a, dec) = self.slab_entry(id);
-        self.set_ip(f, a, dec);
-        self.cur_slab = id;
-        self.pc = 0;
-        self.last_dest = None;
+        self.enter(id, 0);
         Ok(())
     }
 
@@ -2454,6 +2469,10 @@ impl Machine {
         }
 
         let mut remaining = budget;
+        // Counted handles on the bodies of the methods this run entered,
+        // by slab slot: a body is cloned once per run, so a segment (the
+        // instructions between two transfers) takes no refcount.
+        let mut bodies: Vec<Option<Arc<DecodedBody>>> = Vec::new();
         loop {
             if remaining == 0 {
                 return Ok(RunOutcome::OutOfBudget);
@@ -2465,21 +2484,23 @@ impl Machine {
                     steps: self.steps,
                 }));
             }
-            let (method_fpa, method_abs, dec) = match &self.ip {
-                Some((f, a, d)) => (*f, *a, Arc::clone(d)),
-                None => return Err(MachineError::NoContext),
-            };
+            let (method_fpa, method_abs) = self.ip.ok_or(MachineError::NoContext)?;
+            let slot = self.cur_slab as usize;
+            if bodies.len() <= slot {
+                bodies.resize(slot + 1, None);
+            }
+            let body = bodies[slot].get_or_insert_with(|| Arc::clone(&self.decoded[slot].body));
             let gen = self.ip_gen;
             let gc_on =
                 self.config.gc_minor_interval.is_some() || self.config.gc_full_interval.is_some();
             let steps_base = self.steps;
-            // Instructions completed against `dec`, not yet in the stats.
+            // Instructions completed against `body`, not yet in the stats.
             let mut done: u64 = 0;
             let end = loop {
                 if done == remaining {
                     break SegEnd::Budget;
                 }
-                let Some(low) = dec.body.low.get(self.pc as usize) else {
+                let Some(low) = body.low.get(self.pc as usize) else {
                     break SegEnd::BadPc;
                 };
                 // Step 1: fetch through the instruction cache.
@@ -2592,13 +2613,13 @@ impl Machine {
         // failed translation is offered to software trap dispatch (the
         // same shared path `step` uses) before it kills the send.
         let method = match self.resolve(key) {
-            Ok(m) => m,
+            Ok(t) => t,
             Err(e) => return self.trap_dispatch(instr, b, c, e),
         };
 
         // Steps 4-5: perform the operation, store results.
         match method {
-            MethodRef::Primitive(p) => {
+            Translation::Primitive(p) => {
                 if instr.returns() && is_pure_data(p) && matches!(instr, Instr::Three { .. }) {
                     // Fast return: function unit result through the result
                     // pointer, then the return sequence — the lowered
@@ -2646,7 +2667,7 @@ impl Machine {
                 }
                 self.exec_primitive(instr, p, b, c)
             }
-            MethodRef::Defined(d) => self.do_call(instr, d, b, c),
+            Translation::Code(id) => self.do_call(instr, id, b, c),
         }
     }
 

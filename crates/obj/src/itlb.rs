@@ -18,7 +18,7 @@ use com_cache::{CacheConfig, CacheError, CacheStats, SetAssocCache};
 use com_isa::Opcode;
 use com_mem::ClassId;
 
-use crate::MethodRef;
+use crate::{DefinedMethod, Translation};
 
 /// The associative key: "an opcode and a set of operand classes" (§2.1).
 ///
@@ -125,19 +125,14 @@ pub enum ItlbHit {
     Miss,
 }
 
-/// One valid line of the probe array.
-#[derive(Debug, Clone, Copy)]
-struct ProbeLine {
-    tag: u64,
-    value: MethodRef,
-    /// Monotonic counter value at last use (LRU).
-    last_used: u64,
-}
-
 /// The fixed-size probe array backing the first level: `sets × ways` lines
-/// in one flat allocation, indexed by a multiplicative hash of the packed
-/// key. `ways == 1` is the direct-mapped case; larger `ways` probe the
-/// set's lines linearly, exactly as the hardware comparators would.
+/// indexed by a multiplicative hash of the packed key. `ways == 1` is the
+/// direct-mapped case; larger `ways` probe the set's lines linearly,
+/// exactly as the hardware comparators would.
+///
+/// The lines are stored as three parallel arrays: a probe scans the set's
+/// contiguous tags and, on a hit, reads one 8-byte [`Translation`] and
+/// writes one recency stamp. A line costs 24 bytes.
 #[derive(Debug)]
 struct ProbeArray {
     sets: usize,
@@ -145,15 +140,25 @@ struct ProbeArray {
     /// (fall back to modulo).
     mask: u64,
     ways: usize,
-    lines: Vec<Option<ProbeLine>>,
+    /// Packed key per line, or [`EMPTY`](Self::EMPTY) for an invalid line.
+    tags: Vec<u64>,
+    /// Clock value at each line's last use (LRU).
+    stamps: Vec<u64>,
+    /// Each line's method field.
+    targets: Vec<Translation>,
     clock: u64,
     stats: CacheStats,
 }
 
 impl ProbeArray {
+    /// The tag of an invalid line. [`ItlbKey::pack`] fills only the low 48
+    /// bits, so no key packs to it.
+    const EMPTY: u64 = u64::MAX;
+
     fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         let ways = config.ways();
+        let lines = sets * ways;
         ProbeArray {
             sets,
             mask: if sets.is_power_of_two() {
@@ -162,7 +167,9 @@ impl ProbeArray {
                 0
             },
             ways,
-            lines: vec![None; sets * ways],
+            tags: vec![Self::EMPTY; lines],
+            stamps: vec![0; lines],
+            targets: vec![Translation::Code(DefinedMethod::UNRESOLVED); lines],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -180,96 +187,93 @@ impl ProbeArray {
         set * self.ways
     }
 
+    /// The line of the set starting at `base` whose tag is `tag`.
     #[inline]
-    fn lookup(&mut self, key: ItlbKey) -> Option<MethodRef> {
-        self.clock += 1;
-        let tag = key.pack();
-        let base = self.set_base(tag);
-        for l in self.lines[base..base + self.ways].iter_mut().flatten() {
-            if l.tag == tag {
-                l.last_used = self.clock;
-                self.stats.hits += 1;
-                return Some(l.value);
-            }
-        }
-        self.stats.misses += 1;
-        None
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|way| base + way)
     }
 
-    fn fill(&mut self, key: ItlbKey, value: MethodRef) -> Option<(ItlbKey, MethodRef)> {
+    #[inline]
+    fn lookup(&mut self, key: ItlbKey) -> Option<Translation> {
+        self.clock += 1;
+        let tag = key.pack();
+        match self.find(self.set_base(tag), tag) {
+            Some(line) => {
+                self.stamps[line] = self.clock;
+                self.stats.hits += 1;
+                Some(self.targets[line])
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn fill(&mut self, key: ItlbKey, value: Translation) -> Option<(ItlbKey, Translation)> {
         self.clock += 1;
         self.stats.fills += 1;
         let tag = key.pack();
         let base = self.set_base(tag);
-        let slot = &mut self.lines[base..base + self.ways];
-        // Refill in place, or take the first invalid way.
-        for line in slot.iter_mut() {
-            match line {
-                Some(l) if l.tag == tag => {
-                    l.value = value;
-                    l.last_used = self.clock;
-                    return None;
+        // Refill in place, else take the first invalid way, else evict the
+        // least recently used line.
+        let (line, evicted) = match self.find(base, tag) {
+            Some(line) => (line, None),
+            None => match self.find(base, Self::EMPTY) {
+                Some(line) => (line, None),
+                None => {
+                    let line = (base..base + self.ways)
+                        .min_by_key(|&l| self.stamps[l])
+                        .expect("sets are nonempty");
+                    self.stats.evictions += 1;
+                    let old = (ItlbKey::unpack(self.tags[line]), self.targets[line]);
+                    (line, Some(old))
                 }
-                _ => {}
-            }
-        }
-        for line in slot.iter_mut() {
-            if line.is_none() {
-                *line = Some(ProbeLine {
-                    tag,
-                    value,
-                    last_used: self.clock,
-                });
-                return None;
-            }
-        }
-        // Set full: evict the least recently used line.
-        let victim = slot
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.expect("set is full").last_used)
-            .map(|(i, _)| i)
-            .expect("set is nonempty");
-        self.stats.evictions += 1;
-        let old = slot[victim].replace(ProbeLine {
-            tag,
-            value,
-            last_used: self.clock,
-        });
-        old.map(|l| (ItlbKey::unpack(l.tag), l.value))
+            },
+        };
+        self.tags[line] = tag;
+        self.stamps[line] = self.clock;
+        self.targets[line] = value;
+        evicted
     }
 
     fn clear(&mut self) {
-        self.lines.iter_mut().for_each(|l| *l = None);
+        self.tags.fill(Self::EMPTY);
     }
 
     /// Resident line count (diagnostics).
     fn len(&self) -> usize {
-        self.lines.iter().filter(|l| l.is_some()).count()
+        self.tags.iter().filter(|&&t| t != Self::EMPTY).count()
     }
 }
 
-/// The ITLB: a (possibly two-level) cache from [`ItlbKey`] to [`MethodRef`].
+/// The ITLB: a (possibly two-level) cache from [`ItlbKey`] to the one-word
+/// [`Translation`] of a method. [`fill`](Self::fill) takes a
+/// [`MethodRef`](crate::MethodRef) (or a translation) and keeps only its
+/// translation.
 ///
 /// ```
 /// use com_cache::CacheConfig;
 /// use com_isa::{Opcode, PrimOp};
 /// use com_mem::ClassId;
-/// use com_obj::{Itlb, ItlbConfig, ItlbKey, MethodRef};
+/// use com_obj::{Itlb, ItlbConfig, ItlbKey, MethodRef, Translation};
 ///
 /// # fn main() -> Result<(), com_cache::CacheError> {
 /// let mut itlb = Itlb::new(ItlbConfig::paper_default()?);
 /// let key = ItlbKey::binary(Opcode::ADD, ClassId::SMALL_INT, ClassId::SMALL_INT);
 /// assert!(itlb.lookup(key).is_none());
 /// itlb.fill(key, MethodRef::Primitive(PrimOp::Add));
-/// assert!(itlb.lookup(key).is_some());
+/// assert_eq!(itlb.lookup(key), Some(Translation::Primitive(PrimOp::Add)));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct Itlb {
     l1: ProbeArray,
-    l2: Option<SetAssocCache<ItlbKey, MethodRef>>,
+    l2: Option<SetAssocCache<ItlbKey, Translation>>,
     last_hit: ItlbHit,
 }
 
@@ -285,7 +289,7 @@ impl Itlb {
 
     /// Looks up a key; L2 hits are promoted into L1 (victims demoted).
     #[inline]
-    pub fn lookup(&mut self, key: ItlbKey) -> Option<MethodRef> {
+    pub fn lookup(&mut self, key: ItlbKey) -> Option<Translation> {
         if let Some(m) = self.l1.lookup(key) {
             self.last_hit = ItlbHit::L1;
             return Some(m);
@@ -308,8 +312,11 @@ impl Itlb {
         self.last_hit
     }
 
-    /// Installs a resolution after a miss; L1 victims demote to L2.
-    pub fn fill(&mut self, key: ItlbKey, method: MethodRef) {
+    /// Installs a resolution after a miss; L1 victims demote to L2. A
+    /// defined method must be resolved to a slab slot first (see
+    /// [`Translation`]).
+    pub fn fill(&mut self, key: ItlbKey, method: impl Into<Translation>) {
+        let method = method.into();
         if let Some((vk, vv)) = self.l1.fill(key, method) {
             if let Some(l2) = &mut self.l2 {
                 l2.fill(vk, vv);
@@ -357,6 +364,7 @@ impl Itlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MethodRef;
     use com_isa::PrimOp;
 
     fn key(op: u16, r: u16) -> ItlbKey {
@@ -377,9 +385,23 @@ mod tests {
         assert_eq!(itlb.lookup(key(1, 1)), None);
         assert_eq!(itlb.last_hit(), ItlbHit::Miss);
         itlb.fill(key(1, 1), add());
-        assert_eq!(itlb.lookup(key(1, 1)), Some(add()));
+        assert_eq!(
+            itlb.lookup(key(1, 1)),
+            Some(Translation::Primitive(PrimOp::Add))
+        );
         assert_eq!(itlb.last_hit(), ItlbHit::L1);
         assert_eq!(itlb.l1_stats().hits, 1);
+    }
+
+    #[test]
+    fn defined_methods_translate_to_their_slab_slot() {
+        let mut itlb = paper_itlb();
+        let code = com_fpa::Fpa::from_raw(0x40, com_fpa::FpaFormat::COM).unwrap();
+        let m = MethodRef::Defined(DefinedMethod::new(code, 2).resolved(5));
+        itlb.fill(key(1, 1), m);
+        assert_eq!(itlb.lookup(key(1, 1)), Some(Translation::Code(5)));
+        itlb.fill(key(1, 1), Translation::Code(6));
+        assert_eq!(itlb.lookup(key(1, 1)), Some(Translation::Code(6)));
     }
 
     #[test]

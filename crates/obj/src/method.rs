@@ -1,4 +1,5 @@
-//! Method references: the payload of ITLB entries and dictionary slots.
+//! Method references (the payload of dictionary slots) and their one-word
+//! translations (the payload of ITLB entries).
 
 use com_fpa::Fpa;
 use com_isa::PrimOp;
@@ -12,9 +13,9 @@ pub struct DefinedMethod {
     pub n_args: u8,
     /// Index into the executing machine's decoded-method slab, or
     /// [`DefinedMethod::UNRESOLVED`]. Dictionary entries start unresolved;
-    /// the machine resolves the slot on first dispatch and installs the
-    /// resolved reference in its ITLB, so a translation hit reaches the
-    /// decoded code by one array index instead of a hash probe.
+    /// the machine resolves the slot on first dispatch and installs it in
+    /// its ITLB as a [`Translation::Code`], so a translation hit reaches
+    /// the decoded code by one array index instead of a hash probe.
     pub slab: u32,
 }
 
@@ -90,6 +91,32 @@ impl core::fmt::Display for MethodRef {
     }
 }
 
+/// What an ITLB hit hands the pipeline: the §2.1 entry's primitive bit and
+/// method field in one word (8 bytes), so a translation is a register
+/// value rather than a copied [`MethodRef`].
+///
+/// A defined method is named by its decoded-slab slot, so only a resolved
+/// method ([`DefinedMethod::is_resolved`]) has a useful translation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Translation {
+    /// The primitive bit is on: the method field selects a function unit.
+    Primitive(PrimOp),
+    /// The primitive bit is off: the method field is the decoded-slab slot
+    /// of the method's code.
+    Code(u32),
+}
+
+impl From<MethodRef> for Translation {
+    /// The translation of a method reference. An unresolved defined method
+    /// maps to [`DefinedMethod::UNRESOLVED`], which names no slot.
+    fn from(m: MethodRef) -> Self {
+        match m {
+            MethodRef::Primitive(p) => Translation::Primitive(p),
+            MethodRef::Defined(d) => Translation::Code(d.slab),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,5 +146,20 @@ mod tests {
         assert_eq!(r.slab, 7);
         // Resolution does not change the method's identity fields.
         assert_eq!((r.code, r.n_args), (d.code, d.n_args));
+    }
+
+    #[test]
+    fn translation_is_one_word() {
+        assert!(core::mem::size_of::<Translation>() <= 8);
+        assert!(core::mem::size_of::<Option<Translation>>() <= 8);
+        let code = Fpa::from_raw(0x40, FpaFormat::COM).unwrap();
+        assert_eq!(
+            Translation::from(MethodRef::Defined(DefinedMethod::new(code, 1).resolved(7))),
+            Translation::Code(7)
+        );
+        assert_eq!(
+            Translation::from(MethodRef::Primitive(PrimOp::Add)),
+            Translation::Primitive(PrimOp::Add)
+        );
     }
 }

@@ -5,7 +5,7 @@
 use com_cache::{CacheConfig, Rng, SetAssocCache};
 use com_isa::{Opcode, PrimOp};
 use com_mem::ClassId;
-use com_obj::{Itlb, ItlbConfig, ItlbHit, ItlbKey, MethodRef};
+use com_obj::{Itlb, ItlbConfig, ItlbHit, ItlbKey, MethodRef, Translation};
 
 fn key(op: u16, recv: u16, arg: u16) -> ItlbKey {
     ItlbKey::binary(Opcode(op), ClassId(recv), ClassId(arg))
@@ -48,9 +48,9 @@ fn direct_mapped_single_line_conflicts() {
     // entries=1, ways=1: every distinct key conflicts with every other.
     let mut itlb = Itlb::new(cfg(1, 1));
     itlb.fill(key(1, 1, 1), method(0));
-    assert_eq!(itlb.lookup(key(1, 1, 1)), Some(method(0)));
+    assert_eq!(itlb.lookup(key(1, 1, 1)), Some(method(0).into()));
     itlb.fill(key(2, 2, 2), method(1));
-    assert_eq!(itlb.lookup(key(2, 2, 2)), Some(method(1)));
+    assert_eq!(itlb.lookup(key(2, 2, 2)), Some(method(1).into()));
     assert_eq!(itlb.lookup(key(1, 1, 1)), None, "conflict must evict");
     assert_eq!(itlb.l1_len(), 1);
     assert_eq!(itlb.l1_stats().evictions, 1);
@@ -74,7 +74,7 @@ fn refill_replaces_in_place_without_eviction() {
     let mut itlb = Itlb::new(cfg(8, 2));
     itlb.fill(key(1, 1, 1), method(0));
     itlb.fill(key(1, 1, 1), method(1));
-    assert_eq!(itlb.lookup(key(1, 1, 1)), Some(method(1)));
+    assert_eq!(itlb.lookup(key(1, 1, 1)), Some(method(1).into()));
     assert_eq!(itlb.l1_len(), 1);
     assert_eq!(itlb.l1_stats().evictions, 0);
     assert_eq!(itlb.l1_stats().fills, 2);
@@ -90,7 +90,7 @@ fn probe_array_matches_reference_when_fully_associative() {
     let mut oracle: SetAssocCache<ItlbKey, MethodRef> = SetAssocCache::new(geometry);
     for k in key_stream(20_000) {
         let a = probe.lookup(k);
-        let b = oracle.lookup(&k).copied();
+        let b = oracle.lookup(&k).copied().map(Translation::from);
         assert_eq!(a.is_some(), b.is_some(), "hit/miss diverged at {k}");
         if a.is_none() {
             let m = method(k.opcode.0);

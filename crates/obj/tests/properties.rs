@@ -9,7 +9,7 @@ use com_isa::{Opcode, PrimOp};
 use com_mem::ClassId;
 use com_obj::{
     install_standard_primitives, lookup_method, ClassTable, Itlb, ItlbConfig, ItlbKey,
-    MessageDictionary, MethodRef,
+    MessageDictionary, MethodRef, Translation,
 };
 
 const CASES: u32 = 256;
@@ -118,7 +118,9 @@ fn itlb_transparency() {
         for _ in 0..1 + rng.below(400) {
             let class = classes[rng.below(classes.len() as u64) as usize];
             let key = ItlbKey::unary(Opcode(rng.below(80) as u16), class);
-            let truth = lookup_method(&t, class, key.opcode).method;
+            let truth = lookup_method(&t, class, key.opcode)
+                .method
+                .map(Translation::from);
             let via_itlb = match itlb.lookup(key) {
                 Some(m) => Some(m),
                 None => {
