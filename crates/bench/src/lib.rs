@@ -1,11 +1,14 @@
-//! Experiment harness support: shared trace construction and report
-//! formatting for the figure/table binaries (see `src/bin/`), and the
-//! four wall-clock bench pipelines `bench_all` runs over one shared
-//! [`protocol`].
+//! The paper's experiments and the wall-clock bench pipelines.
+//!
+//! [`experiments`] computes every paper table and figure with its typed
+//! claims; the `repro` binary prints them all and exits 1 if a claim
+//! fails. The four wall-clock bench pipelines run from `bench_all` over
+//! one shared [`protocol`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod experiments;
 pub mod gc;
 pub mod parallel;
 pub mod protocol;
@@ -42,49 +45,32 @@ pub fn merged_fith_trace() -> Trace {
     merged
 }
 
-/// Per-workload Fith traces with names.
-///
-/// # Panics
-///
-/// Panics if any workload fails.
-pub fn per_workload_traces() -> Vec<(&'static str, Trace)> {
-    workloads::portable()
-        .iter()
-        .map(|w| {
-            let (t, _) = workloads::trace_fith(w, workloads::MAX_STEPS)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", w.name));
-            (w.name, t)
-        })
-        .collect()
+/// Prints a markdown-style table under a `## title` heading.
+pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+    print!("{}", table(title, headers, rows));
 }
 
-/// Prints a markdown-style table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n## {title}\n");
+/// Renders a markdown-style table under a `## title` heading.
+pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let line = |cells: &[String]| {
+    fn line<T: std::fmt::Display>(cells: impl IntoIterator<Item = T>, widths: &[usize]) -> String {
         let mut s = String::from("|");
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!(" {:w$} |", c, w = widths[i]));
+        for (c, w) in cells.into_iter().zip(widths) {
+            s += &format!(" {c:w$} |");
         }
-        s
-    };
-    println!(
-        "{}",
-        line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-    println!("{}", line(&sep));
-    for row in rows {
-        println!("{}", line(row));
+        s + "\n"
     }
+    let mut out = format!("\n## {title}\n\n") + &line(headers, &widths);
+    out += &line(widths.iter().map(|w| "-".repeat(*w)), &widths);
+    for row in rows {
+        out += &line(row, &widths);
+    }
+    out
 }
 
 /// A workload, its shared image, and its outcome when run alone on a
@@ -125,14 +111,6 @@ pub(crate) fn solo_baselines(set: &[Workload]) -> Result<Vec<Solo>, VmError> {
             })
         })
         .collect()
-}
-
-/// Formats an optional ratio as a percentage.
-pub fn pct(x: Option<f64>) -> String {
-    match x {
-        Some(v) => format!("{:.2}%", v * 100.0),
-        None => "—".to_string(),
-    }
 }
 
 #[cfg(test)]

@@ -10,8 +10,6 @@ pub enum CacheError {
         /// Requested ways per set.
         ways: usize,
     },
-    /// A memory hierarchy was declared with no levels and no backing latency.
-    EmptyHierarchy,
 }
 
 impl core::fmt::Display for CacheError {
@@ -21,7 +19,6 @@ impl core::fmt::Display for CacheError {
                 f,
                 "invalid cache geometry: {entries} entries with {ways} ways (ways must divide entries, both nonzero)"
             ),
-            CacheError::EmptyHierarchy => write!(f, "memory hierarchy has no levels"),
         }
     }
 }

@@ -12,16 +12,34 @@ pub(crate) const COPYBACK_LOW_WATER: usize = 2;
 /// Cycles to fault a context block in from memory (a block fill).
 pub(crate) const CTX_FAULT_PENALTY: u64 = 32;
 
+/// Cycles added by an instruction cache miss.
+pub(crate) const ICACHE_MISS_PENALTY: u64 = 8;
+
+/// Cycles added by each memory access: an `at:`/`at:put:`, a `new` or
+/// `grow`, and a context word read or written without a context cache.
+/// The Fith machine charges the same.
+pub const MEMORY_PENALTY: u64 = 4;
+
+/// Cycle cost of a full method lookup, charged on an ITLB miss. The paper
+/// does not commit to absolute lookup cycle counts; 4 cycles per class
+/// level traversed and 8 per hash probe land a full lookup in the tens of
+/// cycles, consistent with the software method caches it cites
+/// (Berkeley, HP). The Fith machine charges the same.
+pub const LOOKUP_COST: LookupCost = LookupCost {
+    per_class: 4,
+    per_probe: 8,
+};
+
 /// Configuration of one COM instance.
 ///
 /// The defaults reproduce the paper's machine: a 512×2-way ITLB (§5), a
 /// 4096-entry 2-way instruction cache (§5 Figure 11), a 32-block context
 /// cache (§2.3: "a context cache of this modest size would almost never
-/// miss") with copyback enabled, and the §3.6 stall penalties. The
-/// switches select the paper's ablations (no ITLB, no context cache, no
-/// eager LIFO freeing) and the garbage collector's cadence. The copyback
-/// low-water mark and the context fault penalty are fixed
-/// (`COPYBACK_LOW_WATER`, `CTX_FAULT_PENALTY`).
+/// miss") with copyback enabled. The switches select the paper's
+/// ablations (no ITLB, no context cache, no eager LIFO freeing) and the
+/// garbage collector's cadence. The §3.6 stall penalties and the copyback
+/// low-water mark are fixed: [`LOOKUP_COST`], [`MEMORY_PENALTY`],
+/// `ICACHE_MISS_PENALTY`, `CTX_FAULT_PENALTY` and `COPYBACK_LOW_WATER`.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
     /// Virtual address format (COM 36-bit by default).
@@ -44,12 +62,6 @@ pub struct MachineConfig {
     /// Treat read-after-write hazards (§3.6: the compiler must separate
     /// dependent instructions) as errors instead of one-cycle interlocks.
     pub strict_hazards: bool,
-    /// Cycle cost of a full method lookup (charged on ITLB miss).
-    pub lookup_cost: LookupCost,
-    /// Cycles added by an instruction cache miss.
-    pub icache_miss_penalty: u64,
-    /// Cycles added by an `at:`/`at:put:` (or `new`/`grow`) memory access.
-    pub memory_penalty: u64,
     /// Steps between **minor** (nursery-only) collections; `None` disables
     /// periodic minor collection. When a step is a multiple of both the
     /// minor and the full interval, the full collection wins.
@@ -74,9 +86,6 @@ impl Default for MachineConfig {
             ctx_blocks: Some(32),
             copyback: true,
             strict_hazards: false,
-            lookup_cost: LookupCost::default(),
-            icache_miss_penalty: 8,
-            memory_penalty: 4,
             gc_minor_interval: None,
             gc_full_interval: None,
             eager_lifo_free: true,

@@ -35,7 +35,7 @@ mod machine;
 mod pipeline;
 mod trap;
 
-pub use config::MachineConfig;
+pub use config::{MachineConfig, LOOKUP_COST, MEMORY_PENALTY};
 pub use ctxcache::{ContextCache, CtxCacheStats};
 pub use exec::data_op;
 pub use image::{MethodSource, ProgramImage};

@@ -63,7 +63,9 @@ use com_obj::{
     MethodRef, Translation, TrapSelector,
 };
 
-use crate::config::{COPYBACK_LOW_WATER, CTX_FAULT_PENALTY};
+use crate::config::{
+    COPYBACK_LOW_WATER, CTX_FAULT_PENALTY, ICACHE_MISS_PENALTY, LOOKUP_COST, MEMORY_PENALTY,
+};
 use crate::{
     ContextCache, CtxCacheStats, CycleStats, MachineConfig, MachineError, ProgramImage,
     CONTEXT_WORDS, CTX_ARG0, CTX_ARG1, CTX_RCP, CTX_RIP, OPERAND_BIAS,
@@ -709,7 +711,7 @@ impl Machine {
         self.gc_totals
     }
 
-    /// ITLB first-level statistics, if an ITLB is configured.
+    /// ITLB statistics, if an ITLB is configured.
     pub fn itlb_stats(&self) -> Option<CacheStats> {
         self.itlb.as_ref().map(|t| t.l1_stats())
     }
@@ -788,10 +790,12 @@ impl Machine {
             };
             Ok(self.cc.as_mut().expect("checked").read(block, off))
         } else {
+            // Without the cache the word is a memory access (ablation A2).
             let reg = self.ctx_reg(next)?;
             let w =
                 self.space
                     .read_kind(self.team, reg.fpa.with_offset(off)?, AllocKind::Context)?;
+            self.stats.memory_op_cycles += MEMORY_PENALTY;
             let c = self.class_of_word(&w)?;
             Ok((w, c))
         }
@@ -823,6 +827,7 @@ impl Machine {
             let reg = self.ctx_reg(next)?;
             self.space
                 .write_kind(self.team, reg.fpa.with_offset(off)?, w, AllocKind::Context)?;
+            self.stats.memory_op_cycles += MEMORY_PENALTY;
             Ok(())
         }
     }
@@ -1326,7 +1331,7 @@ impl Machine {
     fn full_lookup(&mut self, key: ItlbKey) -> Result<Translation, MachineError> {
         let out = lookup_method(&self.classes, key.classes[0], key.opcode);
         self.stats.full_lookups += 1;
-        self.stats.lookup_cycles += out.cost_cycles(self.config.lookup_cost);
+        self.stats.lookup_cycles += out.cost_cycles(LOOKUP_COST);
         if out.cycle {
             return Err(MachineError::ClassChainCycle {
                 opcode: key.opcode,
@@ -1395,7 +1400,7 @@ impl Machine {
             let addr = method_abs.0 + CodeObject::HEADER_WORDS + self.pc;
             if !ic.lookup(addr) {
                 ic.fill(addr);
-                self.stats.icache_miss_cycles += self.config.icache_miss_penalty;
+                self.stats.icache_miss_cycles += ICACHE_MISS_PENALTY;
             }
         }
         self.stats.instructions += 1;
@@ -1500,7 +1505,7 @@ impl Machine {
             }
             PrimOp::Xfer => self.do_xfer(instr),
             PrimOp::At => {
-                self.stats.memory_op_cycles += self.config.memory_penalty;
+                self.stats.memory_op_cycles += MEMORY_PENALTY;
                 let ptr =
                     b.0.as_ptr()
                         .ok_or_else(|| bad("at: requires an object pointer"))?;
@@ -1515,7 +1520,7 @@ impl Machine {
                 self.write_result(instr, v.0, v.1)
             }
             PrimOp::AtPut => {
-                self.stats.memory_op_cycles += self.config.memory_penalty;
+                self.stats.memory_op_cycles += MEMORY_PENALTY;
                 // a at: b put: c — A holds the value (read, not written).
                 let (value, vclass) = match instr {
                     Instr::Three { a, .. } => self.fetch_operand(a)?,
@@ -1559,7 +1564,7 @@ impl Machine {
                 self.write_result(instr, Word::Ptr(ptr), self.context_class)
             }
             PrimOp::New => {
-                self.stats.memory_op_cycles += self.config.memory_penalty;
+                self.stats.memory_op_cycles += MEMORY_PENALTY;
                 let class = ClassId(
                     b.0.as_int()
                         .ok_or_else(|| bad("new requires an integer class id"))?
@@ -1589,7 +1594,7 @@ impl Machine {
                 self.write_result(instr, Word::Ptr(obj), class)
             }
             PrimOp::Grow => {
-                self.stats.memory_op_cycles += self.config.memory_penalty;
+                self.stats.memory_op_cycles += MEMORY_PENALTY;
                 let ptr =
                     b.0.as_ptr()
                         .ok_or_else(|| bad("grow requires an object pointer"))?;
@@ -1886,7 +1891,7 @@ impl Machine {
         };
         let (handler, out) = lookup_trap_handler(&self.classes, b.1, handler_sel);
         self.stats.full_lookups += 1;
-        self.stats.lookup_cycles += out.cost_cycles(self.config.lookup_cost);
+        self.stats.lookup_cycles += out.cost_cycles(LOOKUP_COST);
         if out.cycle {
             return Err(MachineError::ClassChainCycle {
                 opcode: handler_sel,
@@ -1930,7 +1935,7 @@ impl Machine {
         nargs: u8,
         arg: (Word, ClassId),
     ) -> Result<(Word, ClassId), MachineError> {
-        self.stats.memory_op_cycles += self.config.memory_penalty;
+        self.stats.memory_op_cycles += MEMORY_PENALTY;
         let msg = match self
             .space
             .create(self.team, ClassTable::OBJECT, 3, AllocKind::Object)
@@ -2508,7 +2513,7 @@ impl Machine {
                     let addr = method_abs.0 + CodeObject::HEADER_WORDS + self.pc;
                     if !ic.lookup(addr) {
                         ic.fill(addr);
-                        self.stats.icache_miss_cycles += self.config.icache_miss_penalty;
+                        self.stats.icache_miss_cycles += ICACHE_MISS_PENALTY;
                     }
                 }
                 // The instruction issues: it counts even if a later stage

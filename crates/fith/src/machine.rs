@@ -4,11 +4,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use com_cache::{CacheConfig, CacheStats, SetAssocCache};
-use com_core::data_op;
+use com_core::{data_op, LOOKUP_COST, MEMORY_PENALTY};
 use com_fpa::FpaFormat;
 use com_isa::{Opcode, OpcodeTable, PrimOp};
 use com_mem::{AllocKind, ClassId, MemError, ObjectSpace, TeamId, Word};
-use com_obj::{AtomTable, ClassTable, LookupCost, MethodRef};
+use com_obj::{AtomTable, ClassTable, MethodRef};
 use com_trace::{Trace, TraceEvent};
 
 use crate::{FithInstr, FithMethod, FithMethodRef};
@@ -107,12 +107,10 @@ pub struct FithMachine {
     dicts: HashMap<ClassId, HashMap<Opcode, usize>>,
     methods: Vec<Arc<FithMethod>>,
     itlb: Option<SetAssocCache<(Opcode, ClassId), FithMethodRef>>,
-    lookup_cost: LookupCost,
     stack: Vec<(Word, ClassId)>,
     frames: Vec<Frame>,
     stats: FithStats,
     trace: Option<Trace>,
-    memory_penalty: u64,
 }
 
 /// Errors surfaced by the Fith machine (reuses the COM's trap type; the
@@ -132,12 +130,10 @@ impl FithMachine {
             itlb: Some(SetAssocCache::new(
                 CacheConfig::new(512, 2).expect("paper geometry"),
             )),
-            lookup_cost: LookupCost::default(),
             stack: Vec::new(),
             frames: Vec::new(),
             stats: FithStats::default(),
             trace: None,
-            memory_penalty: 4,
         };
         for (class, sel, method) in &image.methods {
             let idx = m.methods.len();
@@ -227,8 +223,8 @@ impl FithMachine {
                 break;
             }
         }
-        let cost = classes_visited as u64 * self.lookup_cost.per_class
-            + classes_visited as u64 * self.lookup_cost.per_probe;
+        let cost = classes_visited as u64 * LOOKUP_COST.per_class
+            + classes_visited as u64 * LOOKUP_COST.per_probe;
         self.stats.lookup_cycles += cost;
         self.stats.cycles += cost;
         let m = found.ok_or(FithError::DoesNotUnderstand { opcode: op, class })?;
@@ -316,7 +312,7 @@ impl FithMachine {
     fn exec_primitive(&mut self, op: Opcode, p: PrimOp, nargs: u8) -> Result<(), FithError> {
         match p {
             PrimOp::At => {
-                self.stats.cycles += self.memory_penalty;
+                self.stats.cycles += MEMORY_PENALTY;
                 let (idx, _) = self.pop()?;
                 let (ptr, _) = self.pop()?;
                 let ptr = ptr.as_ptr().ok_or(FithError::BadOperands {
@@ -334,7 +330,7 @@ impl FithMachine {
                 Ok(())
             }
             PrimOp::AtPut => {
-                self.stats.cycles += self.memory_penalty;
+                self.stats.cycles += MEMORY_PENALTY;
                 let (value, vclass) = self.pop()?;
                 let (idx, _) = self.pop()?;
                 let (ptr, _) = self.pop()?;
@@ -352,7 +348,7 @@ impl FithMachine {
                 Ok(())
             }
             PrimOp::New => {
-                self.stats.cycles += self.memory_penalty;
+                self.stats.cycles += MEMORY_PENALTY;
                 let (size, _) = self.pop()?;
                 let (class_w, _) = self.pop()?;
                 let class = ClassId(class_w.as_int().ok_or(FithError::BadOperands {
@@ -370,7 +366,7 @@ impl FithMachine {
                 Ok(())
             }
             PrimOp::Grow => {
-                self.stats.cycles += self.memory_penalty;
+                self.stats.cycles += MEMORY_PENALTY;
                 let (size, _) = self.pop()?;
                 let (ptr, _) = self.pop()?;
                 let ptr = ptr.as_ptr().ok_or(FithError::BadOperands {

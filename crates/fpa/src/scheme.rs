@@ -32,70 +32,34 @@ impl NamingOutcome {
 /// and reports capacity limits. Implemented by a stateful wrapper per scheme
 /// so the T4 harness can drive them uniformly.
 pub trait AddressScheme {
-    /// Human-readable scheme name for report rows.
-    fn scheme_name(&self) -> String;
-
-    /// Total address width in bits.
-    fn total_bits(&self) -> u32;
-
     /// Attempts to give one object of `words` words its own segment.
     fn name_object(&mut self, words: u64) -> NamingOutcome;
-
-    /// Number of objects successfully named so far.
-    fn named_count(&self) -> u64;
-
-    /// Resets all allocation state.
-    fn reset(&mut self);
 }
 
 /// Floating-point naming state for the T4 sweep.
 #[derive(Debug, Clone)]
 pub struct FpaScheme {
-    format: FpaFormat,
     allocator: crate::NameAllocator,
-    named: u64,
 }
 
 impl FpaScheme {
     /// Creates a scheme over `format`.
     pub fn new(format: FpaFormat) -> Self {
         FpaScheme {
-            format,
             allocator: crate::NameAllocator::new(format),
-            named: 0,
         }
     }
 }
 
 impl AddressScheme for FpaScheme {
-    fn scheme_name(&self) -> String {
-        self.format.to_string()
-    }
-
-    fn total_bits(&self) -> u32 {
-        self.format.total_bits()
-    }
-
     fn name_object(&mut self, words: u64) -> NamingOutcome {
         match self.allocator.alloc_for_size(words) {
-            Ok(addr) => {
-                self.named += 1;
-                NamingOutcome::Named {
-                    slack_words: addr.capacity() - words,
-                }
-            }
+            Ok(addr) => NamingOutcome::Named {
+                slack_words: addr.capacity() - words,
+            },
             Err(FpaError::ObjectTooLarge { .. }) => NamingOutcome::TooLarge,
             Err(_) => NamingOutcome::OutOfNames,
         }
-    }
-
-    fn named_count(&self) -> u64 {
-        self.named
-    }
-
-    fn reset(&mut self) {
-        self.allocator = crate::NameAllocator::new(self.format);
-        self.named = 0;
     }
 }
 
@@ -104,7 +68,6 @@ impl AddressScheme for FpaScheme {
 pub struct FixedScheme {
     format: FixedFormat,
     next_segment: u64,
-    named: u64,
 }
 
 impl FixedScheme {
@@ -113,20 +76,11 @@ impl FixedScheme {
         FixedScheme {
             format,
             next_segment: 0,
-            named: 0,
         }
     }
 }
 
 impl AddressScheme for FixedScheme {
-    fn scheme_name(&self) -> String {
-        self.format.to_string()
-    }
-
-    fn total_bits(&self) -> u32 {
-        self.format.total_bits()
-    }
-
     fn name_object(&mut self, words: u64) -> NamingOutcome {
         if words > self.format.max_segment_words() {
             return NamingOutcome::TooLarge;
@@ -135,19 +89,9 @@ impl AddressScheme for FixedScheme {
             return NamingOutcome::OutOfNames;
         }
         self.next_segment += 1;
-        self.named += 1;
         NamingOutcome::Named {
             slack_words: self.format.max_segment_words() - words,
         }
-    }
-
-    fn named_count(&self) -> u64 {
-        self.named
-    }
-
-    fn reset(&mut self) {
-        self.next_segment = 0;
-        self.named = 0;
     }
 }
 
@@ -161,7 +105,6 @@ mod tests {
         assert!(s.name_object(1).is_named());
         assert!(s.name_object(1 << 31).is_named());
         assert_eq!(s.name_object(1 + (1 << 31)), NamingOutcome::TooLarge);
-        assert_eq!(s.named_count(), 2);
     }
 
     #[test]
@@ -182,8 +125,6 @@ mod tests {
             assert!(s.name_object(1).is_named());
         }
         assert_eq!(s.name_object(1), NamingOutcome::OutOfNames);
-        s.reset();
-        assert!(s.name_object(1).is_named());
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! in which an opcode and the set of operand object datatypes are associated
 //! to a method."
 //!
-//! The first level is a fixed-size probe array — the direct-mapped /
+//! The buffer is a fixed-size probe array — the direct-mapped /
 //! set-associative RAM the hardware actually describes: the key is packed
 //! into one word, a multiplicative hash selects the set, and the ways of
 //! that set are probed in place, replacing the least recently used line.
 //! No per-lookup heap hashing is involved, which matters because *every*
 //! COM instruction translates through this structure.
 
-use com_cache::{CacheConfig, CacheError, CacheStats, SetAssocCache};
+use com_cache::{CacheConfig, CacheError, CacheStats};
 use com_isa::Opcode;
 use com_mem::ClassId;
 
@@ -55,14 +55,6 @@ impl ItlbKey {
     fn pack(self) -> u64 {
         self.opcode.0 as u64 | (self.classes[0].0 as u64) << 16 | (self.classes[1].0 as u64) << 32
     }
-
-    /// Inverse of [`pack`](Self::pack).
-    fn unpack(tag: u64) -> Self {
-        ItlbKey {
-            opcode: Opcode(tag as u16),
-            classes: [ClassId((tag >> 16) as u16), ClassId((tag >> 32) as u16)],
-        }
-    }
 }
 
 impl core::fmt::Display for ItlbKey {
@@ -75,21 +67,20 @@ impl core::fmt::Display for ItlbKey {
     }
 }
 
-/// Geometry of the ITLB, optionally with a second level.
+/// Geometry of the ITLB.
 ///
-/// §5: "If this hit ratio is insufficient, a larger second level ITLB can be
-/// implemented in main memory and accessed by miss processing hardware. Only
-/// a miss in both caches would result in a trap."
+/// §5 also sketches "a larger second level ITLB … implemented in main
+/// memory" for when the hit ratio is insufficient. At the paper's
+/// geometry every miss on the workloads here is compulsory, so the model
+/// has one level.
 #[derive(Debug, Clone, Copy)]
 pub struct ItlbConfig {
-    /// First-level geometry.
+    /// The buffer's geometry.
     pub l1: CacheConfig,
-    /// Optional second-level geometry (in main memory; slower but larger).
-    pub l2: Option<CacheConfig>,
 }
 
 impl ItlbConfig {
-    /// The paper's recommended first level: 512 entries, 2-way ("a 99% hit
+    /// The paper's recommended geometry: 512 entries, 2-way ("a 99% hit
     /// ratio can be realized with a 512 entry 2-way associative cache").
     ///
     /// # Errors
@@ -99,42 +90,40 @@ impl ItlbConfig {
     pub fn paper_default() -> Result<Self, CacheError> {
         Ok(ItlbConfig {
             l1: CacheConfig::new(512, 2)?,
-            l2: None,
         })
     }
-
-    /// Adds a second level of `entries` × `ways`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::BadGeometry`] for inconsistent geometry.
-    pub fn with_l2(mut self, entries: usize, ways: usize) -> Result<Self, CacheError> {
-        self.l2 = Some(CacheConfig::new(entries, ways)?);
-        Ok(self)
-    }
 }
 
-/// Where an ITLB lookup was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItlbHit {
-    /// Found in the first level.
-    L1,
-    /// Found in the second level (promoted to L1).
-    L2,
-    /// Missed everywhere: full method lookup required.
-    Miss,
-}
-
-/// The fixed-size probe array backing the first level: `sets × ways` lines
-/// indexed by a multiplicative hash of the packed key. `ways == 1` is the
+/// The ITLB: a cache from [`ItlbKey`] to the one-word [`Translation`] of
+/// a method. [`fill`](Self::fill) takes a [`MethodRef`](crate::MethodRef)
+/// (or a translation) and keeps only its translation.
+///
+/// It is a fixed-size probe array of `sets × ways` lines indexed by a
+/// multiplicative hash of the packed key. `ways == 1` is the
 /// direct-mapped case; larger `ways` probe the set's lines linearly,
 /// exactly as the hardware comparators would.
 ///
 /// The lines are stored as three parallel arrays: a probe scans the set's
 /// contiguous tags and, on a hit, reads one 8-byte [`Translation`] and
 /// writes one recency stamp. A line costs 24 bytes.
+///
+/// ```
+/// use com_cache::CacheConfig;
+/// use com_isa::{Opcode, PrimOp};
+/// use com_mem::ClassId;
+/// use com_obj::{Itlb, ItlbConfig, ItlbKey, MethodRef, Translation};
+///
+/// # fn main() -> Result<(), com_cache::CacheError> {
+/// let mut itlb = Itlb::new(ItlbConfig::paper_default()?);
+/// let key = ItlbKey::binary(Opcode::ADD, ClassId::SMALL_INT, ClassId::SMALL_INT);
+/// assert!(itlb.lookup(key).is_none());
+/// itlb.fill(key, MethodRef::Primitive(PrimOp::Add));
+/// assert_eq!(itlb.lookup(key), Some(Translation::Primitive(PrimOp::Add)));
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug)]
-struct ProbeArray {
+pub struct Itlb {
     sets: usize,
     /// `sets - 1` when the set count is a power of two (single AND), else 0
     /// (fall back to modulo).
@@ -150,16 +139,17 @@ struct ProbeArray {
     stats: CacheStats,
 }
 
-impl ProbeArray {
+impl Itlb {
     /// The tag of an invalid line. [`ItlbKey::pack`] fills only the low 48
     /// bits, so no key packs to it.
     const EMPTY: u64 = u64::MAX;
 
-    fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
-        let ways = config.ways();
+    /// Creates an ITLB with the given geometry.
+    pub fn new(config: ItlbConfig) -> Self {
+        let sets = config.l1.sets();
+        let ways = config.l1.ways();
         let lines = sets * ways;
-        ProbeArray {
+        Itlb {
             sets,
             mask: if sets.is_power_of_two() {
                 sets as u64 - 1
@@ -196,8 +186,9 @@ impl ProbeArray {
             .map(|way| base + way)
     }
 
+    /// Looks up a key.
     #[inline]
-    fn lookup(&mut self, key: ItlbKey) -> Option<Translation> {
+    pub fn lookup(&mut self, key: ItlbKey) -> Option<Translation> {
         self.clock += 1;
         let tag = key.pack();
         match self.find(self.set_base(tag), tag) {
@@ -213,151 +204,52 @@ impl ProbeArray {
         }
     }
 
-    fn fill(&mut self, key: ItlbKey, value: Translation) -> Option<(ItlbKey, Translation)> {
+    /// Installs a resolution after a miss. A defined method must be
+    /// resolved to a slab slot first (see [`Translation`]).
+    pub fn fill(&mut self, key: ItlbKey, method: impl Into<Translation>) {
         self.clock += 1;
         self.stats.fills += 1;
         let tag = key.pack();
         let base = self.set_base(tag);
         // Refill in place, else take the first invalid way, else evict the
         // least recently used line.
-        let (line, evicted) = match self.find(base, tag) {
-            Some(line) => (line, None),
-            None => match self.find(base, Self::EMPTY) {
-                Some(line) => (line, None),
-                None => {
-                    let line = (base..base + self.ways)
-                        .min_by_key(|&l| self.stamps[l])
-                        .expect("sets are nonempty");
-                    self.stats.evictions += 1;
-                    let old = (ItlbKey::unpack(self.tags[line]), self.targets[line]);
-                    (line, Some(old))
-                }
-            },
+        let line = match self
+            .find(base, tag)
+            .or_else(|| self.find(base, Self::EMPTY))
+        {
+            Some(line) => line,
+            None => {
+                self.stats.evictions += 1;
+                (base..base + self.ways)
+                    .min_by_key(|&l| self.stamps[l])
+                    .expect("sets are nonempty")
+            }
         };
         self.tags[line] = tag;
         self.stamps[line] = self.clock;
-        self.targets[line] = value;
-        evicted
-    }
-
-    fn clear(&mut self) {
-        self.tags.fill(Self::EMPTY);
-    }
-
-    /// Resident line count (diagnostics).
-    fn len(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != Self::EMPTY).count()
-    }
-}
-
-/// The ITLB: a (possibly two-level) cache from [`ItlbKey`] to the one-word
-/// [`Translation`] of a method. [`fill`](Self::fill) takes a
-/// [`MethodRef`](crate::MethodRef) (or a translation) and keeps only its
-/// translation.
-///
-/// ```
-/// use com_cache::CacheConfig;
-/// use com_isa::{Opcode, PrimOp};
-/// use com_mem::ClassId;
-/// use com_obj::{Itlb, ItlbConfig, ItlbKey, MethodRef, Translation};
-///
-/// # fn main() -> Result<(), com_cache::CacheError> {
-/// let mut itlb = Itlb::new(ItlbConfig::paper_default()?);
-/// let key = ItlbKey::binary(Opcode::ADD, ClassId::SMALL_INT, ClassId::SMALL_INT);
-/// assert!(itlb.lookup(key).is_none());
-/// itlb.fill(key, MethodRef::Primitive(PrimOp::Add));
-/// assert_eq!(itlb.lookup(key), Some(Translation::Primitive(PrimOp::Add)));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct Itlb {
-    l1: ProbeArray,
-    l2: Option<SetAssocCache<ItlbKey, Translation>>,
-    last_hit: ItlbHit,
-}
-
-impl Itlb {
-    /// Creates an ITLB with the given geometry.
-    pub fn new(config: ItlbConfig) -> Self {
-        Itlb {
-            l1: ProbeArray::new(config.l1),
-            l2: config.l2.map(SetAssocCache::new),
-            last_hit: ItlbHit::Miss,
-        }
-    }
-
-    /// Looks up a key; L2 hits are promoted into L1 (victims demoted).
-    #[inline]
-    pub fn lookup(&mut self, key: ItlbKey) -> Option<Translation> {
-        if let Some(m) = self.l1.lookup(key) {
-            self.last_hit = ItlbHit::L1;
-            return Some(m);
-        }
-        if let Some(l2) = &mut self.l2 {
-            if let Some(m) = l2.lookup(&key).copied() {
-                self.last_hit = ItlbHit::L2;
-                if let Some((vk, vv)) = self.l1.fill(key, m) {
-                    l2.fill(vk, vv);
-                }
-                return Some(m);
-            }
-        }
-        self.last_hit = ItlbHit::Miss;
-        None
-    }
-
-    /// Where the most recent lookup hit.
-    pub fn last_hit(&self) -> ItlbHit {
-        self.last_hit
-    }
-
-    /// Installs a resolution after a miss; L1 victims demote to L2. A
-    /// defined method must be resolved to a slab slot first (see
-    /// [`Translation`]).
-    pub fn fill(&mut self, key: ItlbKey, method: impl Into<Translation>) {
-        let method = method.into();
-        if let Some((vk, vv)) = self.l1.fill(key, method) {
-            if let Some(l2) = &mut self.l2 {
-                l2.fill(vk, vv);
-            }
-        }
-        if let Some(l2) = &mut self.l2 {
-            l2.fill(key, method);
-        }
+        self.targets[line] = method.into();
     }
 
     /// Invalidates every cached resolution (required when a method is
     /// redefined — "no object code need ever be modified", §2.1, but stale
     /// translations must go).
     pub fn flush(&mut self) {
-        self.l1.clear();
-        if let Some(l2) = &mut self.l2 {
-            l2.clear();
-        }
+        self.tags.fill(Self::EMPTY);
     }
 
-    /// Number of resolutions resident in the first level.
+    /// Number of resolutions resident.
     pub fn l1_len(&self) -> usize {
-        self.l1.len()
+        self.tags.iter().filter(|&&t| t != Self::EMPTY).count()
     }
 
-    /// First-level statistics.
+    /// Hit, miss, fill and eviction counts.
     pub fn l1_stats(&self) -> CacheStats {
-        self.l1.stats
+        self.stats
     }
 
-    /// Second-level statistics, if a second level exists.
-    pub fn l2_stats(&self) -> Option<CacheStats> {
-        self.l2.as_ref().map(|c| c.stats())
-    }
-
-    /// Resets statistics on both levels (warmup boundary, §5).
+    /// Resets the statistics (warmup boundary, §5).
     pub fn reset_stats(&mut self) {
-        self.l1.stats = CacheStats::default();
-        if let Some(l2) = &mut self.l2 {
-            l2.reset_stats();
-        }
+        self.stats = CacheStats::default();
     }
 }
 
@@ -383,13 +275,11 @@ mod tests {
     fn fill_then_hit() {
         let mut itlb = paper_itlb();
         assert_eq!(itlb.lookup(key(1, 1)), None);
-        assert_eq!(itlb.last_hit(), ItlbHit::Miss);
         itlb.fill(key(1, 1), add());
         assert_eq!(
             itlb.lookup(key(1, 1)),
             Some(Translation::Primitive(PrimOp::Add))
         );
-        assert_eq!(itlb.last_hit(), ItlbHit::L1);
         assert_eq!(itlb.l1_stats().hits, 1);
     }
 
@@ -414,7 +304,6 @@ mod tests {
             ItlbKey::unary(Opcode(0x3FF), ClassId(0xFFFF)),
         ];
         for a in keys {
-            assert_eq!(ItlbKey::unpack(a.pack()), a);
             for b in keys {
                 assert_eq!(a.pack() == b.pack(), a == b);
             }
@@ -431,31 +320,6 @@ mod tests {
             None,
             "different arity signature"
         );
-    }
-
-    #[test]
-    fn l2_promotes_on_hit() {
-        let cfg = ItlbConfig {
-            l1: CacheConfig::new(2, 2).unwrap(),
-            l2: Some(CacheConfig::new(64, 2).unwrap()),
-        };
-        let mut itlb = Itlb::new(cfg);
-        // Fill three keys: one must be evicted from the tiny L1 into L2.
-        for i in 0..3 {
-            itlb.fill(key(i, 1), add());
-        }
-        let mut l2_hits = 0;
-        for i in 0..3 {
-            match itlb.lookup(key(i, 1)) {
-                Some(_) => {
-                    if itlb.last_hit() == ItlbHit::L2 {
-                        l2_hits += 1;
-                    }
-                }
-                None => panic!("entry {i} lost from both levels"),
-            }
-        }
-        assert!(l2_hits >= 1, "expected at least one L2 promotion");
     }
 
     #[test]

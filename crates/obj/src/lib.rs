@@ -20,10 +20,9 @@
 //!   trap handler selectors (`doesNotUnderstand:`, `badOperands:`) and
 //!   the chain walk that finds a class's installed handler method.
 //! * [`Itlb`] — the ITLB: "an opcode and the set of operand object datatypes
-//!   are associated to a method", with an optional second level ("a larger
-//!   second level ITLB can be implemented in main memory", §5). A hit
-//!   yields a one-word [`Translation`]: a function unit, or the
-//!   decoded-slab slot of a resolved method.
+//!   are associated to a method". A hit yields a one-word
+//!   [`Translation`]: a function unit, or the decoded-slab slot of a
+//!   resolved method.
 //! * [`install_standard_primitives`] — the §3.3 primitive method families
 //!   installed into the primitive classes' dictionaries.
 
@@ -40,6 +39,6 @@ mod method;
 pub use atoms::AtomTable;
 pub use class::{install_standard_primitives, ClassInfo, ClassTable};
 pub use dict::MessageDictionary;
-pub use itlb::{Itlb, ItlbConfig, ItlbHit, ItlbKey};
+pub use itlb::{Itlb, ItlbConfig, ItlbKey};
 pub use lookup::{lookup_method, lookup_trap_handler, LookupCost, LookupOutcome, TrapSelector};
 pub use method::{DefinedMethod, MethodRef, Translation};

@@ -66,27 +66,14 @@ pub fn lookup_trap_handler(
     (method, out)
 }
 
-/// Cost model for one full method lookup, in processor cycles.
-///
-/// The paper does not commit to absolute lookup cycle counts; these defaults
-/// (4 cycles per class level traversed + 8 per hash probe) land full lookup
-/// in the tens of cycles, consistent with the software method caches it
-/// cites (Berkeley, HP). Both knobs are swept in ablation A1.
+/// Cost model for one full method lookup, in processor cycles. The
+/// machines charge `com_core::LOOKUP_COST`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LookupCost {
     /// Cycles charged per class visited (dictionary setup, superclass load).
     pub per_class: u64,
     /// Cycles charged per hash probe within a dictionary.
     pub per_probe: u64,
-}
-
-impl Default for LookupCost {
-    fn default() -> Self {
-        LookupCost {
-            per_class: 4,
-            per_probe: 8,
-        }
-    }
 }
 
 /// The outcome of a full method lookup.
@@ -266,7 +253,10 @@ mod tests {
             probes: 5,
             cycle: false,
         };
-        let cost = out.cost_cycles(LookupCost::default());
+        let cost = out.cost_cycles(LookupCost {
+            per_class: 4,
+            per_probe: 8,
+        });
         assert_eq!(cost, 3 * 4 + 5 * 8);
         let custom = out.cost_cycles(LookupCost {
             per_class: 1,

@@ -5,7 +5,7 @@
 use com_cache::{CacheConfig, Rng, SetAssocCache};
 use com_isa::{Opcode, PrimOp};
 use com_mem::ClassId;
-use com_obj::{Itlb, ItlbConfig, ItlbHit, ItlbKey, MethodRef, Translation};
+use com_obj::{Itlb, ItlbConfig, ItlbKey, MethodRef, Translation};
 
 fn key(op: u16, recv: u16, arg: u16) -> ItlbKey {
     ItlbKey::binary(Opcode(op), ClassId(recv), ClassId(arg))
@@ -23,7 +23,6 @@ fn method(i: u16) -> MethodRef {
 fn cfg(entries: usize, ways: usize) -> ItlbConfig {
     ItlbConfig {
         l1: CacheConfig::new(entries, ways).unwrap(),
-        l2: None,
     }
 }
 
@@ -150,36 +149,13 @@ fn capacity_pressure_evicts_and_recovers() {
 }
 
 #[test]
-fn flush_empties_and_last_hit_tracks() {
+fn flush_empties() {
     let mut itlb = Itlb::new(cfg(64, 2));
     let k = key(9, 9, 9);
     assert_eq!(itlb.lookup(k), None);
-    assert_eq!(itlb.last_hit(), ItlbHit::Miss);
     itlb.fill(k, method(1));
     assert!(itlb.lookup(k).is_some());
-    assert_eq!(itlb.last_hit(), ItlbHit::L1);
     itlb.flush();
     assert_eq!(itlb.l1_len(), 0);
     assert_eq!(itlb.lookup(k), None);
-}
-
-#[test]
-fn two_level_demotion_and_promotion_with_probe_l1() {
-    let config = ItlbConfig {
-        l1: CacheConfig::new(2, 1).unwrap(),
-        l2: Some(CacheConfig::new(128, 2).unwrap()),
-    };
-    let mut itlb = Itlb::new(config);
-    // Far more keys than L1 holds: L1 victims demote to L2.
-    let keys: Vec<ItlbKey> = (0..20).map(|i| key(i, i + 1, 2)).collect();
-    for k in &keys {
-        itlb.fill(*k, method(k.opcode.0));
-    }
-    let mut l2_hits = 0;
-    for k in &keys {
-        if itlb.lookup(*k).is_some() && itlb.last_hit() == ItlbHit::L2 {
-            l2_hits += 1;
-        }
-    }
-    assert!(l2_hits > 0, "L2 must serve L1 overflow");
 }

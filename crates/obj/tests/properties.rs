@@ -112,7 +112,6 @@ fn itlb_transparency() {
         }
         let cfg = ItlbConfig {
             l1: CacheConfig::new(1 << (1 + rng.below(6)), 2).expect("valid"),
-            l2: None,
         };
         let mut itlb = Itlb::new(cfg);
         for _ in 0..1 + rng.below(400) {

@@ -13,6 +13,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+
 use com_cache::{CacheConfig, CacheError, CacheStats, SetAssocCache};
 use com_mem::ClassId;
 
@@ -74,24 +76,15 @@ impl FromIterator<TraceEvent> for Trace {
     }
 }
 
-/// Replays `keys` through a fresh cache of `config`, treating the first
-/// `warmup` accesses as warmup (counters reset at the boundary, §5).
+/// Replays `keys` through `cache`, treating the first `warmup` accesses
+/// as warmup (counters reset at the boundary, §5).
 ///
 /// Returns the measurement-phase statistics.
-///
-/// # Errors
-///
-/// Propagates [`CacheError`] from cache construction.
-pub fn replay_keys<K, I>(
-    config: CacheConfig,
-    keys: I,
-    warmup: usize,
-) -> Result<CacheStats, CacheError>
+pub fn replay_keys<K, I>(mut cache: SetAssocCache<K, ()>, keys: I, warmup: usize) -> CacheStats
 where
-    K: std::hash::Hash + Eq + Clone,
+    K: Hash + Eq + Clone,
     I: IntoIterator<Item = K>,
 {
-    let mut cache: SetAssocCache<K, ()> = SetAssocCache::new(config);
     for (i, k) in keys.into_iter().enumerate() {
         if i == warmup {
             cache.reset_stats();
@@ -100,45 +93,7 @@ where
             cache.fill(k, ());
         }
     }
-    Ok(cache.stats())
-}
-
-/// ITLB hit ratio for a trace: keys are (opcode, top-of-stack class).
-///
-/// # Errors
-///
-/// Propagates [`CacheError`] for bad geometry.
-pub fn itlb_hit_ratio(
-    trace: &Trace,
-    entries: usize,
-    ways: usize,
-    warmup_fraction: f64,
-) -> Result<Option<f64>, CacheError> {
-    let cfg = CacheConfig::new(entries, ways)?;
-    let warmup = (trace.len() as f64 * warmup_fraction) as usize;
-    let stats = replay_keys(
-        cfg,
-        trace.events().iter().map(|e| (e.opcode, e.tos_class)),
-        warmup,
-    )?;
-    Ok(stats.hit_ratio())
-}
-
-/// Instruction cache hit ratio for a trace: keys are instruction addresses.
-///
-/// # Errors
-///
-/// Propagates [`CacheError`] for bad geometry.
-pub fn icache_hit_ratio(
-    trace: &Trace,
-    entries: usize,
-    ways: usize,
-    warmup_fraction: f64,
-) -> Result<Option<f64>, CacheError> {
-    let cfg = CacheConfig::new(entries, ways)?;
-    let warmup = (trace.len() as f64 * warmup_fraction) as usize;
-    let stats = replay_keys(cfg, trace.events().iter().map(|e| e.addr), warmup)?;
-    Ok(stats.hit_ratio())
+    cache.stats()
 }
 
 /// One row of a Figure-10/11-style sweep: cache size, per-associativity hit
@@ -157,7 +112,7 @@ pub struct SweepRow {
 /// # Errors
 ///
 /// Propagates [`CacheError`] when `ways` does not divide a size.
-pub fn sweep<K: std::hash::Hash + Eq + Clone>(
+pub fn sweep<K: Hash + Eq + Clone>(
     trace: &Trace,
     sizes: &[usize],
     ways_list: &[usize],
@@ -165,6 +120,18 @@ pub fn sweep<K: std::hash::Hash + Eq + Clone>(
     key: impl Fn(&TraceEvent) -> K,
 ) -> Result<Vec<SweepRow>, CacheError> {
     let warmup = (trace.len() as f64 * warmup_fraction) as usize;
+    // Every geometry sets a key by the hash a default-indexed cache takes
+    // of it: take it once per key, not once per key and geometry.
+    let keys: Vec<(u64, K)> = trace
+        .events()
+        .iter()
+        .map(|e| {
+            let k = key(e);
+            let mut h = DefaultHasher::new();
+            k.hash(&mut h);
+            (h.finish(), k)
+        })
+        .collect();
     let mut rows = Vec::new();
     for &entries in sizes {
         let mut ratios = Vec::new();
@@ -174,7 +141,8 @@ pub fn sweep<K: std::hash::Hash + Eq + Clone>(
                 continue;
             }
             let cfg = CacheConfig::new(entries, ways)?;
-            let stats = replay_keys(cfg, trace.events().iter().map(&key), warmup)?;
+            let cache = SetAssocCache::with_indexer(cfg, |k: &(u64, K)| k.0);
+            let stats = replay_keys(cache, keys.iter().cloned(), warmup);
             ratios.push((ways, stats.hit_ratio()));
         }
         rows.push(SweepRow { entries, ratios });
@@ -200,7 +168,7 @@ mod tests {
         // measurement sees only hits.
         let keys: Vec<u64> = (0..4).chain(0..4).chain(0..4).collect();
         let cfg = CacheConfig::new(8, 2).unwrap();
-        let stats = replay_keys(cfg, keys, 4).unwrap();
+        let stats = replay_keys(SetAssocCache::new(cfg), keys, 4);
         assert_eq!(stats.misses, 0);
         assert_eq!(stats.hits, 8);
     }
@@ -218,9 +186,14 @@ mod tests {
         // than ways thrash. Capacity must still help monotonically, over-
         // provisioned caches must do well, and a fully associative cache
         // with capacity >= working set must be perfect after warmup.
-        let small = itlb_hit_ratio(&t, 8, 2, 0.2).unwrap().unwrap();
-        let large = itlb_hit_ratio(&t, 512, 2, 0.2).unwrap().unwrap();
-        let full = itlb_hit_ratio(&t, 64, 64, 0.2).unwrap().unwrap();
+        let itlb = |entries, ways| {
+            sweep(&t, &[entries], &[ways], 0.2, |e| (e.opcode, e.tos_class)).unwrap()[0].ratios[0]
+                .1
+                .unwrap()
+        };
+        let small = itlb(8, 2);
+        let large = itlb(512, 2);
+        let full = itlb(64, 64);
         assert!(large > small, "large {large} <= small {small}");
         assert!(large > 0.90, "8x headroom absorbs hash collisions: {large}");
         assert!(
@@ -238,7 +211,9 @@ mod tests {
                 t.record(ev(a, 0, 1));
             }
         }
-        let r = icache_hit_ratio(&t, 64, 2, 0.1).unwrap().unwrap();
+        let r = sweep(&t, &[64], &[2], 0.1, |e| e.addr).unwrap()[0].ratios[0]
+            .1
+            .unwrap();
         assert!(r > 0.99);
     }
 

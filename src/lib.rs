@@ -4,8 +4,8 @@
 //! full experimental apparatus.
 //!
 //! This facade crate re-exports every subsystem; the repository README
-//! has the crate map, the experiment binaries, and the deviations from
-//! the paper.
+//! has the crate map, the deviations from the paper, and the claims
+//! `cargo run --release --bin repro` checks.
 //!
 //! The embedding API is the [`vm`] facade: compile once into a shared
 //! immutable image, then spawn any number of cheap, isolated tenant
