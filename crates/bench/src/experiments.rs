@@ -240,7 +240,7 @@ fn row<const N: usize>(label: &str, counts: [u64; N]) -> Vec<String> {
 /// clock cycles … An additional cycle is required for each operand copied
 /// to the next context"; "method returns cost only two clock cycles."
 pub fn t1() -> Experiment {
-    let (zero, return_cycles) = call_cost_run(false);
+    let (zero, (return_cycles, returns)) = call_cost_run(false);
     let (three, _) = call_cost_run(true);
     let counts = |s: &CycleStats| {
         [
@@ -265,7 +265,7 @@ pub fn t1() -> Experiment {
     // cycles, +1 per copied operand.
     let per_call = 2.0 + zero.call_linkage_cycles as f64 / zero.calls as f64;
     let copies = three.operand_copy_cycles as f64 - zero.operand_copy_cycles as f64;
-    let per_return = return_cycles as f64 / zero.returns as f64;
+    let per_return = return_cycles as f64 / returns as f64;
     Experiment {
         id: "T1 (§3.6)",
         report: "T1 reproduction — call/return cycle arithmetic (§3.6)\n".to_string()
@@ -284,18 +284,20 @@ pub fn t1() -> Experiment {
                 copies,
             ),
             Claim::new("a return", Unit::Cycles, Bound::Exactly(2.0), per_return)
-                .detail(format!("{} returns", zero.returns)),
+                .detail(format!("{returns} returns")),
         ],
     }
 }
 
 /// Builds an image with a no-op defined method and a wrapper that calls
 /// it through the requested instruction form, and sends to the wrapper
-/// one instruction at a time. Returns the send's statistics and the
-/// cycles charged to its return instructions beyond the fetch and
-/// translation stalls (instruction cache and ITLB misses) that every
-/// instruction pays alike on cold caches.
-fn call_cost_run(three_operand_form: bool) -> (CycleStats, u64) {
+/// twice. Returns the first (cold) send's statistics, and the cycles the
+/// second send's program returns were charged, every category included,
+/// with how many there were. The second send runs one instruction at a
+/// time on warm caches; its halting return from the entry method is left
+/// out, because each send stores a fresh entry method, whose fetch
+/// misses the instruction cache.
+fn call_cost_run(three_operand_form: bool) -> (CycleStats, (u64, u64)) {
     let mut img = ProgramImage::empty();
     let sel = img.opcodes.intern("noop:");
     let mut asm = Assembler::new("SmallInteger>>noop:", 2);
@@ -327,24 +329,25 @@ fn call_cost_run(three_operand_form: bool) -> (CycleStats, u64) {
 
     let mut m = Machine::new(MachineConfig::default());
     m.load(&img).unwrap();
-    let start = m.stats();
-    m.start_send(wrapper, Word::Int(1), &[Word::Int(2)])
-        .unwrap();
-    let mut return_cycles = 0;
+    let args = [Word::Int(2)];
+    let cold = m.send("wrap:", Word::Int(1), &args, 1_000).unwrap().stats;
+    m.start_send(wrapper, Word::Int(1), &args).unwrap();
+    let (mut cycles, mut returns) = (0, 0);
     loop {
         let before = m.stats();
-        let step = m.step();
-        let d = m.stats().since(&before);
-        if d.returns > 0 {
-            return_cycles += d.total_cycles() - d.icache_miss_cycles - d.lookup_cycles;
-        }
-        match step {
-            Ok(()) => {}
+        match m.step() {
+            Ok(()) => {
+                let d = m.stats().since(&before);
+                if d.returns > 0 {
+                    cycles += d.total_cycles();
+                    returns += d.returns;
+                }
+            }
             Err(MachineError::Halted(_)) => break,
             Err(e) => panic!("T1 send trapped: {e}"),
         }
     }
-    (m.stats().since(&start), return_cycles)
+    (cold, (cycles, returns))
 }
 
 /// T2: context cache behaviour (§2.3).

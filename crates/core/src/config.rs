@@ -1,6 +1,5 @@
 //! Machine configuration: geometry, cost parameters and ablation switches.
 
-use com_cache::CacheConfig;
 use com_fpa::FpaFormat;
 use com_obj::{ItlbConfig, LookupCost};
 
@@ -14,6 +13,12 @@ pub(crate) const CTX_FAULT_PENALTY: u64 = 32;
 
 /// Cycles added by an instruction cache miss.
 pub(crate) const ICACHE_MISS_PENALTY: u64 = 8;
+
+/// Instruction cache entries: the paper's 4,096 (§5 Figure 11).
+pub(crate) const ICACHE_ENTRIES: usize = 4096;
+
+/// Instruction cache associativity: 2-way (§5 Figure 11).
+pub(crate) const ICACHE_WAYS: usize = 2;
 
 /// Cycles added by each memory access: an `at:`/`at:put:`, a `new` or
 /// `grow`, and a context word read or written without a context cache.
@@ -32,13 +37,14 @@ pub const LOOKUP_COST: LookupCost = LookupCost {
 
 /// Configuration of one COM instance.
 ///
-/// The defaults reproduce the paper's machine: a 512×2-way ITLB (§5), a
-/// 4096-entry 2-way instruction cache (§5 Figure 11), a 32-block context
-/// cache (§2.3: "a context cache of this modest size would almost never
-/// miss") with copyback enabled. The switches select the paper's
-/// ablations (no ITLB, no context cache, no eager LIFO freeing) and the
-/// garbage collector's cadence. The §3.6 stall penalties and the copyback
-/// low-water mark are fixed: [`LOOKUP_COST`], [`MEMORY_PENALTY`],
+/// The defaults reproduce the paper's machine: a 512×2-way ITLB (§5) and a
+/// 32-block context cache (§2.3: "a context cache of this modest size
+/// would almost never miss") with copyback enabled. The switches select
+/// the paper's ablations (no ITLB, no context cache, no eager LIFO
+/// freeing) and the garbage collector's cadence. The instruction cache,
+/// the §3.6 stall penalties and the copyback low-water mark are fixed:
+/// the 4096-entry 2-way geometry of §5 Figure 11 (`ICACHE_ENTRIES`,
+/// `ICACHE_WAYS`), [`LOOKUP_COST`], [`MEMORY_PENALTY`],
 /// `ICACHE_MISS_PENALTY`, `CTX_FAULT_PENALTY` and `COPYBACK_LOW_WATER`.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
@@ -49,9 +55,6 @@ pub struct MachineConfig {
     /// ITLB geometry; `None` disables the ITLB entirely (ablation A1:
     /// every send pays the full association cost).
     pub itlb: Option<ItlbConfig>,
-    /// Instruction cache geometry; `None` disables it (every fetch pays the
-    /// miss penalty).
-    pub icache: Option<CacheConfig>,
     /// Number of context cache blocks; `None` disables the context cache
     /// (ablation A2: contexts live in plain memory).
     pub ctx_blocks: Option<usize>,
@@ -59,9 +62,6 @@ pub struct MachineConfig {
     /// the cache begins copying the LRU context back"). The T2 table turns
     /// it off to compare.
     pub copyback: bool,
-    /// Treat read-after-write hazards (§3.6: the compiler must separate
-    /// dependent instructions) as errors instead of one-cycle interlocks.
-    pub strict_hazards: bool,
     /// Steps between **minor** (nursery-only) collections; `None` disables
     /// periodic minor collection. When a step is a multiple of both the
     /// minor and the full interval, the full collection wins.
@@ -82,10 +82,8 @@ impl Default for MachineConfig {
             format: FpaFormat::COM,
             space_log2: 26,
             itlb: Some(ItlbConfig::paper_default().expect("paper geometry is valid")),
-            icache: Some(CacheConfig::new(4096, 2).expect("paper geometry is valid")),
             ctx_blocks: Some(32),
             copyback: true,
-            strict_hazards: false,
             gc_minor_interval: None,
             gc_full_interval: None,
             eager_lifo_free: true,
@@ -144,8 +142,6 @@ mod tests {
         let itlb = c.itlb.unwrap();
         assert_eq!(itlb.l1.entries(), 512);
         assert_eq!(itlb.l1.ways(), 2);
-        let icache = c.icache.unwrap();
-        assert_eq!(icache.entries(), 4096);
         assert_eq!(c.ctx_blocks, Some(32));
         assert!(c.copyback);
         assert!(c.eager_lifo_free);

@@ -18,7 +18,7 @@
 //! * [`ContextCache`] — directory + access vectors (current/next/free/match)
 //!   per §3.6 Figure 7, with copyback for deep nesting.
 //! * [`MachineConfig`] — geometry and ablation switches (ITLB off, context
-//!   cache off, copyback, strict hazards).
+//!   cache off, copyback).
 //! * [`ProgramImage`] — a compiled program (classes, methods, entry point)
 //!   as produced by the `com-stc` compiler.
 //! * [`CycleStats`] — CPI decomposition by stall source (experiment T6).

@@ -6,7 +6,7 @@
 //! table pre-classed. Bodies are position-independent (no memory
 //! addresses), so a `LoadedImage` is immutable and shareable: wrap it in an
 //! [`std::sync::Arc`] and any number of machines can be booted from it via
-//! [`Machine::load_image`](crate::Machine::load_image) without compiling
+//! [`Machine::boot`](crate::Machine::boot) without compiling
 //! or decoding anything — each machine only stores the code words into its
 //! own object space and binds the shared bodies to the stored addresses.
 //!
@@ -21,7 +21,7 @@ use com_fpa::{Fpa, FpaFormat};
 use com_mem::{AbsAddr, ClassId, MemError, ObjectSpace, TeamId};
 use com_obj::{ClassTable, DefinedMethod, MethodRef};
 
-use crate::machine::{Decoded, DecodedBody};
+use crate::machine::{push_decoded, Decoded, DecodedBody};
 use crate::{MachineConfig, ProgramImage};
 
 /// A fully pre-booted machine state for one space geometry: the image's
@@ -60,12 +60,7 @@ impl BootTemplate {
     ) -> Result<BootTemplate, MemError> {
         let mut space = ObjectSpace::new(space_log2, format);
         let mut classes = image.classes.clone();
-        let context_class = match classes.by_name("Context") {
-            Some(c) => c,
-            None => classes
-                .define("Context", Some(ClassTable::OBJECT), 0)
-                .expect("name free"),
-        };
+        let context_class = context_class_in(&mut classes);
         let mut code_roots = Vec::new();
         let mut slab = Vec::new();
         let mut index: HashMap<u64, u32, FxBuildHasher> = HashMap::default();
@@ -76,12 +71,7 @@ impl BootTemplate {
             image,
             |i| bodies[i].clone(),
             &mut code_roots,
-            |base, abs, body| {
-                let id = u32::try_from(slab.len()).expect("slab outgrew u32");
-                slab.push(Decoded { base, abs, body });
-                index.insert(base.raw(), id);
-                id
-            },
+            |base, abs, body| push_decoded(&mut slab, &mut index, Decoded { base, abs, body }),
         )?;
         Ok(BootTemplate {
             format,
@@ -96,12 +86,23 @@ impl BootTemplate {
     }
 }
 
+/// The class contexts take in a machine running `classes`: the table's
+/// `Context`, defined under `Object` when the table has none.
+pub(crate) fn context_class_in(classes: &mut ClassTable) -> ClassId {
+    match classes.by_name("Context") {
+        Some(c) => c,
+        None => classes
+            .define("Context", Some(ClassTable::OBJECT), 0)
+            .expect("name free"),
+    }
+}
+
 /// The one boot sequence for storing an image's methods into a machine's
 /// space: store each code object, pin it as a GC root, bind its shared
 /// pre-decoded body (when one exists) into the caller's slab via `bind`,
-/// and install the (then pre-resolved) method reference. Both the
-/// template build and `Machine::load_image`'s store-per-method path run
-/// exactly this function, so the two boot paths cannot drift.
+/// and install the (then pre-resolved) method reference. The template
+/// build, `Machine::boot`'s store-per-method path and `Machine::load` run
+/// exactly this function, so the boot paths cannot drift.
 pub(crate) fn store_and_install(
     space: &mut ObjectSpace,
     team: TeamId,
@@ -145,7 +146,7 @@ pub struct LoadedImage {
 impl LoadedImage {
     /// Pre-decodes every method of `image` and pre-boots the default
     /// machine geometry. This is the one-time cost that
-    /// [`Machine::load_image`](crate::Machine::load_image) amortises
+    /// [`Machine::boot`](crate::Machine::boot) amortises
     /// across machines.
     pub fn prepare(image: ProgramImage) -> LoadedImage {
         Self::prepare_for(image, &MachineConfig::default())

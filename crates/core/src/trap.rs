@@ -65,13 +65,6 @@ pub enum MachineError {
     /// "conditionally privileged to prevent the forging of virtual
     /// addresses" (§3.3).
     Privileged,
-    /// Read-after-write hazard in strict mode: instruction `pc` reads the
-    /// destination of its predecessor (§3.6 requires the compiler to
-    /// prevent this).
-    Hazard {
-        /// The program counter of the offending instruction.
-        pc: u64,
-    },
     /// The step budget given to [`run`](crate::Machine::run) was exhausted.
     StepLimit,
     /// Return executed with no caller: the program halted. Carries the
@@ -146,12 +139,6 @@ impl core::fmt::Display for MachineError {
                 write!(f, "bad operands for {opcode}: {reason}")
             }
             MachineError::Privileged => write!(f, "privileged instruction (as:) in user mode"),
-            MachineError::Hazard { pc } => {
-                write!(
-                    f,
-                    "read-after-write hazard at pc {pc} (compiler contract violated)"
-                )
-            }
             MachineError::StepLimit => write!(f, "step limit exhausted"),
             MachineError::Halted(w) => write!(f, "halted with result {w}"),
             MachineError::NoContext => write!(f, "no active context"),
