@@ -299,7 +299,7 @@ pub fn t1() -> Experiment {
 /// misses the instruction cache.
 fn call_cost_run(three_operand_form: bool) -> (CycleStats, (u64, u64)) {
     let mut img = ProgramImage::empty();
-    let sel = img.opcodes.intern("noop:");
+    let sel = img.opcodes.intern("noop:").unwrap();
     let mut asm = Assembler::new("SmallInteger>>noop:", 2);
     let cur = Operand::Cur;
     asm.emit_three_ret(Opcode::MOVE, cur(0), cur(1), cur(1))
@@ -307,7 +307,7 @@ fn call_cost_run(three_operand_form: bool) -> (CycleStats, (u64, u64)) {
     img.add_method(ClassId::SMALL_INT, sel, asm.finish().unwrap());
 
     // A wrapper whose body performs the send in the requested form.
-    let wrapper = img.opcodes.intern("wrap:");
+    let wrapper = img.opcodes.intern("wrap:").unwrap();
     let mut asm = Assembler::new("SmallInteger>>wrap:", 2);
     if three_operand_form {
         // c3 <- c1 noop: c2 — three operands copied at call.

@@ -1,74 +1,61 @@
-//! The generic set-associative cache.
-
-use std::hash::{DefaultHasher, Hash, Hasher};
+//! The set-associative cache.
 
 use crate::{CacheConfig, CacheStats};
 
-/// One line of a set.
+/// A set-associative cache from tags to values, with per-set LRU
+/// replacement and hit/miss accounting.
+///
+/// The lines live in three parallel arrays — tags, recency stamps and
+/// values — and a probe compares the ways of one set in place, as the
+/// hardware's comparators would. The caller picks the set: every probe
+/// passes a `hash` of its key, which the cache reduces modulo the set
+/// count (a mask when the count is a power of two). So each structure
+/// keeps its own indexing — the instruction cache the address itself, the
+/// ITLB a multiplicative hash of its packed key, the ATLB the
+/// [`FxHasher`](crate::FxHasher) of its key, the Figure 10/11 replays
+/// SipHash — and all of them share one probe, one fill order and one LRU
+/// choice.
+///
+/// A line whose stamp is zero is empty, so every bit pattern of `T` is a
+/// usable tag. This is a *simulation* structure: a miss returns `None`,
+/// the caller performs the authoritative lookup (method dictionaries,
+/// segment tables…) and then [`fill`](Self::fill)s.
 #[derive(Debug, Clone)]
-struct Line<K, V> {
-    key: K,
-    value: V,
-    /// Monotonic counter value at last use (LRU).
-    last_used: u64,
-}
-
-/// A set-associative key/value cache with hit/miss accounting.
-///
-/// Keys are mapped to a set either by the default hash indexer or by a
-/// custom indexing function (address-bit indexing for instruction caches,
-/// for example — see [`SetAssocCache::with_indexer`]); within a set, the
-/// least recently used line is the victim.
-///
-/// This is a *simulation* structure: it models the COM's associative
-/// memories (ITLB, ATLB, instruction cache, cache levels of physical
-/// memory). It deliberately exposes the miss path to the caller — a miss
-/// returns `None` and the caller performs the authoritative lookup (method
-/// dictionaries, segment tables…) and then [`fill`](SetAssocCache::fill)s.
-#[derive(Clone)]
-pub struct SetAssocCache<K, V> {
-    config: CacheConfig,
-    sets: Vec<Vec<Line<K, V>>>,
+pub struct SetAssocCache<T, V> {
+    sets: usize,
+    /// `sets - 1` when the set count is a power of two (one AND), else 0
+    /// (fall back to the modulo).
+    mask: u64,
+    ways: usize,
+    /// Each line's tag, meaningful only while its stamp is non-zero.
+    tags: Vec<T>,
+    /// The clock at each line's last use (LRU), or 0 for an empty line.
+    stamps: Vec<u64>,
+    /// Each line's value.
+    values: Vec<V>,
     clock: u64,
     stats: CacheStats,
-    indexer: Option<fn(&K) -> u64>,
 }
 
-impl<K, V> std::fmt::Debug for SetAssocCache<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SetAssocCache")
-            .field("config", &self.config)
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<K: Hash + Eq + Clone, V> SetAssocCache<K, V> {
-    /// Creates an empty cache with hash-based set indexing.
+impl<T: Copy + Eq + Default, V: Copy + Default> SetAssocCache<T, V> {
+    /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
+        let sets = config.sets();
+        let lines = config.entries();
         SetAssocCache {
-            config,
-            sets: (0..config.sets()).map(|_| Vec::new()).collect(),
+            sets,
+            mask: if sets.is_power_of_two() {
+                sets as u64 - 1
+            } else {
+                0
+            },
+            ways: config.ways(),
+            tags: vec![T::default(); lines],
+            stamps: vec![0; lines],
+            values: vec![V::default(); lines],
             clock: 0,
             stats: CacheStats::default(),
-            indexer: None,
         }
-    }
-
-    /// Creates an empty cache whose set index is `indexer(key) % sets`.
-    ///
-    /// Use address-bit indexing for caches that are indexed by low address
-    /// bits in hardware (the instruction cache), and leave the default
-    /// hashing for key tuples (the ITLB).
-    pub fn with_indexer(config: CacheConfig, indexer: fn(&K) -> u64) -> Self {
-        let mut c = Self::new(config);
-        c.indexer = Some(indexer);
-        c
-    }
-
-    /// The cache geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.config
     }
 
     /// Statistics accumulated since construction or the last
@@ -85,226 +72,191 @@ impl<K: Hash + Eq + Clone, V> SetAssocCache<K, V> {
 
     /// Number of valid lines currently resident.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.stamps.iter().filter(|&&s| s != 0).count()
     }
 
     /// Whether no lines are resident.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
+        self.len() == 0
     }
 
-    fn set_index(&self, key: &K) -> usize {
-        let h = match self.indexer {
-            Some(f) => f(key),
+    /// The first line of the set `hash` selects.
+    #[inline]
+    fn set_base(&self, hash: u64) -> usize {
+        let set = if self.mask != 0 {
+            (hash & self.mask) as usize
+        } else {
+            (hash % self.sets as u64) as usize
+        };
+        set * self.ways
+    }
+
+    /// The valid line of the set starting at `base` whose tag is `tag`.
+    #[inline]
+    fn find(&self, base: usize, tag: T) -> Option<usize> {
+        let ways = base..base + self.ways;
+        self.tags[ways.clone()]
+            .iter()
+            .zip(&self.stamps[ways])
+            .position(|(&t, &s)| t == tag && s != 0)
+            .map(|way| base + way)
+    }
+
+    /// Looks `tag` up in the set `hash` selects, recording a hit or miss
+    /// and refreshing recency.
+    #[inline]
+    pub fn lookup(&mut self, hash: u64, tag: T) -> Option<V> {
+        self.clock += 1;
+        match self.find(self.set_base(hash), tag) {
+            Some(line) => {
+                self.stamps[line] = self.clock;
+                self.stats.hits += 1;
+                Some(self.values[line])
+            }
             None => {
-                let mut hasher = DefaultHasher::new();
-                key.hash(&mut hasher);
-                hasher.finish()
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Installs `tag → value` in the set `hash` selects. A resident `tag`
+    /// is refilled in place; otherwise the first empty way is taken, and
+    /// in a full set the least recently used line is evicted.
+    pub fn fill(&mut self, hash: u64, tag: T, value: V) {
+        self.clock += 1;
+        self.stats.fills += 1;
+        let base = self.set_base(hash);
+        let line = match self.find(base, tag) {
+            Some(line) => line,
+            None => {
+                // An empty line's zero stamp is its set's minimum, and
+                // `min_by_key` keeps the first minimum: one scan takes the
+                // first empty way, or else the LRU line.
+                let victim = (base..base + self.ways)
+                    .min_by_key(|&l| self.stamps[l])
+                    .expect("sets are nonempty");
+                if self.stamps[victim] != 0 {
+                    self.stats.evictions += 1;
+                }
+                victim
             }
         };
-        (h % self.config.sets() as u64) as usize
+        self.tags[line] = tag;
+        self.stamps[line] = self.clock;
+        self.values[line] = value;
     }
 
-    /// Looks `key` up, recording a hit or miss and refreshing recency.
-    pub fn lookup(&mut self, key: &K) -> Option<&V> {
-        self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_index(key);
-        let lines = &mut self.sets[set];
-        if let Some(line) = lines.iter_mut().find(|l| l.key == *key) {
-            line.last_used = clock;
-            self.stats.hits += 1;
-            Some(&line.value)
-        } else {
-            self.stats.misses += 1;
-            None
+    /// Removes `tag` from the set `hash` selects, if resident.
+    pub fn invalidate(&mut self, hash: u64, tag: T) {
+        if let Some(line) = self.find(self.set_base(hash), tag) {
+            self.stamps[line] = 0;
+            self.stats.invalidations += 1;
         }
-    }
-
-    /// Non-recording, non-mutating probe (for diagnostics and tests).
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        let set = self.set_index(key);
-        self.sets[set]
-            .iter()
-            .find(|l| l.key == *key)
-            .map(|l| &l.value)
-    }
-
-    /// Inserts `key → value`, evicting the LRU line if the set is full.
-    /// Returns the evicted pair, if any. Filling an already-present key
-    /// replaces its value in place (no eviction).
-    pub fn fill(&mut self, key: K, value: V) -> Option<(K, V)> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.stats.fills += 1;
-        let set = self.set_index(&key);
-        let ways = self.config.ways();
-        let lines = &mut self.sets[set];
-
-        if let Some(line) = lines.iter_mut().find(|l| l.key == key) {
-            line.value = value;
-            line.last_used = clock;
-            return None;
-        }
-        if lines.len() < ways {
-            lines.push(Line {
-                key,
-                value,
-                last_used: clock,
-            });
-            return None;
-        }
-        let victim = lines
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.last_used)
-            .map(|(i, _)| i)
-            .expect("set is full, so nonempty");
-        self.stats.evictions += 1;
-        let old = std::mem::replace(
-            &mut lines[victim],
-            Line {
-                key,
-                value,
-                last_used: clock,
-            },
-        );
-        Some((old.key, old.value))
-    }
-
-    /// Looks up, and on a miss computes the value with `f` and fills it.
-    /// Returns the value and whether the access hit.
-    pub fn lookup_or_insert_with(&mut self, key: K, f: impl FnOnce() -> V) -> (&V, bool) {
-        // Split borrow: lookup first (records stats), then fill on miss.
-        let hit = self.lookup(&key).is_some();
-        if !hit {
-            let v = f();
-            self.fill(key.clone(), v);
-        }
-        let set = self.set_index(&key);
-        let v = self.sets[set]
-            .iter()
-            .find(|l| l.key == key)
-            .map(|l| &l.value)
-            .expect("just filled");
-        (v, hit)
-    }
-
-    /// Removes `key` if present, returning its value.
-    pub fn invalidate(&mut self, key: &K) -> Option<V> {
-        let set = self.set_index(key);
-        let lines = &mut self.sets[set];
-        let pos = lines.iter().position(|l| l.key == *key)?;
-        self.stats.invalidations += 1;
-        Some(lines.swap_remove(pos).value)
     }
 
     /// Drops all contents (statistics are kept; pair with
     /// [`reset_stats`](Self::reset_stats) for a full reset).
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-    }
-
-    /// Iterates over all resident `(key, value)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().map(|l| (&l.key, &l.value)))
+        self.stamps.fill(0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheError;
+    use crate::{CacheError, Rng};
 
     fn cfg(entries: usize, ways: usize) -> CacheConfig {
         CacheConfig::new(entries, ways).unwrap()
     }
 
+    /// A fully associative cache: the set hash is irrelevant.
+    fn full<V: Copy + Default>(entries: usize) -> SetAssocCache<u64, V> {
+        SetAssocCache::new(CacheConfig::fully_associative(entries).unwrap())
+    }
+
     #[test]
     fn hit_after_fill() {
-        let mut c: SetAssocCache<u64, u64> = SetAssocCache::new(cfg(8, 2));
-        assert_eq!(c.lookup(&1), None);
-        c.fill(1, 10);
-        assert_eq!(c.lookup(&1), Some(&10));
+        let mut c = full::<u64>(8);
+        assert_eq!(c.lookup(0, 1), None);
+        c.fill(0, 1, 10);
+        assert_eq!(c.lookup(0, 1), Some(10));
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
     fn lru_evicts_least_recent() {
-        // Fully associative, 2 entries.
-        let mut c: SetAssocCache<u64, ()> = SetAssocCache::new(cfg(2, 2));
-        c.fill(1, ());
-        c.fill(2, ());
-        c.lookup(&1); // 1 is now more recent than 2
-        let evicted = c.fill(3, ());
-        assert_eq!(evicted, Some((2, ())));
-        assert!(c.peek(&1).is_some());
-        assert!(c.peek(&3).is_some());
+        let mut c = full::<()>(2);
+        c.fill(0, 1, ());
+        c.fill(0, 2, ());
+        c.lookup(0, 1); // 1 is now more recent than 2
+        c.fill(0, 3, ());
+        assert_eq!(c.stats().evictions, 1);
+        assert!(c.lookup(0, 1).is_some());
+        assert!(c.lookup(0, 3).is_some());
+        assert!(c.lookup(0, 2).is_none(), "the LRU victim was 2");
     }
 
     #[test]
     fn refill_replaces_in_place() {
-        let mut c: SetAssocCache<u64, u64> = SetAssocCache::new(cfg(2, 2));
-        c.fill(1, 10);
-        assert_eq!(c.fill(1, 20), None);
-        assert_eq!(c.peek(&1), Some(&20));
+        let mut c = full::<u64>(2);
+        c.fill(0, 1, 10);
+        c.fill(0, 1, 20);
+        assert_eq!(c.lookup(0, 1), Some(20));
         assert_eq!(c.len(), 1);
         assert_eq!(c.stats().evictions, 0);
+        assert_eq!(c.stats().fills, 2);
     }
 
     #[test]
     fn direct_mapped_conflicts() {
-        // 2 sets, 1 way, address-bit indexing: keys 0 and 2 collide.
-        let mut c: SetAssocCache<u64, u64> = SetAssocCache::with_indexer(cfg(2, 1), |k| *k);
-        c.fill(0, 100);
-        c.fill(2, 102);
-        assert_eq!(c.peek(&0), None, "0 evicted by conflicting 2");
-        assert_eq!(c.peek(&2), Some(&102));
-        c.fill(1, 101);
-        assert_eq!(c.peek(&1), Some(&101), "odd keys use the other set");
-        assert_eq!(c.peek(&2), Some(&102));
+        // 2 sets, 1 way, the address as the hash: keys 0 and 2 collide.
+        let mut c: SetAssocCache<u64, u64> = SetAssocCache::new(cfg(2, 1));
+        c.fill(0, 0, 100);
+        c.fill(2, 2, 102);
+        c.fill(1, 1, 101);
+        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.lookup(1, 1), Some(101), "odd keys use the other set");
+        assert_eq!(c.lookup(2, 2), Some(102));
+        assert_eq!(c.lookup(0, 0), None, "0 evicted by conflicting 2");
     }
 
     #[test]
-    fn lookup_or_insert_with_runs_once() {
-        let mut c: SetAssocCache<u64, u64> = SetAssocCache::new(cfg(4, 4));
-        let mut calls = 0;
-        let (v, hit) = c.lookup_or_insert_with(9, || {
-            calls += 1;
-            99
-        });
-        assert_eq!((*v, hit), (99, false));
-        let (v, hit) = c.lookup_or_insert_with(9, || {
-            calls += 1;
-            0
-        });
-        assert_eq!((*v, hit), (99, true));
-        assert_eq!(calls, 1);
+    fn any_tag_bit_pattern_is_a_key() {
+        // Empty lines are marked by their stamp, not a reserved tag: the
+        // zero tag misses in a fresh cache, and the all-ones and
+        // all-zero tuple tags (the ATLB's key shape) hold values.
+        let mut c: SetAssocCache<(u16, u64), u64> = SetAssocCache::new(cfg(64, 2));
+        assert_eq!(c.lookup(0, (0, 0)), None);
+        c.fill(0, (0, 0), 1);
+        c.fill(u64::MAX, (u16::MAX, u64::MAX), 2);
+        assert_eq!(c.lookup(0, (0, 0)), Some(1));
+        assert_eq!(c.lookup(u64::MAX, (u16::MAX, u64::MAX)), Some(2));
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn invalidate_removes() {
-        let mut c: SetAssocCache<u64, u64> = SetAssocCache::new(cfg(4, 4));
-        c.fill(5, 50);
-        assert_eq!(c.invalidate(&5), Some(50));
-        assert_eq!(c.invalidate(&5), None);
-        assert_eq!(c.lookup(&5), None);
-        assert_eq!(c.stats().invalidations, 1);
+        let mut c = full::<u64>(4);
+        c.fill(0, 5, 50);
+        c.invalidate(0, 5);
+        c.invalidate(0, 5);
+        assert_eq!(c.lookup(0, 5), None);
+        assert_eq!(c.stats().invalidations, 1, "only a resident line counts");
+        c.fill(0, 6, 60);
+        assert_eq!(c.stats().evictions, 0, "an invalidated line is empty");
     }
 
     #[test]
     fn reset_stats_keeps_contents() {
-        let mut c: SetAssocCache<u64, u64> = SetAssocCache::new(cfg(4, 4));
-        c.fill(5, 50);
-        c.lookup(&5);
+        let mut c = full::<u64>(4);
+        c.fill(0, 5, 50);
+        c.lookup(0, 5);
         c.reset_stats();
         assert_eq!(c.stats(), CacheStats::default());
-        assert_eq!(c.lookup(&5), Some(&50));
+        assert_eq!(c.lookup(0, 5), Some(50));
         assert_eq!(c.stats().hits, 1);
     }
 
@@ -313,11 +265,45 @@ mod tests {
         let mut c: SetAssocCache<u64, ()> = SetAssocCache::new(cfg(8, 2));
         assert!(c.is_empty());
         for k in 0..5 {
-            c.fill(k, ());
+            c.fill(k, k, ());
         }
-        assert!(c.len() <= 5);
+        assert_eq!(c.len(), 5);
+        c.lookup(1, 1);
         c.clear();
         assert!(c.is_empty());
+        assert_eq!(c.lookup(1, 1), None);
+        assert_eq!(c.stats().hits, 1, "clear keeps the counters");
+    }
+
+    #[test]
+    fn matches_recency_list_model_access_for_access() {
+        // An independent LRU model: per set, the resident tags in recency
+        // order, most recent last. On a stream with reuse and conflicts
+        // the cache and the model must agree on every hit, miss and
+        // eviction.
+        let (sets, ways) = (8, 2);
+        let mut cache: SetAssocCache<u64, u64> = SetAssocCache::new(cfg(sets * ways, ways));
+        let mut model: Vec<Vec<u64>> = vec![Vec::new(); sets];
+        let mut evictions = 0;
+        let mut rng = Rng::new(12345);
+        for i in 0..10_000u64 {
+            let addr = if i % 3 == 0 { i % 24 } else { rng.below(64) };
+            let set = &mut model[addr as usize % sets];
+            let hit = set.iter().position(|&t| t == addr).map(|at| set.remove(at));
+            assert_eq!(cache.lookup(addr, addr), hit.map(|t| t * 7), "access {i}");
+            if hit.is_none() {
+                cache.fill(addr, addr, addr * 7);
+                if set.len() == ways {
+                    set.remove(0);
+                    evictions += 1;
+                }
+            }
+            set.push(addr);
+        }
+        let s = cache.stats();
+        assert_eq!(s.evictions, evictions);
+        assert_eq!(s.misses, s.fills);
+        assert_eq!(cache.len(), model.iter().map(Vec::len).sum::<usize>());
     }
 
     #[test]

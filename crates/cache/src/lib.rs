@@ -5,19 +5,17 @@
 //! classes → method), the **ATLB** (virtual segment → absolute descriptor),
 //! an **instruction cache** and a **context cache**.
 //!
-//! This crate provides the generic machinery the set-associative ones
-//! share. Every cache replaces the least recently used line of a set, as
-//! in the paper's simulations (§5), and records [`CacheStats`] with a
+//! This crate provides the one set-associative cache the ITLB, the ATLB
+//! and the instruction cache are built on (the context cache, a block
+//! store with its own directory, lives in `com-core`). Every cache replaces the least recently used line of a set,
+//! as in the paper's simulations (§5), and records [`CacheStats`] with a
 //! warmup-aware reset (the paper ran "a warmup trace … before the
 //! measurement trace", §5).
 //!
-//! * [`SetAssocCache`] — a key/value cache with configurable entry count,
-//!   associativity and indexing function (trace replay, the ITLB's second
-//!   level).
-//! * [`FlatCache`] — the same cache in one flat allocation, for structures
-//!   probed on every memory reference (the ATLB).
-//! * [`AddrSet`] — a presence-only flat cache over addresses (the
-//!   instruction cache).
+//! * [`SetAssocCache`] — parallel tag, recency and value arrays probed in
+//!   place; each probe passes the hash that selects its set, so the
+//!   instruction cache indexes by address, the ITLB and ATLB by their own
+//!   key hashes, and the Figure 10/11 trace replays by SipHash.
 //! * [`CacheConfig`] — cache geometry.
 //!
 //! It also holds the two small utilities every layer shares: the
@@ -28,12 +26,12 @@
 //! use com_cache::{CacheConfig, SetAssocCache};
 //!
 //! # fn main() -> Result<(), com_cache::CacheError> {
-//! let mut itlb: SetAssocCache<u32, &'static str> =
-//!     SetAssocCache::new(CacheConfig::new(512, 2)?);
-//! assert!(itlb.lookup(&7).is_none());      // compulsory miss
-//! itlb.fill(7, "int+int -> add");
-//! assert_eq!(itlb.lookup(&7), Some(&"int+int -> add"));
-//! assert_eq!(itlb.stats().hits, 1);
+//! // An instruction cache: the address is both the set hash and the tag.
+//! let mut icache: SetAssocCache<u64, ()> = SetAssocCache::new(CacheConfig::new(4096, 2)?);
+//! assert!(icache.lookup(0x40, 0x40).is_none()); // compulsory miss
+//! icache.fill(0x40, 0x40, ());
+//! assert!(icache.lookup(0x40, 0x40).is_some());
+//! assert_eq!(icache.stats().hits, 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -41,20 +39,16 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod addrset;
 mod cache;
 mod config;
 mod error;
-mod flat;
 mod fxhash;
 mod rng;
 mod stats;
 
-pub use addrset::AddrSet;
 pub use cache::SetAssocCache;
 pub use config::CacheConfig;
 pub use error::CacheError;
-pub use flat::FlatCache;
 pub use fxhash::{FxBuildHasher, FxHasher};
 pub use rng::Rng;
 pub use stats::CacheStats;

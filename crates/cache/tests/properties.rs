@@ -14,10 +14,10 @@ fn trace(rng: &mut Rng, keys: u64, max_len: u64) -> Vec<u64> {
 
 fn misses(entries: usize, ways: usize, trace: &[u64]) -> u64 {
     let mut c: SetAssocCache<u64, ()> =
-        SetAssocCache::with_indexer(CacheConfig::new(entries, ways).unwrap(), |k| *k);
+        SetAssocCache::new(CacheConfig::new(entries, ways).unwrap());
     for &k in trace {
-        if c.lookup(&k).is_none() {
-            c.fill(k, ());
+        if c.lookup(k, k).is_none() {
+            c.fill(k, k, ());
         }
     }
     c.stats().misses
@@ -50,8 +50,8 @@ fn fully_assoc_working_set() {
                 SetAssocCache::new(CacheConfig::fully_associative(n as usize).unwrap());
             for _ in 0..=reps {
                 for k in 0..n {
-                    if c.lookup(&k).is_none() {
-                        c.fill(k, ());
+                    if c.lookup(k, k).is_none() {
+                        c.fill(k, k, ());
                     }
                 }
             }
@@ -62,10 +62,10 @@ fn fully_assoc_working_set() {
     }
 }
 
-/// Over arbitrary geometries and traces: every lookup counts as exactly
-/// one hit or miss, occupancy never exceeds capacity, resident plus
-/// evicted lines equal fills (conservation), every resident key was
-/// filled, and a hit always returns the value filled for its key.
+/// Over arbitrary geometries and traces, with a scrambled set hash: every
+/// lookup counts as exactly one hit or miss, occupancy never exceeds
+/// capacity, resident plus evicted lines equal fills (conservation), only
+/// filled keys hit, and a hit always returns the value filled for its key.
 #[test]
 fn occupancy_bounded() {
     let mut rng = Rng::new(2);
@@ -75,23 +75,21 @@ fn occupancy_bounded() {
         let trace = trace(&mut rng, 256, 400);
         let mut c: SetAssocCache<u64, u64> =
             SetAssocCache::new(CacheConfig::new(entries, ways).unwrap());
-        let mut evicted = 0u64;
+        let hash = |k: u64| k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7;
         for &k in &trace {
-            match c.lookup(&k) {
-                Some(v) => assert_eq!(*v, k * 31),
-                None => {
-                    if c.fill(k, k * 31).is_some() {
-                        evicted += 1;
-                    }
-                }
+            match c.lookup(hash(k), k) {
+                Some(v) => assert_eq!(v, k * 31),
+                None => c.fill(hash(k), k, k * 31),
             }
         }
         let s = c.stats();
         assert_eq!(s.accesses(), trace.len() as u64);
         assert!(c.len() <= entries);
-        assert_eq!(c.len() as u64 + evicted, s.fills);
-        for (k, _) in c.iter() {
-            assert!(trace.contains(k));
+        assert_eq!(c.len() as u64 + s.evictions, s.fills);
+        for k in 0..256 {
+            if c.lookup(hash(k), k).is_some() {
+                assert!(trace.contains(&k));
+            }
         }
     }
 }

@@ -140,8 +140,8 @@ mod tests {
     fn defaults_match_paper_geometry() {
         let c = MachineConfig::default();
         let itlb = c.itlb.unwrap();
-        assert_eq!(itlb.l1.entries(), 512);
-        assert_eq!(itlb.l1.ways(), 2);
+        assert_eq!(itlb.geometry.entries(), 512);
+        assert_eq!(itlb.geometry.ways(), 2);
         assert_eq!(c.ctx_blocks, Some(32));
         assert!(c.copyback);
         assert!(c.eager_lifo_free);

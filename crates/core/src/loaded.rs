@@ -212,9 +212,9 @@ mod tests {
 
     fn sample_image() -> ProgramImage {
         let mut img = ProgramImage::empty();
-        let sel = img.opcodes.intern("double");
+        let sel = img.opcodes.intern("double").unwrap();
         let mut asm = Assembler::new("SmallInteger>>double", 1);
-        let k2 = asm.intern_const(Word::Int(2));
+        let k2 = asm.intern_const(Word::Int(2)).unwrap();
         asm.emit_three(
             Opcode::MUL,
             Operand::Cur(2),

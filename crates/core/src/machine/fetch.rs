@@ -184,8 +184,10 @@ impl Machine {
     #[inline(always)]
     pub(super) fn fetch(&mut self, method_abs: AbsAddr) {
         let addr = method_abs.0 + CodeObject::HEADER_WORDS + self.pc;
-        if !self.icache.lookup(addr) {
-            self.icache.fill(addr);
+        // The icache indexes by the low address bits: the address is both
+        // the set hash and the tag.
+        if self.icache.lookup(addr, addr).is_none() {
+            self.icache.fill(addr, addr, ());
             self.stats.icache_miss_cycles += ICACHE_MISS_PENALTY;
         }
     }

@@ -33,7 +33,7 @@
 //!   decoded method across the inner loop, re-fetching it only on
 //!   call/return/xfer, resolves operands from their decode-time lowered
 //!   form (context-slot offsets pre-biased, constants pre-fetched),
-//!   dispatches through the direct-mapped ITLB probe array, and batches
+//!   dispatches through the set-associative ITLB, and batches
 //!   the per-instruction counters into loop-locals that are flushed at run
 //!   end, trap, or control transfer.
 //!
@@ -80,7 +80,7 @@ mod translate;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use com_cache::{AddrSet, CacheConfig, CacheStats, FxBuildHasher};
+use com_cache::{CacheConfig, CacheStats, FxBuildHasher, SetAssocCache};
 use com_fpa::{Fpa, SegmentName};
 use com_isa::{Opcode, OpcodeTable};
 use com_mem::{AbsAddr, AllocKind, ClassId, ObjectSpace, TeamId, Word};
@@ -109,7 +109,7 @@ pub use translate::{DispatchEvent, DispatchObserver};
 /// # fn main() -> Result<(), com_core::MachineError> {
 /// // A method on SmallInteger: "double" answers self + self.
 /// let mut image = ProgramImage::empty();
-/// let sel = image.opcodes.intern("double");
+/// let sel = image.opcodes.intern("double").unwrap();
 /// let mut asm = Assembler::new("SmallInteger>>double", 1);
 /// // c2 <- c1 + c1 ; return c2 via the result pointer in c0
 /// asm.emit_three(Opcode::ADD, Operand::Cur(2), Operand::Cur(1), Operand::Cur(1))?;
@@ -133,7 +133,7 @@ pub struct Machine {
     opcodes: OpcodeTable,
     itlb: Option<Itlb>,
     /// The instruction cache (tags only: the decoded slab holds the code).
-    icache: AddrSet,
+    icache: SetAssocCache<u64, ()>,
     cc: Option<ContextCache>,
     /// Decoded-method slab: a resident-method hit is one array index.
     decoded: Vec<Decoded>,
@@ -244,7 +244,7 @@ impl Machine {
     ) -> Machine {
         Machine {
             itlb: config.itlb.map(Itlb::new),
-            icache: AddrSet::new(
+            icache: SetAssocCache::new(
                 CacheConfig::new(ICACHE_ENTRIES, ICACHE_WAYS).expect("paper geometry is valid"),
             ),
             cc: config.ctx_blocks.map(ContextCache::new),
@@ -379,7 +379,7 @@ impl Machine {
 
     /// ITLB statistics, if an ITLB is configured.
     pub fn itlb_stats(&self) -> Option<CacheStats> {
-        self.itlb.as_ref().map(|t| t.l1_stats())
+        self.itlb.as_ref().map(|t| t.stats())
     }
 
     /// Instruction cache statistics. Always `Some`: every machine has the
@@ -412,7 +412,12 @@ impl Machine {
     }
 
     /// Interns a selector (delegates to the opcode table).
-    pub fn intern_selector(&mut self, name: &str) -> Opcode {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IsaError::OpcodeOutOfRange`](com_isa::IsaError) when the
+    /// selector space is exhausted.
+    pub fn intern_selector(&mut self, name: &str) -> Result<Opcode, com_isa::IsaError> {
         self.opcodes.intern(name)
     }
 

@@ -20,7 +20,7 @@ fn machine_is_send() {
 /// A one-method `SmallInteger` image.
 fn image_with(selector: &str, build: impl FnOnce(&mut Assembler)) -> ProgramImage {
     let mut img = ProgramImage::empty();
-    let sel = img.opcodes.intern(selector);
+    let sel = img.opcodes.intern(selector).unwrap();
     let mut asm = Assembler::new(format!("test>>{selector}"), 2);
     build(&mut asm);
     img.add_method(ClassId::SMALL_INT, sel, asm.finish().unwrap());
@@ -84,7 +84,7 @@ fn primitive_add_via_defined_wrapper() {
 fn constants_and_jumps() {
     // abs: return self < 0 ? self negated : self
     let img = image_with("abs", |asm| {
-        let k0 = asm.intern_const(Word::Int(0));
+        let k0 = asm.intern_const(Word::Int(0)).unwrap();
         // c3 <- self < 0
         asm.emit_three(
             Opcode::LT,
@@ -128,10 +128,10 @@ fn constants_and_jumps() {
 fn recursion_and_deep_calls() {
     // SmallInteger>>sumto — recursive sum 1..self.
     let mut img = ProgramImage::empty();
-    let sel = img.opcodes.intern("sumto");
+    let sel = img.opcodes.intern("sumto").unwrap();
     let mut asm = Assembler::new("SmallInteger>>sumto", 1);
-    let k0 = asm.intern_const(Word::Int(0));
-    let k1 = asm.intern_const(Word::Int(1));
+    let k0 = asm.intern_const(Word::Int(0)).unwrap();
+    let k1 = asm.intern_const(Word::Int(1)).unwrap();
     // c3 <- self <= 0
     asm.emit_three(
         Opcode::LE,
@@ -280,7 +280,7 @@ fn send_of_uninterned_selector_errors_instead_of_panicking() {
         other => panic!("expected UnknownSelector, got {other:?}"),
     }
     // The machine is still usable after the refused send.
-    let sel = m.intern_selector("stillFine");
+    let sel = m.intern_selector("stillFine").unwrap();
     assert!(m.opcodes().get("stillFine").is_some());
     let _ = sel;
 }
@@ -401,7 +401,7 @@ fn boot_shares_decoded_bodies_and_matches_lazy_load() {
 fn does_not_understand_traps() {
     let img = ProgramImage::empty();
     let mut m = machine(&img);
-    let sel = m.intern_selector("frobnicate");
+    let sel = m.intern_selector("frobnicate").unwrap();
     m.start_send(sel, Word::Int(1), &[]).unwrap();
     match m.run(100) {
         Err(MachineError::DoesNotUnderstand { class, .. }) => {
@@ -416,13 +416,14 @@ fn does_not_understand_traps() {
 /// 0), and interns `frobnicate` without defining it anywhere.
 fn dnu_handler_image() -> (ProgramImage, Opcode) {
     let mut img = ProgramImage::empty();
-    let missing = img.opcodes.intern("frobnicate");
+    let missing = img.opcodes.intern("frobnicate").unwrap();
     let dnu = img
         .opcodes
-        .intern(com_obj::TrapSelector::DoesNotUnderstand.name());
+        .intern(com_obj::TrapSelector::DoesNotUnderstand.name())
+        .unwrap();
     // doesNotUnderstand: msg — c3 <- msg at 0 ; return c3.
     let mut asm = Assembler::new("SmallInteger>>doesNotUnderstand:", 2);
-    let k0 = asm.intern_const(Word::Int(0));
+    let k0 = asm.intern_const(Word::Int(0)).unwrap();
     asm.emit_three(
         Opcode::RAWAT,
         Operand::Cur(3),
@@ -468,12 +469,13 @@ fn bad_operands_handler_catches_divide_by_zero() {
     // div0: c3 <- self / 0 ; return c3 — with a badOperands: handler
     // on SmallInteger answering the reified argument (the zero).
     let mut img = ProgramImage::empty();
-    let sel = img.opcodes.intern("div0");
+    let sel = img.opcodes.intern("div0").unwrap();
     let bad = img
         .opcodes
-        .intern(com_obj::TrapSelector::BadOperands.name());
+        .intern(com_obj::TrapSelector::BadOperands.name())
+        .unwrap();
     let mut asm = Assembler::new("SmallInteger>>div0", 1);
-    let k0 = asm.intern_const(Word::Int(0));
+    let k0 = asm.intern_const(Word::Int(0)).unwrap();
     asm.emit_three(
         Opcode::DIV,
         Operand::Cur(3),
@@ -491,7 +493,7 @@ fn bad_operands_handler_catches_divide_by_zero() {
     img.add_method(ClassId::SMALL_INT, sel, asm.finish().unwrap());
     // badOperands: msg — c3 <- 777 ; return c3 (a recovery value).
     let mut asm = Assembler::new("SmallInteger>>badOperands:", 2);
-    let k = asm.intern_const(Word::Int(777));
+    let k = asm.intern_const(Word::Int(777)).unwrap();
     asm.emit_three(
         Opcode::MOVE,
         Operand::Cur(3),
@@ -528,7 +530,7 @@ fn trap_exit_unwinds_to_a_fresh_machine() {
 
     let mut m = machine(&img);
     // Trap: an interned selector nothing answers (atom receiver).
-    let missing = m.intern_selector("zap:");
+    let missing = m.intern_selector("zap:").unwrap();
     m.start_send(missing, Word::Atom(com_mem::AtomId(5)), &[Word::Int(1)])
         .unwrap();
     match m.run(10_000) {

@@ -14,10 +14,10 @@ use com_obj::ClassTable;
 /// A recursive sum-to-n: calls, returns, branches, constants, interlocks.
 fn sumto_image() -> (ProgramImage, &'static str) {
     let mut img = ProgramImage::empty();
-    let sel = img.opcodes.intern("sumto");
+    let sel = img.opcodes.intern("sumto").unwrap();
     let mut asm = Assembler::new("SmallInteger>>sumto", 1);
-    let k0 = asm.intern_const(Word::Int(0));
-    let k1 = asm.intern_const(Word::Int(1));
+    let k0 = asm.intern_const(Word::Int(0)).unwrap();
+    let k1 = asm.intern_const(Word::Int(1)).unwrap();
     asm.emit_three(
         Opcode::LE,
         Operand::Cur(3),
@@ -70,9 +70,9 @@ fn sumto_image() -> (ProgramImage, &'static str) {
 /// An image whose `answer` method returns `value` (for reload tests).
 fn answer_image(value: i64) -> ProgramImage {
     let mut img = ProgramImage::empty();
-    let sel = img.opcodes.intern("answer");
+    let sel = img.opcodes.intern("answer").unwrap();
     let mut asm = Assembler::new("SmallInteger>>answer", 1);
-    let k = asm.intern_const(Word::Int(value));
+    let k = asm.intern_const(Word::Int(value)).unwrap();
     asm.emit_three_ret(
         Opcode::MOVE,
         Operand::Cur(0),
@@ -306,11 +306,11 @@ fn trap_paths_are_bit_identical_between_loops() {
     // One image holding a trap-path method per trap kind, plus a healthy
     // method for the post-trap follow-up send.
     let mut img = ProgramImage::empty();
-    let k = |asm: &mut Assembler, v: i64| asm.intern_const(Word::Int(v));
+    let k = |asm: &mut Assembler, v: i64| asm.intern_const(Word::Int(v)).unwrap();
 
     // dnu: sends an interned-but-nowhere-defined selector.
-    let missing = img.opcodes.intern("missingSelector:");
-    let sel = img.opcodes.intern("dnu:");
+    let missing = img.opcodes.intern("missingSelector:").unwrap();
+    let sel = img.opcodes.intern("dnu:").unwrap();
     let mut asm = Assembler::new("SmallInteger>>dnu:", 2);
     asm.emit_three(
         Opcode(missing.0),
@@ -329,7 +329,7 @@ fn trap_paths_are_bit_identical_between_loops() {
     img.add_method(ClassId::SMALL_INT, sel, asm.finish().unwrap());
 
     // div0: divide by zero (BadOperands from the function unit).
-    let sel = img.opcodes.intern("div0:");
+    let sel = img.opcodes.intern("div0:").unwrap();
     let mut asm = Assembler::new("SmallInteger>>div0:", 2);
     let k0 = k(&mut asm, 0);
     asm.emit_three(
@@ -350,7 +350,7 @@ fn trap_paths_are_bit_identical_between_loops() {
 
     // uninit: an unwritten slot flows into dispatch — the receiver
     // classes as UndefinedObject and the add fails lookup.
-    let sel = img.opcodes.intern("uninit:");
+    let sel = img.opcodes.intern("uninit:").unwrap();
     let mut asm = Assembler::new("SmallInteger>>uninit:", 2);
     let k1 = k(&mut asm, 1);
     asm.emit_three(
@@ -370,9 +370,9 @@ fn trap_paths_are_bit_identical_between_loops() {
     img.add_method(ClassId::SMALL_INT, sel, asm.finish().unwrap());
 
     // badbranch: a jump whose condition is a pointer-free non-boolean.
-    let sel = img.opcodes.intern("badbranch:");
+    let sel = img.opcodes.intern("badbranch:").unwrap();
     let mut asm = Assembler::new("SmallInteger>>badbranch:", 2);
-    let kf = asm.intern_const(Word::Float(1.5));
+    let kf = asm.intern_const(Word::Float(1.5)).unwrap();
     asm.emit(
         Instr::three(
             Opcode::FJMP,
@@ -392,7 +392,7 @@ fn trap_paths_are_bit_identical_between_loops() {
     img.add_method(ClassId::SMALL_INT, sel, asm.finish().unwrap());
 
     // felloff: no return — the pc leaves the method body.
-    let sel = img.opcodes.intern("felloff:");
+    let sel = img.opcodes.intern("felloff:").unwrap();
     let mut asm = Assembler::new("SmallInteger>>felloff:", 2);
     asm.emit_three(
         Opcode::ADD,
@@ -404,7 +404,7 @@ fn trap_paths_are_bit_identical_between_loops() {
     img.add_method(ClassId::SMALL_INT, sel, asm.finish().unwrap());
 
     // A healthy method for the post-trap follow-up.
-    let sel = img.opcodes.intern("plus:");
+    let sel = img.opcodes.intern("plus:").unwrap();
     let mut asm = Assembler::new("SmallInteger>>plus:", 2);
     asm.emit_three(
         Opcode::ADD,
@@ -479,19 +479,21 @@ fn trap_paths_are_bit_identical_between_loops() {
 #[test]
 fn handler_dispatch_is_bit_identical_between_loops() {
     let mut img = ProgramImage::empty();
-    let missing = img.opcodes.intern("missingSelector:");
+    let missing = img.opcodes.intern("missingSelector:").unwrap();
     let dnu = img
         .opcodes
-        .intern(com_obj::TrapSelector::DoesNotUnderstand.name());
+        .intern(com_obj::TrapSelector::DoesNotUnderstand.name())
+        .unwrap();
     let bad = img
         .opcodes
-        .intern(com_obj::TrapSelector::BadOperands.name());
+        .intern(com_obj::TrapSelector::BadOperands.name())
+        .unwrap();
 
     // proxyBench: n failed sends + one handled divide by zero, looped.
-    let sel = img.opcodes.intern("proxyBench");
+    let sel = img.opcodes.intern("proxyBench").unwrap();
     let mut asm = Assembler::new("SmallInteger>>proxyBench", 1);
-    let k0 = asm.intern_const(Word::Int(0));
-    let k1 = asm.intern_const(Word::Int(1));
+    let k0 = asm.intern_const(Word::Int(0)).unwrap();
+    let k1 = asm.intern_const(Word::Int(1)).unwrap();
     // c3 <- self (counter), c4 <- 0 (acc)
     asm.emit_three(
         Opcode::MOVE,
@@ -519,7 +521,7 @@ fn handler_dispatch_is_bit_identical_between_loops() {
     )
     .unwrap();
     asm.jump_if(Operand::Cur(5), body);
-    asm.jump(done);
+    asm.jump(done).unwrap();
     asm.bind(body);
     // c6 <- self missingSelector: c3   (DNU -> handler answers selector)
     asm.emit_three(
@@ -552,7 +554,7 @@ fn handler_dispatch_is_bit_identical_between_loops() {
         Operand::Const(k1),
     )
     .unwrap();
-    asm.jump(top);
+    asm.jump(top).unwrap();
     asm.bind(done);
     asm.emit_three_ret(
         Opcode::MOVE,
@@ -565,7 +567,7 @@ fn handler_dispatch_is_bit_identical_between_loops() {
 
     // doesNotUnderstand: msg — answer the reified selector opcode.
     let mut asm = Assembler::new("SmallInteger>>doesNotUnderstand:", 2);
-    let kz = asm.intern_const(Word::Int(0));
+    let kz = asm.intern_const(Word::Int(0)).unwrap();
     asm.emit_three(
         Opcode::RAWAT,
         Operand::Cur(3),
@@ -584,7 +586,7 @@ fn handler_dispatch_is_bit_identical_between_loops() {
 
     // badOperands: msg — answer 5.
     let mut asm = Assembler::new("SmallInteger>>badOperands:", 2);
-    let k5 = asm.intern_const(Word::Int(5));
+    let k5 = asm.intern_const(Word::Int(5)).unwrap();
     asm.emit_three(
         Opcode::MOVE,
         Operand::Cur(3),
@@ -627,7 +629,7 @@ fn handler_dispatch_is_bit_identical_between_loops() {
 #[test]
 fn class_chain_cycle_traps_as_corruption_not_dnu() {
     let mut img = ProgramImage::empty();
-    img.opcodes.intern("frobnicate");
+    img.opcodes.intern("frobnicate").unwrap();
     // Corrupt the superclass chain: Object loops back to SmallInteger, so
     // looking anything up from an integer receiver walks a cycle.
     img.classes.get_mut(ClassTable::OBJECT).unwrap().superclass = Some(ClassId::SMALL_INT);

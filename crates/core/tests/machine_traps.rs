@@ -7,7 +7,7 @@ use com_mem::{ClassId, Word};
 
 fn image_with(selector: &str, n_args: u8, build: impl FnOnce(&mut Assembler)) -> ProgramImage {
     let mut img = ProgramImage::empty();
-    let sel = img.opcodes.intern(selector);
+    let sel = img.opcodes.intern(selector).unwrap();
     let mut asm = Assembler::new(format!("SmallInteger>>{selector}"), n_args);
     build(&mut asm);
     img.add_method(ClassId::SMALL_INT, sel, asm.finish().unwrap());
@@ -24,7 +24,7 @@ fn machine(img: &ProgramImage) -> Machine {
 fn privileged_as_traps_in_user_mode_and_works_privileged() {
     // as: retags an Int as an Atom — capability forging unless privileged.
     let img = image_with("forge", 1, |asm| {
-        let k3 = asm.intern_const(Word::Int(3)); // Atom tag code
+        let k3 = asm.intern_const(Word::Int(3)).unwrap(); // Atom tag code
         asm.emit_three(
             Opcode::AS,
             Operand::Cur(3),
@@ -118,8 +118,8 @@ fn dependent_pair_interlocks_one_cycle() {
 fn taken_branches_charge_exactly_one_delay_cycle() {
     // A counted loop with a known number of taken branches.
     let img = image_with("spin", 1, |asm| {
-        let k0 = asm.intern_const(Word::Int(0));
-        let k1 = asm.intern_const(Word::Int(1));
+        let k0 = asm.intern_const(Word::Int(0)).unwrap();
+        let k1 = asm.intern_const(Word::Int(1)).unwrap();
         // c3 <- self
         asm.emit_three(
             Opcode::MOVE,
@@ -141,7 +141,7 @@ fn taken_branches_charge_exactly_one_delay_cycle() {
         .unwrap();
         let body = asm.label();
         asm.jump_if(Operand::Cur(4), body);
-        asm.jump(out_l);
+        asm.jump(out_l).unwrap();
         asm.bind(body);
         asm.emit_three(
             Opcode::SUB,
@@ -150,7 +150,7 @@ fn taken_branches_charge_exactly_one_delay_cycle() {
             Operand::Const(k1),
         )
         .unwrap();
-        asm.jump(top);
+        asm.jump(top).unwrap();
         asm.bind(out_l);
         asm.emit_three_ret(
             Opcode::MOVE,
@@ -192,7 +192,7 @@ fn executing_past_method_end_is_trapped() {
 #[test]
 fn zero_format_data_op_without_return_is_rejected() {
     let mut img = ProgramImage::empty();
-    let sel = img.opcodes.intern("weird");
+    let sel = img.opcodes.intern("weird").unwrap();
     let mut asm = Assembler::new("SmallInteger>>weird", 1);
     // ADD in zero format with no return bit: no destination exists.
     asm.emit(Instr::zero(Opcode::ADD, 2, false).unwrap());
@@ -246,7 +246,7 @@ fn instruction_counts_balance_cycles() {
     // CPI identity: total cycles == sum of the breakdown categories, and
     // base cycles == 2 × instructions.
     let img = image_with("work", 1, |asm| {
-        let k1 = asm.intern_const(Word::Int(1));
+        let k1 = asm.intern_const(Word::Int(1)).unwrap();
         for _ in 0..10 {
             asm.emit_three(
                 Opcode::ADD,
@@ -326,7 +326,7 @@ fn negative_jump_displacement_traps_typed() {
     // as BadOperands (displacement magnitudes are non-negative by
     // construction), on both interpreters.
     let img = image_with("negj", 1, |asm| {
-        let k = asm.intern_const(Word::Int(-3));
+        let k = asm.intern_const(Word::Int(-3)).unwrap();
         asm.emit_three(
             Opcode::FJMP,
             Operand::Cur(0),

@@ -87,16 +87,6 @@ pub struct FithMethod {
     pub consts: Vec<Word>,
 }
 
-/// What a Fith send resolves to: the same primitive-bit structure as the
-/// COM's ITLB entries, with defined methods named by table index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FithMethodRef {
-    /// A function-unit operation.
-    Primitive(com_isa::PrimOp),
-    /// Index into the machine's method table.
-    Defined(usize),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

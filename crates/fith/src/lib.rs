@@ -23,5 +23,5 @@
 mod isa;
 mod machine;
 
-pub use isa::{FithInstr, FithMethod, FithMethodRef};
+pub use isa::{FithInstr, FithMethod};
 pub use machine::{FithImage, FithMachine, FithResult, FithStats};

@@ -3,15 +3,15 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use com_cache::{CacheConfig, CacheStats, SetAssocCache};
+use com_cache::CacheStats;
 use com_core::{data_op, LOOKUP_COST, MEMORY_PENALTY};
 use com_fpa::FpaFormat;
 use com_isa::{Opcode, OpcodeTable, PrimOp};
 use com_mem::{AllocKind, ClassId, MemError, ObjectSpace, TeamId, Word};
-use com_obj::{AtomTable, ClassTable, MethodRef};
+use com_obj::{AtomTable, ClassTable, Itlb, ItlbConfig, ItlbKey, MethodRef, Translation};
 use com_trace::{Trace, TraceEvent};
 
-use crate::{FithInstr, FithMethod, FithMethodRef};
+use crate::{FithInstr, FithMethod};
 
 /// A compiled Fith program: hierarchy, interning tables, methods.
 #[derive(Debug, Clone)]
@@ -95,9 +95,10 @@ struct Frame {
 
 /// The Fith Machine.
 ///
-/// Uses the same [`ObjectSpace`] substrate and the same ITLB mechanism as
-/// the COM (keyed on selector × receiver class), but interprets a
-/// zero-address stack ISA.
+/// Uses the same [`ObjectSpace`] substrate and the same [`Itlb`] as the
+/// COM — keyed by [`ItlbKey::unary`] on selector × receiver class, with a
+/// defined method's translation naming its index in the method table —
+/// but interprets a zero-address stack ISA.
 #[derive(Debug)]
 pub struct FithMachine {
     space: ObjectSpace,
@@ -106,7 +107,7 @@ pub struct FithMachine {
     /// Defined-method dictionaries: class → selector → method index.
     dicts: HashMap<ClassId, HashMap<Opcode, usize>>,
     methods: Vec<Arc<FithMethod>>,
-    itlb: Option<SetAssocCache<(Opcode, ClassId), FithMethodRef>>,
+    itlb: Itlb,
     stack: Vec<(Word, ClassId)>,
     frames: Vec<Frame>,
     stats: FithStats,
@@ -118,8 +119,8 @@ pub struct FithMachine {
 pub type FithError = com_core::MachineError;
 
 impl FithMachine {
-    /// Creates a machine and loads `image`. The ITLB defaults to the
-    /// paper's 512×2-way geometry.
+    /// Creates a machine and loads `image`, with the paper's 512×2-way
+    /// ITLB.
     pub fn new(image: &FithImage) -> Self {
         let mut m = FithMachine {
             space: ObjectSpace::new(24, FpaFormat::COM),
@@ -127,9 +128,7 @@ impl FithMachine {
             classes: image.classes.clone(),
             dicts: HashMap::new(),
             methods: Vec::new(),
-            itlb: Some(SetAssocCache::new(
-                CacheConfig::new(512, 2).expect("paper geometry"),
-            )),
+            itlb: Itlb::new(ItlbConfig::paper_default().expect("paper geometry is valid")),
             stack: Vec::new(),
             frames: Vec::new(),
             stats: FithStats::default(),
@@ -141,11 +140,6 @@ impl FithMachine {
             m.dicts.entry(*class).or_default().insert(*sel, idx);
         }
         m
-    }
-
-    /// Replaces the ITLB geometry (`None` disables it).
-    pub fn set_itlb(&mut self, config: Option<CacheConfig>) {
-        self.itlb = config.map(SetAssocCache::new);
     }
 
     /// Starts recording a trace of every interpreted instruction.
@@ -163,9 +157,9 @@ impl FithMachine {
         self.stats
     }
 
-    /// ITLB statistics, if enabled.
-    pub fn itlb_stats(&self) -> Option<CacheStats> {
-        self.itlb.as_ref().map(|c| c.stats())
+    /// ITLB statistics.
+    pub fn itlb_stats(&self) -> CacheStats {
+        self.itlb.stats()
     }
 
     /// The object space (for seeding workload data).
@@ -194,11 +188,10 @@ impl FithMachine {
         self.stack.pop().ok_or(FithError::NoContext)
     }
 
-    fn lookup(&mut self, op: Opcode, class: ClassId) -> Result<FithMethodRef, FithError> {
-        if let Some(itlb) = &mut self.itlb {
-            if let Some(m) = itlb.lookup(&(op, class)) {
-                return Ok(*m);
-            }
+    fn lookup(&mut self, op: Opcode, class: ClassId) -> Result<Translation, FithError> {
+        let key = ItlbKey::unary(op, class);
+        if let Some(t) = self.itlb.lookup(key) {
+            return Ok(t);
         }
         // Full association: defined dictionaries first (overrides), then the
         // primitive installs, walking the superclass chain — charged by the
@@ -210,12 +203,12 @@ impl FithMachine {
         while let Some(c) = cur {
             classes_visited += 1;
             if let Some(idx) = self.dicts.get(&c).and_then(|d| d.get(&op)) {
-                found = Some(FithMethodRef::Defined(*idx));
+                found = Some(Translation::Code(*idx as u32));
                 break;
             }
             if let Some(info) = self.classes.get(c) {
                 if let (Some(MethodRef::Primitive(p)), _) = info.dict.lookup(op) {
-                    found = Some(FithMethodRef::Primitive(p));
+                    found = Some(Translation::Primitive(p));
                     break;
                 }
                 cur = info.superclass;
@@ -227,11 +220,9 @@ impl FithMachine {
             + classes_visited as u64 * LOOKUP_COST.per_probe;
         self.stats.lookup_cycles += cost;
         self.stats.cycles += cost;
-        let m = found.ok_or(FithError::DoesNotUnderstand { opcode: op, class })?;
-        if let Some(itlb) = &mut self.itlb {
-            itlb.fill((op, class), m);
-        }
-        Ok(m)
+        let t = found.ok_or(FithError::DoesNotUnderstand { opcode: op, class })?;
+        self.itlb.fill(key, t);
+        Ok(t)
     }
 
     /// Sends `selector` to `receiver` with `args`, running to completion.
@@ -285,8 +276,9 @@ impl FithMachine {
             .ok_or(FithError::NoContext)?;
         let (recv, rclass) = self.stack[recv_pos];
         match self.lookup(op, rclass)? {
-            FithMethodRef::Primitive(p) => self.exec_primitive(op, p, nargs),
-            FithMethodRef::Defined(idx) => {
+            Translation::Primitive(p) => self.exec_primitive(op, p, nargs),
+            Translation::Code(idx) => {
+                let idx = idx as usize;
                 self.stats.calls += 1;
                 let method = Arc::clone(&self.methods[idx]);
                 let mut locals = vec![(Word::Uninit, ClassId::UNINIT); method.n_locals as usize];
@@ -530,7 +522,7 @@ mod tests {
     /// SmallInteger>>sumto compiled by hand for the stack machine.
     fn sumto_image() -> FithImage {
         let mut img = FithImage::empty();
-        let sel = img.opcodes.intern("sumto");
+        let sel = img.opcodes.intern("sumto").unwrap();
         // sumto: self <= 0 ifTrue: [^0]. ^self + (self - 1) sumto
         let code = vec![
             FithInstr::PushLocal(0),
@@ -605,12 +597,13 @@ mod tests {
         // Hundreds of sends, only a handful of distinct (op, class) keys.
         assert!(s.sends > 600);
         assert!(s.full_lookups < 10, "got {}", s.full_lookups);
+        assert_eq!(m.itlb_stats().misses, s.full_lookups);
     }
 
     #[test]
     fn objects_work_through_the_shared_substrate() {
         let mut img = FithImage::empty();
-        let sel = img.opcodes.intern("poke");
+        let sel = img.opcodes.intern("poke").unwrap();
         // poke: (arg1 at: 0 put: 42), then read it back.
         let code = vec![
             FithInstr::PushLocal(1),

@@ -210,7 +210,7 @@ fn effective_capacity(exponent: u8, format: FpaFormat) -> u64 {
 /// "The integer part of the real address when combined with the exponent
 /// names the segment descriptor" (§2.2). Segment names are the keys of
 /// segment descriptor tables and of the ATLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SegmentName {
     exponent: u8,
     index: u64,

@@ -95,7 +95,7 @@ enum Pending {
 ///
 /// # fn main() -> Result<(), com_isa::IsaError> {
 /// let mut asm = Assembler::new("demo", 1);
-/// let k1 = asm.intern_const(Word::Int(1));
+/// let k1 = asm.intern_const(Word::Int(1))?;
 /// // c4 <- c3 + 1
 /// asm.emit_three(Opcode::ADD, Operand::Cur(4), Operand::Cur(3), Operand::Const(k1))?;
 /// let code = asm.finish()?;
@@ -131,21 +131,22 @@ impl Assembler {
 
     /// Interns a constant, deduplicating, and returns its table index.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the method needs more than 128 distinct constants (the
-    /// 7-bit field limit — a compiler-visible architectural constraint).
-    pub fn intern_const(&mut self, w: Word) -> u8 {
+    /// Returns [`IsaError::OperandOutOfRange`] when the method needs more
+    /// than 128 distinct constants: the next index does not fit the 7-bit
+    /// field (a compiler-visible architectural constraint).
+    pub fn intern_const(&mut self, w: Word) -> Result<u8, IsaError> {
         if let Some(i) = self.consts.iter().position(|c| *c == w) {
-            return i as u8;
+            return Ok(i as u8);
         }
-        assert!(
-            self.consts.len() <= Operand::MAX_CONST as usize,
-            "constant table overflow in {}",
-            self.name
-        );
+        // At most MAX_CONST + 1 constants are ever interned, so this fits.
+        let k = self.consts.len() as u8;
+        if k > Operand::MAX_CONST {
+            return Err(IsaError::OperandOutOfRange(Operand::Const(k)));
+        }
         self.consts.push(w);
-        (self.consts.len() - 1) as u8
+        Ok(k)
     }
 
     /// Emits a finished instruction.
@@ -218,21 +219,28 @@ impl Assembler {
 
     /// Emits an unconditional jump to `label` (condition = the constant
     /// `true`).
-    pub fn jump(&mut self, label: Label) {
-        let t = self.intern_const(Word::from(true));
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`intern_const`](Self::intern_const)'s table overflow.
+    pub fn jump(&mut self, label: Label) -> Result<(), IsaError> {
+        let t = self.intern_const(Word::from(true))?;
         self.instrs.push(Pending::Jump {
             cond: Operand::Const(t),
             label,
             ret: false,
         });
+        Ok(())
     }
 
     /// Finishes assembly, resolving all jumps.
     ///
     /// # Errors
     ///
-    /// Returns [`IsaError::UnresolvedLabel`] for labels never bound and
-    /// [`IsaError::JumpTooFar`] for displacements beyond the constant range.
+    /// Returns [`IsaError::UnresolvedLabel`] for labels never bound,
+    /// [`IsaError::JumpTooFar`] for displacements beyond the constant range
+    /// and [`IsaError::OperandOutOfRange`] when a displacement finds the
+    /// constant table full.
     pub fn finish(mut self) -> Result<CodeObject, IsaError> {
         // Resolve jumps: displacement measured from the *following*
         // instruction (the branch is delayed one cycle, §3.6, and the IP has
@@ -260,7 +268,7 @@ impl Assembler {
             } else {
                 (Opcode::RJMP, -disp)
             };
-            let k = self.intern_const(Word::Int(magnitude));
+            let k = self.intern_const(Word::Int(magnitude))?;
             out[pc] = Instr::three_ret(op, Operand::Cur(0), cond, Operand::Const(k), ret)
                 .map_err(|_| IsaError::JumpTooFar { displacement: disp })?;
         }
@@ -281,9 +289,9 @@ mod tests {
     #[test]
     fn constants_deduplicate() {
         let mut a = Assembler::new("t", 0);
-        let k1 = a.intern_const(Word::Int(5));
-        let k2 = a.intern_const(Word::Int(5));
-        let k3 = a.intern_const(Word::Int(6));
+        let k1 = a.intern_const(Word::Int(5)).unwrap();
+        let k2 = a.intern_const(Word::Int(5)).unwrap();
+        let k3 = a.intern_const(Word::Int(6)).unwrap();
         assert_eq!(k1, k2);
         assert_ne!(k1, k3);
     }
@@ -328,7 +336,7 @@ mod tests {
             Operand::Cur(5),
         )
         .unwrap();
-        a.jump(top);
+        a.jump(top).unwrap();
         let code = a.finish().unwrap();
         match code.instrs[1] {
             Instr::Three { op, c, .. } => {
@@ -347,14 +355,14 @@ mod tests {
     fn unresolved_label_is_an_error() {
         let mut a = Assembler::new("t", 0);
         let l = a.label();
-        a.jump(l);
+        a.jump(l).unwrap();
         assert!(matches!(a.finish(), Err(IsaError::UnresolvedLabel(_))));
     }
 
     #[test]
     fn store_layout_roundtrips() {
         let mut a = Assembler::new("t", 2);
-        let k = a.intern_const(Word::Int(99));
+        let k = a.intern_const(Word::Int(99)).unwrap();
         a.emit_three(
             Opcode::MOVE,
             Operand::Cur(5),

@@ -2,6 +2,8 @@
 
 use std::collections::HashMap;
 
+use crate::IsaError;
+
 /// A 10-bit opcode — simultaneously a machine opcode and a Smalltalk message
 /// selector ("each instruction is a token whose meaning is determined in
 /// conjunction with the Class of the instruction operand", §2.1).
@@ -190,23 +192,23 @@ impl OpcodeTable {
 
     /// Interns `name`, allocating a fresh user opcode if unseen.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the 10-bit selector space (1024 entries) is exhausted —
-    /// a program with >960 distinct selectors exceeds the architecture.
-    pub fn intern(&mut self, name: &str) -> Opcode {
+    /// Returns [`IsaError::OpcodeOutOfRange`] when the 10-bit selector
+    /// space (1024 entries) is exhausted — a program with more than 960
+    /// distinct user selectors exceeds the architecture.
+    pub fn intern(&mut self, name: &str) -> Result<Opcode, IsaError> {
         if let Some(op) = self.names.get(name) {
-            return *op;
+            return Ok(*op);
         }
-        assert!(
-            self.next <= Opcode::MAX,
-            "selector space exhausted interning {name:?}"
-        );
         let op = Opcode(self.next);
+        if op.0 > Opcode::MAX {
+            return Err(IsaError::OpcodeOutOfRange(op));
+        }
         self.next += 1;
         self.names.insert(name.to_string(), op);
         self.by_op.insert(op, name.to_string());
-        op
+        Ok(op)
     }
 
     /// Looks up an already-interned selector.
@@ -264,9 +266,9 @@ mod tests {
     #[test]
     fn interning_is_idempotent_and_fresh() {
         let mut t = OpcodeTable::new();
-        let a = t.intern("foo:");
-        let b = t.intern("foo:");
-        let c = t.intern("bar");
+        let a = t.intern("foo:").unwrap();
+        let b = t.intern("foo:").unwrap();
+        let c = t.intern("bar").unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert!(a.is_user());
@@ -290,7 +292,7 @@ mod tests {
         // unallocated user space, are both absent.
         assert!(!t.contains(Opcode(37)));
         assert!(!t.contains(Opcode(Opcode::USER_BASE)));
-        let op = t.intern("frob");
+        let op = t.intern("frob").unwrap();
         assert!(t.contains(op));
         assert!(t.iter().any(|(o, n)| o == op && n == "frob"));
     }

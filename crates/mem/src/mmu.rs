@@ -7,8 +7,9 @@
 //! physical space. For this reason, the translation proceeds in two steps."
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
-use com_cache::{CacheConfig, CacheStats, FlatCache};
+use com_cache::{CacheConfig, CacheStats, FxHasher, SetAssocCache};
 use com_fpa::{Fpa, FpaFormat, SegmentName};
 
 use crate::{AbsAddr, ClassId, MemError, SegmentDescriptor, TeamId, TeamSpace};
@@ -30,30 +31,34 @@ pub struct Translation {
 pub struct Mmu {
     format: FpaFormat,
     teams: HashMap<TeamId, TeamSpace>,
-    /// The ATLB, probed on every translation — so it lives in a flat probe
-    /// array indexed by the fast hash.
-    atlb: FlatCache<(TeamId, SegmentName), SegmentDescriptor>,
+    /// The ATLB, probed on every translation and indexed by the fast hash
+    /// of its key.
+    atlb: SetAssocCache<(TeamId, SegmentName), SegmentDescriptor>,
     bounds_traps: u64,
     forward_traps: u64,
 }
 
+/// ATLB geometry: 64 entries, 2-way (a "modest" buffer in the spirit of
+/// §5's translation caches).
+const ATLB_ENTRIES: usize = 64;
+const ATLB_WAYS: usize = 2;
+
+/// The ATLB's set hash of `(team, segment)`.
+#[inline]
+fn atlb_hash(key: (TeamId, SegmentName)) -> u64 {
+    let mut h = FxHasher::default();
+    key.hash(&mut h);
+    h.finish()
+}
+
 impl Mmu {
-    /// Default ATLB geometry: 64 entries, 2-way (a "modest" buffer in the
-    /// spirit of §5's translation caches).
-    pub const DEFAULT_ATLB_ENTRIES: usize = 64;
-
-    /// Creates an MMU with no teams and the default ATLB.
+    /// Creates an MMU with no teams and an empty ATLB.
     pub fn new(format: FpaFormat) -> Self {
-        let cfg = CacheConfig::new(Self::DEFAULT_ATLB_ENTRIES, 2).expect("valid default");
-        Self::with_atlb(format, cfg)
-    }
-
-    /// Creates an MMU with a custom ATLB geometry.
-    pub fn with_atlb(format: FpaFormat, atlb: CacheConfig) -> Self {
+        let atlb = CacheConfig::new(ATLB_ENTRIES, ATLB_WAYS).expect("valid ATLB geometry");
         Mmu {
             format,
             teams: HashMap::new(),
-            atlb: FlatCache::new(atlb),
+            atlb: SetAssocCache::new(atlb),
             bounds_traps: 0,
             forward_traps: 0,
         }
@@ -99,15 +104,16 @@ impl Mmu {
         team: TeamId,
         segment: SegmentName,
     ) -> Result<(SegmentDescriptor, bool), MemError> {
-        if let Some(d) = self.atlb.lookup(&(team, segment)) {
-            return Ok((*d, true));
+        let key = (team, segment);
+        if let Some(d) = self.atlb.lookup(atlb_hash(key), key) {
+            return Ok((d, true));
         }
         let space = self.teams.get(&team).ok_or(MemError::UnknownTeam(team))?;
         let desc = *space
             .table
             .get(segment)
             .ok_or(MemError::UnknownSegment { team, segment })?;
-        self.atlb.fill((team, segment), desc);
+        self.atlb.fill(atlb_hash(key), key, desc);
         Ok((desc, false))
     }
 
@@ -186,7 +192,8 @@ impl Mmu {
     /// Invalidates any ATLB entry for `(team, segment)` — required when a
     /// descriptor changes (growth, free, GC).
     pub fn invalidate(&mut self, team: TeamId, segment: SegmentName) {
-        self.atlb.invalidate(&(team, segment));
+        let key = (team, segment);
+        self.atlb.invalidate(atlb_hash(key), key);
     }
 
     /// ATLB statistics.

@@ -23,7 +23,7 @@ impl core::fmt::Display for TeamId {
 /// One entry of a segment descriptor table: "base address, length and object
 /// class" (§3.1), plus the forwarding pointer installed when an object
 /// outgrows this name's exponent (§2.2 aliasing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SegmentDescriptor {
     /// Base of the segment in absolute space (aligned to its size).
     pub base: AbsAddr,

@@ -58,7 +58,9 @@ impl core::fmt::Display for AtomId {
 /// class of the object is cached with it. For primitives, this 16-bit tag is
 /// the four bit tag zero extended. For object pointers, this 16-bit tag
 /// identifies the object class and is used in the method lookup."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The default is [`ClassId::UNINIT`], the class of an uninitialised word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ClassId(pub u16);
 
 impl ClassId {

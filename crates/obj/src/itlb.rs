@@ -7,18 +7,20 @@
 //! in which an opcode and the set of operand object datatypes are associated
 //! to a method."
 //!
-//! The buffer is a fixed-size probe array — the direct-mapped /
-//! set-associative RAM the hardware actually describes: the key is packed
-//! into one word, a multiplicative hash selects the set, and the ways of
-//! that set are probed in place, replacing the least recently used line.
-//! No per-lookup heap hashing is involved, which matters because *every*
-//! COM instruction translates through this structure.
+//! The buffer is a [`SetAssocCache`] — the direct-mapped /
+//! set-associative RAM the hardware describes, the same structure as the
+//! ATLB and the instruction cache: the key is packed into one tag word, a
+//! multiplicative hash of the tag selects the set, and the ways of that
+//! set are probed in place, replacing the least recently used line. No
+//! per-lookup heap hashing is involved, which matters because *every* COM
+//! instruction translates through this structure, and the Fith machine's
+//! sends do too.
 
-use com_cache::{CacheConfig, CacheError, CacheStats};
+use com_cache::{CacheConfig, CacheError, CacheStats, SetAssocCache};
 use com_isa::Opcode;
 use com_mem::ClassId;
 
-use crate::{DefinedMethod, Translation};
+use crate::Translation;
 
 /// The associative key: "an opcode and a set of operand classes" (§2.1).
 ///
@@ -76,7 +78,7 @@ impl core::fmt::Display for ItlbKey {
 #[derive(Debug, Clone, Copy)]
 pub struct ItlbConfig {
     /// The buffer's geometry.
-    pub l1: CacheConfig,
+    pub geometry: CacheConfig,
 }
 
 impl ItlbConfig {
@@ -89,7 +91,7 @@ impl ItlbConfig {
     /// [`CacheConfig::new`] so callers can build variants uniformly.
     pub fn paper_default() -> Result<Self, CacheError> {
         Ok(ItlbConfig {
-            l1: CacheConfig::new(512, 2)?,
+            geometry: CacheConfig::new(512, 2)?,
         })
     }
 }
@@ -98,17 +100,11 @@ impl ItlbConfig {
 /// a method. [`fill`](Self::fill) takes a [`MethodRef`](crate::MethodRef)
 /// (or a translation) and keeps only its translation.
 ///
-/// It is a fixed-size probe array of `sets × ways` lines indexed by a
-/// multiplicative hash of the packed key. `ways == 1` is the
-/// direct-mapped case; larger `ways` probe the set's lines linearly,
-/// exactly as the hardware comparators would.
-///
-/// The lines are stored as three parallel arrays: a probe scans the set's
-/// contiguous tags and, on a hit, reads one 8-byte [`Translation`] and
-/// writes one recency stamp. A line costs 24 bytes.
+/// It packs each key into a tag, hashes the tag to pick a set, and leaves
+/// the probe, the fill order and the LRU choice to its [`SetAssocCache`].
+/// `ways == 1` is the direct-mapped case.
 ///
 /// ```
-/// use com_cache::CacheConfig;
 /// use com_isa::{Opcode, PrimOp};
 /// use com_mem::ClassId;
 /// use com_obj::{Itlb, ItlbConfig, ItlbKey, MethodRef, Translation};
@@ -124,139 +120,70 @@ impl ItlbConfig {
 /// ```
 #[derive(Debug)]
 pub struct Itlb {
-    sets: usize,
-    /// `sets - 1` when the set count is a power of two (single AND), else 0
-    /// (fall back to modulo).
-    mask: u64,
-    ways: usize,
-    /// Packed key per line, or [`EMPTY`](Self::EMPTY) for an invalid line.
-    tags: Vec<u64>,
-    /// Clock value at each line's last use (LRU).
-    stamps: Vec<u64>,
-    /// Each line's method field.
-    targets: Vec<Translation>,
-    clock: u64,
-    stats: CacheStats,
+    lines: SetAssocCache<u64, Translation>,
 }
 
 impl Itlb {
-    /// The tag of an invalid line. [`ItlbKey::pack`] fills only the low 48
-    /// bits, so no key packs to it.
-    const EMPTY: u64 = u64::MAX;
-
     /// Creates an ITLB with the given geometry.
     pub fn new(config: ItlbConfig) -> Self {
-        let sets = config.l1.sets();
-        let ways = config.l1.ways();
-        let lines = sets * ways;
         Itlb {
-            sets,
-            mask: if sets.is_power_of_two() {
-                sets as u64 - 1
-            } else {
-                0
-            },
-            ways,
-            tags: vec![Self::EMPTY; lines],
-            stamps: vec![0; lines],
-            targets: vec![Translation::Code(DefinedMethod::UNRESOLVED); lines],
-            clock: 0,
-            stats: CacheStats::default(),
+            lines: SetAssocCache::new(config.geometry),
         }
     }
 
+    /// The set hash of a packed key. Fibonacci hashing: one multiply, and
+    /// the top bits go to the set index.
     #[inline]
-    fn set_base(&self, tag: u64) -> usize {
-        // Fibonacci hashing: one multiply, top bits mod the set count.
-        let h = tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        let set = if self.mask != 0 {
-            (h & self.mask) as usize
-        } else {
-            h as usize % self.sets
-        };
-        set * self.ways
-    }
-
-    /// The line of the set starting at `base` whose tag is `tag`.
-    #[inline]
-    fn find(&self, base: usize, tag: u64) -> Option<usize> {
-        self.tags[base..base + self.ways]
-            .iter()
-            .position(|&t| t == tag)
-            .map(|way| base + way)
+    fn hash(tag: u64) -> u64 {
+        tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
     }
 
     /// Looks up a key.
     #[inline]
     pub fn lookup(&mut self, key: ItlbKey) -> Option<Translation> {
-        self.clock += 1;
         let tag = key.pack();
-        match self.find(self.set_base(tag), tag) {
-            Some(line) => {
-                self.stamps[line] = self.clock;
-                self.stats.hits += 1;
-                Some(self.targets[line])
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        self.lines.lookup(Self::hash(tag), tag)
     }
 
     /// Installs a resolution after a miss. A defined method must be
     /// resolved to a slab slot first (see [`Translation`]).
     pub fn fill(&mut self, key: ItlbKey, method: impl Into<Translation>) {
-        self.clock += 1;
-        self.stats.fills += 1;
         let tag = key.pack();
-        let base = self.set_base(tag);
-        // Refill in place, else take the first invalid way, else evict the
-        // least recently used line.
-        let line = match self
-            .find(base, tag)
-            .or_else(|| self.find(base, Self::EMPTY))
-        {
-            Some(line) => line,
-            None => {
-                self.stats.evictions += 1;
-                (base..base + self.ways)
-                    .min_by_key(|&l| self.stamps[l])
-                    .expect("sets are nonempty")
-            }
-        };
-        self.tags[line] = tag;
-        self.stamps[line] = self.clock;
-        self.targets[line] = method.into();
+        self.lines.fill(Self::hash(tag), tag, method.into());
     }
 
     /// Invalidates every cached resolution (required when a method is
     /// redefined — "no object code need ever be modified", §2.1, but stale
     /// translations must go).
     pub fn flush(&mut self) {
-        self.tags.fill(Self::EMPTY);
+        self.lines.clear();
     }
 
     /// Number of resolutions resident.
-    pub fn l1_len(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != Self::EMPTY).count()
+    pub fn len(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// Whether no resolution is resident.
+    pub fn is_empty(&self) -> bool {
+        self.lines.is_empty()
     }
 
     /// Hit, miss, fill and eviction counts.
-    pub fn l1_stats(&self) -> CacheStats {
-        self.stats
+    pub fn stats(&self) -> CacheStats {
+        self.lines.stats()
     }
 
     /// Resets the statistics (warmup boundary, §5).
     pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
+        self.lines.reset_stats();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MethodRef;
+    use crate::{DefinedMethod, MethodRef};
     use com_isa::PrimOp;
 
     fn key(op: u16, r: u16) -> ItlbKey {
@@ -280,7 +207,7 @@ mod tests {
             itlb.lookup(key(1, 1)),
             Some(Translation::Primitive(PrimOp::Add))
         );
-        assert_eq!(itlb.l1_stats().hits, 1);
+        assert_eq!(itlb.stats().hits, 1);
     }
 
     #[test]
@@ -328,6 +255,6 @@ mod tests {
         itlb.fill(key(1, 1), add());
         itlb.flush();
         assert_eq!(itlb.lookup(key(1, 1)), None);
-        assert_eq!(itlb.l1_len(), 0);
+        assert!(itlb.is_empty());
     }
 }

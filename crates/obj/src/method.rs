@@ -106,6 +106,14 @@ pub enum Translation {
     Code(u32),
 }
 
+impl Default for Translation {
+    /// A defined method not yet resolved to a slot: the method field of an
+    /// empty ITLB line.
+    fn default() -> Self {
+        Translation::Code(DefinedMethod::UNRESOLVED)
+    }
+}
+
 impl From<MethodRef> for Translation {
     /// The translation of a method reference. An unresolved defined method
     /// maps to [`DefinedMethod::UNRESOLVED`], which names no slot.

@@ -1,8 +1,7 @@
-//! Properties of the direct-mapped / set-associative ITLB probe array:
-//! fill, evict, hit-rate, and equivalence with the generic
-//! [`SetAssocCache`] as an LRU oracle.
+//! Properties of the direct-mapped / set-associative ITLB: fill, evict,
+//! hit-rate, and equivalence with an LRU model written here.
 
-use com_cache::{CacheConfig, Rng, SetAssocCache};
+use com_cache::{CacheConfig, Rng};
 use com_isa::{Opcode, PrimOp};
 use com_mem::ClassId;
 use com_obj::{Itlb, ItlbConfig, ItlbKey, MethodRef, Translation};
@@ -22,7 +21,7 @@ fn method(i: u16) -> MethodRef {
 
 fn cfg(entries: usize, ways: usize) -> ItlbConfig {
     ItlbConfig {
-        l1: CacheConfig::new(entries, ways).unwrap(),
+        geometry: CacheConfig::new(entries, ways).unwrap(),
     }
 }
 
@@ -51,8 +50,8 @@ fn direct_mapped_single_line_conflicts() {
     itlb.fill(key(2, 2, 2), method(1));
     assert_eq!(itlb.lookup(key(2, 2, 2)), Some(method(1).into()));
     assert_eq!(itlb.lookup(key(1, 1, 1)), None, "conflict must evict");
-    assert_eq!(itlb.l1_len(), 1);
-    assert_eq!(itlb.l1_stats().evictions, 1);
+    assert_eq!(itlb.len(), 1);
+    assert_eq!(itlb.stats().evictions, 1);
 }
 
 #[test]
@@ -74,33 +73,38 @@ fn refill_replaces_in_place_without_eviction() {
     itlb.fill(key(1, 1, 1), method(0));
     itlb.fill(key(1, 1, 1), method(1));
     assert_eq!(itlb.lookup(key(1, 1, 1)), Some(method(1).into()));
-    assert_eq!(itlb.l1_len(), 1);
-    assert_eq!(itlb.l1_stats().evictions, 0);
-    assert_eq!(itlb.l1_stats().fills, 2);
+    assert_eq!(itlb.len(), 1);
+    assert_eq!(itlb.stats().evictions, 0);
+    assert_eq!(itlb.stats().fills, 2);
 }
 
 #[test]
 fn probe_array_matches_reference_when_fully_associative() {
-    // With a single set, set-index hashing is irrelevant and the probe
-    // array and the generic cache both implement plain LRU — they must
-    // agree access for access.
-    let geometry = CacheConfig::fully_associative(16).unwrap();
-    let mut probe = Itlb::new(cfg(16, 16));
-    let mut oracle: SetAssocCache<ItlbKey, MethodRef> = SetAssocCache::new(geometry);
+    // With a single set, set-index hashing is irrelevant, and the ITLB must
+    // agree access for access with the recency list of an LRU set: the
+    // resident keys and their translations, most recent last.
+    let mut itlb = Itlb::new(cfg(16, 16));
+    let mut model: Vec<(ItlbKey, Translation)> = Vec::new();
+    let mut evictions = 0;
     for k in key_stream(20_000) {
-        let a = probe.lookup(k);
-        let b = oracle.lookup(&k).copied().map(Translation::from);
-        assert_eq!(a.is_some(), b.is_some(), "hit/miss diverged at {k}");
-        if a.is_none() {
-            let m = method(k.opcode.0);
-            probe.fill(k, m);
-            oracle.fill(k, m);
-        } else {
-            assert_eq!(a, b, "values diverged at {k}");
-        }
+        let hit = model
+            .iter()
+            .position(|&(m, _)| m == k)
+            .map(|at| model.remove(at));
+        assert_eq!(itlb.lookup(k), hit.map(|(_, t)| t), "diverged at {k}");
+        let line = hit.unwrap_or_else(|| {
+            let t = method(k.opcode.0).into();
+            itlb.fill(k, t);
+            if model.len() == 16 {
+                model.remove(0);
+                evictions += 1;
+            }
+            (k, t)
+        });
+        model.push(line);
     }
-    assert_eq!(probe.l1_stats(), oracle.stats());
-    assert_eq!(probe.l1_len(), oracle.len());
+    assert_eq!(itlb.stats().evictions, evictions);
+    assert_eq!(itlb.len(), model.len());
 }
 
 #[test]
@@ -120,7 +124,7 @@ fn paper_geometry_absorbs_a_working_set() {
             assert!(itlb.lookup(*k).is_some());
         }
     }
-    let s = itlb.l1_stats();
+    let s = itlb.stats();
     assert_eq!(s.misses, 0, "warm working set must not miss");
     assert_eq!(s.hits, 50 * keys.len() as u64);
 }
@@ -137,10 +141,10 @@ fn capacity_pressure_evicts_and_recovers() {
             itlb.fill(k, method(k.opcode.0));
         }
     }
-    let s = itlb.l1_stats();
+    let s = itlb.stats();
     assert!(s.evictions > 0, "over-capacity stream must evict");
     assert_eq!(s.misses, misses);
-    assert!(itlb.l1_len() <= 512);
+    assert!(itlb.len() <= 512);
     let ratio = s.hits as f64 / (s.hits + s.misses) as f64;
     assert!(
         ratio > 0.80,
@@ -156,6 +160,6 @@ fn flush_empties() {
     itlb.fill(k, method(1));
     assert!(itlb.lookup(k).is_some());
     itlb.flush();
-    assert_eq!(itlb.l1_len(), 0);
+    assert!(itlb.is_empty());
     assert_eq!(itlb.lookup(k), None);
 }

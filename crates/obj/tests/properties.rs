@@ -111,7 +111,7 @@ fn itlb_transparency() {
             classes.push(c);
         }
         let cfg = ItlbConfig {
-            l1: CacheConfig::new(1 << (1 + rng.below(6)), 2).expect("valid"),
+            geometry: CacheConfig::new(1 << (1 + rng.below(6)), 2).expect("valid"),
         };
         let mut itlb = Itlb::new(cfg);
         for _ in 0..1 + rng.below(400) {

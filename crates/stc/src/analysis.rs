@@ -38,10 +38,14 @@ pub struct Analysis {
 impl Analysis {
     /// Resolves a source selector to an opcode, mapping the raw-storage
     /// spellings onto their machine opcodes.
-    pub fn selector(&mut self, name: &str) -> Opcode {
+    ///
+    /// # Errors
+    ///
+    /// Returns a semantic error when the selector space is exhausted.
+    pub fn selector(&mut self, name: &str) -> Result<Opcode, CompileError> {
         match name {
-            "rawGrow:" => Opcode::GROW,
-            other => self.opcodes.intern(other),
+            "rawGrow:" => Ok(Opcode::GROW),
+            other => Ok(self.opcodes.intern(other)?),
         }
     }
 
@@ -205,10 +209,10 @@ mod tests {
     fn raw_selectors_map_to_machine_opcodes() {
         let p = Program::default();
         let mut a = analyze(&p).unwrap();
-        assert_eq!(a.selector("rawAt:"), Opcode::RAWAT);
-        assert_eq!(a.selector("rawAt:put:"), Opcode::RAWATPUT);
-        assert_eq!(a.selector("rawGrow:"), Opcode::GROW);
-        assert_eq!(a.selector("+"), Opcode::ADD);
-        assert!(a.selector("frob:").is_user());
+        assert_eq!(a.selector("rawAt:"), Ok(Opcode::RAWAT));
+        assert_eq!(a.selector("rawAt:put:"), Ok(Opcode::RAWATPUT));
+        assert_eq!(a.selector("rawGrow:"), Ok(Opcode::GROW));
+        assert_eq!(a.selector("+"), Ok(Opcode::ADD));
+        assert!(a.selector("frob:").unwrap().is_user());
     }
 }

@@ -37,7 +37,7 @@ pub fn compile_com_program(
         for m in &class.methods {
             let mut pending = vec![(class.name.clone(), class_id, m.clone(), None)];
             while let Some((cls_name, cls_id, method, outer)) = pending.pop() {
-                let sel = analysis.selector(&method.selector);
+                let sel = analysis.selector(&method.selector)?;
                 let mut g = MethodGen::new(
                     &mut analysis,
                     options,
@@ -164,7 +164,7 @@ impl<'a> MethodGen<'a> {
             // Block prologue: load the captured home pointer and outer self
             // from the block object (ivars 0 and 1 of `self`).
             let home = self.alloc_scratch()?;
-            let k0 = self.asm.intern_const(Word::Int(0));
+            let k0 = self.asm.intern_const(Word::Int(0))?;
             self.emit(Instr::three(
                 Opcode::RAWAT,
                 Operand::Cur(home),
@@ -172,7 +172,7 @@ impl<'a> MethodGen<'a> {
                 Operand::Const(k0),
             ))?;
             let oself = self.alloc_scratch()?;
-            let k1 = self.asm.intern_const(Word::Int(1));
+            let k1 = self.asm.intern_const(Word::Int(1))?;
             self.emit(Instr::three(
                 Opcode::RAWAT,
                 Operand::Cur(oself),
@@ -222,7 +222,7 @@ impl<'a> MethodGen<'a> {
                     owned: None,
                 }
             } else {
-                let k = self.asm.intern_const(Word::Atom(AtomId(2)));
+                let k = self.asm.intern_const(Word::Atom(AtomId(2)))?;
                 Val {
                     op: Operand::Const(k),
                     owned: None,
@@ -258,8 +258,7 @@ impl<'a> MethodGen<'a> {
     }
 
     fn emit(&mut self, i: Result<Instr, com_isa::IsaError>) -> Result<(), CompileError> {
-        let i = i.map_err(|e| CompileError::sem(format!("bad instruction: {e}")))?;
-        self.asm.emit(i);
+        self.asm.emit(i?);
         Ok(())
     }
 
@@ -279,12 +278,12 @@ impl<'a> MethodGen<'a> {
         }
     }
 
-    fn const_val(&mut self, w: Word) -> Val {
-        let k = self.asm.intern_const(w);
-        Val {
+    fn const_val(&mut self, w: Word) -> Result<Val, CompileError> {
+        let k = self.asm.intern_const(w)?;
+        Ok(Val {
             op: Operand::Const(k),
             owned: None,
-        }
+        })
     }
 
     fn emit_return(&mut self, v: Val) -> Result<(), CompileError> {
@@ -301,14 +300,14 @@ impl<'a> MethodGen<'a> {
 
     fn gen_expr(&mut self, e: &Expr) -> Result<Val, CompileError> {
         match e {
-            Expr::Int(i) => Ok(self.const_val(Word::Int(*i))),
-            Expr::Float(x) => Ok(self.const_val(Word::Float(*x))),
-            Expr::True => Ok(self.const_val(Word::from(true))),
-            Expr::False => Ok(self.const_val(Word::from(false))),
-            Expr::Nil => Ok(self.const_val(Word::Atom(AtomId(2)))),
+            Expr::Int(i) => self.const_val(Word::Int(*i)),
+            Expr::Float(x) => self.const_val(Word::Float(*x)),
+            Expr::True => self.const_val(Word::from(true)),
+            Expr::False => self.const_val(Word::from(false)),
+            Expr::Nil => self.const_val(Word::Atom(AtomId(2))),
             Expr::Atom(name) => {
                 let id = self.analysis.atoms.intern(name);
-                Ok(self.const_val(Word::Atom(id)))
+                self.const_val(Word::Atom(id))
             }
             Expr::SelfRef => {
                 // Inside a block body, `self` is the *defining* method's
@@ -322,7 +321,7 @@ impl<'a> MethodGen<'a> {
             }
             Expr::ClassRef(name) => {
                 let id = self.analysis.layout(name)?.id;
-                Ok(self.const_val(Word::Int(id.0 as i64)))
+                self.const_val(Word::Int(id.0 as i64))
             }
             Expr::Var(name) => self.gen_var_read(name),
             Expr::Assign(name, value) => self.gen_assign(name, value),
@@ -363,7 +362,7 @@ impl<'a> MethodGen<'a> {
             }),
             Binding::Ivar(idx) => {
                 let dest = self.alloc_scratch()?;
-                let k = self.asm.intern_const(Word::Int(idx as i64));
+                let k = self.asm.intern_const(Word::Int(idx as i64))?;
                 self.emit(Instr::three(
                     Opcode::RAWAT,
                     Operand::Cur(dest),
@@ -378,7 +377,7 @@ impl<'a> MethodGen<'a> {
             Binding::OuterSlot(s) => {
                 let home = self.home_slot.expect("block prologue ran");
                 let dest = self.alloc_scratch()?;
-                let k = self.asm.intern_const(Word::Int(s as i64));
+                let k = self.asm.intern_const(Word::Int(s as i64))?;
                 self.emit(Instr::three(
                     Opcode::RAWAT,
                     Operand::Cur(dest),
@@ -393,7 +392,7 @@ impl<'a> MethodGen<'a> {
             Binding::OuterIvar(idx) => {
                 let oself = self.outer_self_slot.expect("block prologue ran");
                 let dest = self.alloc_scratch()?;
-                let k = self.asm.intern_const(Word::Int(idx as i64));
+                let k = self.asm.intern_const(Word::Int(idx as i64))?;
                 self.emit(Instr::three(
                     Opcode::RAWAT,
                     Operand::Cur(dest),
@@ -422,7 +421,7 @@ impl<'a> MethodGen<'a> {
             Binding::Ivar(idx) => {
                 // at:put: roles: A = value (read), B = object, C = index.
                 let vm = self.materialize(v)?;
-                let k = self.asm.intern_const(Word::Int(idx as i64));
+                let k = self.asm.intern_const(Word::Int(idx as i64))?;
                 self.emit(Instr::three(
                     Opcode::RAWATPUT,
                     slot_of(vm.op)?,
@@ -434,7 +433,7 @@ impl<'a> MethodGen<'a> {
             Binding::OuterSlot(s) => {
                 let home = self.home_slot.expect("block prologue ran");
                 let vm = self.materialize(v)?;
-                let k = self.asm.intern_const(Word::Int(s as i64));
+                let k = self.asm.intern_const(Word::Int(s as i64))?;
                 self.emit(Instr::three(
                     Opcode::RAWATPUT,
                     slot_of(vm.op)?,
@@ -446,7 +445,7 @@ impl<'a> MethodGen<'a> {
             Binding::OuterIvar(idx) => {
                 let oself = self.outer_self_slot.expect("block prologue ran");
                 let vm = self.materialize(v)?;
-                let k = self.asm.intern_const(Word::Int(idx as i64));
+                let k = self.asm.intern_const(Word::Int(idx as i64))?;
                 self.emit(Instr::three(
                     Opcode::RAWATPUT,
                     slot_of(vm.op)?,
@@ -519,7 +518,7 @@ impl<'a> MethodGen<'a> {
                 av.op,
             ))?;
         }
-        let op = self.analysis.selector(selector);
+        let op = self.analysis.selector(selector)?;
 
         // Store instructions have inverted roles (§3.4): `a at: b put: c`
         // reads the value from A. The value also sits in next-context slot 3
@@ -576,15 +575,17 @@ impl<'a> MethodGen<'a> {
 
     fn gen_new(&mut self, class_name: &str, size: Option<&Expr>) -> Result<Val, CompileError> {
         let layout = self.analysis.layout(class_name)?.clone();
-        let cid = self.asm.intern_const(Word::Int(layout.id.0 as i64));
+        let cid = self.asm.intern_const(Word::Int(layout.id.0 as i64))?;
         let size_val = match size {
-            None => self.const_val(Word::Int(layout.total_ivars as i64)),
+            None => self.const_val(Word::Int(layout.total_ivars as i64))?,
             Some(e) => {
                 let v = self.gen_expr(e)?;
                 if layout.total_ivars == 0 {
                     v
                 } else {
-                    let k = self.asm.intern_const(Word::Int(layout.total_ivars as i64));
+                    let k = self
+                        .asm
+                        .intern_const(Word::Int(layout.total_ivars as i64))?;
                     self.free(v);
                     let s = self.alloc_scratch()?;
                     self.emit(Instr::three(
@@ -648,7 +649,7 @@ impl<'a> MethodGen<'a> {
         self.asm.jump_if(cond.op, then_label);
         // Else arm (condition false).
         self.gen_arm(else_arm, selector, result)?;
-        self.asm.jump(end_label);
+        self.asm.jump(end_label)?;
         self.asm.bind(then_label);
         // Then arm (condition true). For or:, true means the result is the
         // condition itself (true); for and:, false means false.
@@ -700,7 +701,7 @@ impl<'a> MethodGen<'a> {
                     "and:" => Word::from(false),
                     _ => Word::Atom(AtomId(2)),
                 };
-                let v = self.const_val(w);
+                let v = self.const_val(w)?;
                 self.emit(Instr::three(Opcode::MOVE, Operand::Cur(result), v.op, v.op))?;
             }
             Some(block) => {
@@ -719,7 +720,7 @@ impl<'a> MethodGen<'a> {
                     // A3: real block object, sent `value`.
                     let b = self.gen_block_object(block)?;
                     let dest = self.alloc_scratch()?;
-                    let op = self.analysis.selector("value");
+                    let op = self.analysis.selector("value")?;
                     self.emit(Instr::three(op, Operand::Cur(dest), b.op, b.op))?;
                     self.emit(Instr::three(
                         Opcode::MOVE,
@@ -794,21 +795,21 @@ impl<'a> MethodGen<'a> {
         let c = self.materialize(c)?;
         self.asm.jump_if(c.op, body_label);
         self.free(c);
-        self.asm.jump(end);
+        self.asm.jump(end)?;
         self.asm.bind(body_label);
         let v = self.gen_inline_block(body, &[])?;
         self.free(v);
-        self.asm.jump(top);
+        self.asm.jump(top)?;
         self.asm.bind(end);
-        Ok(self.const_val(Word::Atom(AtomId(2))))
+        self.const_val(Word::Atom(AtomId(2)))
     }
 
     fn gen_times_repeat(&mut self, count: &Expr, body: &Block) -> Result<Val, CompileError> {
         let n = self.gen_expr(count)?;
         let n = self.materialize(n)?;
         let i = self.alloc_scratch()?;
-        let k0 = self.asm.intern_const(Word::Int(0));
-        let k1 = self.asm.intern_const(Word::Int(1));
+        let k0 = self.asm.intern_const(Word::Int(0))?;
+        let k1 = self.asm.intern_const(Word::Int(1))?;
         self.emit(Instr::three(
             Opcode::MOVE,
             Operand::Cur(i),
@@ -828,7 +829,7 @@ impl<'a> MethodGen<'a> {
         ))?;
         self.asm.jump_if(Operand::Cur(c), body_label);
         self.scratch_next = c;
-        self.asm.jump(end);
+        self.asm.jump(end)?;
         self.asm.bind(body_label);
         let v = self.gen_inline_block(body, &[])?;
         self.free(v);
@@ -838,11 +839,11 @@ impl<'a> MethodGen<'a> {
             Operand::Cur(i),
             Operand::Const(k1),
         ))?;
-        self.asm.jump(top);
+        self.asm.jump(top)?;
         self.asm.bind(end);
         self.scratch_next = i;
         self.free(n);
-        Ok(self.const_val(Word::Atom(AtomId(2))))
+        self.const_val(Word::Atom(AtomId(2)))
     }
 
     fn gen_to_do(&mut self, from: &Expr, to: &Expr, body: &Block) -> Result<Val, CompileError> {
@@ -851,7 +852,7 @@ impl<'a> MethodGen<'a> {
                 "to:do: block takes exactly one parameter",
             ));
         }
-        let k1 = self.asm.intern_const(Word::Int(1));
+        let k1 = self.asm.intern_const(Word::Int(1))?;
         let fv = self.gen_expr(from)?;
         let fv = self.materialize(fv)?;
         let limit = self.gen_expr(to)?;
@@ -872,7 +873,7 @@ impl<'a> MethodGen<'a> {
         ))?;
         self.asm.jump_if(Operand::Cur(c), body_label);
         self.scratch_next = c;
-        self.asm.jump(end);
+        self.asm.jump(end)?;
         self.asm.bind(body_label);
         let v = self.gen_inline_block(body, &[i])?;
         self.free(v);
@@ -882,13 +883,13 @@ impl<'a> MethodGen<'a> {
             Operand::Cur(i),
             Operand::Const(k1),
         ))?;
-        self.asm.jump(top);
+        self.asm.jump(top)?;
         self.asm.bind(end);
         // Free i, limit, fv in reverse order.
         self.scratch_next = i;
         self.free(limit);
         self.free(fv);
-        Ok(self.const_val(Word::Atom(AtomId(2))))
+        self.const_val(Word::Atom(AtomId(2)))
     }
 
     /// Compiles a block literal into a real block object: a fresh class
@@ -943,8 +944,8 @@ impl<'a> MethodGen<'a> {
 
         // Construction: obj := NEW(class, 2); obj[0] := &arg0 (home);
         // obj[1] := self.
-        let cid = self.asm.intern_const(Word::Int(class_id.0 as i64));
-        let k2 = self.asm.intern_const(Word::Int(2));
+        let cid = self.asm.intern_const(Word::Int(class_id.0 as i64))?;
+        let k2 = self.asm.intern_const(Word::Int(2))?;
         let obj = self.alloc_scratch()?;
         self.emit(Instr::three(
             Opcode::NEW,
@@ -961,8 +962,8 @@ impl<'a> MethodGen<'a> {
             Operand::Cur(0),
             Operand::Cur(0),
         ))?;
-        let k0 = self.asm.intern_const(Word::Int(0));
-        let k1 = self.asm.intern_const(Word::Int(1));
+        let k0 = self.asm.intern_const(Word::Int(0))?;
+        let k1 = self.asm.intern_const(Word::Int(1))?;
         self.emit(Instr::three(
             Opcode::RAWATPUT,
             Operand::Cur(home),

@@ -27,7 +27,7 @@ pub fn compile_fith_program(program: &Program) -> Result<FithImage, CompileError
     for class in &program.classes {
         let class_id = analysis.layout(&class.name)?.id;
         for m in &class.methods {
-            let sel = analysis.selector(&m.selector);
+            let sel = analysis.selector(&m.selector)?;
             let mut g = FithGen::new(&mut analysis, &class.name, m)?;
             let method = g.run(m)?;
             out.push((class_id, sel, method));
@@ -280,7 +280,7 @@ impl<'a> FithGen<'a> {
         for a in args {
             self.gen_expr(a)?;
         }
-        let op = self.analysis.selector(selector);
+        let op = self.analysis.selector(selector)?;
         self.code.push(FithInstr::Send {
             op,
             nargs: args.len() as u8,

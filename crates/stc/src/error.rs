@@ -41,6 +41,14 @@ impl core::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
+impl From<com_isa::IsaError> for CompileError {
+    /// An architectural limit the source exceeded: a slot, constant or
+    /// selector that does not fit its instruction field.
+    fn from(e: com_isa::IsaError) -> Self {
+        CompileError::sem(format!("bad instruction: {e}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -76,21 +76,22 @@ impl FromIterator<TraceEvent> for Trace {
     }
 }
 
-/// Replays `keys` through `cache`, treating the first `warmup` accesses
-/// as warmup (counters reset at the boundary, §5).
+/// Replays `keys` — each with the hash that selects its set — through
+/// `cache`, treating the first `warmup` accesses as warmup (counters
+/// reset at the boundary, §5).
 ///
 /// Returns the measurement-phase statistics.
 pub fn replay_keys<K, I>(mut cache: SetAssocCache<K, ()>, keys: I, warmup: usize) -> CacheStats
 where
-    K: Hash + Eq + Clone,
-    I: IntoIterator<Item = K>,
+    K: Copy + Eq + Default,
+    I: IntoIterator<Item = (u64, K)>,
 {
-    for (i, k) in keys.into_iter().enumerate() {
+    for (i, (hash, k)) in keys.into_iter().enumerate() {
         if i == warmup {
             cache.reset_stats();
         }
-        if cache.lookup(&k).is_none() {
-            cache.fill(k, ());
+        if cache.lookup(hash, k).is_none() {
+            cache.fill(hash, k, ());
         }
     }
     cache.stats()
@@ -109,10 +110,15 @@ pub struct SweepRow {
 /// Sweeps cache sizes × associativities over a trace with the given key
 /// extraction, reproducing the §5 methodology.
 ///
+/// Every cache picks a key's set by its SipHash, whatever the key: Fith's
+/// trace addresses are synthetic (`method_idx << 20 | pc`), so their low
+/// bits would crowd a few sets, where the COM machine's own icache indexes
+/// by real low address bits.
+///
 /// # Errors
 ///
 /// Propagates [`CacheError`] when `ways` does not divide a size.
-pub fn sweep<K: Hash + Eq + Clone>(
+pub fn sweep<K: Hash + Eq + Copy + Default>(
     trace: &Trace,
     sizes: &[usize],
     ways_list: &[usize],
@@ -120,8 +126,7 @@ pub fn sweep<K: Hash + Eq + Clone>(
     key: impl Fn(&TraceEvent) -> K,
 ) -> Result<Vec<SweepRow>, CacheError> {
     let warmup = (trace.len() as f64 * warmup_fraction) as usize;
-    // Every geometry sets a key by the hash a default-indexed cache takes
-    // of it: take it once per key, not once per key and geometry.
+    // Hash each key once, not once per key and geometry.
     let keys: Vec<(u64, K)> = trace
         .events()
         .iter()
@@ -140,9 +145,8 @@ pub fn sweep<K: Hash + Eq + Clone>(
                 ratios.push((ways, None));
                 continue;
             }
-            let cfg = CacheConfig::new(entries, ways)?;
-            let cache = SetAssocCache::with_indexer(cfg, |k: &(u64, K)| k.0);
-            let stats = replay_keys(cache, keys.iter().cloned(), warmup);
+            let cache = SetAssocCache::new(CacheConfig::new(entries, ways)?);
+            let stats = replay_keys(cache, keys.iter().copied(), warmup);
             ratios.push((ways, stats.hit_ratio()));
         }
         rows.push(SweepRow { entries, ratios });
@@ -166,7 +170,7 @@ mod tests {
     fn replay_counts_only_after_warmup() {
         // 4 distinct keys repeated: with warmup covering the first pass,
         // measurement sees only hits.
-        let keys: Vec<u64> = (0..4).chain(0..4).chain(0..4).collect();
+        let keys = (0..4).chain(0..4).chain(0..4).map(|k: u64| (k, k));
         let cfg = CacheConfig::new(8, 2).unwrap();
         let stats = replay_keys(SetAssocCache::new(cfg), keys, 4);
         assert_eq!(stats.misses, 0);

@@ -101,20 +101,9 @@ impl CallGraph {
             site_callees[m] = per_pc;
         }
 
-        // Interprocedural fuel: per-site cost = 1 + worst callee, block
-        // weight = sum of site costs, method fuel = longest weighted
-        // entry-to-exit path. Recursion and CFG cycles are unbounded.
-        let mut fuel: Vec<Option<FuelBound>> = vec![None; n];
-        let mut on_stack = vec![false; n];
-        for m in 0..n {
-            method_fuel(m, image, &site_callees, &mut fuel, &mut on_stack);
-        }
         CallGraph {
             edges,
-            fuel: fuel
-                .into_iter()
-                .map(|f| f.unwrap_or(FuelBound::Unbounded))
-                .collect(),
+            fuel: interprocedural_fuel(image, &site_callees),
             handler_roots,
             degraded: false,
         }
@@ -153,82 +142,99 @@ impl CallGraph {
     }
 }
 
-fn method_fuel(
-    m: usize,
-    image: &ProgramImage,
-    site_callees: &[Vec<Vec<usize>>],
-    fuel: &mut Vec<Option<FuelBound>>,
-    on_stack: &mut Vec<bool>,
-) -> FuelBound {
-    if let Some(f) = fuel[m] {
-        return f;
-    }
-    if on_stack[m] {
-        // Call-graph recursion: no bound. (Leave the memo unset so the
-        // other members of the cycle recompute to the same answer.)
-        return FuelBound::Unbounded;
-    }
-    on_stack[m] = true;
-    let code = &image.methods[m].code;
-    let cfg = Cfg::build(code);
-    let result = if cfg.has_cycle() {
-        FuelBound::Unbounded
-    } else {
-        // Per-pc costs first (callees resolved recursively).
-        let mut costs: Vec<Option<u64>> = Vec::with_capacity(code.instrs.len());
-        let mut unbounded = false;
-        for pc in 0..code.instrs.len() {
-            let mut cost: u64 = 1;
-            for callee in site_callees[m].get(pc).map(|v| v.as_slice()).unwrap_or(&[]) {
-                match method_fuel(*callee, image, site_callees, fuel, on_stack) {
-                    FuelBound::Bounded(f) => cost = cost.max(1 + f),
-                    FuelBound::Unbounded => {
-                        unbounded = true;
-                        break;
-                    }
+/// Every method's interprocedural fuel: a site costs 1 plus its worst
+/// callee, and a method's fuel is its heaviest entry-to-exit path.
+/// Call-graph recursion and CFG cycles are unbounded.
+///
+/// The descent into callees keeps its frames on a heap stack, so a call
+/// chain of any length takes constant host stack.
+fn interprocedural_fuel(image: &ProgramImage, site_callees: &[Vec<Vec<usize>>]) -> Vec<FuelBound> {
+    let n = image.methods.len();
+    let mut fuel: Vec<Option<FuelBound>> = vec![None; n];
+    let mut on_stack = vec![false; n];
+    let mut frames: Vec<FuelFrame> = Vec::new();
+    for root in 0..n {
+        if fuel[root].is_some() {
+            continue;
+        }
+        let mut enter = Some(root);
+        loop {
+            if let Some(m) = enter.take() {
+                let cfg = Cfg::build(&image.methods[m].code);
+                if cfg.has_cycle() {
+                    fuel[m] = Some(FuelBound::Unbounded);
+                } else {
+                    on_stack[m] = true;
+                    frames.push(FuelFrame {
+                        m,
+                        cfg,
+                        costs: Vec::new(),
+                        cost: 1,
+                        callee: 0,
+                    });
                 }
             }
-            if unbounded {
+            let Some(frame) = frames.last_mut() else {
                 break;
-            }
-            costs.push(Some(cost));
-        }
-        if unbounded {
-            FuelBound::Unbounded
-        } else {
-            // Longest weighted path over the acyclic block graph.
-            fn longest(
-                cfg: &Cfg,
-                b: usize,
-                costs: &[Option<u64>],
-                memo: &mut [Option<u64>],
-            ) -> u64 {
-                if let Some(v) = memo[b] {
-                    return v;
+            };
+            match frame.advance(&site_callees[frame.m], &fuel, &on_stack) {
+                Err(callee) => enter = Some(callee),
+                Ok(bound) => {
+                    on_stack[frame.m] = false;
+                    fuel[frame.m] = Some(bound);
+                    frames.pop();
                 }
-                let own: u64 = (cfg.blocks[b].start..cfg.blocks[b].end)
-                    .map(|pc| costs[pc].unwrap_or(1))
-                    .sum();
-                let rest = cfg.blocks[b]
-                    .succs
-                    .iter()
-                    .map(|&s| longest(cfg, s, costs, memo))
-                    .max()
-                    .unwrap_or(0);
-                memo[b] = Some(own + rest);
-                own + rest
-            }
-            if cfg.blocks.is_empty() {
-                FuelBound::Bounded(0)
-            } else {
-                let mut memo = vec![None; cfg.blocks.len()];
-                FuelBound::Bounded(longest(&cfg, 0, &costs, &mut memo))
             }
         }
-    };
-    on_stack[m] = false;
-    fuel[m] = Some(result);
-    result
+    }
+    fuel.into_iter()
+        .map(|f| f.unwrap_or(FuelBound::Unbounded))
+        .collect()
+}
+
+/// One method of the fuel walk's descent: its acyclic graph and the
+/// costs of the sites before `costs.len()`.
+struct FuelFrame {
+    m: usize,
+    cfg: Cfg,
+    costs: Vec<u64>,
+    /// The cost of the site being costed, over the callees before `callee`.
+    cost: u64,
+    callee: usize,
+}
+
+impl FuelFrame {
+    /// Costs the remaining sites: `Ok` with the method's fuel, or `Err`
+    /// with a callee whose fuel must be found first.
+    fn advance(
+        &mut self,
+        site_callees: &[Vec<usize>],
+        fuel: &[Option<FuelBound>],
+        on_stack: &[bool],
+    ) -> Result<FuelBound, usize> {
+        while self.costs.len() < self.cfg.block_of.len() {
+            let callees = site_callees
+                .get(self.costs.len())
+                .map_or(&[][..], Vec::as_slice);
+            while let Some(&callee) = callees.get(self.callee) {
+                match fuel[callee] {
+                    Some(FuelBound::Bounded(f)) => self.cost = self.cost.max(1 + f),
+                    Some(FuelBound::Unbounded) => return Ok(FuelBound::Unbounded),
+                    // Call-graph recursion: no bound. (The callee's own
+                    // frame finishes later, to the same answer.)
+                    None if on_stack[callee] => return Ok(FuelBound::Unbounded),
+                    None => return Err(callee),
+                }
+                self.callee += 1;
+            }
+            self.costs.push(self.cost);
+            self.cost = 1;
+            self.callee = 0;
+        }
+        let costs = &self.costs;
+        let longest = self.cfg.longest_path(|pc| costs[pc]);
+        Ok(FuelBound::Bounded(longest.expect("the graph is acyclic")))
+    }
 }
 
 #[cfg(test)]
@@ -250,8 +256,8 @@ mod tests {
 
     fn leaf_and_caller() -> ProgramImage {
         let mut img = ProgramImage::empty();
-        let leaf = img.opcodes.intern("leaf");
-        let caller = img.opcodes.intern("caller");
+        let leaf = img.opcodes.intern("leaf").unwrap();
+        let caller = img.opcodes.intern("caller").unwrap();
         let mut asm = Assembler::new("SmallInteger ≫ leaf", 1);
         asm.emit_three(
             Opcode::ADD,
@@ -290,7 +296,7 @@ mod tests {
     #[test]
     fn recursion_is_unbounded() {
         let mut img = ProgramImage::empty();
-        let looped = img.opcodes.intern("looped");
+        let looped = img.opcodes.intern("looped").unwrap();
         let mut asm = Assembler::new("SmallInteger ≫ looped", 1);
         asm.emit_three(
             Opcode(looped.0),
@@ -320,7 +326,7 @@ mod tests {
     #[test]
     fn trap_handlers_are_roots() {
         let mut img = leaf_and_caller();
-        let dnu = img.opcodes.intern("doesNotUnderstand:");
+        let dnu = img.opcodes.intern("doesNotUnderstand:").unwrap();
         let mut asm = Assembler::new("Object ≫ doesNotUnderstand:", 2);
         ret_move(&mut asm, 1);
         img.add_method(com_obj::ClassTable::OBJECT, dnu, asm.finish().unwrap());

@@ -193,69 +193,61 @@ impl Cfg {
         seen
     }
 
-    /// Whether the reachable part of the graph contains a cycle
-    /// (three-colour DFS). Cyclic methods have no static fuel bound.
+    /// Whether the reachable part of the graph contains a cycle. Cyclic
+    /// methods have no static fuel bound.
     pub fn has_cycle(&self) -> bool {
-        #[derive(Clone, Copy, PartialEq)]
-        enum C {
-            White,
-            Grey,
-            Black,
-        }
-        if self.blocks.is_empty() {
-            return false;
-        }
-        let mut colour = vec![C::White; self.blocks.len()];
-        // Iterative DFS with an explicit phase marker per frame.
-        let mut stack = vec![(0usize, false)];
-        while let Some((b, done)) = stack.pop() {
-            if done {
-                colour[b] = C::Black;
-                continue;
-            }
-            if colour[b] == C::Black {
-                continue;
-            }
-            colour[b] = C::Grey;
-            stack.push((b, true));
-            for &s in &self.blocks[b].succs {
-                match colour[s] {
-                    C::Grey => return true,
-                    C::White => stack.push((s, false)),
-                    C::Black => {}
-                }
-            }
-        }
-        false
+        self.longest_path(|_| 0).is_none()
     }
 
     /// The longest entry-to-exit path measured in instructions — the
     /// method's worst-case own-frame fuel (callee work excluded). `None`
     /// when the graph is cyclic (no static bound).
     pub fn fuel_bound(&self) -> Option<u64> {
+        self.longest_path(|_| 1)
+    }
+
+    /// The heaviest entry-to-exit path when instruction `pc` weighs
+    /// `weight(pc)`, or `None` when the reachable graph has a cycle. The
+    /// call graph weighs each send by its worst callee.
+    ///
+    /// One iterative depth-first walk, so a method of any length takes
+    /// constant host stack.
+    pub(crate) fn longest_path(&self, weight: impl Fn(usize) -> u64) -> Option<u64> {
         if self.blocks.is_empty() {
             return Some(0);
         }
-        if self.has_cycle() {
-            return None;
-        }
-        // Longest path over the DAG, memoised over blocks.
-        fn longest(cfg: &Cfg, b: usize, memo: &mut [Option<u64>]) -> u64 {
-            if let Some(v) = memo[b] {
-                return v;
+        // A block's path is known once all its successors' are; a
+        // successor still on the walk's path closes a cycle.
+        let mut longest: Vec<Option<u64>> = vec![None; self.blocks.len()];
+        let mut on_path = vec![false; self.blocks.len()];
+        // The walk's path: each block with the count of successors taken.
+        let mut path = vec![(0usize, 0usize)];
+        on_path[0] = true;
+        while let Some((b, taken)) = path.last_mut() {
+            let block = &self.blocks[*b];
+            if let Some(&s) = block.succs.get(*taken) {
+                *taken += 1;
+                if on_path[s] {
+                    return None;
+                }
+                if longest[s].is_none() {
+                    on_path[s] = true;
+                    path.push((s, 0));
+                }
+            } else {
+                let own: u64 = (block.start..block.end).map(&weight).sum();
+                let rest = block
+                    .succs
+                    .iter()
+                    .map(|&s| longest[s].expect("successors finish first"))
+                    .max()
+                    .unwrap_or(0);
+                longest[*b] = Some(own + rest);
+                on_path[*b] = false;
+                path.pop();
             }
-            let own = (cfg.blocks[b].end - cfg.blocks[b].start) as u64;
-            let rest = cfg.blocks[b]
-                .succs
-                .iter()
-                .map(|&s| longest(cfg, s, memo))
-                .max()
-                .unwrap_or(0);
-            memo[b] = Some(own + rest);
-            own + rest
         }
-        let mut memo = vec![None; self.blocks.len()];
-        Some(longest(self, 0, &mut memo))
+        longest[0]
     }
 }
 
@@ -307,7 +299,7 @@ mod tests {
         asm.jump_if(Operand::Cur(3), then_l); // 0
         add(&mut asm); // 1 (else)
         add(&mut asm); // 2
-        asm.jump(end_l); // 3 (unconditional)
+        asm.jump(end_l).unwrap(); // 3 (unconditional)
         asm.bind(then_l);
         add(&mut asm); // 4
         asm.bind(end_l);
@@ -344,7 +336,7 @@ mod tests {
     fn code_after_unconditional_jump_is_unreachable() {
         let mut asm = Assembler::new("t", 1);
         let end = asm.label();
-        asm.jump(end); // 0: unconditional
+        asm.jump(end).unwrap(); // 0: unconditional
         add(&mut asm); // 1: dead
         asm.bind(end);
         ret(&mut asm); // 2
@@ -377,7 +369,7 @@ mod tests {
     fn integer_conditions_fold() {
         let mut asm = Assembler::new("t", 1);
         let end = asm.label();
-        let k = asm.intern_const(Word::Int(0)); // constant false
+        let k = asm.intern_const(Word::Int(0)).unwrap(); // constant false
         asm.jump_if(Operand::Const(k), end); // never taken
         add(&mut asm);
         asm.bind(end);

@@ -268,7 +268,7 @@ mod tests {
     /// A minimal valid method: `c4 <- c3 + 1`, return.
     fn valid_code() -> CodeObject {
         let mut asm = Assembler::new("t", 1);
-        let k = asm.intern_const(Word::Int(1));
+        let k = asm.intern_const(Word::Int(1)).unwrap();
         asm.emit_three(
             Opcode::ADD,
             Operand::Cur(4),
@@ -447,7 +447,10 @@ mod tests {
     #[test]
     fn image_verification_checks_handler_arity() {
         let mut img = ProgramImage::empty();
-        let dnu = img.opcodes.intern(TrapSelector::DoesNotUnderstand.name());
+        let dnu = img
+            .opcodes
+            .intern(TrapSelector::DoesNotUnderstand.name())
+            .unwrap();
         let mut asm = Assembler::new("Thing ≫ doesNotUnderstand:", 1); // wrong: needs 2
         asm.emit_three_ret(
             Opcode::MOVE,
@@ -462,7 +465,10 @@ mod tests {
         assert_eq!(e.method.index, Some(0));
         // Correct arity passes.
         let mut img = ProgramImage::empty();
-        let dnu = img.opcodes.intern(TrapSelector::DoesNotUnderstand.name());
+        let dnu = img
+            .opcodes
+            .intern(TrapSelector::DoesNotUnderstand.name())
+            .unwrap();
         let mut asm = Assembler::new("Thing ≫ doesNotUnderstand:", 2);
         asm.emit_three_ret(
             Opcode::MOVE,

@@ -1,5 +1,5 @@
 //! Reusable dataflow analyses over a method [`Cfg`]:
-//! reaching definitions, liveness, and constant-slot propagation.
+//! uninitialised slots, liveness, and constant-slot propagation.
 //!
 //! The analysis domain is the method's current-context operand slots
 //! `0..=MAX_SLOT` (30 slots), compactly represented as a [`SlotSet`]
@@ -84,135 +84,65 @@ pub fn live_use_slots(instr: Instr) -> SlotSet {
 }
 
 // ---------------------------------------------------------------------
-// Reaching definitions
+// Uninitialised slots
 // ---------------------------------------------------------------------
 
-/// One definition site: a slot and the defining instruction — or the
-/// method entry (`pc == None`), which "defines" every slot: parameters
-/// with their argument values, the rest as *uninitialised*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DefSite {
-    /// The slot defined.
-    pub slot: u8,
-    /// The defining instruction, or `None` for the entry pseudo-def.
-    pub pc: Option<usize>,
-}
-
-/// Reaching definitions: which [`DefSite`]s may reach each block entry.
-///
-/// Entry pseudo-defs make undefinedness first-class: the entry def of a
-/// non-parameter slot reaching a use means some path reads the slot
+/// Which slots may still be uninitialised at each block entry: reaching
+/// definitions restricted to the method entry's pseudo-definitions, one
+/// bit per slot. A slot in the set at a use means some path reads it
 /// before any write — exactly the interpreter's `UninitOperand` trap,
-/// found statically.
+/// found statically. Parameter slots are never in the set (their entry
+/// definition carries a value).
 #[derive(Debug, Clone)]
-pub struct ReachingDefs {
-    /// All definition sites: one entry pseudo-def per slot (ids
-    /// `0..N_SLOTS`), then the real defs in pc order.
-    pub sites: Vec<DefSite>,
-    /// Per-block bitset over `sites` ids: definitions reaching the block
-    /// entry.
-    pub reach_in: Vec<Vec<u64>>,
+pub struct UninitSlots {
+    /// Per block: the slots some path from the entry leaves unwritten.
+    pub uninit_in: Vec<SlotSet>,
 }
 
-fn set_bit(v: &mut [u64], i: usize) {
-    v[i / 64] |= 1 << (i % 64);
-}
-
-fn get_bit(v: &[u64], i: usize) -> bool {
-    v[i / 64] & (1 << (i % 64)) != 0
-}
-
-impl ReachingDefs {
+impl UninitSlots {
     /// Runs the analysis over a verified method body.
-    pub fn build(code: &CodeObject, cfg: &Cfg) -> ReachingDefs {
-        let mut sites: Vec<DefSite> = (0..N_SLOTS as u8)
-            .map(|slot| DefSite { slot, pc: None })
-            .collect();
-        for (pc, instr) in code.instrs.iter().enumerate() {
-            if let Some(slot) = def_slot(*instr) {
-                sites.push(DefSite { slot, pc: Some(pc) });
-            }
-        }
-        let words = sites.len().div_ceil(64);
+    pub fn build(code: &CodeObject, cfg: &Cfg) -> UninitSlots {
         let nb = cfg.blocks.len();
-        // Per-block gen/kill: walk the block; a def of slot s kills every
-        // other site of s and generates its own.
-        let mut gen = vec![vec![0u64; words]; nb];
-        let mut killed_slots = vec![0 as SlotSet; nb];
-        for (bi, b) in cfg.blocks.iter().enumerate() {
-            for pc in b.start..b.end {
-                if let Some(slot) = def_slot(code.instrs[pc]) {
-                    // Kill previous gens of this slot within the block.
-                    for (si, site) in sites.iter().enumerate() {
-                        if site.slot == slot {
-                            gen[bi][si / 64] &= !(1 << (si % 64));
-                        }
-                    }
-                    let id = sites
-                        .iter()
-                        .position(|s| s.pc == Some(pc))
-                        .expect("site recorded above");
-                    set_bit(&mut gen[bi], id);
-                    killed_slots[bi] |= 1 << slot;
-                }
-            }
+        let defined: Vec<SlotSet> = cfg
+            .blocks
+            .iter()
+            .map(|b| {
+                (b.start..b.end)
+                    .filter_map(|pc| def_slot(code.instrs[pc]))
+                    .fold(0, |set, slot| set | 1 << slot)
+            })
+            .collect();
+        let mut uninit_in = vec![0 as SlotSet; nb];
+        if nb == 0 {
+            return UninitSlots { uninit_in };
         }
-        let mut reach_in = vec![vec![0u64; words]; nb];
-        let mut reach_out = vec![vec![0u64; words]; nb];
-        // Entry block starts from the pseudo-defs.
-        let mut entry = vec![0u64; words];
-        for i in 0..N_SLOTS {
-            set_bit(&mut entry, i);
-        }
-        let mut work: Vec<usize> = (0..nb).collect();
+        let all: SlotSet = (1 << N_SLOTS) - 1;
+        uninit_in[0] = all & !param_slots(code.n_args);
+        // Forward worklist to the least fixed point; sets only grow.
+        let mut queued = vec![false; nb];
+        let mut work = vec![0];
+        queued[0] = true;
         while let Some(bi) = work.pop() {
-            let mut inn = if bi == 0 {
-                entry.clone()
-            } else {
-                vec![0u64; words]
-            };
-            for &p in &cfg.blocks[bi].preds {
-                for (w, pw) in inn.iter_mut().zip(&reach_out[p]) {
-                    *w |= pw;
-                }
-            }
-            let mut out = inn.clone();
-            for (si, site) in sites.iter().enumerate() {
-                if killed_slots[bi] & (1 << site.slot) != 0 {
-                    out[si / 64] &= !(1 << (si % 64));
-                }
-            }
-            for (w, gw) in out.iter_mut().zip(&gen[bi]) {
-                *w |= gw;
-            }
-            if inn != reach_in[bi] || out != reach_out[bi] {
-                reach_in[bi] = inn;
-                reach_out[bi] = out;
-                for &s in &cfg.blocks[bi].succs {
-                    if !work.contains(&s) {
+            queued[bi] = false;
+            let out = uninit_in[bi] & !defined[bi];
+            for &s in &cfg.blocks[bi].succs {
+                if out & !uninit_in[s] != 0 {
+                    uninit_in[s] |= out;
+                    if !queued[s] {
+                        queued[s] = true;
                         work.push(s);
                     }
                 }
             }
         }
-        ReachingDefs { sites, reach_in }
+        UninitSlots { uninit_in }
     }
 
-    /// Per-instruction set of slots whose **entry pseudo-def still
-    /// reaches** — slots that may be read uninitialised at that point.
-    /// Parameter slots are excluded (their entry def carries a value).
-    pub fn maybe_uninit(&self, code: &CodeObject, cfg: &Cfg) -> Vec<SlotSet> {
-        let params = param_slots(code.n_args);
+    /// Per-instruction set of slots that may be read uninitialised there.
+    pub fn before(&self, code: &CodeObject, cfg: &Cfg) -> Vec<SlotSet> {
         let mut out = vec![0 as SlotSet; code.instrs.len()];
         for (bi, b) in cfg.blocks.iter().enumerate() {
-            // Entry pseudo-defs occupy site ids 0..N_SLOTS.
-            let mut uninit: SlotSet = 0;
-            for slot in 0..N_SLOTS {
-                if get_bit(&self.reach_in[bi], slot) {
-                    uninit |= 1 << slot;
-                }
-            }
-            uninit &= !params;
+            let mut uninit = self.uninit_in[bi];
             for (pc, slot_out) in out.iter_mut().enumerate().take(b.end).skip(b.start) {
                 *slot_out = uninit;
                 if let Some(slot) = def_slot(code.instrs[pc]) {
@@ -532,8 +462,7 @@ mod tests {
         .unwrap(); // 2
         let code = asm.finish().unwrap();
         let cfg = Cfg::build(&code);
-        let rd = ReachingDefs::build(&code, &cfg);
-        let uninit = rd.maybe_uninit(&code, &cfg);
+        let uninit = UninitSlots::build(&code, &cfg).before(&code, &cfg);
         assert_ne!(uninit[2] & (1 << 4), 0, "slot 4 may be uninit at the use");
         // Parameters are never maybe-uninit.
         assert_eq!(uninit[2] & 0b11, 0);
@@ -555,7 +484,7 @@ mod tests {
         .unwrap();
         let code = asm.finish().unwrap();
         let cfg = Cfg::build(&code);
-        let uninit = ReachingDefs::build(&code, &cfg).maybe_uninit(&code, &cfg);
+        let uninit = UninitSlots::build(&code, &cfg).before(&code, &cfg);
         assert_eq!(uninit[1] & (1 << 4), 0);
     }
 
@@ -595,10 +524,10 @@ mod tests {
     fn const_prop_folds_and_finds_traps() {
         // c4 := 6 * 7; c5 := 1 / 0  — the division provably traps.
         let mut asm = Assembler::new("t", 1);
-        let k6 = asm.intern_const(Word::Int(6));
-        let k7 = asm.intern_const(Word::Int(7));
-        let k1 = asm.intern_const(Word::Int(1));
-        let k0 = asm.intern_const(Word::Int(0));
+        let k6 = asm.intern_const(Word::Int(6)).unwrap();
+        let k7 = asm.intern_const(Word::Int(7)).unwrap();
+        let k1 = asm.intern_const(Word::Int(1)).unwrap();
+        let k0 = asm.intern_const(Word::Int(0)).unwrap();
         asm.emit_three(
             Opcode::MUL,
             Operand::Cur(4),
@@ -630,7 +559,7 @@ mod tests {
         assert_eq!(cs.trap_sites[0].0, 1);
         // A call havocs everything.
         let mut asm = Assembler::new("t", 1);
-        let k6 = asm.intern_const(Word::Int(6));
+        let k6 = asm.intern_const(Word::Int(6)).unwrap();
         asm.emit_three(
             Opcode::MOVE,
             Operand::Cur(4),

@@ -403,7 +403,7 @@ mod tests {
 
     fn tiny_image() -> ProgramImage {
         let mut img = ProgramImage::empty();
-        let sel = img.opcodes.intern("double");
+        let sel = img.opcodes.intern("double").unwrap();
         let mut asm = Assembler::new("SmallInteger ≫ double", 1);
         asm.emit_three(
             Opcode::ADD,
@@ -457,7 +457,7 @@ mod tests {
     #[test]
     fn entry_roots_narrow_reachability() {
         let mut img = tiny_image();
-        let orphan = img.opcodes.intern("orphan");
+        let orphan = img.opcodes.intern("orphan").unwrap();
         let mut asm = Assembler::new("SmallInteger ≫ orphan", 1);
         asm.emit_three_ret(
             Opcode::MOVE,

@@ -1237,7 +1237,7 @@ mod tests {
 
     fn double_image() -> ProgramImage {
         let mut img = ProgramImage::empty();
-        let sel = img.opcodes.intern("double");
+        let sel = img.opcodes.intern("double").unwrap();
         let mut asm = Assembler::new("SmallInteger ≫ double", 1);
         asm.emit_three(
             Opcode::ADD,
@@ -1297,8 +1297,8 @@ mod tests {
     #[test]
     fn uninstalled_selector_is_guaranteed_dnu() {
         let mut img = double_image();
-        let ghost = img.opcodes.intern("ghost");
-        let sel = img.opcodes.intern("haunt");
+        let ghost = img.opcodes.intern("ghost").unwrap();
+        let sel = img.opcodes.intern("haunt").unwrap();
         let mut asm = Assembler::new("SmallInteger ≫ haunt", 1);
         asm.emit_three(
             Opcode(ghost.0),
@@ -1329,11 +1329,11 @@ mod tests {
             .classes
             .define("Point", Some(ClassTable::OBJECT), 2)
             .unwrap();
-        let sel = img.opcodes.intern("probe");
+        let sel = img.opcodes.intern("probe").unwrap();
         let mut asm = Assembler::new("SmallInteger ≫ probe", 1);
-        let kc = asm.intern_const(Word::Int(point.0 as i64));
-        let k2 = asm.intern_const(Word::Int(2));
-        let k0 = asm.intern_const(Word::Int(0));
+        let kc = asm.intern_const(Word::Int(point.0 as i64)).unwrap();
+        let k2 = asm.intern_const(Word::Int(2)).unwrap();
+        let k0 = asm.intern_const(Word::Int(0)).unwrap();
         // c2 := Point new 2; c2 at: 0 put: self; c3 := c2 at: 0; ^c3
         asm.emit_three(
             Opcode::NEW,
@@ -1389,8 +1389,8 @@ mod tests {
     #[test]
     fn defined_call_joins_callee_returns_and_resets_staging() {
         let mut img = ProgramImage::empty();
-        let double = img.opcodes.intern("double");
-        let sel = img.opcodes.intern("quad");
+        let double = img.opcodes.intern("double").unwrap();
+        let sel = img.opcodes.intern("quad").unwrap();
         let mut asm = Assembler::new("SmallInteger ≫ double", 1);
         asm.emit_three(
             Opcode::ADD,
@@ -1439,7 +1439,7 @@ mod tests {
         // A method reading an argument slot (slot 2) must see ⊤ — any
         // zero-address caller can stage anything there.
         let mut img = ProgramImage::empty();
-        let sel = img.opcodes.intern("first:");
+        let sel = img.opcodes.intern("first:").unwrap();
         let mut asm = Assembler::new("SmallInteger ≫ first:", 2);
         asm.emit_three_ret(
             Opcode::MOVE,

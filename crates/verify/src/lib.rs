@@ -13,7 +13,7 @@
 //!   are typed [`VerifyError`]s with method/offset provenance and stable
 //!   `V00x` codes — never panics;
 //! - reusable **dataflow analyses** over verified bodies ([`Cfg`],
-//!   [`ReachingDefs`], [`Liveness`], [`ConstSlots`]);
+//!   [`UninitSlots`], [`Liveness`], [`ConstSlots`]);
 //! - the **lints** behind the `vmlint` CLI ([`lint_image`]), with stable
 //!   `L00x`/`I00x` diagnostic codes;
 //! - the **interprocedural tier**: whole-image class inference
@@ -38,7 +38,7 @@ pub mod lint;
 pub use callgraph::{CallGraph, FuelBound};
 pub use cfg::{Block, Cfg};
 pub use check::{verify_code, verify_image, verify_words, MAX_SLOT};
-pub use dataflow::{ConstSlots, ConstVal, DefSite, Liveness, PrimResolver, ReachingDefs};
+pub use dataflow::{ConstSlots, ConstVal, Liveness, PrimResolver, UninitSlots};
 pub use error::{Provenance, VerifyError, VerifyErrorKind};
 pub use facts::ImageFacts;
 pub use infer::{

@@ -8,7 +8,7 @@ use std::collections::HashSet;
 
 use crate::cfg::Cfg;
 use crate::check::verify_image;
-use crate::dataflow::{def_slot, use_slots, ConstSlots, Liveness, ReachingDefs};
+use crate::dataflow::{def_slot, use_slots, ConstSlots, Liveness, UninitSlots};
 use crate::error::{Provenance, VerifyError};
 
 /// Diagnostic severity.
@@ -400,7 +400,7 @@ pub fn lint_code(
     }
 
     // L003 — use of a maybe-uninitialised slot.
-    let uninit = ReachingDefs::build(code, &cfg).maybe_uninit(code, &cfg);
+    let uninit = UninitSlots::build(code, &cfg).before(code, &cfg);
     for (pc, instr) in code.instrs.iter().enumerate() {
         if !reachable[cfg.block_of[pc]] {
             continue;
@@ -448,7 +448,7 @@ mod tests {
 
     fn image_with(code: CodeObject) -> ProgramImage {
         let mut img = ProgramImage::empty();
-        let sel = img.opcodes.intern("probe");
+        let sel = img.opcodes.intern("probe").unwrap();
         img.add_method(ClassId::SMALL_INT, sel, code);
         img
     }
@@ -503,8 +503,8 @@ mod tests {
     #[test]
     fn always_trapping_send_warns_unless_handled() {
         let mut asm = Assembler::new("t", 1);
-        let k1 = asm.intern_const(Word::Int(1));
-        let k0 = asm.intern_const(Word::Int(0));
+        let k1 = asm.intern_const(Word::Int(1)).unwrap();
+        let k0 = asm.intern_const(Word::Int(0)).unwrap();
         asm.emit_three(
             Opcode::DIV,
             Operand::Cur(4),
@@ -527,7 +527,10 @@ mod tests {
         // With a badOperands: handler installed, the trap is a routed
         // feature, not a fault.
         let mut img = image_with(code);
-        let bo = img.opcodes.intern(TrapSelector::BadOperands.name());
+        let bo = img
+            .opcodes
+            .intern(TrapSelector::BadOperands.name())
+            .unwrap();
         let mut asm = Assembler::new("Int ≫ badOperands:", 2);
         asm.emit_three_ret(
             Opcode::MOVE,
@@ -556,7 +559,7 @@ mod tests {
             Operand::Cur(1),
         )
         .unwrap(); // 0: dead store
-        asm.jump(end); // 1: unconditional
+        asm.jump(end).unwrap(); // 1: unconditional
         asm.emit_three(
             Opcode::ADD,
             Operand::Cur(5),
@@ -611,8 +614,8 @@ mod tests {
         // image-global rule silenced this; the sharpened rule must not —
         // the Int chain has no handler.
         let mut asm = Assembler::new("t", 1);
-        let k1 = asm.intern_const(Word::Int(1));
-        let k0 = asm.intern_const(Word::Int(0));
+        let k1 = asm.intern_const(Word::Int(1)).unwrap();
+        let k0 = asm.intern_const(Word::Int(0)).unwrap();
         asm.emit_three(
             Opcode::DIV,
             Operand::Cur(4),
@@ -632,7 +635,10 @@ mod tests {
             .classes
             .define("Elsewhere", Some(com_obj::ClassTable::OBJECT), 0)
             .unwrap();
-        let bo = img.opcodes.intern(TrapSelector::BadOperands.name());
+        let bo = img
+            .opcodes
+            .intern(TrapSelector::BadOperands.name())
+            .unwrap();
         let mut asm = Assembler::new("Elsewhere ≫ badOperands:", 2);
         asm.emit_three_ret(
             Opcode::MOVE,
@@ -653,8 +659,8 @@ mod tests {
     fn guaranteed_dnu_warns_unless_every_receiver_has_a_handler() {
         // `self ghost` where no class installs `ghost`.
         let mut img = ProgramImage::empty();
-        let ghost = img.opcodes.intern("ghost");
-        let sel = img.opcodes.intern("haunt");
+        let ghost = img.opcodes.intern("ghost").unwrap();
+        let sel = img.opcodes.intern("haunt").unwrap();
         let mut asm = Assembler::new("SmallInteger ≫ haunt", 1);
         asm.emit_three(
             Opcode(ghost.0),
@@ -682,7 +688,10 @@ mod tests {
         assert!(dnu[0].to_string().contains("ghost"));
         // With a doesNotUnderstand: handler on the receiver's chain the
         // send is intentional proxying (the dnu workload's pattern).
-        let dnu_sel = img.opcodes.intern(TrapSelector::DoesNotUnderstand.name());
+        let dnu_sel = img
+            .opcodes
+            .intern(TrapSelector::DoesNotUnderstand.name())
+            .unwrap();
         let mut asm = Assembler::new("Object ≫ doesNotUnderstand:", 2);
         asm.emit_three_ret(
             Opcode::MOVE,
@@ -702,9 +711,12 @@ mod tests {
     #[test]
     fn unreachable_method_needs_entries_and_spares_handlers() {
         let mut img = ProgramImage::empty();
-        let main = img.opcodes.intern("mainEntry");
-        let orphan = img.opcodes.intern("orphan");
-        let dnu_sel = img.opcodes.intern(TrapSelector::DoesNotUnderstand.name());
+        let main = img.opcodes.intern("mainEntry").unwrap();
+        let orphan = img.opcodes.intern("orphan").unwrap();
+        let dnu_sel = img
+            .opcodes
+            .intern(TrapSelector::DoesNotUnderstand.name())
+            .unwrap();
         for (sel, name) in [
             (main, "SmallInteger ≫ mainEntry"),
             (orphan, "SmallInteger ≫ orphan"),

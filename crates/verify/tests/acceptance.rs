@@ -9,7 +9,7 @@ use com_core::{Machine, MachineConfig, ProgramImage};
 use com_isa::{Assembler, Instr, Opcode, Operand};
 use com_mem::{ClassId, Word};
 use com_stc::{compile_com, CompileOptions};
-use com_verify::{lint_image, verify_image, Severity};
+use com_verify::{lint_image, verify_image, FuelBound, ImageFacts, Severity};
 use com_vm::{Vm, VmError};
 use com_workloads as workloads;
 
@@ -51,10 +51,30 @@ fn every_workload_lints_warning_free() {
 /// One image per malformed-image class, all refused with the right code
 /// at the `Vm::from_image` load boundary — typed, never a panic.
 #[test]
+fn a_long_method_is_analysed_on_a_small_stack() {
+    // 2,000 sequential conditionals make one method of 6,000 blocks in a
+    // chain. Both whole-image entry points walk it on a 256 KiB thread.
+    let body = "self > 0 ifTrue: [ x := x + 1 ]. ".repeat(2_000);
+    let source = format!("class SmallInteger method long | x | x := 0. {body}^x end end");
+    let image = compile_com(&source, CompileOptions::default()).expect("compiles");
+    std::thread::Builder::new()
+        .stack_size(256 << 10)
+        .spawn(move || {
+            let facts = ImageFacts::analyze(&image).expect("verifies");
+            let long = facts.callgraph.fuel.last().expect("the long method");
+            assert!(matches!(long, FuelBound::Bounded(_)), "{long:?}");
+            lint_image(&image).expect("verifies");
+        })
+        .expect("spawn")
+        .join()
+        .expect("the analysis returns");
+}
+
+#[test]
 fn every_malformed_class_is_refused_at_load_with_its_code() {
     fn image_with(code: com_isa::CodeObject) -> ProgramImage {
         let mut img = ProgramImage::empty();
-        let sel = img.opcodes.intern("probe");
+        let sel = img.opcodes.intern("probe").unwrap();
         img.add_method(ClassId::SMALL_INT, sel, code);
         img
     }
@@ -84,7 +104,7 @@ fn every_malformed_class_is_refused_at_load_with_its_code() {
 
     // V002 — wild branch off the end of the body.
     let mut asm = Assembler::new("t", 1);
-    let k = asm.intern_const(Word::Int(99));
+    let k = asm.intern_const(Word::Int(99)).unwrap();
     asm.emit_three(
         Opcode::FJMP,
         Operand::Cur(0),
@@ -119,7 +139,7 @@ fn every_malformed_class_is_refused_at_load_with_its_code() {
 
     // V005 — trap handler with the wrong arity.
     let mut img = ProgramImage::empty();
-    let dnu = img.opcodes.intern("doesNotUnderstand:");
+    let dnu = img.opcodes.intern("doesNotUnderstand:").unwrap();
     let mut asm = Assembler::new("t", 1);
     ret(&mut asm);
     img.add_method(ClassId::SMALL_INT, dnu, asm.finish().unwrap());

@@ -539,7 +539,7 @@ mod tests {
         use com_isa::{Assembler, Opcode, Operand};
         use com_mem::ClassId;
         let mut img = ProgramImage::empty();
-        let sel = img.opcodes.intern("double");
+        let sel = img.opcodes.intern("double").unwrap();
         let mut asm = Assembler::new("SmallInteger>>double", 1);
         asm.emit_three(
             Opcode::ADD,
@@ -565,7 +565,7 @@ mod tests {
         use com_isa::{Assembler, Opcode, Operand};
         use com_mem::ClassId;
         let mut img = ProgramImage::empty();
-        let sel = img.opcodes.intern("wild");
+        let sel = img.opcodes.intern("wild").unwrap();
         let mut asm = Assembler::new("SmallInteger>>wild", 1);
         // Slot 63 encodes but lies beyond the context geometry.
         asm.emit_three_ret(
@@ -610,6 +610,65 @@ mod tests {
             b.stats().full_lookups,
             a.stats().full_lookups
         );
+    }
+
+    /// Compiles `source` through every entry point that takes source
+    /// text: `Err` with the compile error's text, `Ok` if all accept it.
+    fn compile_everywhere(source: &str, fith: bool) -> Result<(), String> {
+        com_stc::compile_com(source, Default::default()).map_err(|e| e.to_string())?;
+        if fith {
+            com_stc::compile_fith(source, Default::default()).map_err(|e| e.to_string())?;
+        }
+        Vm::builder()
+            .source(source)
+            .build()
+            .map(drop)
+            .map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn the_constant_table_limit_is_a_compile_error() {
+        // `x := 0` and n distinct literals added to it: n + 1 constants in
+        // one method, and the 7-bit field holds 128.
+        let method = |n: i64| {
+            let adds: String = (1..=n)
+                .map(|k| format!("x := x + {}. ", 1000 + k))
+                .collect();
+            format!("class SmallInteger method many | x | x := 0. {adds}^x end end")
+        };
+        assert_eq!(compile_everywhere(&method(127), false), Ok(()));
+        let image = com_stc::compile_com(&method(127), Default::default()).unwrap();
+        let many = image.methods.last().expect("the user method is last");
+        assert_eq!(many.code.consts.len(), 128, "at the limit");
+        for n in [128, 200] {
+            let e = compile_everywhere(&method(n), false).expect_err("past the limit");
+            assert!(
+                e.contains("operand k128 field overflow"),
+                "{n} literals: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_selector_space_limit_is_a_compile_error() {
+        // A chain m0 … m(n-1) interns n user selectors; the 10-bit space
+        // has room for what the standard library leaves free.
+        let used = com_stc::compile_com("", Default::default())
+            .unwrap()
+            .opcodes
+            .iter()
+            .filter(|(op, _)| op.is_user())
+            .count();
+        let free = (com_isa::Opcode::MAX - com_isa::Opcode::USER_BASE + 1) as usize - used;
+        let chain = |n: usize| {
+            let methods: String = (0..n)
+                .map(|i| format!("method m{i} ^self m{} end ", i + 1))
+                .collect();
+            format!("class SmallInteger {methods}method m{n} ^self end end")
+        };
+        assert_eq!(compile_everywhere(&chain(free - 1), true), Ok(()));
+        let e = compile_everywhere(&chain(free), true).expect_err("one past the limit");
+        assert!(e.contains("exceeds the 10-bit selector field"), "{e}");
     }
 
     #[test]

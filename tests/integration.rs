@@ -140,7 +140,7 @@ fn instruction_safety_dnu_and_step_limit() {
     let mut m = Machine::new(MachineConfig::default());
     m.load(&image).unwrap();
     // Atoms cannot multiply: dispatch must trap, not corrupt.
-    let sel = m.intern_selector("undefinedThing");
+    let sel = m.intern_selector("undefinedThing").unwrap();
     m.start_send(sel, Word::Int(3), &[]).unwrap();
     assert!(matches!(
         m.run(1000),
