@@ -15,6 +15,7 @@ use com_obj::TrapSelector;
 
 use crate::cfg::Cfg;
 use crate::infer::{Inference, SiteKind, StaticResolver};
+use crate::solve::solve;
 
 /// A worst-case instruction budget, or the admission that none exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,27 +119,16 @@ impl CallGraph {
             return vec![true; n];
         }
         let mut seen = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        for r in roots.iter().chain(self.handler_roots.iter()) {
-            if *r < n && !seen[*r] {
-                seen[*r] = true;
-                stack.push(*r);
-            }
-        }
-        while let Some(m) = stack.pop() {
-            for c in &self.edges[m] {
-                if !seen[*c] {
-                    seen[*c] = true;
-                    stack.push(*c);
+        let roots = roots.iter().chain(&self.handler_roots).copied();
+        solve(roots.filter(|r| *r < n), |m, work| {
+            seen[m] = true;
+            for &c in &self.edges[m] {
+                if !seen[c] {
+                    work.push(c);
                 }
             }
-        }
+        });
         seen
-    }
-
-    /// Whether the graph was built from a degraded inference.
-    pub fn degraded(&self) -> bool {
-        self.degraded
     }
 }
 

@@ -11,6 +11,7 @@ use com_isa::{CodeObject, Instr, Operand};
 use com_obj::AtomTable;
 
 use crate::check::jump_target;
+use crate::solve::solve;
 
 /// One basic block: the instruction range `[start, end)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,16 +181,14 @@ impl Cfg {
         if self.blocks.is_empty() {
             return seen;
         }
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        while let Some(b) = stack.pop() {
+        solve([0], |b, work| {
+            seen[b] = true;
             for &s in &self.blocks[b].succs {
                 if !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
+                    work.push(s);
                 }
             }
-        }
+        });
         seen
     }
 

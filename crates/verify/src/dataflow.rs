@@ -13,6 +13,7 @@ use com_mem::{ClassId, Word};
 
 use crate::cfg::Cfg;
 use crate::check::MAX_SLOT;
+use crate::solve::solve;
 
 /// Number of slots in the analysis domain.
 pub const N_SLOTS: usize = MAX_SLOT as usize + 1;
@@ -118,23 +119,16 @@ impl UninitSlots {
         }
         let all: SlotSet = (1 << N_SLOTS) - 1;
         uninit_in[0] = all & !param_slots(code.n_args);
-        // Forward worklist to the least fixed point; sets only grow.
-        let mut queued = vec![false; nb];
-        let mut work = vec![0];
-        queued[0] = true;
-        while let Some(bi) = work.pop() {
-            queued[bi] = false;
+        // Forward to the least fixed point; sets only grow.
+        solve([0], |bi, work| {
             let out = uninit_in[bi] & !defined[bi];
             for &s in &cfg.blocks[bi].succs {
                 if out & !uninit_in[s] != 0 {
                     uninit_in[s] |= out;
-                    if !queued[s] {
-                        queued[s] = true;
-                        work.push(s);
-                    }
+                    work.push(s);
                 }
             }
-        }
+        });
         UninitSlots { uninit_in }
     }
 
@@ -173,8 +167,10 @@ impl Liveness {
         let nb = cfg.blocks.len();
         let mut live_in = vec![0 as SlotSet; nb];
         let mut live_out = vec![0 as SlotSet; nb];
-        let mut work: Vec<usize> = (0..nb).collect();
-        while let Some(bi) = work.pop() {
+        // Liveness flows from the exits toward the entry, so the solver's
+        // node `i` is block `nb - 1 - i`: each sweep runs backward.
+        solve(0..nb, |i, work| {
+            let bi = nb - 1 - i;
             let mut out = 0;
             for &s in &cfg.blocks[bi].succs {
                 out |= live_in[s];
@@ -191,12 +187,10 @@ impl Liveness {
                 live_in[bi] = live;
                 live_out[bi] = out;
                 for &p in &cfg.blocks[bi].preds {
-                    if !work.contains(&p) {
-                        work.push(p);
-                    }
+                    work.push(nb - 1 - p);
                 }
             }
-        }
+        });
         Liveness { live_in, live_out }
     }
 
@@ -246,7 +240,7 @@ impl ConstVal {
 /// Resolves the primitive a send will execute: given the receiver's class
 /// and the selector, the [`PrimOp`] — or `None` when the send dispatches
 /// to a defined method (or the resolution is unknown), which makes the
-/// result untrackable. [`crate::lint_image`] builds this from the image's
+/// result untrackable. [`crate::lint_facts`] builds this from the image's
 /// class table, treating any selector with a defined method anywhere in
 /// the image as unresolvable (a conservative override check).
 pub type PrimResolver<'a> = dyn Fn(ClassId, Opcode) -> Option<PrimOp> + 'a;
@@ -272,8 +266,7 @@ impl ConstSlots {
             block_in[0] = [ConstVal::Varying; N_SLOTS];
         }
         let mut block_out = vec![[ConstVal::Unknown; N_SLOTS]; nb];
-        let mut work: Vec<usize> = (0..nb).collect();
-        while let Some(bi) = work.pop() {
+        solve(0..nb, |bi, work| {
             let mut state = block_in[bi];
             for pc in cfg.blocks[bi].start..cfg.blocks[bi].end {
                 Self::transfer(code, pc, &mut state, resolve, None);
@@ -287,13 +280,11 @@ impl ConstSlots {
                     }
                     if met != block_in[s] {
                         block_in[s] = met;
-                        if !work.contains(&s) {
-                            work.push(s);
-                        }
+                        work.push(s);
                     }
                 }
             }
-        }
+        });
         // Final pass: record per-instruction states and trap sites.
         let mut before = vec![[ConstVal::Varying; N_SLOTS]; code.instrs.len()];
         let mut trap_sites = Vec::new();

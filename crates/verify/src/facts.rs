@@ -81,8 +81,9 @@ pub struct ImageFacts {
     /// Per-method reachability from the entry roots (plus the
     /// engine-invoked trap handlers).
     pub reachable: Vec<bool>,
-    /// The method indices used as entry roots.
-    pub entry_roots: Vec<usize>,
+    /// The entry selectors the roots were drawn from; empty when every
+    /// method is a root.
+    pub entries: Vec<String>,
     /// Per-method display metadata.
     pub methods: Vec<MethodMeta>,
     /// Class id → name, captured from the universe.
@@ -107,7 +108,8 @@ impl ImageFacts {
 
     /// Analyzes an image with the given entry selectors as call-graph
     /// roots. An empty list means "every method is a root". Trap
-    /// handlers are always roots — the engine invokes them directly.
+    /// handlers are always roots — the engine invokes them directly. A
+    /// name no method of the image answers adds no root.
     ///
     /// # Errors
     ///
@@ -118,21 +120,13 @@ impl ImageFacts {
     ) -> Result<ImageFacts, VerifyError> {
         let inference = infer_image(image)?;
         let callgraph = CallGraph::build(image, &inference);
-        let entry_roots: Vec<usize> = if entries.is_empty() {
-            (0..image.methods.len()).collect()
-        } else {
-            let sels: Vec<_> = entries
-                .iter()
-                .filter_map(|e| image.opcodes.get(e))
-                .collect();
-            image
-                .methods
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| sels.contains(&m.selector))
-                .map(|(i, _)| i)
-                .collect()
-        };
+        let sels: Vec<_> = entries
+            .iter()
+            .filter_map(|e| image.opcodes.get(e))
+            .collect();
+        let entry_roots: Vec<usize> = (0..image.methods.len())
+            .filter(|&i| entries.is_empty() || sels.contains(&image.methods[i].selector))
+            .collect();
         let reachable = callgraph.reachable_from(&entry_roots);
         let methods = image
             .methods
@@ -164,7 +158,7 @@ impl ImageFacts {
             inference,
             callgraph,
             reachable,
-            entry_roots,
+            entries: entries.to_vec(),
             methods,
             class_names,
             selector_names,
@@ -378,7 +372,9 @@ fn summarize(inference: &Inference) -> FactsSummary {
     s
 }
 
-fn json_str(s: &str) -> String {
+/// `s` as a JSON string literal: quoted, with `"`, `\` and control
+/// characters escaped.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {
@@ -468,7 +464,7 @@ mod tests {
         .unwrap();
         img.add_method(ClassId::SMALL_INT, orphan, asm.finish().unwrap());
         let facts = ImageFacts::analyze_with(&img, &["double".to_string()]).unwrap();
-        assert_eq!(facts.entry_roots, vec![0]);
+        assert_eq!(facts.entries, ["double"]);
         assert!(facts.reachable[0]);
         assert!(!facts.reachable[1], "orphan is unreachable from double");
     }

@@ -28,13 +28,25 @@
 //!   pointers); a callee that may write through a context pointer can
 //!   mutate its caller's frame, so calls into such callees havoc the
 //!   caller's slots. The `may_write_ctx` fact is computed transitively
-//!   as part of the global fixpoint.
+//!   as part of the whole-image fixpoint.
+//!
+//! The fixpoint runs on the crate's one worklist solver twice over: each
+//! method's analysis iterates its blocks, and the image iterates its
+//! methods. A method is analysed again only when a cross-method summary
+//! it read has grown since: a callee's result classes, context writes
+//! or skipped results, or the heap classes of a class it read through
+//! `at:`. The solver sweeps the methods in index order, so the analyses
+//! that run are those of re-analysing every method round by round, less
+//! the ones whose inputs had not changed. That order matters: the
+//! transfer function is not monotone everywhere (a numeric send whose
+//! operands hold no number answers `SmallInteger`), so another order can
+//! reach another fixed point.
 //!
 //! Soundness contract (tested by the differential suite): for every
 //! site, every receiver class the interpreter ever dispatches on is
 //! contained in the inferred receiver set.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use com_core::ProgramImage;
 use com_isa::{CodeObject, Instr, Opcode, Operand, PrimOp, ResultShape};
@@ -45,6 +57,7 @@ use crate::cfg::Cfg;
 use crate::check::verify_image;
 use crate::dataflow::N_SLOTS;
 use crate::error::VerifyError;
+use crate::solve::solve;
 
 /// The most classes the dense bitset domain can represent. Images beyond
 /// this (none shipped are within two orders of magnitude) get a
@@ -453,8 +466,9 @@ impl State {
 struct Analyzer<'a> {
     image: &'a ProgramImage,
     universe: &'a ClassUniverse,
-    resolver: &'a StaticResolver<'a>,
-    install_sets: &'a [ClassSet],
+    resolver: StaticResolver<'a>,
+    install_sets: Vec<ClassSet>,
+    cfgs: &'a [Cfg],
     uninit: ClassSet,
     int: ClassSet,
     atom: ClassSet,
@@ -467,16 +481,31 @@ struct Analyzer<'a> {
     // call-result updates into such callees must be weak joins).
     may_skip_result: Vec<bool>,
     heap: Vec<ClassSet>,
-    changed: bool,
+    // The summaries are numbered for the dependency log: method `m`'s
+    // three are summary `m`, class index `i`'s heap is summary
+    // `image.methods.len() + i`. `readers[s]` holds every method whose
+    // analysis read summary `s`; `reads` and `grown` log the current
+    // analysis.
+    readers: Vec<BTreeSet<usize>>,
+    reads: Vec<usize>,
+    grown: Vec<usize>,
 }
 
 impl<'a> Analyzer<'a> {
-    fn new(
-        image: &'a ProgramImage,
-        universe: &'a ClassUniverse,
-        resolver: &'a StaticResolver<'a>,
-        install_sets: &'a [ClassSet],
-    ) -> Analyzer<'a> {
+    fn new(image: &'a ProgramImage, universe: &'a ClassUniverse, cfgs: &'a [Cfg]) -> Analyzer<'a> {
+        let resolver = StaticResolver::new(image, universe);
+        // For each method, the receiver classes whose lookup of its
+        // selector lands on it: the dispatch invariant that seeds every
+        // entry state. One lookup per class and selector, not per method.
+        let selectors: BTreeSet<Opcode> = image.methods.iter().map(|m| m.selector).collect();
+        let mut install_sets = vec![ClassSet::EMPTY; image.methods.len()];
+        for &class in universe.ids() {
+            for &selector in &selectors {
+                if let Target::Method(i) = resolver.resolve(class, selector) {
+                    install_sets[i].union(&universe.singleton(class));
+                }
+            }
+        }
         let mut heap = vec![ClassSet::EMPTY; universe.len()];
         // The engine reifies trap messages as 3-word objects of the root
         // class with arbitrary words inside; reads from an exactly-
@@ -489,6 +518,7 @@ impl<'a> Analyzer<'a> {
             universe,
             resolver,
             install_sets,
+            cfgs,
             uninit: universe.singleton(ClassId::UNINIT),
             int: universe.singleton(ClassId::SMALL_INT),
             atom: universe.singleton(ClassId::ATOM),
@@ -497,7 +527,9 @@ impl<'a> Analyzer<'a> {
             may_write_ctx: vec![false; image.methods.len()],
             may_skip_result: vec![false; image.methods.len()],
             heap,
-            changed: false,
+            readers: vec![BTreeSet::new(); image.methods.len() + universe.len()],
+            reads: Vec::new(),
+            grown: Vec::new(),
         }
     }
 
@@ -529,7 +561,7 @@ impl<'a> Analyzer<'a> {
     /// The result classes a *successful* primitive execution writes, or
     /// `None` when the primitive writes no data result.
     fn prim_result(
-        &self,
+        &mut self,
         p: PrimOp,
         code: &CodeObject,
         instr: Instr,
@@ -589,8 +621,9 @@ impl<'a> Analyzer<'a> {
                     }
                     let mut out = self.uninit;
                     for c in u.classes_in(bset) {
-                        if let Some(i) = u.index.get(&c) {
-                            out.union(&self.heap[*i].clone());
+                        if let Some(&i) = u.index.get(&c) {
+                            out.union(&self.heap[i]);
+                            self.reads.push(self.image.methods.len() + i);
                         }
                     }
                     Some(out)
@@ -636,18 +669,15 @@ impl<'a> Analyzer<'a> {
         dest: Option<Operand>,
         zero_result: bool,
         callees: &[usize],
-        unresolved: bool,
     ) {
         let mut ret = ClassSet::EMPTY;
-        let mut havoc = unresolved;
-        let mut strong = !unresolved && !callees.is_empty();
-        for m in callees {
-            ret.union(&self.returns[*m].clone());
-            havoc |= self.may_write_ctx[*m];
-            strong &= !self.may_skip_result[*m];
-        }
-        if unresolved {
-            ret = self.universe.top();
+        let mut havoc = false;
+        let mut strong = !callees.is_empty();
+        for &m in callees {
+            ret.union(&self.returns[m]);
+            havoc |= self.may_write_ctx[m];
+            strong &= !self.may_skip_result[m];
+            self.reads.push(m);
         }
         // Where does the callee's result-pointer write land? A
         // three-address call always passes a valid result pointer; a
@@ -798,22 +828,21 @@ impl<'a> Analyzer<'a> {
 
         // ---- defined-method / handler call effects -------------------
         if !methods.is_empty() {
-            let callees = methods.clone();
             if returning {
                 // The CFG treats a return-bit instruction as a block
                 // exit, but a defined target turns it into a plain call
                 // whose continuation is pc+1: model that edge.
                 let mut post = st.clone();
-                self.apply_call(&mut post, dest, false, &callees, false);
+                self.apply_call(&mut post, dest, false, &methods);
                 ret_edge = Some(post);
             } else if mixed {
                 // Some receivers call, some run a primitive: join the
                 // called-path state into the straight-line one.
                 let mut called = st.clone();
-                self.apply_call(&mut called, dest, zero_form, &callees, false);
+                self.apply_call(&mut called, dest, zero_form, &methods);
                 st.join(&called);
             } else {
-                self.apply_call(st, dest, zero_form, &callees, false);
+                self.apply_call(st, dest, zero_form, &methods);
             }
         }
 
@@ -831,13 +860,15 @@ impl<'a> Analyzer<'a> {
                     );
                 match self.prim_result(p, code, instr, &bset, &cset) {
                     Some(r) if writes => {
-                        self.changed |= self.returns[mindex].union(&r);
+                        if self.returns[mindex].union(&r) {
+                            self.grown.push(mindex);
+                        }
                     }
                     _ => {
                         // A no-result return: callers must weak-join.
                         if !self.may_skip_result[mindex] {
                             self.may_skip_result[mindex] = true;
-                            self.changed = true;
+                            self.grown.push(mindex);
                         }
                     }
                 }
@@ -855,7 +886,7 @@ impl<'a> Analyzer<'a> {
                                 // some frame, somewhere, mutates.
                                 if !self.may_write_ctx[mindex] {
                                     self.may_write_ctx[mindex] = true;
-                                    self.changed = true;
+                                    self.grown.push(mindex);
                                 }
                             }
                             for rc in &receiver_classes {
@@ -863,7 +894,9 @@ impl<'a> Analyzer<'a> {
                                     continue;
                                 }
                                 if let Some(i) = self.universe.index.get(rc).copied() {
-                                    self.changed |= self.heap[i].union(&vset);
+                                    if self.heap[i].union(&vset) {
+                                        self.grown.push(self.image.methods.len() + i);
+                                    }
                                 }
                             }
                         }
@@ -880,7 +913,7 @@ impl<'a> Analyzer<'a> {
                         st.zero_dst = None;
                         if !self.may_write_ctx[mindex] {
                             self.may_write_ctx[mindex] = true;
-                            self.changed = true;
+                            self.grown.push(mindex);
                         }
                     }
                     _ => {}
@@ -943,7 +976,7 @@ impl<'a> Analyzer<'a> {
                 let handlers = self.bad_handlers(&bset);
                 if !handlers.is_empty() {
                     let mut trapped = st.clone();
-                    self.apply_call(&mut trapped, dest, zero_form, &handlers, false);
+                    self.apply_call(&mut trapped, dest, zero_form, &handlers);
                     st.join(&trapped);
                 }
             }
@@ -955,23 +988,25 @@ impl<'a> Analyzer<'a> {
         ret_edge
     }
 
-    /// One full pass over a method: intra-method fixpoint with the
-    /// current cross-method summaries. Records sites when asked.
-    fn analyze_method(&mut self, mindex: usize, record: Option<&mut Vec<Site>>) {
+    /// One analysis of a method: its block fixpoint under the current
+    /// cross-method summaries, logging in `reads` the summaries it read
+    /// and in `grown` the ones it grew. With `record`, a replay over the
+    /// converged block states then appends one site per instruction.
+    /// Returns the block visits.
+    fn analyze_method(&mut self, mindex: usize, record: Option<&mut Vec<Site>>) -> usize {
+        self.reads.clear();
+        self.grown.clear();
         let code = &self.image.methods[mindex].code;
+        let cfg = &self.cfgs[mindex];
         if code.instrs.is_empty() {
-            return;
+            return 0;
         }
-        let cfg = Cfg::build(code);
         let entry_state = State::entry(self.install_sets[mindex], self.universe.top(), self.uninit);
-        let entry_block = cfg.block_of[0];
         let mut in_states: Vec<Option<State>> = vec![None; cfg.blocks.len()];
-        in_states[entry_block] = Some(entry_state);
-        let mut work: Vec<usize> = vec![entry_block];
-        // Fixpoint without site recording.
-        while let Some(bi) = work.pop() {
+        in_states[0] = Some(entry_state);
+        let visits = solve([0], |bi, work| {
             let Some(mut st) = in_states[bi].clone() else {
-                continue;
+                return;
             };
             let block = &cfg.blocks[bi];
             let mut edges: Vec<(usize, State)> = Vec::new();
@@ -982,7 +1017,7 @@ impl<'a> Analyzer<'a> {
                     }
                 }
             }
-            for succ in &cfg.blocks[bi].succs {
+            for succ in &block.succs {
                 edges.push((*succ, st.clone()));
             }
             for (target, state) in edges {
@@ -993,62 +1028,53 @@ impl<'a> Analyzer<'a> {
                         true
                     }
                 };
-                if grew && !work.contains(&target) {
+                if grew {
                     work.push(target);
                 }
             }
-        }
-        // Site-recording replay over the converged block states.
+        });
         if let Some(out) = record {
-            let mut sites: Vec<Option<Site>> = vec![None; code.instrs.len()];
             for (bi, block) in cfg.blocks.iter().enumerate() {
                 let Some(mut st) = in_states[bi].clone() else {
-                    // Unreachable block: dead sites.
-                    for (pc, slot) in sites
-                        .iter_mut()
-                        .enumerate()
-                        .take(block.end)
-                        .skip(block.start)
-                    {
-                        *slot = Some(Site {
-                            method: mindex,
-                            pc,
-                            selector: code.instrs[pc].opcode(),
-                            receivers: ClassSet::EMPTY,
-                            arg: None,
-                            kind: SiteKind::Dead,
-                            prims: Vec::new(),
-                            methods: Vec::new(),
-                            dnu_handled: false,
-                            dnu_unhandled: false,
-                        });
-                    }
+                    // No path reaches the block: its sites are dead.
+                    out.extend((block.start..block.end).map(|pc| Site {
+                        method: mindex,
+                        pc,
+                        selector: code.instrs[pc].opcode(),
+                        receivers: ClassSet::EMPTY,
+                        arg: None,
+                        kind: SiteKind::Dead,
+                        prims: Vec::new(),
+                        methods: Vec::new(),
+                        dnu_handled: false,
+                        dnu_unhandled: false,
+                    }));
                     continue;
                 };
-                let mut rec = Vec::new();
                 for pc in block.start..block.end {
-                    let _ = self.step(mindex, code, pc, &mut st, Some(&mut rec));
+                    self.step(mindex, code, pc, &mut st, Some(&mut *out));
                 }
-                for site in rec {
-                    let pc = site.pc;
-                    sites[pc] = Some(site);
-                }
-            }
-            for (pc, s) in sites.into_iter().enumerate() {
-                out.push(s.unwrap_or(Site {
-                    method: mindex,
-                    pc,
-                    selector: code.instrs[pc].opcode(),
-                    receivers: ClassSet::EMPTY,
-                    arg: None,
-                    kind: SiteKind::Dead,
-                    prims: Vec::new(),
-                    methods: Vec::new(),
-                    dnu_handled: false,
-                    dnu_unhandled: false,
-                }));
             }
         }
+        visits
+    }
+
+    /// Analyses every method until no summary grows, a method again only
+    /// when a summary it read has grown since. Returns the method
+    /// analyses.
+    fn converge(&mut self) -> usize {
+        let n = self.image.methods.len();
+        solve(0..n, |m, work| {
+            self.analyze_method(m, None);
+            for &s in &self.reads {
+                self.readers[s].insert(m);
+            }
+            for &s in &self.grown {
+                for &r in &self.readers[s] {
+                    work.push(r);
+                }
+            }
+        })
     }
 }
 
@@ -1182,30 +1208,9 @@ pub fn infer_image(image: &ProgramImage) -> Result<Inference, VerifyError> {
         });
     };
 
-    let resolver = StaticResolver::new(image, &universe);
-    // Install sets: for each class, where does each method's selector
-    // land? (The dispatch invariant that seeds every entry state.)
-    let mut install_sets = vec![ClassSet::EMPTY; image.methods.len()];
-    for class in universe.ids().to_vec() {
-        for (i, m) in image.methods.iter().enumerate() {
-            if resolver.resolve(class, m.selector) == Target::Method(i) {
-                install_sets[i].union(&universe.singleton(class));
-            }
-        }
-    }
-
-    let mut analyzer = Analyzer::new(image, &universe, &resolver, &install_sets);
-    // Global fixpoint over the cross-method summaries (returns, heap,
-    // may_write_ctx) — all monotone, so this terminates.
-    loop {
-        analyzer.changed = false;
-        for m in 0..image.methods.len() {
-            analyzer.analyze_method(m, None);
-        }
-        if !analyzer.changed {
-            break;
-        }
-    }
+    let cfgs: Vec<Cfg> = image.methods.iter().map(|m| Cfg::build(&m.code)).collect();
+    let mut analyzer = Analyzer::new(image, &universe, &cfgs);
+    analyzer.converge();
     // Final collection pass with converged summaries.
     let mut sites = Vec::new();
     let mut site_base = Vec::with_capacity(image.methods.len() + 1);
@@ -1215,8 +1220,12 @@ pub fn infer_image(image: &ProgramImage) -> Result<Inference, VerifyError> {
     }
     site_base.push(sites.len());
 
-    let returns = analyzer.returns.clone();
-    let may_write_ctx = analyzer.may_write_ctx.clone();
+    let Analyzer {
+        returns,
+        may_write_ctx,
+        install_sets,
+        ..
+    } = analyzer;
     let fresh = fresh_facts(image, &sites, &site_base);
     Ok(Inference {
         universe,
@@ -1233,7 +1242,181 @@ pub fn infer_image(image: &ProgramImage) -> Result<Inference, VerifyError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use com_cache::Rng;
     use com_isa::Assembler;
+    use com_stc::{compile_com, CompileOptions};
+
+    /// Converges `image` on a fresh analyzer and hands it to `check`
+    /// with the method analyses the fixpoint took.
+    fn with_converged<R>(image: &ProgramImage, check: impl FnOnce(&mut Analyzer, usize) -> R) -> R {
+        let universe = ClassUniverse::for_image(image).expect("within the class budget");
+        let cfgs: Vec<Cfg> = image.methods.iter().map(|m| Cfg::build(&m.code)).collect();
+        let mut analyzer = Analyzer::new(image, &universe, &cfgs);
+        let analyses = analyzer.converge();
+        check(&mut analyzer, analyses)
+    }
+
+    fn compile(source: &str) -> ProgramImage {
+        compile_com(source, CompileOptions::default()).unwrap_or_else(|e| panic!("{e}\n{source}"))
+    }
+
+    /// An expression over class `c`'s variables: a read, `self`, a
+    /// number, an allocation of any class, or a send of one of the
+    /// shared selectors (or `+`) to a smaller expression.
+    fn random_expr(rng: &mut Rng, c: usize, classes: u64, selectors: u64, depth: u32) -> String {
+        if depth > 0 && rng.below(2) == 0 {
+            let receiver = random_expr(rng, c, classes, selectors, depth - 1);
+            return match rng.below(4) {
+                0 => format!(
+                    "({receiver}) + {}",
+                    random_expr(rng, c, classes, selectors, 0)
+                ),
+                _ => format!("({receiver}) s{}", rng.below(selectors)),
+            };
+        }
+        match rng.below(6) {
+            0 => format!("a{c}"),
+            1 => format!("b{c}"),
+            2 => "self".to_string(),
+            3 => format!("G{} new", rng.below(classes)),
+            4 => "2.5".to_string(),
+            _ => "1".to_string(),
+        }
+    }
+
+    /// A program of a few classes, some subclassing an earlier one, each
+    /// answering most of a few shared selectors with methods that store
+    /// to and read their variables, allocate, and send: so calls cycle,
+    /// sends are polymorphic, and the heap summaries move.
+    fn random_program(rng: &mut Rng) -> String {
+        let classes = 2 + rng.below(4);
+        let selectors = 3 + rng.below(5);
+        let mut source = String::new();
+        for c in 0..classes as usize {
+            let parent = match rng.below(3) {
+                0 if c > 0 => format!("G{}", rng.below(c as u64)),
+                _ => "Object".to_string(),
+            };
+            source += &format!("class G{c} extends {parent} vars a{c} b{c}\n");
+            for s in 0..selectors {
+                if rng.below(4) == 0 {
+                    continue;
+                }
+                source += &format!("  method s{s} ");
+                for _ in 0..rng.below(4) {
+                    let var = ["a", "b"][rng.below(2) as usize];
+                    let value = random_expr(rng, c, classes, selectors, 2);
+                    source += &format!("{var}{c} := {value}. ");
+                }
+                source += &format!("^{} end\n", random_expr(rng, c, classes, selectors, 2));
+            }
+            source += "end\n";
+        }
+        source
+    }
+
+    #[test]
+    fn generated_images_reach_a_fixed_point_within_the_work_bound() {
+        // Analysing every method once more under the converged summaries
+        // grows none of them: the worklist stopped at a fixed point.
+        let check = |image: &ProgramImage| {
+            let n = image.methods.len();
+            with_converged(image, |analyzer, analyses| {
+                // The recording pass analyses every method once more.
+                assert!(analyses + n <= 4 * n, "{analyses} analyses of {n} methods");
+                for m in 0..n {
+                    analyzer.analyze_method(m, None);
+                    assert!(
+                        analyzer.grown.is_empty(),
+                        "method {m} grew {:?}",
+                        analyzer.grown
+                    );
+                }
+                let recursive = (0..n).filter(|&m| analyzer.readers[m].contains(&m)).count();
+                let object = analyzer.universe.index[&ClassTable::OBJECT];
+                let stored = (0..analyzer.heap.len())
+                    .filter(|&i| i != object && !analyzer.heap[i].is_empty())
+                    .count();
+                (recursive, stored)
+            })
+        };
+        let mut rng = Rng::new(0x00f1_c5ed);
+        let (mut recursive, mut stored, mut polymorphic) = (0, 0, 0);
+        for _ in 0..60 {
+            let image = compile(&random_program(&mut rng));
+            let (r, s) = check(&image);
+            recursive += r;
+            stored += s;
+            let inference = infer_image(&image).expect("verifies");
+            polymorphic += inference
+                .sites
+                .iter()
+                .filter(|s| s.kind == SiteKind::Polymorphic)
+                .count();
+        }
+        assert!(
+            recursive > 0 && stored > 0 && polymorphic > 0,
+            "{recursive} recursive methods, {stored} classes stored to, {polymorphic} polymorphic sites"
+        );
+        for w in com_workloads::all() {
+            check(&compile(w.source));
+        }
+    }
+
+    #[test]
+    fn a_call_chain_takes_analyses_linear_in_its_length() {
+        // Six classes, each a chain of 834 methods `m{i} ^self m{i+1}`:
+        // 5,004 methods besides the standard library, within the 10-bit
+        // selector field. A return set moves up the chain one caller per
+        // sweep, and each sweep analyses only the callers whose callee
+        // grew.
+        let mut source = String::new();
+        for c in 0..6 {
+            source += &format!("class K{c} extends Object\n");
+            for i in 0..834 {
+                source += &format!("  method m{i} ^self m{} end\n", i + 1);
+            }
+            source += "end\n";
+        }
+        let image = compile(&source);
+        let n = image.methods.len();
+        assert!(n >= 5_000);
+        let analyses = with_converged(&image, |_, analyses| analyses);
+        assert!(analyses + n <= 4 * n, "{analyses} analyses of {n} methods");
+    }
+
+    #[test]
+    fn a_long_method_takes_block_visits_linear_in_its_blocks() {
+        // The 2,000 sequential conditionals of the acceptance suite's long
+        // method: 6,000 blocks in a chain of diamonds.
+        let body = "self > 0 ifTrue: [ x := x + 1 ]. ".repeat(2_000);
+        let image = compile(&format!(
+            "class SmallInteger method long | x | x := 0. {body}^x end end"
+        ));
+        let long = image.methods.len() - 1;
+        with_converged(&image, |analyzer, _| {
+            let blocks = analyzer.cfgs[long].blocks.len();
+            let visits = analyzer.analyze_method(long, None);
+            assert!(
+                blocks >= 6_000 && visits <= 4 * blocks,
+                "{visits} visits of {blocks} blocks"
+            );
+        });
+    }
+
+    #[test]
+    fn the_joined_workload_image_takes_fewer_analyses_than_rounds_over_it() {
+        // The image of every workload's source joined, which a server that
+        // pre-seeds its ITLB analyses at start-up: 94 methods. Re-analysing
+        // every method until a round changes nothing took three rounds and
+        // the recording pass, 376 analyses.
+        let sources: Vec<&str> = com_workloads::all().iter().map(|w| w.source).collect();
+        let image = compile(&sources.join("\n"));
+        let n = image.methods.len();
+        assert_eq!(n, 94);
+        let analyses = with_converged(&image, |_, analyses| analyses);
+        assert!(analyses + n < 4 * n, "{analyses} analyses of {n} methods");
+    }
 
     fn double_image() -> ProgramImage {
         let mut img = ProgramImage::empty();

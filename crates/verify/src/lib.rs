@@ -14,14 +14,19 @@
 //!   `V00x` codes — never panics;
 //! - reusable **dataflow analyses** over verified bodies ([`Cfg`],
 //!   [`UninitSlots`], [`Liveness`], [`ConstSlots`]);
-//! - the **lints** behind the `vmlint` CLI ([`lint_image`]), with stable
-//!   `L00x`/`I00x` diagnostic codes;
+//! - the **lints** behind the `vmlint` CLI ([`lint_image`], or
+//!   [`lint_facts`] over an analysis the caller already holds), with
+//!   stable `L00x`/`I00x` diagnostic codes;
 //! - the **interprocedural tier**: whole-image class inference
 //!   ([`infer_image`]) over the closed class world, a call graph with
 //!   every send site classified monomorphic / polymorphic / unresolvable
 //!   ([`CallGraph`]), and a machine-readable facts artifact
 //!   ([`ImageFacts`]) that downstream consumers (the engine's ITLB
 //!   pre-seeding, a future JIT) take as their input contract.
+//!
+//! Every fixpoint here runs on one worklist solver, over a method's
+//! blocks or an image's methods; the inference analyses a method again
+//! only when a summary it read has grown.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +39,7 @@ mod error;
 pub mod facts;
 pub mod infer;
 pub mod lint;
+mod solve;
 
 pub use callgraph::{CallGraph, FuelBound};
 pub use cfg::{Block, Cfg};
@@ -44,6 +50,4 @@ pub use facts::ImageFacts;
 pub use infer::{
     infer_image, ClassSet, ClassUniverse, Inference, Site, SiteKind, StaticResolver, Target,
 };
-pub use lint::{
-    lint_code, lint_image, lint_image_with, DiagCode, Diagnostic, LintConfig, Severity,
-};
+pub use lint::{lint_code, lint_facts, lint_image, DiagCode, Diagnostic, Severity};

@@ -7,9 +7,9 @@ use com_obj::{lookup_method, MethodRef, TrapSelector};
 use std::collections::HashSet;
 
 use crate::cfg::Cfg;
-use crate::check::verify_image;
 use crate::dataflow::{def_slot, use_slots, ConstSlots, Liveness, UninitSlots};
 use crate::error::{Provenance, VerifyError};
+use crate::facts::ImageFacts;
 
 /// Diagnostic severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -146,51 +146,35 @@ impl core::fmt::Display for Diagnostic {
     }
 }
 
-/// Configuration for [`lint_image_with`]: the entry selectors that seed
-/// the L006 call-graph reachability roots. With no entries, every method
-/// is a root and L006 stays silent (a bare library image claims nothing
-/// about which of its methods a client will use).
-#[derive(Debug, Clone, Default)]
-pub struct LintConfig {
-    /// Entry-point selector names (`--entry` on the CLI; a workload's
-    /// entry selector in the sweep).
-    pub entries: Vec<String>,
-}
-
-/// Verifies `image`, then runs every lint over every method — the
-/// intra-procedural tier plus the interprocedural lints (L004 sharpened
-/// per receiver set, L005, L006, I002) when class inference succeeds.
-///
-/// Equivalent to [`lint_image_with`] with a default (empty) config.
+/// Verifies and analyses `image`, then runs every lint over every
+/// method: [`lint_facts`] over [`ImageFacts::analyze`]. Every method is
+/// an entry root, so L006 stays silent: a bare library image claims
+/// nothing about which of its methods a client will use.
 ///
 /// # Errors
 ///
 /// The first [`VerifyError`] — lints only run on verified images.
 pub fn lint_image(image: &ProgramImage) -> Result<Vec<Diagnostic>, VerifyError> {
-    lint_image_with(image, &LintConfig::default())
+    let facts = ImageFacts::analyze(image)?;
+    Ok(lint_facts(image, &facts))
 }
 
-/// Verifies `image`, then runs every lint with explicit entry roots.
+/// Runs every lint over every method of `image`, given its analysis
+/// `facts` (from [`ImageFacts::analyze_with`] on the same image): the
+/// intra-procedural tier plus the interprocedural lints (L004 sharpened
+/// per receiver set, L005, L006, I002).
 ///
 /// The `L004` always-traps lint is suppressed per site when every class
 /// in the *inferred receiver set* reaches a `badOperands:` handler —
 /// with a handler the trap is a routed feature (the trap workloads run
 /// through theirs), not a latent fault. Only if inference is degraded
 /// (an image beyond the class-set domain) does suppression fall back to
-/// PR 7's image-global rule. Likewise `L005` is suppressed when every
-/// never-understanding receiver class has a `doesNotUnderstand:`
-/// handler (intentional proxying).
-///
-/// # Errors
-///
-/// The first [`VerifyError`] — lints only run on verified images.
-pub fn lint_image_with(
-    image: &ProgramImage,
-    config: &LintConfig,
-) -> Result<Vec<Diagnostic>, VerifyError> {
-    verify_image(image)?;
-    let inference = crate::infer::infer_image(image)?;
-    let callgraph = crate::callgraph::CallGraph::build(image, &inference);
+/// the image-wide rule: any `badOperands:` method silences it. Likewise
+/// `L005` is suppressed when every never-understanding receiver class
+/// has a `doesNotUnderstand:` handler (intentional proxying). `L006`
+/// reports the methods `facts` found unreachable from its entries.
+pub fn lint_facts(image: &ProgramImage, facts: &ImageFacts) -> Vec<Diagnostic> {
+    let inference = &facts.inference;
     let sharp = (!inference.degraded)
         .then(|| crate::infer::StaticResolver::new(image, &inference.universe));
     // Selectors any image method defines: sends of these may dispatch to
@@ -216,9 +200,7 @@ pub fn lint_image_with(
             index: Some(index),
             name: m.code.name.clone(),
         };
-        // Intra-procedural tier, with L004 deferred to the sharpened
-        // per-site pass below.
-        out.extend(lint_code(&m.code, &prov, &resolve, true));
+        out.extend(lint_code(&m.code, &prov));
 
         let cfg = Cfg::build(&m.code);
         let reachable = cfg.reachable();
@@ -230,16 +212,14 @@ pub fn lint_image_with(
             if !reachable[cfg.block_of[pc]] {
                 continue;
             }
-            let suppressed = match &sharp {
-                Some(r) => match inference.site(index, pc) {
-                    Some(site) if !site.receivers.is_empty() => inference
-                        .universe
-                        .classes_in(&site.receivers)
-                        .all(|c| r.handler(c, TrapSelector::BadOperands).is_some()),
-                    Some(_) => true, // dead site: never executes
-                    None => image_global_suppress,
-                },
-                None => image_global_suppress,
+            // A dead site has no receiver class, so `all` holds: it
+            // never executes.
+            let suppressed = match (&sharp, inference.site(index, pc)) {
+                (Some(r), Some(site)) => inference
+                    .universe
+                    .classes_in(&site.receivers)
+                    .all(|c| r.handler(c, TrapSelector::BadOperands).is_some()),
+                _ => image_global_suppress,
             };
             if !suppressed {
                 out.push(Diagnostic {
@@ -288,7 +268,7 @@ pub fn lint_image_with(
         }
 
         // I002 — interprocedural fuel (call-graph composition of I001).
-        let fuel = match callgraph.fuel[index] {
+        let fuel = match facts.callgraph.fuel[index] {
             crate::callgraph::FuelBound::Bounded(n) => {
                 format!("worst-case interprocedural fuel: {n} instructions")
             }
@@ -306,47 +286,29 @@ pub fn lint_image_with(
 
     // L006 — methods unreachable from the entry roots. Trap handlers
     // are engine-invoked and always count as roots.
-    if !config.entries.is_empty() && !callgraph.degraded() {
-        let sels: Vec<Opcode> = config
-            .entries
-            .iter()
-            .filter_map(|e| image.opcodes.get(e))
-            .collect();
-        let roots: Vec<usize> = image
-            .methods
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| sels.contains(&m.selector))
-            .map(|(i, _)| i)
-            .collect();
-        let reached = callgraph.reachable_from(&roots);
-        for (i, m) in image.methods.iter().enumerate() {
-            if !reached[i] {
-                out.push(Diagnostic {
-                    code: DiagCode::UnreachableMethod,
-                    method: Provenance {
-                        index: Some(i),
-                        name: m.code.name.clone(),
-                    },
-                    offset: None,
-                    message: format!(
-                        "no entry point ({}) or trap handler reaches this method",
-                        config.entries.join(", ")
-                    ),
-                });
-            }
+    for (i, m) in image.methods.iter().enumerate() {
+        if !facts.reachable[i] {
+            out.push(Diagnostic {
+                code: DiagCode::UnreachableMethod,
+                method: Provenance {
+                    index: Some(i),
+                    name: m.code.name.clone(),
+                },
+                offset: None,
+                message: format!(
+                    "no entry point ({}) or trap handler reaches this method",
+                    facts.entries.join(", ")
+                ),
+            });
         }
     }
-    Ok(out)
+    out
 }
 
-/// Runs every lint over one verified code object.
-pub fn lint_code(
-    code: &CodeObject,
-    prov: &Provenance,
-    resolve: &crate::dataflow::PrimResolver,
-    suppress_always_traps: bool,
-) -> Vec<Diagnostic> {
+/// Runs the per-method lints over one verified code object: L001–L003
+/// and I001. L004 needs the image's resolution and runs in
+/// [`lint_facts`].
+pub fn lint_code(code: &CodeObject, prov: &Provenance) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let cfg = Cfg::build(code);
     let diag = |code: DiagCode, offset: Option<usize>, message: String| Diagnostic {
@@ -412,20 +374,6 @@ pub fn lint_code(
                     DiagCode::UseBeforeDef,
                     Some(pc),
                     format!("slot {slot} may be read before it is ever written"),
-                ));
-            }
-        }
-    }
-
-    // L004 — provably always-trapping sends.
-    if !suppress_always_traps {
-        let consts = ConstSlots::build(code, &cfg, resolve);
-        for (pc, trap) in consts.trap_sites {
-            if reachable[cfg.block_of[pc]] {
-                out.push(diag(
-                    DiagCode::AlwaysTraps,
-                    Some(pc),
-                    format!("this send traps every time it executes: {trap}"),
                 ));
             }
         }
@@ -747,10 +695,8 @@ mod tests {
 
         // With an entry, only the orphan is flagged — the handler is an
         // engine-invoked root, never dead.
-        let config = LintConfig {
-            entries: vec!["mainEntry".to_string()],
-        };
-        let diags = lint_image_with(&img, &config).unwrap();
+        let facts = ImageFacts::analyze_with(&img, &["mainEntry".to_string()]).unwrap();
+        let diags = lint_facts(&img, &facts);
         let dead: Vec<_> = diags
             .iter()
             .filter(|d| d.code == DiagCode::UnreachableMethod)

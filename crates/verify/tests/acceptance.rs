@@ -9,7 +9,8 @@ use com_core::{Machine, MachineConfig, ProgramImage};
 use com_isa::{Assembler, Instr, Opcode, Operand};
 use com_mem::{ClassId, Word};
 use com_stc::{compile_com, CompileOptions};
-use com_verify::{lint_image, verify_image, FuelBound, ImageFacts, Severity};
+use com_verify::infer::MAX_CLASSES;
+use com_verify::{lint_facts, lint_image, verify_image, FuelBound, ImageFacts, Severity};
 use com_vm::{Vm, VmError};
 use com_workloads as workloads;
 
@@ -48,8 +49,8 @@ fn every_workload_lints_warning_free() {
     }
 }
 
-/// One image per malformed-image class, all refused with the right code
-/// at the `Vm::from_image` load boundary — typed, never a panic.
+/// Whole-image analysis and lint keep their walks on the heap, so a
+/// method of any length takes constant host stack.
 #[test]
 fn a_long_method_is_analysed_on_a_small_stack() {
     // 2,000 sequential conditionals make one method of 6,000 blocks in a
@@ -70,6 +71,58 @@ fn a_long_method_is_analysed_on_a_small_stack() {
         .expect("the analysis returns");
 }
 
+/// An image of more classes than the inference's class sets hold gets
+/// degraded facts: no sites and no pre-seed keys. The lint falls back to
+/// the image-wide L004 suppression and claims no L005 or L006, and a
+/// `Vm` that pre-seeds its ITLB still runs.
+#[test]
+fn an_image_over_the_class_budget_degrades_soundly() {
+    let classes: String = (0..MAX_CLASSES)
+        .map(|i| format!("class K{i} extends Object vars v method get ^v end end\n"))
+        .collect();
+    // A constant division by zero (L004), a send nothing understands
+    // (L005), and methods the entry does not reach (L006).
+    let program = format!(
+        "{classes}class SmallInteger method double ^self + self end \
+         method trap ^1 / 0 end method haunt ^self ghost end end\n"
+    );
+    let lint = |source: &str| {
+        let image = compile_com(source, CompileOptions::default()).expect("compiles");
+        let facts = ImageFacts::analyze_with(&image, &["double".to_string()]).expect("verifies");
+        let codes: Vec<&str> = lint_facts(&image, &facts)
+            .iter()
+            .map(|d| d.code.code())
+            .collect();
+        (facts, codes)
+    };
+    let (facts, codes) = lint(&program);
+    assert!(facts.inference.degraded);
+    assert!(facts.inference.sites.is_empty());
+    assert!(facts.preseed_keys().is_empty());
+    assert!(facts.to_json().contains("\"degraded\": true"));
+    assert!(codes.contains(&"L004"), "no badOperands: method: {codes:?}");
+    assert!(
+        !codes.contains(&"L005") && !codes.contains(&"L006"),
+        "{codes:?}"
+    );
+    // A badOperands: method on an unrelated class silences L004.
+    let (_, codes) = lint(&format!(
+        "{program}class K0 method badOperands: m ^0 end end\n"
+    ));
+    assert!(!codes.contains(&"L004"), "{codes:?}");
+
+    let vm = Vm::builder()
+        .source(&program)
+        .preseed_itlb(true)
+        .build()
+        .expect("builds");
+    assert!(vm.facts().is_some_and(|f| f.inference.degraded));
+    let mut session = vm.session().expect("boots");
+    assert_eq!(session.call::<i64>("double", 21).expect("runs"), 42);
+}
+
+/// One image per malformed-image class, all refused with the right code
+/// at the `Vm::from_image` load boundary — typed, never a panic.
 #[test]
 fn every_malformed_class_is_refused_at_load_with_its_code() {
     fn image_with(code: com_isa::CodeObject) -> ProgramImage {

@@ -304,8 +304,9 @@ impl Vm {
     /// The whole-image analysis facts (class inference, send-site
     /// resolution, call graph, fuel bounds) for the compiled image,
     /// computed lazily on first use and shared by all clones of this
-    /// `Vm`. `None` when the image exceeds the analysis's class budget
-    /// or was admitted with verification disabled and does not verify.
+    /// `Vm`. `None` when the image was admitted with verification
+    /// disabled and does not verify. An image beyond the analysis's class
+    /// budget gets degraded facts: no resolved sites, no pre-seed keys.
     pub fn facts(&self) -> Option<&ImageFacts> {
         self.analysis().map(|a| &a.facts)
     }

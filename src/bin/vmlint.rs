@@ -4,9 +4,8 @@
 //! downstream consumers (ITLB pre-seeding, a future JIT).
 
 use com_stc::{compile_com, CompileOptions};
-use com_verify::{
-    lint_image_with, DiagCode, Diagnostic, ImageFacts, LintConfig, Severity, VerifyError,
-};
+use com_verify::facts::json_str;
+use com_verify::{lint_facts, DiagCode, Diagnostic, ImageFacts, Severity, VerifyError};
 use com_workloads as workloads;
 use std::process::ExitCode;
 
@@ -25,8 +24,9 @@ OPTIONS:
                          workload's entry selector seeds the L006 roots)
     --stdlib             Lint the standard library compiled on its own
     --entry NAME         Add an entry-point selector to the L006
-                         call-graph roots (repeatable; applies to FILE
-                         and stdlib targets)
+                         call-graph roots (repeatable; applies to every
+                         target, and a NAME no method of a target
+                         answers is a usage error)
     --deny               Exit 1 on warning-severity lints (verify
                          errors always exit 2, with or without --deny)
     --json               Emit findings as a JSON array (one object per
@@ -137,20 +137,18 @@ struct Report {
     outcome: Result<(Vec<Diagnostic>, ImageFacts), VerifyError>,
 }
 
-fn lint_source(
-    name: &str,
-    source: &str,
-    entries: &[String],
-    options: CompileOptions,
-) -> Result<Report, String> {
-    let image = compile_com(source, options).map_err(|e| format!("{name}: compile error: {e}"))?;
-    let config = LintConfig {
-        entries: entries.to_vec(),
+fn lint_source(name: &str, source: &str, entries: &[String]) -> Result<Report, String> {
+    let image = compile_com(source, CompileOptions::default())
+        .map_err(|e| format!("{name}: compile error: {e}"))?;
+    let answered = |entry: &String| {
+        let selector = image.opcodes.get(entry);
+        image.methods.iter().any(|m| Some(m.selector) == selector)
     };
-    let outcome = lint_image_with(&image, &config).and_then(|diags| {
-        let facts = ImageFacts::analyze_with(&image, entries)?;
-        Ok((diags, facts))
-    });
+    if let Some(entry) = entries.iter().find(|e| !answered(e)) {
+        return Err(format!("{name}: --entry {entry} names no method"));
+    }
+    let outcome =
+        ImageFacts::analyze_with(&image, entries).map(|facts| (lint_facts(&image, &facts), facts));
     Ok(Report {
         name: name.to_string(),
         methods: image.methods.len(),
@@ -164,24 +162,6 @@ fn shown(d: &Diagnostic, opts: &Options) -> bool {
         Severity::Info if matches!(d.code, DiagCode::FuelBound | DiagCode::InterFuel) => opts.fuel,
         Severity::Info => opts.verbose,
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn finding_json(image: &str, d: &Diagnostic) -> String {
@@ -239,7 +219,7 @@ fn main() -> ExitCode {
 
     let mut reports: Vec<Report> = Vec::new();
     if opts.stdlib {
-        match lint_source("stdlib", "", &opts.entries, CompileOptions::default()) {
+        match lint_source("stdlib", "", &opts.entries) {
             Ok(r) => reports.push(r),
             Err(e) => {
                 eprintln!("vmlint: {e}");
@@ -253,12 +233,7 @@ fn main() -> ExitCode {
             // its call graph.
             let mut entries = opts.entries.clone();
             entries.push(w.entry.to_string());
-            match lint_source(
-                &format!("workload {}", w.name),
-                w.source,
-                &entries,
-                CompileOptions::default(),
-            ) {
+            match lint_source(&format!("workload {}", w.name), w.source, &entries) {
                 Ok(r) => reports.push(r),
                 Err(e) => {
                     eprintln!("vmlint: {e}");
@@ -275,7 +250,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(3);
             }
         };
-        match lint_source(file, &source, &opts.entries, CompileOptions::default()) {
+        match lint_source(file, &source, &opts.entries) {
             Ok(r) => reports.push(r),
             Err(e) => {
                 eprintln!("vmlint: {e}");
