@@ -18,6 +18,9 @@ use com_mem::{AbsAddr, ClassId, Word};
 
 use crate::CONTEXT_WORDS;
 
+/// Words in one context block.
+const WORDS: usize = CONTEXT_WORDS as usize;
+
 /// Counters for the context cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CtxCacheStats {
@@ -45,10 +48,12 @@ struct Block {
     /// Directory entry: the absolute base address of the cached context,
     /// or `None` when the block is in the free vector.
     abs: Option<AbsAddr>,
-    /// 32 words, each with its cached class tag — a fixed inline array,
-    /// so the per-instruction operand accesses do not chase a heap
-    /// pointer per block.
-    words: [(Word, ClassId); CONTEXT_WORDS as usize],
+    /// The 32 words, and in a parallel array each word's cached class
+    /// tag: fixed inline arrays, so the per-instruction operand accesses
+    /// do not chase a heap pointer per block, and a word with its tag
+    /// takes 18 bytes (576 a block) instead of a padded pair's 32.
+    words: [Word; WORDS],
+    classes: [ClassId; WORDS],
     /// Bit `i` set ⇒ word `i` has been written since the last block clear.
     /// The single-operation clear (§2.3) then re-initialises only those
     /// words instead of storing all 32.
@@ -58,9 +63,6 @@ struct Block {
 }
 
 impl Block {
-    const CLEAR: [(Word, ClassId); CONTEXT_WORDS as usize] =
-        [(Word::Uninit, ClassId::UNINIT); CONTEXT_WORDS as usize];
-
     /// The §2.3 single-operation block clear: only words actually written
     /// since the previous clear are re-initialised.
     #[inline]
@@ -68,7 +70,8 @@ impl Block {
         let mut m = self.written;
         while m != 0 {
             let i = m.trailing_zeros() as usize;
-            self.words[i] = (Word::Uninit, ClassId::UNINIT);
+            self.words[i] = Word::Uninit;
+            self.classes[i] = ClassId::UNINIT;
             m &= m - 1;
         }
         self.written = 0;
@@ -77,7 +80,8 @@ impl Block {
     fn empty() -> Self {
         Block {
             abs: None,
-            words: Self::CLEAR,
+            words: [Word::Uninit; WORDS],
+            classes: [ClassId::UNINIT; WORDS],
             written: 0,
             dirty: false,
             last_used: 0,
@@ -100,7 +104,7 @@ pub struct ContextCache {
     /// block index)` pairs, maintained on every residency change. A probe
     /// (which happens on every indirect context access — notably every
     /// returning instruction's result store) scans at most `blocks`
-    /// contiguous words instead of walking the ~800-byte blocks
+    /// contiguous words instead of walking the ~600-byte blocks
     /// themselves, and maintenance is push/swap-remove — cheaper than a
     /// hash map at context-cache sizes.
     directory: Vec<(u64, u32)>,
@@ -113,8 +117,9 @@ pub struct ContextCache {
 pub struct Eviction {
     /// Absolute base of the evicted context.
     pub abs: AbsAddr,
-    /// The block's words (with class tags) at eviction time.
-    pub words: Vec<(Word, ClassId)>,
+    /// The block's words at eviction time (memory words carry their own
+    /// tag, so the cached class tags are not written back).
+    pub words: [Word; WORDS],
     /// Whether the block held unwritten modifications.
     pub dirty: bool,
 }
@@ -220,7 +225,7 @@ impl ContextCache {
         let b = &mut self.blocks[i];
         let ev = Eviction {
             abs: b.abs.expect("occupied"),
-            words: b.words.to_vec(),
+            words: b.words,
             dirty: b.dirty,
         };
         b.abs = None;
@@ -229,21 +234,23 @@ impl ContextCache {
         (i, Some(ev))
     }
 
-    /// Installs a context read from memory into a block (a *fault*).
-    /// Returns the block index and any eviction the machine must handle.
+    /// Installs a context read from memory, its words and their class
+    /// tags, into a block (a *fault*). Returns the block index and any
+    /// eviction the machine must handle.
     pub fn install(
         &mut self,
         abs: AbsAddr,
-        words: Vec<(Word, ClassId)>,
+        words: [Word; WORDS],
+        classes: [ClassId; WORDS],
     ) -> (usize, Option<Eviction>) {
-        debug_assert_eq!(words.len(), CONTEXT_WORDS as usize);
         self.stats.faults += 1;
         let clock = self.tick();
         let (i, ev) = self.victim();
         self.directory_insert(abs, i);
         let b = &mut self.blocks[i];
         b.abs = Some(abs);
-        b.words.copy_from_slice(&words);
+        b.words = words;
+        b.classes = classes;
         b.written = u32::MAX;
         b.dirty = false;
         b.last_used = clock;
@@ -302,7 +309,7 @@ impl ContextCache {
         self.stats.reads += 1;
         let b = &mut self.blocks[block];
         b.last_used = clock;
-        b.words[off as usize]
+        (b.words[off as usize], b.classes[off as usize])
     }
 
     /// Writes word `off` of `block` with its class tag.
@@ -312,7 +319,8 @@ impl ContextCache {
         self.stats.writes += 1;
         let b = &mut self.blocks[block];
         b.last_used = clock;
-        b.words[off as usize] = (word, class);
+        b.words[off as usize] = word;
+        b.classes[off as usize] = class;
         b.written |= 1 << off;
         b.dirty = true;
     }
@@ -358,9 +366,14 @@ impl ContextCache {
         self.stats.writes += 3;
         let b = &mut self.blocks[block];
         b.last_used = clock;
-        b.words[crate::CTX_ARG0 as usize] = arg0;
-        b.words[crate::CTX_ARG1 as usize] = arg1;
-        b.words[crate::CTX_ARG1 as usize + 1] = arg2;
+        for (off, (word, class)) in [
+            (crate::CTX_ARG0, arg0),
+            (crate::CTX_ARG1, arg1),
+            (crate::CTX_ARG1 + 1, arg2),
+        ] {
+            b.words[off as usize] = word;
+            b.classes[off as usize] = class;
+        }
         b.written |= (1 << crate::CTX_ARG0) | (0b11 << crate::CTX_ARG1);
         b.dirty = true;
     }
@@ -420,7 +433,7 @@ impl ContextCache {
         let b = &mut self.blocks[i];
         let ev = Eviction {
             abs: b.abs.take().expect("filtered on occupied"),
-            words: b.words.to_vec(),
+            words: b.words,
             dirty: b.dirty,
         };
         b.dirty = false;
@@ -428,23 +441,21 @@ impl ContextCache {
         Some(ev)
     }
 
-    /// Drains every dirty block's contents (without freeing) so memory is
-    /// coherent — required before garbage collection scans contexts.
-    pub fn dirty_blocks(&mut self) -> Vec<Eviction> {
-        let mut out = Vec::new();
-        for b in &mut self.blocks {
-            if b.dirty {
-                if let Some(abs) = b.abs {
-                    out.push(Eviction {
-                        abs,
-                        words: b.words.to_vec(),
-                        dirty: true,
-                    });
-                    b.dirty = false;
-                }
-            }
-        }
-        out
+    /// Takes the contents of one dirty resident block for write-back,
+    /// leaving the block resident and clean; `None` once memory is
+    /// coherent. Draining it is required before garbage collection scans
+    /// contexts.
+    pub fn take_dirty(&mut self) -> Option<Eviction> {
+        let b = self
+            .blocks
+            .iter_mut()
+            .find(|b| b.dirty && b.abs.is_some())?;
+        b.dirty = false;
+        Some(Eviction {
+            abs: b.abs?,
+            words: b.words,
+            dirty: true,
+        })
     }
 }
 
@@ -491,12 +502,12 @@ mod tests {
         let (a, _) = c.alloc_next(AbsAddr(0x100));
         c.set_current(Some(a));
         let (b, _) = c.alloc_next(AbsAddr(0x200)); // next
-        let (x, _) = c.install(AbsAddr(0x300), vec![(Word::Int(1), ClassId::SMALL_INT); 32]);
-        let (y, _) = c.install(AbsAddr(0x400), vec![(Word::Int(2), ClassId::SMALL_INT); 32]);
+        let (x, _) = c.install(AbsAddr(0x300), [Word::Int(1); 32], [ClassId::SMALL_INT; 32]);
+        let (y, _) = c.install(AbsAddr(0x400), [Word::Int(2); 32], [ClassId::SMALL_INT; 32]);
         assert_eq!(c.free_count(), 0);
         // Touch x so y is LRU among non-vector blocks.
         c.read(x, 0);
-        let (_, ev) = c.install(AbsAddr(0x500), vec![(Word::Uninit, ClassId::UNINIT); 32]);
+        let (_, ev) = c.install(AbsAddr(0x500), [Word::Uninit; 32], [ClassId::UNINIT; 32]);
         let ev = ev.expect("cache full, must evict");
         assert_eq!(ev.abs, AbsAddr(0x400));
         // current and next must never be evicted
@@ -513,7 +524,7 @@ mod tests {
         c.release(AbsAddr(0x100));
         assert_eq!(c.free_count(), 4);
         assert_eq!(c.next(), None, "released block leaves the next vector");
-        assert!(c.dirty_blocks().is_empty(), "released dirt is dead");
+        assert!(c.take_dirty().is_none(), "released dirt is dead");
     }
 
     #[test]
@@ -522,8 +533,8 @@ mod tests {
         let (a, _) = c.alloc_next(AbsAddr(0x100));
         c.set_current(Some(a));
         c.alloc_next(AbsAddr(0x200));
-        c.install(AbsAddr(0x300), vec![(Word::Int(3), ClassId::SMALL_INT); 32]);
-        c.install(AbsAddr(0x400), vec![(Word::Int(4), ClassId::SMALL_INT); 32]);
+        c.install(AbsAddr(0x300), [Word::Int(3); 32], [ClassId::SMALL_INT; 32]);
+        c.install(AbsAddr(0x400), [Word::Int(4); 32], [ClassId::SMALL_INT; 32]);
         assert!(c.needs_copyback(2));
         let ev = c.copyback_victim().unwrap();
         assert_eq!(ev.abs, AbsAddr(0x300), "LRU non-vector block");
@@ -536,10 +547,10 @@ mod tests {
         let mut c = cc();
         let (i, _) = c.alloc_next(AbsAddr(0x100));
         c.write(i, 1, Word::Int(5), ClassId::SMALL_INT);
-        let d = c.dirty_blocks();
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].abs, AbsAddr(0x100));
-        assert!(c.dirty_blocks().is_empty(), "second drain is empty");
+        let d = c.take_dirty().expect("one dirty block");
+        assert_eq!(d.abs, AbsAddr(0x100));
+        assert_eq!(d.words[1], Word::Int(5));
+        assert!(c.take_dirty().is_none(), "second drain is empty");
     }
 
     #[test]

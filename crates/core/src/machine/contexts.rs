@@ -343,7 +343,7 @@ impl Machine {
     fn write_back(&mut self, ev: Option<Eviction>) -> Result<(), MachineError> {
         if let Some(ev) = ev {
             if ev.dirty {
-                for (i, (w, _)) in ev.words.iter().enumerate() {
+                for (i, w) in ev.words.iter().enumerate() {
                     self.space
                         .write_abs(ev.abs.offset(i as u64), *w, AllocKind::Context)?;
                 }
@@ -444,14 +444,17 @@ impl Machine {
     /// displaces, and returns the block.
     fn fault_in(&mut self, abs: AbsAddr) -> Result<usize, MachineError> {
         self.stats.ctx_fault_cycles += CTX_FAULT_PENALTY;
-        let mut words = Vec::with_capacity(CONTEXT_WORDS as usize);
-        for off in 0..CONTEXT_WORDS {
-            let w = self.space.read_abs(abs.offset(off), AllocKind::Context)?;
-            let c = self.class_of_word(&w)?;
-            words.push((w, c));
+        let mut words = [Word::Uninit; CONTEXT_WORDS as usize];
+        let mut classes = [ClassId::UNINIT; CONTEXT_WORDS as usize];
+        for off in 0..CONTEXT_WORDS as usize {
+            let w = self
+                .space
+                .read_abs(abs.offset(off as u64), AllocKind::Context)?;
+            classes[off] = self.class_of_word(&w)?;
+            words[off] = w;
         }
         let cc = self.cc.as_mut().expect("only a context cache faults");
-        let (block, ev) = cc.install(abs, words);
+        let (block, ev) = cc.install(abs, words, classes);
         self.write_back(ev)?;
         Ok(block)
     }
@@ -464,12 +467,7 @@ impl Machine {
     /// collector scans contexts (a bounded cost: at most the cache's
     /// block count).
     pub(super) fn flush_context_cache(&mut self) -> Result<(), MachineError> {
-        let dirty = self
-            .cc
-            .as_mut()
-            .map(ContextCache::dirty_blocks)
-            .unwrap_or_default();
-        for ev in dirty {
+        while let Some(ev) = self.cc.as_mut().and_then(ContextCache::take_dirty) {
             self.write_back(Some(ev))?;
         }
         Ok(())

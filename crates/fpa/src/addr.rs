@@ -1,6 +1,18 @@
 //! Floating point addresses and segment names.
 
+use core::cmp::Ordering;
+use core::hash::{Hash, Hasher};
+use core::num::NonZeroU64;
+
+use crate::format::MAX_BITS;
 use crate::{FpaError, FpaFormat};
+
+/// An [`Fpa`] holds its raw address in its low [`MAX_BITS`] bits, and its
+/// format's mantissa and exponent widths in six bits each above them.
+const RAW_MASK: u64 = (1 << MAX_BITS) - 1;
+const MANTISSA_WIDTH_SHIFT: u32 = MAX_BITS;
+const EXPONENT_WIDTH_SHIFT: u32 = MAX_BITS + 6;
+const WIDTH_MASK: u64 = 0x3F;
 
 /// A floating point virtual address: an exponent and a mantissa whose binary
 /// point the exponent shifts (§2.2 of the paper).
@@ -9,6 +21,12 @@ use crate::{FpaError, FpaFormat};
 /// segment; the remaining high bits (the integer part) combined with the
 /// exponent form the [`SegmentName`]. Addresses are value types carrying
 /// their format so arithmetic can be bounds-checked without external state.
+///
+/// An address is one `u64`: the raw address in its low 52 bits, the
+/// format's mantissa width in the six bits above them and its exponent
+/// width in the top six. So an `Fpa` is 8 bytes and, as a format's widths
+/// are never zero, so is an `Option<Fpa>`. Equality, ordering and hashing
+/// are those of the `(raw, format)` pair.
 ///
 /// ```
 /// use com_fpa::{Fpa, FpaFormat};
@@ -23,13 +41,22 @@ use crate::{FpaError, FpaFormat};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Fpa {
-    raw: u64,
-    format: FpaFormat,
+    bits: NonZeroU64,
 }
 
 impl Fpa {
+    /// Packs `raw`, which fits `format`, with the format's widths.
+    fn pack(raw: u64, format: FpaFormat) -> Fpa {
+        let bits = raw
+            | u64::from(format.mantissa_bits()) << MANTISSA_WIDTH_SHIFT
+            | u64::from(format.exponent_bits()) << EXPONENT_WIDTH_SHIFT;
+        Fpa {
+            bits: NonZeroU64::new(bits).expect("format widths are nonzero"),
+        }
+    }
+
     /// Builds an address from a raw bit pattern in `format`.
     ///
     /// # Errors
@@ -42,7 +69,7 @@ impl Fpa {
                 max: format.max_raw(),
             });
         }
-        Ok(Fpa { raw, format })
+        Ok(Fpa::pack(raw, format))
     }
 
     /// Builds an address from explicit exponent and mantissa fields.
@@ -65,7 +92,7 @@ impl Fpa {
             });
         }
         let raw = ((exponent as u64) << format.mantissa_bits()) | mantissa;
-        Ok(Fpa { raw, format })
+        Ok(Fpa::pack(raw, format))
     }
 
     /// Builds the address of word `offset` inside `segment`.
@@ -98,41 +125,44 @@ impl Fpa {
 
     /// The raw bit pattern.
     pub fn raw(self) -> u64 {
-        self.raw
+        self.bits.get() & RAW_MASK
     }
 
     /// The format this address is encoded in.
     pub fn format(self) -> FpaFormat {
-        self.format
+        FpaFormat {
+            mantissa_bits: (self.bits.get() >> MANTISSA_WIDTH_SHIFT & WIDTH_MASK) as u32,
+            exponent_bits: (self.bits.get() >> EXPONENT_WIDTH_SHIFT) as u32,
+        }
     }
 
     /// The exponent field: the width of the offset field in bits.
     pub fn exponent(self) -> u8 {
-        (self.raw >> self.format.mantissa_bits()) as u8
+        (self.raw() >> self.format().mantissa_bits()) as u8
     }
 
     /// The full mantissa field.
     pub fn mantissa(self) -> u64 {
-        self.raw & self.format.mantissa_mask()
+        self.raw() & self.format().mantissa_mask()
     }
 
     /// The offset within the segment (the fractional part of the shifted
     /// mantissa: its low `exponent` bits).
     pub fn offset(self) -> u64 {
-        self.mantissa() & (effective_capacity(self.exponent(), self.format) - 1)
+        self.mantissa() & (effective_capacity(self.exponent(), self.format()) - 1)
     }
 
     /// Number of words addressable in this segment: `2^exponent`, clamped
     /// to the mantissa range (an exponent wider than the mantissa cannot
     /// index more words than the mantissa holds).
     pub fn capacity(self) -> u64 {
-        effective_capacity(self.exponent(), self.format)
+        effective_capacity(self.exponent(), self.format())
     }
 
     /// The segment this address points into (integer part + exponent).
     pub fn segment(self) -> SegmentName {
         let e = self.exponent();
-        let shift = u32::min(e as u32, self.format.mantissa_bits());
+        let shift = u32::min(e as u32, self.format().mantissa_bits());
         SegmentName::new(e, self.mantissa() >> shift.min(63))
     }
 
@@ -149,7 +179,7 @@ impl Fpa {
             return Err(FpaError::OffsetOutOfBounds { offset, capacity });
         }
         let base = self.mantissa() & !(capacity - 1);
-        Fpa::from_parts(self.exponent(), base | offset, self.format)
+        Fpa::from_parts(self.exponent(), base | offset, self.format())
     }
 
     /// Pointer arithmetic: this address advanced by `delta` words, staying
@@ -176,6 +206,34 @@ impl Fpa {
     }
 }
 
+impl PartialOrd for Fpa {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Fpa {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.raw(), self.format()).cmp(&(other.raw(), other.format()))
+    }
+}
+
+impl Hash for Fpa {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.raw().hash(state);
+        self.format().hash(state);
+    }
+}
+
+impl core::fmt::Debug for Fpa {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Fpa")
+            .field("raw", &self.raw())
+            .field("format", &self.format())
+            .finish()
+    }
+}
+
 impl core::fmt::Display for Fpa {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{}+{:#x}", self.segment(), self.offset())
@@ -184,7 +242,7 @@ impl core::fmt::Display for Fpa {
 
 impl core::fmt::LowerHex for Fpa {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        core::fmt::LowerHex::fmt(&self.raw, f)
+        core::fmt::LowerHex::fmt(&self.raw(), f)
     }
 }
 
@@ -353,5 +411,70 @@ mod tests {
     #[test]
     fn base_clears_offset() {
         assert_eq!(demo(0x8345).base().raw(), 0x8300);
+    }
+
+    /// The packed word would order and hash by format first; maps and
+    /// sorted sets see the `(raw, format)` pair instead.
+    #[test]
+    fn order_hash_and_debug_follow_raw_then_format() {
+        use std::collections::hash_map::DefaultHasher;
+
+        let narrow = demo(0x8345);
+        let wide = Fpa::from_raw(0x8344, FpaFormat::COM).unwrap();
+        let same_raw = Fpa::from_raw(0x8345, FpaFormat::COM).unwrap();
+        assert!(wide < narrow, "the raw address orders first");
+        assert!(narrow < same_raw, "then the format");
+        let mut by_address = DefaultHasher::new();
+        narrow.hash(&mut by_address);
+        let mut by_pair = DefaultHasher::new();
+        (narrow.raw(), narrow.format()).hash(&mut by_pair);
+        assert_eq!(by_address.finish(), by_pair.finish());
+        assert_eq!(
+            format!("{narrow:?}"),
+            "Fpa { raw: 33605, format: FpaFormat { mantissa_bits: 12, exponent_bits: 4 } }"
+        );
+    }
+
+    #[test]
+    fn an_address_is_one_word() {
+        assert_eq!(core::mem::size_of::<Fpa>(), 8);
+        assert_eq!(core::mem::size_of::<Option<Fpa>>(), 8);
+    }
+
+    /// Every split `with_bits` accepts packs its widest raw address and its
+    /// widest exponent and mantissa beside its widths and gets them back;
+    /// every split wider than 52 bits is refused.
+    #[test]
+    fn every_accepted_format_round_trips() {
+        for mantissa_bits in 0..=64 {
+            for exponent_bits in 0..=64 {
+                let fits =
+                    mantissa_bits > 0 && exponent_bits > 0 && mantissa_bits + exponent_bits <= 52;
+                let f = match FpaFormat::with_bits(mantissa_bits, exponent_bits) {
+                    Ok(f) => f,
+                    Err(e) => {
+                        assert!(!fits, "m{mantissa_bits}/e{exponent_bits} refused");
+                        assert_eq!(
+                            e,
+                            FpaError::BadFormat {
+                                mantissa_bits,
+                                exponent_bits
+                            }
+                        );
+                        continue;
+                    }
+                };
+                assert!(fits, "m{mantissa_bits}/e{exponent_bits} accepted");
+                let a = Fpa::from_raw(f.max_raw(), f).unwrap();
+                assert_eq!((a.raw(), a.format()), (f.max_raw(), f));
+                let p = Fpa::from_parts(f.max_exponent(), f.mantissa_mask(), f).unwrap();
+                let raw = u64::from(f.max_exponent()) << mantissa_bits | f.mantissa_mask();
+                assert_eq!((p.raw(), p.format()), (raw, f));
+                assert_eq!(
+                    (p.exponent(), p.mantissa()),
+                    (f.max_exponent(), f.mantissa_mask())
+                );
+            }
+        }
     }
 }

@@ -2,6 +2,12 @@
 
 use crate::FpaError;
 
+/// The widest format, in bits. An [`Fpa`](crate::Fpa) packs its raw address
+/// into the low 52 bits of one `u64` and the format's two widths into the
+/// twelve above them, which keeps an address at 8 bytes and a memory word
+/// at 16.
+pub(crate) const MAX_BITS: u32 = 52;
+
 /// Shape of a floating point address: an `exponent_bits`-bit exponent in the
 /// high bits followed by a `mantissa_bits`-bit mantissa.
 ///
@@ -18,8 +24,8 @@ use crate::FpaError;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FpaFormat {
-    mantissa_bits: u32,
-    exponent_bits: u32,
+    pub(crate) mantissa_bits: u32,
+    pub(crate) exponent_bits: u32,
 }
 
 impl FpaFormat {
@@ -48,8 +54,9 @@ impl FpaFormat {
     /// # Errors
     ///
     /// Returns [`FpaError::BadFormat`] if `mantissa_bits` is zero or the
-    /// total width would exceed 63 bits (raw addresses are carried in `u64`
-    /// with one bit to spare for tagging by embedders).
+    /// total width would exceed 52 bits (an [`Fpa`](crate::Fpa) carries its
+    /// raw address and its format's widths in one `u64`: 52 bits of address
+    /// and six bits for each width).
     pub fn new(mantissa_bits: u32) -> Result<Self, FpaError> {
         let exponent_bits = ceil_log2(mantissa_bits.max(1));
         Self::with_bits(mantissa_bits, exponent_bits)
@@ -60,9 +67,13 @@ impl FpaFormat {
     /// # Errors
     ///
     /// Returns [`FpaError::BadFormat`] when either field is zero or the
-    /// combined width exceeds 63 bits.
+    /// combined width exceeds 52 bits, the raw address an
+    /// [`Fpa`](crate::Fpa) holds beside its format in one `u64`.
     pub fn with_bits(mantissa_bits: u32, exponent_bits: u32) -> Result<Self, FpaError> {
-        if mantissa_bits == 0 || exponent_bits == 0 || mantissa_bits + exponent_bits > 63 {
+        if mantissa_bits == 0
+            || exponent_bits == 0
+            || mantissa_bits.saturating_add(exponent_bits) > MAX_BITS
+        {
             return Err(FpaError::BadFormat {
                 mantissa_bits,
                 exponent_bits,
@@ -225,8 +236,8 @@ mod tests {
     fn rejects_degenerate_formats() {
         assert!(FpaFormat::with_bits(0, 4).is_err());
         assert!(FpaFormat::with_bits(12, 0).is_err());
-        assert!(FpaFormat::with_bits(60, 4).is_err());
-        assert!(FpaFormat::with_bits(59, 4).is_ok());
+        assert!(FpaFormat::with_bits(49, 4).is_err());
+        assert!(FpaFormat::with_bits(48, 4).is_ok());
     }
 
     #[test]

@@ -161,22 +161,26 @@ impl BuddyAllocator {
 /// One live block's backing store.
 #[derive(Debug, Clone)]
 struct Block {
-    /// Power-of-two size in words.
+    /// Power-of-two size in words: the absolute space the buddy allocator
+    /// reserved.
     words: u64,
-    /// The block's contents, dense. Allocated with the block (absolute
-    /// space is sparse at block granularity, not word granularity).
-    data: Vec<Word>,
+    /// The block's contents, dense: exactly the words the block was
+    /// allocated for. The buddy rounding reserves addresses, not host
+    /// memory (absolute space is sparse at block granularity, not word
+    /// granularity).
+    data: Box<[Word]>,
 }
 
 /// The global absolute memory: a sparse word store plus the buddy allocator
-/// that places segments in it. Storage is dense *per block* (one `Vec` per
-/// live block) in a slot-stable slab; the ordered base index only resolves
-/// a containing block on a bounds-check memo miss, so word access is O(1)
-/// — slot index plus offset — after the memoized lookup, and bulk fills
-/// are a straight copy.
+/// that places segments in it. Storage is dense *per block* (one boxed
+/// slice per live block) in a slot-stable slab; the ordered base index only
+/// resolves a containing block on a bounds-check memo miss, so word access
+/// is O(1) — slot index plus offset — after the memoized lookup, and bulk
+/// fills are a straight copy.
 ///
-/// Reads and writes are bounds-checked against live blocks — the simulator
-/// equivalent of "it is impossible to express an erroneous operation".
+/// Reads and writes are bounds-checked against the words live blocks
+/// hold — the simulator equivalent of "it is impossible to express an
+/// erroneous operation".
 #[derive(Debug, Clone)]
 pub struct AbsoluteMemory {
     buddy: BuddyAllocator,
@@ -187,7 +191,7 @@ pub struct AbsoluteMemory {
     /// data dropped).
     slots: Vec<Block>,
     free_slots: Vec<u32>,
-    /// The last block a bounds check hit: `(base, words, slot)`. Accesses
+    /// The last block a bounds check hit: `(base, held words, slot)`. Accesses
     /// have strong block locality (context words, the current method), so
     /// this memo removes the tree walk from nearly every access.
     /// Invalidated on any free (a memo hit must imply liveness;
@@ -211,8 +215,10 @@ impl AbsoluteMemory {
         }
     }
 
-    /// Allocates a block of at least `words` words (rounded up to a power
-    /// of two); contents read as [`Word::Uninit`].
+    /// Allocates a block of at least `words` words: absolute space
+    /// rounded up to a power of two, holding `words` words (at least one)
+    /// that read as [`Word::Uninit`]. Addresses past them in the rounded
+    /// block are unmapped.
     ///
     /// # Errors
     ///
@@ -220,10 +226,9 @@ impl AbsoluteMemory {
     pub fn alloc_block(&mut self, words: u64) -> Result<AbsAddr, MemError> {
         let order = order_for(words);
         let base = self.buddy.alloc(order)?;
-        let words = 1u64 << order;
         let block = Block {
-            words,
-            data: vec![Word::Uninit; words as usize],
+            words: 1u64 << order,
+            data: vec![Word::Uninit; words.max(1) as usize].into_boxed_slice(),
         };
         let slot = match self.free_slots.pop() {
             Some(slot) => {
@@ -256,7 +261,7 @@ impl AbsoluteMemory {
         self.buddy.free(base, order)?;
         *block = Block {
             words: 0,
-            data: Vec::new(),
+            data: Box::default(),
         };
         self.index.remove(&base.0);
         self.free_slots.push(slot);
@@ -264,7 +269,8 @@ impl AbsoluteMemory {
         Ok(())
     }
 
-    /// The power-of-two size of the live block at `base`.
+    /// The power-of-two size of the live block at `base`: the absolute
+    /// space it reserves, of which the words it was allocated for are held.
     pub fn block_words(&self, base: AbsAddr) -> Option<u64> {
         self.index
             .get(&base.0)
@@ -275,14 +281,14 @@ impl AbsoluteMemory {
     /// slab slot (the word's storage index is `addr - base`).
     #[inline]
     fn locate(&self, addr: AbsAddr) -> Result<(u64, u32), MemError> {
-        let (base, words, slot) = self.last_block.get();
-        if addr.0.wrapping_sub(base) < words {
+        let (base, held, slot) = self.last_block.get();
+        if addr.0.wrapping_sub(base) < held {
             return Ok((base, slot));
         }
         match self.index.range(..=addr.0).next_back() {
-            Some((&base, &slot)) if addr.0 < base + self.slots[slot as usize].words => {
+            Some((&base, &slot)) if addr.0 - base < self.slots[slot as usize].data.len() as u64 => {
                 self.last_block
-                    .set((base, self.slots[slot as usize].words, slot));
+                    .set((base, self.slots[slot as usize].data.len() as u64, slot));
                 Ok((base, slot))
             }
             _ => Err(MemError::UnmappedAbsolute(addr)),
@@ -337,7 +343,7 @@ impl AbsoluteMemory {
         let block = &mut self.slots[slot as usize];
         let start = (base.0 - block_base) as usize;
         let end = start + run.len();
-        if end as u64 > block.words {
+        if end > block.data.len() {
             return Err(MemError::UnmappedAbsolute(AbsAddr(
                 base.0 + run.len() as u64 - 1,
             )));
@@ -351,21 +357,6 @@ impl AbsoluteMemory {
     pub fn peek(&self, addr: AbsAddr) -> Result<Word, MemError> {
         let (base, slot) = self.locate(addr)?;
         Ok(self.slots[slot as usize].data[(addr.0 - base) as usize])
-    }
-
-    /// Clears a whole block to [`Word::Uninit`] (the context cache's
-    /// single-operation block clear, §3.6).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::UnmappedAbsolute`] if `base` is not a live block.
-    pub fn clear_block(&mut self, base: AbsAddr) -> Result<(), MemError> {
-        let slot = *self
-            .index
-            .get(&base.0)
-            .ok_or(MemError::UnmappedAbsolute(base))?;
-        self.slots[slot as usize].data.fill(Word::Uninit);
-        Ok(())
     }
 
     /// The buddy allocator (for occupancy statistics).
@@ -459,6 +450,8 @@ mod tests {
         m.write(base.offset(3), Word::Int(42)).unwrap();
         assert_eq!(m.read(base.offset(3)).unwrap(), Word::Int(42));
         assert_eq!(m.read(base.offset(4)).unwrap(), Word::Uninit);
+        // The rounding reserves addresses, not words.
+        assert!(m.write(base.offset(10), Word::Int(1)).is_err());
         assert_eq!(m.reads(), 2);
         assert_eq!(m.writes(), 1);
     }
@@ -485,15 +478,6 @@ mod tests {
         m.free_block(a).unwrap();
         assert_eq!(m.containing_base(a), None);
         assert_eq!(m.containing_base(AbsAddr(1 << 20)), None);
-    }
-
-    #[test]
-    fn clear_block_resets_words() {
-        let mut m = AbsoluteMemory::new(10);
-        let base = m.alloc_block(8).unwrap();
-        m.write(base, Word::Int(1)).unwrap();
-        m.clear_block(base).unwrap();
-        assert_eq!(m.read(base).unwrap(), Word::Uninit);
     }
 
     #[test]

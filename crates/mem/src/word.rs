@@ -334,6 +334,11 @@ mod tests {
     }
 
     #[test]
+    fn a_word_is_a_payload_and_a_tag() {
+        assert_eq!(core::mem::size_of::<Word>(), 16);
+    }
+
+    #[test]
     fn display_formats() {
         assert_eq!(Word::Int(-3).to_string(), "-3");
         assert_eq!(Word::Uninit.to_string(), "?");
