@@ -1,5 +1,6 @@
-//! Pinned simulation counts: every workload's `CycleStats` and its ITLB,
-//! icache and context-cache counters, exactly as recorded.
+//! Pinned simulation counts: every workload's `CycleStats`, its ITLB,
+//! icache and context-cache counters and its collector totals, exactly as
+//! recorded.
 //!
 //! The `run`-vs-`run_stepwise` differential cannot see a change to the
 //! stage functions both loops share (`resolve`, `do_call`, `do_return`,
@@ -7,23 +8,29 @@
 //! holds the simulated machine to exact counts across commits: each of
 //! the 11 workloads once on the paper machine, and the five allocating
 //! programs again under generational GC at the perfbench `sim_alloc`
-//! cadence. A change to the modelled hardware updates the table on
-//! purpose; the failure message prints the measured rows in table syntax.
+//! cadence. Under generational GC every `GcTotals` field is pinned too,
+//! so a collector change that moved words scanned against segments swept
+//! fails here even where `gc_cycles` sums the same. A change to the
+//! modelled hardware updates the table on purpose; the failure message
+//! prints the measured rows in table syntax.
 
 use com_machine::cache::CacheStats;
-use com_machine::core::{CtxCacheStats, CycleStats, MachineConfig};
+use com_machine::core::{CtxCacheStats, CycleStats, GcTotals, MachineConfig};
 use com_machine::mem::Word;
 use com_machine::workloads::{self, Workload};
 
 /// One pinned run: every `CycleStats` field in declaration order, then
 /// the ITLB and icache `[hits, misses, evictions, fills, invalidations]`,
-/// then the context cache's eight counters in declaration order.
+/// then the context cache's eight counters and the nine `GcTotals` fields,
+/// each in declaration order. The paper machine runs no collection, so its
+/// rows hold `[0; 9]` there.
 struct Pinned {
     workload: &'static str,
     cycles: [u64; 21],
     itlb: [u64; 5],
     icache: [u64; 5],
     ctx: [u64; 8],
+    gc: [u64; 9],
 }
 
 fn cycles(s: CycleStats) -> [u64; 21] {
@@ -111,6 +118,31 @@ fn ctx(s: CtxCacheStats) -> [u64; 8] {
     ]
 }
 
+fn gc(t: GcTotals) -> [u64; 9] {
+    let GcTotals {
+        minor_collections,
+        full_collections,
+        minor_words_scanned,
+        full_words_scanned,
+        minor_words_freed,
+        full_words_freed,
+        minor_segments_swept,
+        full_segments_swept,
+        promoted_segments,
+    } = t;
+    [
+        minor_collections,
+        full_collections,
+        minor_words_scanned,
+        full_words_scanned,
+        minor_words_freed,
+        full_words_freed,
+        minor_segments_swept,
+        full_segments_swept,
+        promoted_segments,
+    ]
+}
+
 /// Runs `w` once on a fresh session and returns its counts in table form.
 fn measure(w: &Workload, config: MachineConfig) -> Pinned {
     let (out, session) = workloads::run_com(w, config, workloads::MAX_STEPS)
@@ -129,13 +161,14 @@ fn measure(w: &Workload, config: MachineConfig) -> Pinned {
         ctx: ctx(session
             .ctx_cache_stats()
             .expect("paper machine has a context cache")),
+        gc: gc(session.gc_totals()),
     }
 }
 
 fn row(p: &Pinned) -> String {
     format!(
-        "    Pinned {{\n        workload: {:?},\n        cycles: {:?},\n        itlb: {:?},\n        icache: {:?},\n        ctx: {:?},\n    }},\n",
-        p.workload, p.cycles, p.itlb, p.icache, p.ctx
+        "    Pinned {{\n        workload: {:?},\n        cycles: {:?},\n        itlb: {:?},\n        icache: {:?},\n        ctx: {:?},\n        gc: {:?},\n    }},\n",
+        p.workload, p.cycles, p.itlb, p.icache, p.ctx, p.gc
     )
 }
 
@@ -148,8 +181,8 @@ fn check(table: &str, expected: &[Pinned], runs: &[(Workload, MachineConfig)]) {
         .enumerate()
         .filter(|(i, m)| {
             expected.get(*i).is_none_or(|e| {
-                (e.workload, e.cycles, e.itlb, e.icache, e.ctx)
-                    != (m.workload, m.cycles, m.itlb, m.icache, m.ctx)
+                (e.workload, e.cycles, e.itlb, e.icache, e.ctx, e.gc)
+                    != (m.workload, m.cycles, m.itlb, m.icache, m.ctx, m.gc)
             })
         })
         .map(|(_, m)| m.workload)
@@ -201,6 +234,7 @@ const PAPER: &[Pinned] = &[
         itlb: [34164, 32, 0, 32, 0],
         icache: [34071, 125, 0, 125, 0],
         ctx: [55777, 30893, 1294, 1294, 0, 0, 2592, 1295],
+        gc: [0; 9],
     },
     Pinned {
         workload: "trees",
@@ -211,6 +245,7 @@ const PAPER: &[Pinned] = &[
         itlb: [42356, 25, 0, 25, 0],
         icache: [42250, 131, 0, 131, 0],
         ctx: [65777, 49965, 3580, 3580, 0, 0, 7164, 3581],
+        gc: [0; 9],
     },
     Pinned {
         workload: "dispatch",
@@ -221,6 +256,7 @@ const PAPER: &[Pinned] = &[
         itlb: [13543, 57, 0, 57, 0],
         icache: [13484, 116, 0, 116, 0],
         ctx: [28036, 24460, 2415, 2415, 0, 0, 4834, 2416],
+        gc: [0; 9],
     },
     Pinned {
         workload: "arith",
@@ -231,6 +267,7 @@ const PAPER: &[Pinned] = &[
         itlb: [42377, 19, 0, 19, 0],
         icache: [42346, 50, 0, 50, 0],
         ctx: [62064, 38787, 1500, 1500, 0, 0, 3004, 1501],
+        gc: [0; 9],
     },
     Pinned {
         workload: "collections",
@@ -241,6 +278,7 @@ const PAPER: &[Pinned] = &[
         itlb: [25124, 33, 0, 33, 0],
         icache: [25023, 134, 0, 134, 0],
         ctx: [38668, 22732, 934, 934, 0, 0, 1872, 935],
+        gc: [0; 9],
     },
     Pinned {
         workload: "image",
@@ -251,6 +289,7 @@ const PAPER: &[Pinned] = &[
         itlb: [48500, 21, 0, 21, 0],
         icache: [48419, 102, 0, 102, 0],
         ctx: [97151, 64340, 4846, 4846, 0, 0, 9696, 4847],
+        gc: [0; 9],
     },
     Pinned {
         workload: "closures",
@@ -261,6 +300,7 @@ const PAPER: &[Pinned] = &[
         itlb: [7651, 23, 0, 23, 0],
         icache: [7630, 44, 0, 44, 0],
         ctx: [11510, 8413, 1371, 1371, 0, 0, 917, 457],
+        gc: [0; 9],
     },
     Pinned {
         workload: "churn",
@@ -271,6 +311,7 @@ const PAPER: &[Pinned] = &[
         itlb: [34789, 28, 0, 28, 0],
         icache: [34695, 122, 0, 122, 0],
         ctx: [66513, 41363, 3051, 3051, 0, 0, 6106, 3052],
+        gc: [0; 9],
     },
     Pinned {
         workload: "dnu_proxy",
@@ -281,6 +322,7 @@ const PAPER: &[Pinned] = &[
         itlb: [911, 76, 0, 16, 0],
         icache: [946, 41, 0, 41, 0],
         ctx: [1608, 1061, 63, 63, 0, 0, 130, 64],
+        gc: [0; 9],
     },
     Pinned {
         workload: "calls",
@@ -291,6 +333,7 @@ const PAPER: &[Pinned] = &[
         itlb: [13800, 9, 0, 9, 0],
         icache: [13795, 14, 0, 14, 0],
         ctx: [23674, 20713, 1972, 1972, 0, 0, 3948, 1973],
+        gc: [0; 9],
     },
     Pinned {
         workload: "scheduler",
@@ -301,6 +344,7 @@ const PAPER: &[Pinned] = &[
         itlb: [15416, 46, 0, 46, 0],
         icache: [15285, 177, 0, 177, 0],
         ctx: [27534, 21512, 1646, 1646, 0, 0, 3296, 1647],
+        gc: [0; 9],
     },
 ];
 
@@ -314,6 +358,7 @@ const GENERATIONAL: &[Pinned] = &[
         itlb: [42356, 25, 0, 25, 0],
         icache: [42250, 131, 0, 131, 0],
         ctx: [65777, 49965, 3821, 3821, 0, 0, 7164, 3581],
+        gc: [37, 5, 13672, 9517, 0, 0, 0, 0, 301],
     },
     Pinned {
         workload: "collections",
@@ -324,6 +369,7 @@ const GENERATIONAL: &[Pinned] = &[
         itlb: [25124, 33, 0, 33, 0],
         icache: [25023, 134, 0, 134, 0],
         ctx: [38668, 22732, 978, 978, 0, 0, 1872, 935],
+        gc: [21, 3, 7444, 4603, 0, 0, 3, 3, 65],
     },
     Pinned {
         workload: "churn",
@@ -334,6 +380,7 @@ const GENERATIONAL: &[Pinned] = &[
         itlb: [34789, 28, 0, 28, 0],
         icache: [34695, 122, 0, 122, 0],
         ctx: [66513, 41363, 3062, 3062, 0, 0, 6106, 3052],
+        gc: [30, 4, 5006, 6944, 2384, 736, 149, 48, 86],
     },
     Pinned {
         workload: "image",
@@ -344,6 +391,7 @@ const GENERATIONAL: &[Pinned] = &[
         itlb: [48500, 21, 0, 21, 0],
         icache: [48419, 102, 0, 102, 0],
         ctx: [97151, 64340, 4864, 4864, 0, 0, 9696, 4847],
+        gc: [42, 6, 7072, 13999, 0, 0, 0, 0, 54],
     },
     Pinned {
         workload: "closures",
@@ -354,5 +402,6 @@ const GENERATIONAL: &[Pinned] = &[
         itlb: [7651, 23, 0, 23, 0],
         icache: [7630, 44, 0, 44, 0],
         ctx: [11510, 8413, 1374, 1374, 0, 0, 917, 457],
+        gc: [7, 0, 1465, 0, 0, 0, 0, 0, 55],
     },
 ];
