@@ -359,6 +359,15 @@ impl AbsoluteMemory {
         Ok(self.slots[slot as usize].data[(addr.0 - base) as usize])
     }
 
+    /// The held words of the live block containing `addr`, from `addr` to
+    /// the last of them: one bounds check for a run of non-recording reads
+    /// (the collector scans a segment through this). `None` outside every
+    /// live block.
+    pub(crate) fn words_from(&self, addr: AbsAddr) -> Option<&[Word]> {
+        let (base, slot) = self.locate(addr).ok()?;
+        Some(&self.slots[slot as usize].data[(addr.0 - base) as usize..])
+    }
+
     /// The buddy allocator (for occupancy statistics).
     pub fn buddy(&self) -> &BuddyAllocator {
         &self.buddy

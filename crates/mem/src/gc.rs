@@ -25,8 +25,26 @@
 //! the nursery and the remembered set empty, and the barrier invariant —
 //! "no unremembered tenured segment points into the nursery" — is
 //! re-established vacuously.
-
-use std::collections::HashSet;
+//!
+//! # The mark table
+//!
+//! Marking writes one state byte per segment name — scanned, or seen
+//! tenured by a minor mark — into a table the space keeps between
+//! collections, indexed by exponent class and in-class index (the name
+//! allocator hands names out densely from zero in each class). A list of
+//! the names marked clears it when the sweep begins, so a collection
+//! allocates and hashes nothing to mark. The table grows only for names
+//! the descriptor table holds: a name read from a word is only looked up,
+//! since image words and a privileged `as:` can name any index of a
+//! class. Each reached segment is scanned as one slice of its block.
+//!
+//! Both sweeps read the table, in a fixed order: descriptor-table order
+//! for a full collection, nursery order for a minor one. That order is
+//! the order blocks go back to the buddy allocator and names to their
+//! free lists, so it decides the absolute addresses and names later
+//! allocations get. The instruction cache keys on absolute addresses and
+//! the ATLB on names, so a sweep in another order could move simulated
+//! counts while freeing the same objects.
 
 use com_fpa::{Fpa, SegmentName};
 
@@ -79,60 +97,123 @@ impl GcStats {
     }
 }
 
+/// A segment name's mark in the current collection.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Mark {
+    /// Not reached (every name, between collections).
+    #[default]
+    Unseen,
+    /// Reached and its words scanned: it survives the sweep.
+    Scanned,
+    /// Reached by a minor mark, tenured and unforced: it survives by
+    /// generation and is not scanned.
+    SeenTenured,
+}
+
+/// Every segment name's [`Mark`], kept between collections (see the module
+/// docs).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MarkTable {
+    /// Per exponent class, the mark of each in-class index. A row reaches
+    /// only as far as the highest index marked, and only names the
+    /// descriptor table holds are marked.
+    classes: Vec<Vec<Mark>>,
+    /// The names marked since the table was last cleared.
+    touched: Vec<SegmentName>,
+}
+
+impl MarkTable {
+    fn get(&self, name: SegmentName) -> Mark {
+        self.classes
+            .get(usize::from(name.exponent()))
+            .and_then(|row| row.get(usize::try_from(name.index()).ok()?))
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// Marks `name`, which must be in the descriptor table.
+    fn set(&mut self, name: SegmentName, mark: Mark) {
+        let class = usize::from(name.exponent());
+        let index = usize::try_from(name.index()).expect("a held name's index fits the host");
+        if self.classes.len() <= class {
+            self.classes.resize_with(class + 1, Vec::new);
+        }
+        let row = &mut self.classes[class];
+        if row.len() <= index {
+            row.resize(index + 1, Mark::Unseen);
+        }
+        if row[index] == Mark::Unseen {
+            self.touched.push(name);
+        }
+        row[index] = mark;
+    }
+
+    /// Unmarks every name marked since the last clear.
+    fn clear(&mut self) {
+        for name in self.touched.drain(..) {
+            self.classes[usize::from(name.exponent())][name.index() as usize] = Mark::Unseen;
+        }
+    }
+}
+
 /// Pops `work` until empty, scanning each segment's words for pointers.
 /// `scan_all` selects the full mark (every reached segment is traversed);
 /// otherwise only forced entries and nursery-based segments are traversed
 /// (the minor mark: tenured segments terminate the walk, their nursery
-/// pointers being covered by the remembered set / pinning).
+/// pointers being covered by the remembered set / pinning). Leaves the
+/// survivors marked [`Mark::Scanned`] in the space's mark table.
 fn mark(
     space: &mut ObjectSpace,
     team: TeamId,
     mut work: Vec<(SegmentName, bool)>,
     scan_all: bool,
     stats: &mut GcStats,
-) -> Result<HashSet<SegmentName>, MemError> {
-    let mut scanned: HashSet<SegmentName> = HashSet::new();
-    let mut seen_tenured: HashSet<SegmentName> = HashSet::new();
+) -> Result<(), MemError> {
+    let (mmu, mem, book) = space.gc_parts();
+    let table = &mmu.team(team)?.table;
+    let (marks, nursery_bases) = (&mut book.marks, &book.nursery_bases);
     while let Some((seg, force)) = work.pop() {
-        if scanned.contains(&seg) {
+        if marks.get(seg) == Mark::Scanned {
             continue;
         }
-        let desc = {
-            let ts = space.mmu().team(team)?;
-            match ts.table.get(seg) {
-                Some(d) => *d,
-                None => continue, // dangling root/remembered entry: skip
-            }
+        let Some(desc) = table.get(seg) else {
+            continue; // dangling root/remembered entry: skip
         };
-        let scan = scan_all || force || space.book().nursery_bases.contains(&desc.base.0);
-        if !scan {
+        if !(scan_all || force || nursery_bases.contains(&desc.base.0)) {
             // Tenured, unforced: the segment survives by generation; its
             // outgoing nursery pointers are covered by the remembered set.
-            seen_tenured.insert(seg);
+            marks.set(seg, Mark::SeenTenured);
             continue;
         }
-        scanned.insert(seg);
+        marks.set(seg, Mark::Scanned);
+        stats.marked_segments += 1;
         if let Some(fwd) = desc.forward {
             work.push((fwd.segment(), false));
         }
-        for off in 0..desc.length {
-            stats.words_scanned += 1;
-            match space.memory().peek(desc.base.offset(off)) {
-                Ok(Word::Ptr(p)) => {
-                    let s = p.segment();
-                    if !scanned.contains(&s) && !seen_tenured.contains(&s) {
-                        work.push((s, false));
+        // One slice per live block the segment's words lie in: one, unless
+        // a stale alias's block was freed and its addresses reused.
+        let mut off = 0;
+        while off < desc.length {
+            let Some(words) = mem.words_from(desc.base.offset(off)) else {
+                // The block may have been freed through an alias; the
+                // first unmapped word is counted and ends the scan.
+                stats.words_scanned += 1;
+                break;
+            };
+            let words = &words[..(words.len() as u64).min(desc.length - off) as usize];
+            stats.words_scanned += words.len() as u64;
+            off += words.len() as u64;
+            for word in words {
+                if let Word::Ptr(p) = word {
+                    let target = p.segment();
+                    if marks.get(target) == Mark::Unseen {
+                        work.push((target, false));
                     }
                 }
-                Ok(_) => {}
-                // The block may have been freed through an alias; nothing to
-                // scan there.
-                Err(_) => break,
             }
         }
     }
-    stats.marked_segments = scanned.len() as u64;
-    Ok(scanned)
+    Ok(())
 }
 
 /// Removes `name`'s descriptor and, when its block's last name died,
@@ -186,14 +267,34 @@ fn free_blocks(
     Ok(())
 }
 
-/// Promotes every nursery survivor to the tenured generation and resets
-/// the remembered set (the barrier invariant holds vacuously again).
-fn promote(space: &mut ObjectSpace, stats: &mut GcStats) {
+/// Clears the marks, sweeps `dead` in order, frees every block whose last
+/// name died, then promotes every nursery survivor to the tenured
+/// generation and resets the remembered set (the barrier invariant holds
+/// vacuously again).
+fn sweep(
+    space: &mut ObjectSpace,
+    team: TeamId,
+    dead: Vec<SegmentName>,
+    stats: &mut GcStats,
+) -> Result<(), MemError> {
+    space.book_mut().marks.clear();
+    let mut free_bases: Vec<AbsAddr> = Vec::new();
+    for name in dead {
+        sweep_one(space, team, name, &mut free_bases, stats)?;
+    }
+    free_blocks(space, free_bases, stats)?;
     let book = space.book_mut();
     stats.promoted_segments = book.nursery_segs.len() as u64;
     book.nursery_segs.clear();
     book.nursery_bases.clear();
     book.remembered.clear();
+    Ok(())
+}
+
+/// The mark work list's seeds: `roots`, then `pinned` (forced).
+fn seeds(roots: &[Fpa], pinned: &[SegmentName]) -> Vec<(SegmentName, bool)> {
+    let roots = roots.iter().map(|r| (r.segment(), false));
+    roots.chain(pinned.iter().map(|p| (*p, true))).collect()
 }
 
 /// Runs a stop-the-world **full** mark-sweep collection of `team`, treating
@@ -219,32 +320,17 @@ pub fn collect(
     pinned: &[SegmentName],
 ) -> Result<GcStats, MemError> {
     let mut stats = GcStats::default();
-
-    // --- Mark ---------------------------------------------------------
-    let mut work: Vec<(SegmentName, bool)> = Vec::new();
-    for r in roots {
-        work.push((r.segment(), false));
-    }
-    for p in pinned {
-        work.push((*p, true));
-    }
-    let marked = mark(space, team, work, true, &mut stats)?;
-
-    // --- Sweep --------------------------------------------------------
-    let dead: Vec<SegmentName> = {
-        let ts = space.mmu().team(team)?;
-        ts.table
-            .iter()
-            .filter(|(name, _)| !marked.contains(name))
-            .map(|(name, _)| name)
-            .collect()
-    };
-    let mut free_bases: Vec<AbsAddr> = Vec::new();
-    for name in dead {
-        sweep_one(space, team, name, &mut free_bases, &mut stats)?;
-    }
-    free_blocks(space, free_bases, &mut stats)?;
-    promote(space, &mut stats);
+    mark(space, team, seeds(roots, pinned), true, &mut stats)?;
+    let marks = &space.book().marks;
+    let dead: Vec<SegmentName> = space
+        .mmu()
+        .team(team)?
+        .table
+        .iter()
+        .map(|(name, _)| name)
+        .filter(|name| marks.get(*name) != Mark::Scanned)
+        .collect();
+    sweep(space, team, dead, &mut stats)?;
     Ok(stats)
 }
 
@@ -272,32 +358,19 @@ pub fn collect_minor(
         ..GcStats::default()
     };
 
-    // --- Mark (nursery + forced segments only) ------------------------
-    let mut work: Vec<(SegmentName, bool)> = Vec::new();
-    for r in roots {
-        work.push((r.segment(), false));
-    }
-    for p in pinned {
-        work.push((*p, true));
-    }
-    {
-        let book = space.book();
-        stats.remembered_scanned = book.remembered.len() as u64;
-        work.extend(book.remembered.iter().map(|s| (*s, true)));
-    }
-    let scanned = mark(space, team, work, false, &mut stats)?;
-
-    // --- Sweep (nursery only) -----------------------------------------
-    let nursery: Vec<SegmentName> = space.book().nursery_segs.iter().copied().collect();
-    let mut free_bases: Vec<AbsAddr> = Vec::new();
-    for name in nursery {
-        if scanned.contains(&name) {
-            continue;
-        }
-        sweep_one(space, team, name, &mut free_bases, &mut stats)?;
-    }
-    free_blocks(space, free_bases, &mut stats)?;
-    promote(space, &mut stats);
+    let mut work = seeds(roots, pinned);
+    let book = space.book();
+    stats.remembered_scanned = book.remembered.len() as u64;
+    work.extend(book.remembered.iter().map(|s| (*s, true)));
+    mark(space, team, work, false, &mut stats)?;
+    let book = space.book();
+    let dead: Vec<SegmentName> = book
+        .nursery_segs
+        .iter()
+        .copied()
+        .filter(|name| book.marks.get(*name) != Mark::Scanned)
+        .collect();
+    sweep(space, team, dead, &mut stats)?;
     Ok(stats)
 }
 
@@ -456,6 +529,84 @@ mod tests {
         s.free(TEAM, a, AllocKind::Object).unwrap();
         let st = collect_simple(&mut s, TEAM, &[a]).unwrap();
         assert_eq!(st.marked_segments, 0);
+    }
+
+    /// `old` tenured, and a young object pointing at it.
+    fn tenured_behind_young() -> (ObjectSpace, Fpa, Fpa) {
+        let mut s = space();
+        let old = s.create(TEAM, CLS, 2, AllocKind::Object).unwrap();
+        collect_simple(&mut s, TEAM, &[old]).unwrap();
+        let young = s.create(TEAM, CLS, 2, AllocKind::Object).unwrap();
+        s.write(TEAM, young, Word::Ptr(old)).unwrap();
+        (s, old, young)
+    }
+
+    #[test]
+    fn marks_do_not_outlive_their_collection() {
+        for minor_first in [false, true] {
+            let first = |s: &mut ObjectSpace, young: Fpa| {
+                let st = if minor_first {
+                    collect_minor(s, TEAM, &[young], &[]).unwrap()
+                } else {
+                    collect_simple(s, TEAM, &[young]).unwrap()
+                };
+                assert_eq!(st.swept_segments, 0);
+            };
+            // Rooted at the first collection, unrooted at the next: swept.
+            let (mut s, old, young) = tenured_behind_young();
+            first(&mut s, young);
+            let st = collect_simple(&mut s, TEAM, &[]).unwrap();
+            assert_eq!((st.marked_segments, st.swept_segments), (0, 2));
+            assert!(s.read(TEAM, young).is_err() && s.read(TEAM, old).is_err());
+            // A minor collection sees `old` without scanning it; the next
+            // collection must still follow `young`'s pointer to it.
+            let (mut s, old, young) = tenured_behind_young();
+            first(&mut s, young);
+            let st = collect_simple(&mut s, TEAM, &[young]).unwrap();
+            assert_eq!((st.marked_segments, st.swept_segments), (2, 0));
+            assert!(s.read(TEAM, old).is_ok());
+        }
+    }
+
+    #[test]
+    fn a_stale_alias_whose_block_is_gone_scans_one_word() {
+        let mut s = space();
+        let old = s.create(TEAM, CLS, 4, AllocKind::Object).unwrap();
+        let new = s.grow(TEAM, old, 64).unwrap();
+        s.free(TEAM, new, AllocKind::Object).unwrap();
+        let st = collect_simple(&mut s, TEAM, &[old]).unwrap();
+        assert_eq!(st.words_scanned, 1);
+        assert_eq!(st.marked_segments, 1);
+        assert_eq!(st.swept_segments, 0);
+    }
+
+    #[test]
+    fn a_pointer_to_the_last_name_of_a_class_is_only_looked_up() {
+        // Image words and a privileged `as:` can name any index; a mark
+        // table sized by this one would take 256 MiB.
+        let far = SegmentName::new(3, (1 << 28) - 1);
+        let far = Fpa::from_segment(far, 0, FpaFormat::COM).unwrap();
+        for minor in [false, true] {
+            let mut s = space();
+            let holder = s.create(TEAM, CLS, 2, AllocKind::Object).unwrap();
+            s.write(TEAM, holder, Word::Ptr(far)).unwrap();
+            let st = if minor {
+                collect_minor(&mut s, TEAM, &[holder], &[]).unwrap()
+            } else {
+                collect_simple(&mut s, TEAM, &[holder]).unwrap()
+            };
+            assert_eq!(st.marked_segments, 1);
+            assert_eq!(st.words_scanned, 2);
+            let table = &s.mmu().team(TEAM).unwrap().table;
+            for (class, row) in s.book().marks.classes.iter().enumerate() {
+                let held = table
+                    .iter()
+                    .filter(|(name, _)| usize::from(name.exponent()) == class)
+                    .map(|(name, _)| name.index() + 1)
+                    .max();
+                assert!(row.len() as u64 <= held.unwrap_or(0), "class {class}");
+            }
+        }
     }
 
     // --- Generational behaviour ---------------------------------------

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use com_cache::{CacheConfig, CacheStats, FxHasher, SetAssocCache};
+use com_cache::{CacheConfig, CacheStats, FxBuildHasher, FxHasher, SetAssocCache};
 use com_fpa::{Fpa, FpaFormat, SegmentName};
 
 use crate::{AbsAddr, ClassId, MemError, SegmentDescriptor, TeamId, TeamSpace};
@@ -30,7 +30,7 @@ pub struct Translation {
 #[derive(Debug, Clone)]
 pub struct Mmu {
     format: FpaFormat,
-    teams: HashMap<TeamId, TeamSpace>,
+    teams: HashMap<TeamId, TeamSpace, FxBuildHasher>,
     /// The ATLB, probed on every translation and indexed by the fast hash
     /// of its key.
     atlb: SetAssocCache<(TeamId, SegmentName), SegmentDescriptor>,
@@ -57,7 +57,7 @@ impl Mmu {
         let atlb = CacheConfig::new(ATLB_ENTRIES, ATLB_WAYS).expect("valid ATLB geometry");
         Mmu {
             format,
-            teams: HashMap::new(),
+            teams: HashMap::default(),
             atlb: SetAssocCache::new(atlb),
             bounds_traps: 0,
             forward_traps: 0,

@@ -5,6 +5,7 @@ use std::collections::{HashMap, HashSet};
 use com_cache::FxBuildHasher;
 use com_fpa::{Fpa, SegmentName};
 
+use crate::gc::MarkTable;
 use crate::{
     AbsAddr, AbsoluteMemory, ClassId, MemError, Mmu, SegmentDescriptor, TeamId, Translation, Word,
 };
@@ -138,6 +139,9 @@ pub(crate) struct GcBook {
     /// Barrier consultations and grows that newly remembered a tenured
     /// segment.
     pub(crate) barrier_remembers: u64,
+    /// The collector's mark of every segment name, all unmarked between
+    /// collections.
+    pub(crate) marks: MarkTable,
 }
 
 impl GcBook {
@@ -235,6 +239,11 @@ impl ObjectSpace {
     /// Mutable generational bookkeeping (collector-internal).
     pub(crate) fn book_mut(&mut self) -> &mut GcBook {
         &mut self.book
+    }
+
+    /// The MMU and memory the collector reads while it marks in the book.
+    pub(crate) fn gc_parts(&mut self) -> (&Mmu, &AbsoluteMemory, &mut GcBook) {
+        (&self.mmu, &self.mem, &mut self.book)
     }
 
     /// Write-barrier and generation counters.
