@@ -32,14 +32,15 @@
 //! tenured by a minor mark — into a table the space keeps between
 //! collections, indexed by exponent class and in-class index (the name
 //! allocator hands names out densely from zero in each class). A list of
-//! the names marked clears it when the sweep begins, so a collection
-//! allocates and hashes nothing to mark. The table grows only for names
-//! the descriptor table holds: a name read from a word is only looked up,
-//! since image words and a privileged `as:` can name any index of a
-//! class. Each reached segment is scanned as one slice of its block.
+//! the names marked clears it when the sweep begins, so no collection
+//! builds a set, and reading a name's mark is one indexed load. The table
+//! grows only for names the descriptor table holds: a name read from a
+//! word is only looked up, since image words and a privileged `as:` can
+//! name any index of a class. Each reached segment is scanned as one
+//! slice of its block.
 //!
-//! Both sweeps read the table, in a fixed order: descriptor-table order
-//! for a full collection, nursery order for a minor one. That order is
+//! Both sweeps read the table and keep their order: descriptor-table
+//! order for a full collection, nursery order for a minor one. That is
 //! the order blocks go back to the buddy allocator and names to their
 //! free lists, so it decides the absolute addresses and names later
 //! allocations get. The instruction cache keys on absolute addresses and
