@@ -440,6 +440,37 @@ mod tests {
         b.free(a, 3).unwrap();
     }
 
+    /// Every address a seeded run of allocations and out-of-order frees
+    /// gets. Each free list keeps its order, so later allocations get the
+    /// same addresses whatever way the buddy is found.
+    #[test]
+    fn buddy_addresses_of_a_seeded_run_are_pinned() {
+        let mut rng = com_cache::Rng::new(26);
+        let mut b = BuddyAllocator::new(11);
+        let mut live: Vec<(AbsAddr, u8)> = Vec::new();
+        let mut got = Vec::new();
+        for _ in 0..200 {
+            if rng.below(5) < 2 && !live.is_empty() {
+                let (a, o) = live.swap_remove(rng.below(live.len() as u64) as usize);
+                b.free(a, o).unwrap();
+            } else {
+                let order = rng.below(6) as u8;
+                let a = b.alloc(order).unwrap();
+                got.push(a.0);
+                live.push((a, order));
+            }
+        }
+        let pinned: [u64; 118] = [
+            0, 0, 0, 0, 0, 8, 12, 16, 32, 14, 14, 0, 32, 16, 64, 96, 8, 10, 16, 12, 8, 16, 20, 20,
+            24, 32, 96, 128, 16, 160, 28, 48, 25, 10, 160, 96, 11, 26, 52, 54, 192, 0, 56, 60, 32,
+            96, 58, 192, 200, 32, 208, 216, 128, 59, 216, 8, 224, 32, 60, 40, 8, 52, 10, 48, 64,
+            224, 160, 24, 40, 24, 8, 224, 56, 128, 24, 256, 288, 59, 304, 60, 320, 8, 216, 28, 12,
+            208, 58, 10, 54, 25, 160, 8, 53, 32, 26, 212, 64, 27, 304, 26, 12, 192, 96, 54, 10,
+            112, 256, 272, 16, 224, 59, 0, 288, 320, 214, 28, 224, 60,
+        ];
+        assert_eq!(got, pinned);
+    }
+
     #[test]
     fn buddy_tracks_peak() {
         let mut b = BuddyAllocator::new(8);
