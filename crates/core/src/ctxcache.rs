@@ -441,20 +441,18 @@ impl ContextCache {
         Some(ev)
     }
 
-    /// Takes the contents of one dirty resident block for write-back,
-    /// leaving the block resident and clean; `None` once memory is
-    /// coherent. Draining it is required before garbage collection scans
-    /// contexts.
-    pub fn take_dirty(&mut self) -> Option<Eviction> {
-        let b = self
-            .blocks
-            .iter_mut()
-            .find(|b| b.dirty && b.abs.is_some())?;
-        b.dirty = false;
-        Some(Eviction {
-            abs: b.abs?,
-            words: b.words,
-            dirty: true,
+    /// Takes the contents of every dirty resident block for write-back, in
+    /// block order and in one pass, leaving each block resident and clean.
+    /// Draining it is required before garbage collection scans contexts.
+    pub fn drain_dirty(&mut self) -> impl Iterator<Item = Eviction> + '_ {
+        self.blocks.iter_mut().filter_map(|b| {
+            let abs = b.abs.filter(|_| b.dirty)?;
+            b.dirty = false;
+            Some(Eviction {
+                abs,
+                words: b.words,
+                dirty: true,
+            })
         })
     }
 }
@@ -524,7 +522,7 @@ mod tests {
         c.release(AbsAddr(0x100));
         assert_eq!(c.free_count(), 4);
         assert_eq!(c.next(), None, "released block leaves the next vector");
-        assert!(c.take_dirty().is_none(), "released dirt is dead");
+        assert!(c.drain_dirty().next().is_none(), "released dirt is dead");
     }
 
     #[test]
@@ -547,10 +545,10 @@ mod tests {
         let mut c = cc();
         let (i, _) = c.alloc_next(AbsAddr(0x100));
         c.write(i, 1, Word::Int(5), ClassId::SMALL_INT);
-        let d = c.take_dirty().expect("one dirty block");
+        let d = c.drain_dirty().next().expect("one dirty block");
         assert_eq!(d.abs, AbsAddr(0x100));
         assert_eq!(d.words[1], Word::Int(5));
-        assert!(c.take_dirty().is_none(), "second drain is empty");
+        assert!(c.drain_dirty().next().is_none(), "second drain is empty");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use com_fpa::{Fpa, SegmentName};
 use com_isa::{Opcode, Operand};
-use com_mem::{AbsAddr, AllocKind, ClassId, Word};
+use com_mem::{AbsAddr, AllocKind, ClassId, MemError, ObjectSpace, Word};
 use com_obj::ItlbKey;
 
 use super::fetch::LowOperand;
@@ -341,13 +341,8 @@ impl Machine {
 
     /// Writes a block leaving the cache back to memory, if it is dirty.
     fn write_back(&mut self, ev: Option<Eviction>) -> Result<(), MachineError> {
-        if let Some(ev) = ev {
-            if ev.dirty {
-                for (i, w) in ev.words.iter().enumerate() {
-                    self.space
-                        .write_abs(ev.abs.offset(i as u64), *w, AllocKind::Context)?;
-                }
-            }
+        if let Some(ev) = ev.filter(|ev| ev.dirty) {
+            store_block(&mut self.space, &ev)?;
         }
         Ok(())
     }
@@ -467,8 +462,10 @@ impl Machine {
     /// collector scans contexts (a bounded cost: at most the cache's
     /// block count).
     pub(super) fn flush_context_cache(&mut self) -> Result<(), MachineError> {
-        while let Some(ev) = self.cc.as_mut().and_then(ContextCache::take_dirty) {
-            self.write_back(Some(ev))?;
+        if let Some(cc) = &mut self.cc {
+            for ev in cc.drain_dirty() {
+                store_block(&mut self.space, &ev)?;
+            }
         }
         Ok(())
     }
@@ -504,4 +501,12 @@ impl Machine {
             }
         }
     }
+}
+
+/// Stores a block's words back into the context it caches.
+fn store_block(space: &mut ObjectSpace, ev: &Eviction) -> Result<(), MemError> {
+    for (i, w) in ev.words.iter().enumerate() {
+        space.write_abs(ev.abs.offset(i as u64), *w, AllocKind::Context)?;
+    }
+    Ok(())
 }

@@ -94,25 +94,17 @@ impl Machine {
     /// Propagates memory errors (a failing GC is a machine-fatal event).
     pub fn collect_garbage_kind(&mut self, kind: GcKind) -> Result<(), MachineError> {
         self.flush_context_cache()?;
-        let mut roots: Vec<Fpa> = Vec::new();
-        if let Some(cp) = self.cp {
-            roots.push(cp.fpa);
-        }
-        if let Some(ncp) = self.ncp {
-            roots.push(ncp.fpa);
-        }
-        roots.extend(self.free_list.iter().map(|r| r.fpa));
-        roots.extend(self.code_roots.iter().copied());
-        if let Some(cell) = self.result_cell {
-            roots.push(cell);
-        }
         let pinned = self.resident_segments();
         // Swept segment names can be recycled: a stale shadow entry could
         // otherwise validate against a recycled name.
         self.shadow.clear();
+        let roots = (self.cp.iter().chain(&self.ncp).chain(&self.free_list))
+            .map(|reg| &reg.fpa)
+            .chain(&self.code_roots)
+            .chain(&self.result_cell);
         let st = match kind {
-            GcKind::Full => gc::collect(&mut self.space, self.team, &roots, &pinned)?,
-            GcKind::Minor => gc::collect_minor(&mut self.space, self.team, &roots, &pinned)?,
+            GcKind::Full => gc::collect(&mut self.space, self.team, roots, &pinned)?,
+            GcKind::Minor => gc::collect_minor(&mut self.space, self.team, roots, &pinned)?,
         };
         self.stats.gc_runs += 1;
         if st.minor {

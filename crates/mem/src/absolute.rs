@@ -4,7 +4,9 @@ use std::collections::{BTreeMap, HashMap};
 
 use com_cache::FxBuildHasher;
 
-use crate::{MemError, Word};
+use com_fpa::SegmentName;
+
+use crate::{MemError, TeamId, Word};
 
 /// An address in absolute space — "a unique name identifying a particular
 /// object" (§3.1). Word-granular.
@@ -42,9 +44,12 @@ impl core::fmt::Display for AbsAddr {
 pub struct BuddyAllocator {
     space_log2: u8,
     /// Free block base addresses per order (order = log2 of block words).
+    /// Their order decides which address each allocation gets.
     free_lists: Vec<Vec<u64>>,
-    /// Base address → order, for every live allocation.
-    live: HashMap<u64, u8, FxBuildHasher>,
+    /// Each free block's position in its order's list, so a free finds its
+    /// buddy without scanning the list.
+    free_at: HashMap<u64, usize, FxBuildHasher>,
+    live_blocks: usize,
     allocated_words: u64,
     peak_words: u64,
 }
@@ -62,9 +67,32 @@ impl BuddyAllocator {
         BuddyAllocator {
             space_log2,
             free_lists,
-            live: HashMap::default(),
+            free_at: [(0, 0)].into_iter().collect(),
+            live_blocks: 0,
             allocated_words: 0,
             peak_words: 0,
+        }
+    }
+
+    fn push_free(&mut self, order: u8, base: u64) {
+        let list = &mut self.free_lists[usize::from(order)];
+        self.free_at.insert(base, list.len());
+        list.push(base);
+    }
+
+    /// Takes `base` off `order`'s free list, if it is free at that order.
+    fn take_free(&mut self, order: u8, base: u64) -> bool {
+        let list = &mut self.free_lists[usize::from(order)];
+        match self.free_at.get(&base) {
+            Some(&i) if list.get(i) == Some(&base) => {
+                self.free_at.remove(&base);
+                list.swap_remove(i);
+                if let Some(&moved) = list.get(i) {
+                    self.free_at.insert(moved, i);
+                }
+                true
+            }
+            _ => false, // not free, or free at another order
         }
     }
 
@@ -80,60 +108,51 @@ impl BuddyAllocator {
                 words: 1u64 << order.min(62),
             });
         }
-        // Find the smallest order ≥ requested with a free block.
-        let mut from = None;
-        for o in order..=self.space_log2 {
-            if !self.free_lists[o as usize].is_empty() {
-                from = Some(o);
-                break;
-            }
-        }
-        let mut o = from.ok_or(MemError::OutOfAbsoluteSpace {
-            words: 1u64 << order,
-        })?;
-        let base = self.free_lists[o as usize].pop().expect("nonempty");
+        // The smallest order ≥ requested with a free block.
+        let mut o = (order..=self.space_log2)
+            .find(|&o| !self.free_lists[usize::from(o)].is_empty())
+            .ok_or(MemError::OutOfAbsoluteSpace {
+                words: 1u64 << order,
+            })?;
+        let base = self.free_lists[usize::from(o)].pop().expect("nonempty");
+        self.free_at.remove(&base);
         // Split down to the requested order, pushing upper buddies free.
         while o > order {
             o -= 1;
-            let buddy = base + (1u64 << o);
-            self.free_lists[o as usize].push(buddy);
+            self.push_free(o, base + (1u64 << o));
         }
-        self.live.insert(base, order);
+        self.live_blocks += 1;
         self.allocated_words += 1u64 << order;
         self.peak_words = self.peak_words.max(self.allocated_words);
         Ok(AbsAddr(base))
     }
 
     /// Frees a block previously returned by [`alloc`](Self::alloc) with the
-    /// same `order`, coalescing buddies greedily.
+    /// same `order`, coalescing buddies greedily. The allocator keeps no
+    /// record of live blocks, so a double or wrong-order free is its
+    /// caller's to refuse: [`AbsoluteMemory::free_block`] frees each block
+    /// at the order its record gives, and refuses a base that holds none.
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::UnmappedAbsolute`] when `base` is not a live
-    /// allocation of that order.
+    /// Returns [`MemError::UnmappedAbsolute`] when `base` is not aligned to
+    /// `order` or the block lies outside the space.
     pub fn free(&mut self, base: AbsAddr, order: u8) -> Result<(), MemError> {
-        match self.live.get(&base.0) {
-            Some(&o) if o == order => {}
-            _ => return Err(MemError::UnmappedAbsolute(base)),
+        if order > self.space_log2
+            || !base.0.is_multiple_of(1u64 << order)
+            || base.0 >= self.capacity_words()
+        {
+            return Err(MemError::UnmappedAbsolute(base));
         }
-        self.live.remove(&base.0);
+        self.live_blocks -= 1;
         self.allocated_words -= 1u64 << order;
-        let mut base = base.0;
-        let mut order = order;
+        let (mut base, mut order) = (base.0, order);
         // Coalesce while the buddy is free.
-        while order < self.space_log2 {
-            let buddy = base ^ (1u64 << order);
-            let list = &mut self.free_lists[order as usize];
-            match list.iter().position(|&b| b == buddy) {
-                Some(i) => {
-                    list.swap_remove(i);
-                    base = base.min(buddy);
-                    order += 1;
-                }
-                None => break,
-            }
+        while order < self.space_log2 && self.take_free(order, base ^ (1u64 << order)) {
+            base &= !(1u64 << order);
+            order += 1;
         }
-        self.free_lists[order as usize].push(base);
+        self.push_free(order, base);
         Ok(())
     }
 
@@ -154,29 +173,73 @@ impl BuddyAllocator {
 
     /// Number of live allocations.
     pub fn live_blocks(&self) -> usize {
-        self.live.len()
+        self.live_blocks
     }
 }
 
-/// One live block's backing store.
-#[derive(Debug, Clone)]
-struct Block {
-    /// Power-of-two size in words: the absolute space the buddy allocator
-    /// reserved.
-    words: u64,
+/// The names sharing a block, canonical first: one inline, or a list once
+/// a grow leaves aliases.
+#[derive(Debug, Clone, Default)]
+pub(crate) enum BlockNames {
+    #[default]
+    Unnamed,
+    One(SegmentName),
+    Many(Vec<SegmentName>),
+}
+
+impl BlockNames {
+    pub(crate) fn as_slice(&self) -> &[SegmentName] {
+        match self {
+            BlockNames::Unnamed => &[],
+            BlockNames::One(name) => std::slice::from_ref(name),
+            BlockNames::Many(names) => names,
+        }
+    }
+}
+
+/// One live block's record: its words, its generation and the names that
+/// share it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Block {
     /// The block's contents, dense: exactly the words the block was
     /// allocated for. The buddy rounding reserves addresses, not host
     /// memory (absolute space is sparse at block granularity, not word
-    /// granularity).
+    /// granularity); the block's order is derived from this length.
     data: Box<[Word]>,
+    /// The team whose names share the block.
+    pub(crate) team: TeamId,
+    /// Allocated since its team's last collection.
+    pub(crate) young: bool,
+    /// The canonical (widest, newest) name first, then every alias a grow
+    /// re-pointed here. The block is freed when its last name dies.
+    pub(crate) names: BlockNames,
+}
+
+impl Block {
+    fn order(&self) -> u8 {
+        order_for(self.data.len() as u64)
+    }
+
+    /// Drops `team`'s `name` from the block; whether that was its last
+    /// name.
+    pub(crate) fn drop_name(&mut self, team: TeamId, name: SegmentName) -> bool {
+        let names = self.names.as_slice();
+        if self.team != team || !names.contains(&name) {
+            return false;
+        }
+        let rest: Vec<_> = names.iter().copied().filter(|n| *n != name).collect();
+        self.names = BlockNames::Many(rest);
+        self.names.as_slice().is_empty()
+    }
 }
 
 /// The global absolute memory: a sparse word store plus the buddy allocator
-/// that places segments in it. Storage is dense *per block* (one boxed
-/// slice per live block) in a slot-stable slab; the ordered base index only
-/// resolves a containing block on a bounds-check memo miss, so word access
-/// is O(1) — slot index plus offset — after the memoized lookup, and bulk
-/// fills are a straight copy.
+/// that places segments in it. Each live block has one record in a
+/// slot-stable slab — its words (dense per block), its generation and the
+/// names sharing it; the ordered base index only resolves a containing
+/// block on a bounds-check memo miss, so word access is O(1) — slot index
+/// plus offset — after the memoized lookup, and bulk fills are a straight
+/// copy.
 ///
 /// Reads and writes are bounds-checked against the words live blocks
 /// hold — the simulator equivalent of "it is impossible to express an
@@ -187,7 +250,7 @@ pub struct AbsoluteMemory {
     /// base → slab slot; BTreeMap so a containing block can be found by
     /// range query.
     index: BTreeMap<u64, u32>,
-    /// Slot-stable block storage (freed slots are recycled, with their
+    /// Slot-stable block records (freed slots are recycled, with their
     /// data dropped).
     slots: Vec<Block>,
     free_slots: Vec<u32>,
@@ -224,11 +287,10 @@ impl AbsoluteMemory {
     ///
     /// Returns [`MemError::OutOfAbsoluteSpace`] when absolute space is full.
     pub fn alloc_block(&mut self, words: u64) -> Result<AbsAddr, MemError> {
-        let order = order_for(words);
-        let base = self.buddy.alloc(order)?;
+        let base = self.buddy.alloc(order_for(words))?;
         let block = Block {
-            words: 1u64 << order,
             data: vec![Word::Uninit; words.max(1) as usize].into_boxed_slice(),
+            ..Block::default()
         };
         let slot = match self.free_slots.pop() {
             Some(slot) => {
@@ -245,36 +307,27 @@ impl AbsoluteMemory {
         Ok(base)
     }
 
-    /// Frees a block returned by [`alloc_block`](Self::alloc_block) and
-    /// clears its contents.
+    /// Frees a block returned by [`alloc_block`](Self::alloc_block), at the
+    /// order its record gives, and drops its contents.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::UnmappedAbsolute`] if `base` is not a live block.
     pub fn free_block(&mut self, base: AbsAddr) -> Result<(), MemError> {
-        let slot = *self
+        let slot = self
             .index
-            .get(&base.0)
+            .remove(&base.0)
             .ok_or(MemError::UnmappedAbsolute(base))?;
-        let block = &mut self.slots[slot as usize];
-        let order = order_for(block.words);
-        self.buddy.free(base, order)?;
-        *block = Block {
-            words: 0,
-            data: Box::default(),
-        };
-        self.index.remove(&base.0);
+        let block = std::mem::take(&mut self.slots[slot as usize]);
         self.free_slots.push(slot);
         self.last_block.set((0, 0, 0));
-        Ok(())
+        self.buddy.free(base, block.order())
     }
 
     /// The power-of-two size of the live block at `base`: the absolute
     /// space it reserves, of which the words it was allocated for are held.
     pub fn block_words(&self, base: AbsAddr) -> Option<u64> {
-        self.index
-            .get(&base.0)
-            .map(|&slot| self.slots[slot as usize].words)
+        self.block(base).map(|block| 1u64 << block.order())
     }
 
     /// Bounds-checks `addr` and returns its containing block's base and
@@ -295,11 +348,30 @@ impl AbsoluteMemory {
         }
     }
 
-    /// The base of the live block containing `addr`, if any. Shares the
-    /// bounds-check memo with [`read`](Self::read)/[`write`](Self::write),
-    /// so the write barrier's block lookup is O(1) on the hot path.
+    /// The record of the live block containing `addr`, with its base.
+    /// Shares the bounds-check memo with [`read`](Self::read) and
+    /// [`write`](Self::write), so the write barrier's block lookup is O(1)
+    /// on the hot path.
+    pub(crate) fn block_containing(&self, addr: AbsAddr) -> Option<(AbsAddr, &Block)> {
+        let (base, slot) = self.locate(addr).ok()?;
+        Some((AbsAddr(base), &self.slots[slot as usize]))
+    }
+
+    /// The record of the live block based at `base`.
+    pub(crate) fn block(&self, base: AbsAddr) -> Option<&Block> {
+        let slot = *self.index.get(&base.0)?;
+        Some(&self.slots[slot as usize])
+    }
+
+    /// The record of the live block based at `base`, mutably.
+    pub(crate) fn block_mut(&mut self, base: AbsAddr) -> Option<&mut Block> {
+        let slot = *self.index.get(&base.0)?;
+        Some(&mut self.slots[slot as usize])
+    }
+
+    /// The base of the live block containing `addr`, if any.
     pub fn containing_base(&self, addr: AbsAddr) -> Option<AbsAddr> {
-        self.locate(addr).ok().map(|(base, _)| AbsAddr(base))
+        self.block_containing(addr).map(|(base, _)| base)
     }
 
     /// Reads the word at `addr`.
@@ -353,16 +425,10 @@ impl AbsoluteMemory {
         Ok(())
     }
 
-    /// Non-recording read used by the garbage collector and diagnostics.
-    pub fn peek(&self, addr: AbsAddr) -> Result<Word, MemError> {
-        let (base, slot) = self.locate(addr)?;
-        Ok(self.slots[slot as usize].data[(addr.0 - base) as usize])
-    }
-
     /// The held words of the live block containing `addr`, from `addr` to
     /// the last of them: one bounds check for a run of non-recording reads
-    /// (the collector scans a segment through this). `None` outside every
-    /// live block.
+    /// (the collector scans a segment through this, and a grow copies one).
+    /// `None` outside every live block.
     pub(crate) fn words_from(&self, addr: AbsAddr) -> Option<&[Word]> {
         let (base, slot) = self.locate(addr).ok()?;
         Some(&self.slots[slot as usize].data[(addr.0 - base) as usize..])
@@ -381,13 +447,6 @@ impl AbsoluteMemory {
     /// Total recorded writes.
     pub fn writes(&self) -> u64 {
         self.writes
-    }
-
-    /// Iterates over live block bases and sizes.
-    pub fn blocks(&self) -> impl Iterator<Item = (AbsAddr, u64)> + '_ {
-        self.index
-            .iter()
-            .map(|(&b, &slot)| (AbsAddr(b), self.slots[slot as usize].words))
     }
 }
 
@@ -424,20 +483,31 @@ mod tests {
         assert!(b.alloc(8).is_ok());
     }
 
+    /// The block records hold the check the buddy allocator does not: a
+    /// freed base holds no block.
     #[test]
     fn buddy_rejects_double_free() {
-        let mut b = BuddyAllocator::new(8);
-        let a = b.alloc(3).unwrap();
-        b.free(a, 3).unwrap();
-        assert!(b.free(a, 3).is_err());
+        let mut m = AbsoluteMemory::new(8);
+        let a = m.alloc_block(8).unwrap();
+        m.free_block(a).unwrap();
+        assert!(m.free_block(a).is_err());
+        assert_eq!(m.buddy().allocated_words(), 0);
     }
 
+    /// A block is freed at the order its record gives: a base inside it is
+    /// refused, and freeing it leaves its live buddy allocated.
     #[test]
     fn buddy_rejects_wrong_order_free() {
-        let mut b = BuddyAllocator::new(8);
-        let a = b.alloc(3).unwrap();
-        assert!(b.free(a, 4).is_err());
-        b.free(a, 3).unwrap();
+        let mut m = AbsoluteMemory::new(8);
+        let a = m.alloc_block(8).unwrap();
+        let b = m.alloc_block(8).unwrap();
+        assert_eq!(b.0, a.0 ^ 8, "the second block is the first's buddy");
+        assert!(m.free_block(a.offset(4)).is_err());
+        m.free_block(a).unwrap();
+        assert_eq!(m.buddy().allocated_words(), 8);
+        assert_eq!(m.read(b).unwrap(), Word::Uninit);
+        m.free_block(b).unwrap();
+        assert_eq!(m.buddy().allocated_words(), 0);
     }
 
     /// Every address a seeded run of allocations and out-of-order frees

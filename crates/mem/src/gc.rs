@@ -11,45 +11,44 @@
 //! # Two generations
 //!
 //! Because most garbage dies young (the §2.3 context/allocation churn), the
-//! collector splits the heap in two:
+//! collector splits each team's heap in two:
 //!
-//! * The **nursery** — every segment allocated since the last collection.
-//!   [`collect_minor`] traverses and sweeps *only* the nursery, plus the
-//!   roots, any pinned segments, and the **remembered set** — tenured
-//!   segments the [`ObjectSpace`] write barrier saw a pointer stored into.
-//!   Its cost is proportional to young data, not to heap size.
+//! * The **nursery** — every segment allocated since the team's last
+//!   collection. [`collect_minor`] traverses and sweeps *only* the nursery,
+//!   plus the roots, any pinned segments, and the **remembered** segments —
+//!   tenured segments the [`ObjectSpace`] write barrier saw a pointer stored
+//!   into. Its cost is proportional to young data, not to heap size.
 //! * The **tenured** space — survivors of any collection. Only [`collect`]
 //!   (a full mark-sweep) reclaims tenured garbage.
 //!
-//! Every collection ends with a *promotion*: all survivors become tenured,
-//! the nursery and the remembered set empty, and the barrier invariant —
-//! "no unremembered tenured segment points into the nursery" — is
-//! re-established vacuously.
+//! Every collection ends with a *promotion*: all the team's survivors become
+//! tenured, its nursery and remembered list empty, and the barrier
+//! invariant — "no unremembered tenured segment points into the nursery" —
+//! is re-established vacuously. Other teams' generations are untouched.
 //!
-//! # The mark table
+//! # One record per name, one per block
 //!
-//! Marking writes one state byte per segment name — scanned, or seen
-//! tenured by a minor mark — into a table the space keeps between
-//! collections, indexed by exponent class and in-class index (the name
-//! allocator hands names out densely from zero in each class). A list of
-//! the names marked clears it when the sweep begins, so no collection
-//! builds a set, and reading a name's mark is one indexed load. The table
-//! grows only for names the descriptor table holds: a name read from a
-//! word is only looked up, since image words and a privileged `as:` can
-//! name any index of a class. Each reached segment is scanned as one
-//! slice of its block.
+//! A name's descriptor and collector state (young, remembered, its mark)
+//! are one slot of its team's descriptor table, in a row per exponent class
+//! indexed by in-class index; a live block's words, young bit and names
+//! (canonical first) are one record in [`AbsoluteMemory`]'s slab. A name
+//! read from a word is only looked up, never added: image words and a
+//! privileged `as:` can name any index of a class. Each reached segment is
+//! scanned as one slice of its block, and the names marked are unmarked
+//! when the sweep begins.
 //!
-//! Both sweeps read the table and keep their order: descriptor-table
-//! order for a full collection, nursery order for a minor one. That is
-//! the order blocks go back to the buddy allocator and names to their
-//! free lists, so it decides the absolute addresses and names later
-//! allocations get. The instruction cache keys on absolute addresses and
-//! the ATLB on names, so a sweep in another order could move simulated
-//! counts while freeing the same objects.
+//! The full sweep goes in the table's (exponent, index) order, the minor
+//! sweep in the young list's order. That is the order blocks go back to the
+//! buddy allocator and names to their free lists, so it decides the
+//! absolute addresses and names later allocations get. The instruction
+//! cache keys on absolute addresses and the ATLB on names, so a sweep in
+//! another order could move simulated counts while freeing the same
+//! objects.
 
 use com_fpa::{Fpa, SegmentName};
 
-use crate::{AbsAddr, AllocKind, MemError, ObjectSpace, TeamId, Word};
+use crate::segment::Slot;
+use crate::{AbsoluteMemory, AllocKind, MemError, Mmu, ObjectSpace, TeamId, TeamSpace, Word};
 
 /// Which generation a collection covered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,9 +97,9 @@ impl GcStats {
     }
 }
 
-/// A segment name's mark in the current collection.
+/// A segment name's mark in the current collection, kept in its slot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum Mark {
+pub(crate) enum Mark {
     /// Not reached (every name, between collections).
     #[default]
     Unseen,
@@ -111,85 +110,60 @@ enum Mark {
     SeenTenured,
 }
 
-/// Every segment name's [`Mark`], kept between collections (see the module
-/// docs).
+/// What the collector keeps with a team's descriptor table besides each
+/// name's own state in its slot: the lists that drive its iteration, and
+/// the team's write-barrier counters. A listed name that was freed, or
+/// freed and allocated again, keeps its entry until the collection, which
+/// goes by the slot's state.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct MarkTable {
-    /// Per exponent class, the mark of each in-class index. A row reaches
-    /// only as far as the highest index marked, and only names the
-    /// descriptor table holds are marked.
-    classes: Vec<Vec<Mark>>,
-    /// The names marked since the table was last cleared.
-    touched: Vec<SegmentName>,
+pub(crate) struct GcBook {
+    /// Names allocated since the team's last collection, in allocation
+    /// order: the minor sweep's candidates.
+    pub(crate) young_names: Vec<SegmentName>,
+    /// Tenured names that may hold a pointer to a young segment, dirtied by
+    /// the write barrier or left as aliases by a grow since the last
+    /// collection: the minor mark's forced seeds.
+    pub(crate) remembered_names: Vec<SegmentName>,
+    /// The names marked in the current collection.
+    marked_names: Vec<SegmentName>,
+    /// The mark's work list (empty between collections).
+    work: Vec<(SegmentName, bool)>,
+    /// Pointer stores into the team's blocks that consulted the barrier.
+    pub(crate) barrier_stores: u64,
+    /// Barrier consultations and grows that newly remembered a tenured
+    /// segment.
+    pub(crate) barrier_remembers: u64,
 }
 
-impl MarkTable {
-    fn get(&self, name: SegmentName) -> Mark {
-        self.classes
-            .get(usize::from(name.exponent()))
-            .and_then(|row| row.get(usize::try_from(name.index()).ok()?))
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Marks `name`, which must be in the descriptor table.
-    fn set(&mut self, name: SegmentName, mark: Mark) {
-        let class = usize::from(name.exponent());
-        let index = usize::try_from(name.index()).expect("a held name's index fits the host");
-        if self.classes.len() <= class {
-            self.classes.resize_with(class + 1, Vec::new);
-        }
-        let row = &mut self.classes[class];
-        if row.len() <= index {
-            row.resize(index + 1, Mark::Unseen);
-        }
-        if row[index] == Mark::Unseen {
-            self.touched.push(name);
-        }
-        row[index] = mark;
-    }
-
-    /// Unmarks every name marked since the last clear.
-    fn clear(&mut self) {
-        for name in self.touched.drain(..) {
-            self.classes[usize::from(name.exponent())][name.index() as usize] = Mark::Unseen;
-        }
-    }
-}
-
-/// Pops `work` until empty, scanning each segment's words for pointers.
-/// `scan_all` selects the full mark (every reached segment is traversed);
-/// otherwise only forced entries and nursery-based segments are traversed
-/// (the minor mark: tenured segments terminate the walk, their nursery
-/// pointers being covered by the remembered set / pinning). Leaves the
-/// survivors marked [`Mark::Scanned`] in the space's mark table.
-fn mark(
-    space: &mut ObjectSpace,
-    team: TeamId,
-    mut work: Vec<(SegmentName, bool)>,
-    scan_all: bool,
-    stats: &mut GcStats,
-) -> Result<(), MemError> {
-    let (mmu, mem, book) = space.gc_parts();
-    let table = &mmu.team(team)?.table;
-    let (marks, nursery_bases) = (&mut book.marks, &book.nursery_bases);
-    while let Some((seg, force)) = work.pop() {
-        if marks.get(seg) == Mark::Scanned {
-            continue;
-        }
-        let Some(desc) = table.get(seg) else {
+/// Pops the team's work list until empty, scanning each segment's words
+/// for pointers. `scan_all` selects the full mark (every reached segment is
+/// traversed); otherwise only forced entries and young names are traversed
+/// (the minor mark: tenured segments terminate the walk, their young
+/// pointers being covered by the remembered list / pinning — a tenured
+/// alias that a grow re-pointed into a young block is remembered). Leaves
+/// the survivors marked [`Mark::Scanned`].
+fn mark(ts: &mut TeamSpace, mem: &AbsoluteMemory, scan_all: bool, stats: &mut GcStats) {
+    while let Some((seg, force)) = ts.book.work.pop() {
+        let Some(slot) = ts.table.slot_mut(seg) else {
             continue; // dangling root/remembered entry: skip
         };
-        if !(scan_all || force || nursery_bases.contains(&desc.base.0)) {
-            // Tenured, unforced: the segment survives by generation; its
-            // outgoing nursery pointers are covered by the remembered set.
-            marks.set(seg, Mark::SeenTenured);
+        if slot.mark == Mark::Scanned {
             continue;
         }
-        marks.set(seg, Mark::Scanned);
+        let desc = slot.desc;
+        if slot.mark == Mark::Unseen {
+            ts.book.marked_names.push(seg);
+        }
+        if !(scan_all || force || slot.young) {
+            // Tenured, unforced: the segment survives by generation; its
+            // outgoing young pointers are covered by the remembered list.
+            slot.mark = Mark::SeenTenured;
+            continue;
+        }
+        slot.mark = Mark::Scanned;
         stats.marked_segments += 1;
         if let Some(fwd) = desc.forward {
-            work.push((fwd.segment(), false));
+            ts.book.work.push((fwd.segment(), false));
         }
         // One slice per live block the segment's words lie in: one, unless
         // a stale alias's block was freed and its addresses reused.
@@ -207,60 +181,69 @@ fn mark(
             for word in words {
                 if let Word::Ptr(p) = word {
                     let target = p.segment();
-                    if marks.get(target) == Mark::Unseen {
-                        work.push((target, false));
+                    if ts
+                        .table
+                        .slot(target)
+                        .is_some_and(|t| t.mark == Mark::Unseen)
+                    {
+                        ts.book.work.push((target, false));
                     }
                 }
             }
         }
     }
-    Ok(())
 }
 
-/// Removes `name`'s descriptor and, when its block's last name died,
-/// queues the block base for freeing.
-fn sweep_one(
-    space: &mut ObjectSpace,
+/// Unmarks the names marked in this collection, sweeps `dead` in order —
+/// each name's descriptor goes, and a block goes when its last name does —
+/// then promotes the team's young survivors to the tenured generation.
+fn sweep(
+    mmu: &mut Mmu,
+    mem: &mut AbsoluteMemory,
     team: TeamId,
-    name: SegmentName,
-    free_bases: &mut Vec<AbsAddr>,
+    mut dead: Vec<SegmentName>,
     stats: &mut GcStats,
 ) -> Result<(), MemError> {
-    let desc = {
-        let ts = space.mmu_mut().team_mut(team)?;
-        match ts.table.remove(name) {
-            Some(d) => {
-                ts.names.free(name);
-                d
-            }
-            None => return Ok(()),
+    let ts = mmu.team_mut(team)?;
+    for name in ts.book.marked_names.drain(..) {
+        if let Some(slot) = ts.table.slot_mut(name) {
+            slot.mark = Mark::Unseen;
         }
-    };
-    space.mmu_mut().invalidate(team, name);
-    stats.swept_segments += 1;
-    let book = space.book_mut();
-    book.on_drop_name(name, desc.base);
-    if book
-        .base_names
-        .get(&desc.base.0)
-        .is_some_and(|names| names.is_empty())
-    {
-        book.on_block_freed(desc.base);
-        free_bases.push(desc.base);
     }
-    Ok(())
-}
-
-/// Frees the queued block bases (each exactly once — a base is queued only
-/// when its name list empties).
-fn free_blocks(
-    space: &mut ObjectSpace,
-    free_bases: Vec<AbsAddr>,
-    stats: &mut GcStats,
-) -> Result<(), MemError> {
+    let mut free_bases = Vec::new();
+    dead.retain(|&name| {
+        let Some(desc) = ts.table.remove(name) else {
+            return false; // listed twice
+        };
+        ts.names.free(name);
+        if mem
+            .block_mut(desc.base)
+            .is_some_and(|block| block.drop_name(team, name))
+        {
+            free_bases.push(desc.base);
+        }
+        true
+    });
+    stats.swept_segments = dead.len() as u64;
+    for name in ts.book.young_names.drain(..) {
+        let Some(slot) = ts.table.slot_mut(name).filter(|slot| slot.young) else {
+            continue;
+        };
+        slot.young = false;
+        stats.promoted_segments += 1;
+        // A name that forwards nowhere is its block's canonical name.
+        if slot.desc.forward.is_none() {
+            if let Some(block) = mem.block_mut(slot.desc.base) {
+                block.young = false;
+            }
+        }
+    }
+    for name in dead {
+        mmu.invalidate(team, name);
+    }
     for base in free_bases {
-        if let Some(words) = space.memory().block_words(base) {
-            space.memory_mut().free_block(base)?;
+        if let Some(words) = mem.block_words(base) {
+            mem.free_block(base)?;
             stats.blocks_freed += 1;
             stats.words_freed += words;
         }
@@ -268,110 +251,94 @@ fn free_blocks(
     Ok(())
 }
 
-/// Clears the marks, sweeps `dead` in order, frees every block whose last
-/// name died, then promotes every nursery survivor to the tenured
-/// generation and resets the remembered set (the barrier invariant holds
-/// vacuously again).
-fn sweep(
-    space: &mut ObjectSpace,
-    team: TeamId,
-    dead: Vec<SegmentName>,
-    stats: &mut GcStats,
-) -> Result<(), MemError> {
-    space.book_mut().marks.clear();
-    let mut free_bases: Vec<AbsAddr> = Vec::new();
-    for name in dead {
-        sweep_one(space, team, name, &mut free_bases, stats)?;
-    }
-    free_blocks(space, free_bases, stats)?;
-    let book = space.book_mut();
-    stats.promoted_segments = book.nursery_segs.len() as u64;
-    book.nursery_segs.clear();
-    book.nursery_bases.clear();
-    book.remembered.clear();
-    Ok(())
-}
-
-/// The mark work list's seeds: `roots`, then `pinned` (forced).
-fn seeds(roots: &[Fpa], pinned: &[SegmentName]) -> Vec<(SegmentName, bool)> {
-    let roots = roots.iter().map(|r| (r.segment(), false));
-    roots.chain(pinned.iter().map(|p| (*p, true))).collect()
-}
-
 /// Runs a stop-the-world **full** mark-sweep collection of `team`, treating
 /// `roots` (plus any additional `pinned` segments, e.g. contexts resident
-/// in the context cache) as live. Ends with a promotion: all survivors are
-/// tenured afterwards.
-///
-/// The generational bookkeeping is space-global, so collect exactly one
-/// team per [`ObjectSpace`] (the machine's arrangement): collecting team A
-/// promotes — and thereby un-tracks — team B's nursery and remembered
-/// state, which would let a later minor collection of B sweep live young
-/// objects. Multi-team spaces must collect with full sweeps only, or keep
-/// one space per team.
+/// in the context cache) as live. Ends with a promotion: all of the team's
+/// survivors are tenured afterwards. Other teams' generations are left as
+/// they are.
 ///
 /// # Errors
 ///
 /// Returns [`MemError::UnknownTeam`] for a bad team id; dangling roots are
 /// ignored rather than failing the collection.
-pub fn collect(
+pub fn collect<'a>(
     space: &mut ObjectSpace,
     team: TeamId,
-    roots: &[Fpa],
+    roots: impl IntoIterator<Item = &'a Fpa>,
     pinned: &[SegmentName],
 ) -> Result<GcStats, MemError> {
-    let mut stats = GcStats::default();
-    mark(space, team, seeds(roots, pinned), true, &mut stats)?;
-    let marks = &space.book().marks;
-    let dead: Vec<SegmentName> = space
-        .mmu()
-        .team(team)?
-        .table
-        .iter()
-        .map(|(name, _)| name)
-        .filter(|name| marks.get(*name) != Mark::Scanned)
-        .collect();
-    sweep(space, team, dead, &mut stats)?;
-    Ok(stats)
+    collect_kind(space, team, GcKind::Full, roots, pinned)
 }
 
-/// Runs a **minor** (nursery-only) collection: marks from `roots`, the
-/// `pinned` segments (scanned unconditionally — the machine pins
-/// context-cache residents here, whose stores bypass the write barrier),
-/// and the remembered set; sweeps only unreached nursery segments; then
-/// promotes the survivors.
+/// Runs a **minor** (young-generation) collection of `team`: marks from
+/// `roots`, the `pinned` segments (scanned unconditionally — the machine
+/// pins context-cache residents here, whose stores bypass the write
+/// barrier), and the team's remembered list; sweeps only its unreached
+/// young segments; then promotes the survivors.
 ///
 /// Tenured segments are never reclaimed here — that is [`collect`]'s job —
-/// so the cost is proportional to young data plus the remembered set, not
+/// so the cost is proportional to young data plus the remembered list, not
 /// to the live heap.
 ///
 /// # Errors
 ///
 /// Same as [`collect`].
-pub fn collect_minor(
+pub fn collect_minor<'a>(
     space: &mut ObjectSpace,
     team: TeamId,
-    roots: &[Fpa],
+    roots: impl IntoIterator<Item = &'a Fpa>,
     pinned: &[SegmentName],
 ) -> Result<GcStats, MemError> {
+    collect_kind(space, team, GcKind::Minor, roots, pinned)
+}
+
+/// One collection of `team`: seeds the mark with `roots`, then `pinned`
+/// (forced), then — minor only — the remembered list (forced), which
+/// every collection empties (the barrier invariant holds vacuously after
+/// the promotion); marks; and sweeps every unreached name, or only the
+/// young ones in a minor collection.
+fn collect_kind<'a>(
+    space: &mut ObjectSpace,
+    team: TeamId,
+    kind: GcKind,
+    roots: impl IntoIterator<Item = &'a Fpa>,
+    pinned: &[SegmentName],
+) -> Result<GcStats, MemError> {
+    let minor = kind == GcKind::Minor;
     let mut stats = GcStats {
-        minor: true,
+        minor,
         ..GcStats::default()
     };
-
-    let mut work = seeds(roots, pinned);
-    let book = space.book();
-    stats.remembered_scanned = book.remembered.len() as u64;
-    work.extend(book.remembered.iter().map(|s| (*s, true)));
-    mark(space, team, work, false, &mut stats)?;
-    let book = space.book();
-    let dead: Vec<SegmentName> = book
-        .nursery_segs
-        .iter()
-        .copied()
-        .filter(|name| book.marks.get(*name) != Mark::Scanned)
-        .collect();
-    sweep(space, team, dead, &mut stats)?;
+    let (mmu, mem) = space.gc_parts();
+    let ts = mmu.team_mut(team)?;
+    let work = &mut ts.book.work;
+    work.extend(roots.into_iter().map(|root| (root.segment(), false)));
+    work.extend(pinned.iter().map(|name| (*name, true)));
+    for name in ts.book.remembered_names.drain(..) {
+        if let Some(slot) = ts.table.slot_mut(name).filter(|slot| slot.remembered) {
+            slot.remembered = false;
+            if minor {
+                stats.remembered_scanned += 1;
+                ts.book.work.push((name, true));
+            }
+        }
+    }
+    mark(ts, mem, !minor, &mut stats);
+    let unreached = |slot: &Slot| slot.mark != Mark::Scanned;
+    let dead = if minor {
+        let young = ts.book.young_names.iter().copied();
+        young
+            .filter(|name| {
+                ts.table
+                    .slot(*name)
+                    .is_some_and(|s| s.young && unreached(s))
+            })
+            .collect()
+    } else {
+        let slots = ts.table.slots().filter(|(_, slot)| unreached(slot));
+        slots.map(|(name, _)| name).collect()
+    };
+    sweep(mmu, mem, team, dead, &mut stats)?;
     Ok(stats)
 }
 
@@ -583,8 +550,8 @@ mod tests {
 
     #[test]
     fn a_pointer_to_the_last_name_of_a_class_is_only_looked_up() {
-        // Image words and a privileged `as:` can name any index; a mark
-        // table sized by this one would take 256 MiB.
+        // Image words and a privileged `as:` can name any index; a row
+        // reaching this one would take 10 GiB.
         let far = SegmentName::new(3, (1 << 28) - 1);
         let far = Fpa::from_segment(far, 0, FpaFormat::COM).unwrap();
         for minor in [false, true] {
@@ -599,13 +566,13 @@ mod tests {
             assert_eq!(st.marked_segments, 1);
             assert_eq!(st.words_scanned, 2);
             let table = &s.mmu().team(TEAM).unwrap().table;
-            for (class, row) in s.book().marks.classes.iter().enumerate() {
+            for (class, reach) in table.row_lens().enumerate() {
                 let held = table
                     .iter()
                     .filter(|(name, _)| usize::from(name.exponent()) == class)
                     .map(|(name, _)| name.index() + 1)
                     .max();
-                assert!(row.len() as u64 <= held.unwrap_or(0), "class {class}");
+                assert!(reach as u64 <= held.unwrap_or(0), "class {class}");
             }
         }
     }
@@ -725,6 +692,34 @@ mod tests {
         assert_eq!(s.barrier_stats().nursery_segments, 0);
         // The promoted young object is still reachable through `old`.
         assert!(s.read(TEAM, young).is_ok());
+    }
+
+    #[test]
+    fn two_teams_in_one_space_collect_their_own_generations() {
+        let other = TeamId(1);
+        let mut s = space();
+        s.mmu_mut().create_team(other);
+        // Team 0: a tenured holder, a young object only the holder points
+        // to (so the barrier remembers the holder), and young garbage.
+        let holder = s.create(TEAM, CLS, 2, AllocKind::Object).unwrap();
+        collect_simple(&mut s, TEAM, &[holder]).unwrap();
+        let young = s.create(TEAM, CLS, 2, AllocKind::Object).unwrap();
+        s.write(TEAM, holder, Word::Ptr(young)).unwrap();
+        let garbage = s.create(TEAM, CLS, 2, AllocKind::Object).unwrap();
+        // Team 1's minor collection sweeps and promotes only its own.
+        let theirs = s.create(other, CLS, 2, AllocKind::Object).unwrap();
+        let st = collect_minor(&mut s, other, &[theirs], &[]).unwrap();
+        assert_eq!((st.swept_segments, st.promoted_segments), (0, 1));
+        assert_eq!(s.barrier_stats().nursery_segments, 2);
+        assert_eq!(s.barrier_stats().remembered_segments, 1);
+        // Team 0's next minor collection sweeps its young garbage and keeps
+        // what the remembered holder points to.
+        let st = collect_minor(&mut s, TEAM, &[], &[]).unwrap();
+        assert_eq!(st.remembered_scanned, 1);
+        assert_eq!((st.swept_segments, st.promoted_segments), (1, 1));
+        assert!(s.read(TEAM, garbage).is_err());
+        assert!(s.read(TEAM, young).is_ok() && s.read(TEAM, holder).is_ok());
+        assert!(s.read(other, theirs).is_ok());
     }
 
     // --- Randomized equivalence (satellite: minor+full vs full) --------

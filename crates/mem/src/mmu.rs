@@ -84,6 +84,11 @@ impl Mmu {
         self.teams.get(&id).ok_or(MemError::UnknownTeam(id))
     }
 
+    /// Every team space, in no particular order.
+    pub(crate) fn teams(&self) -> impl Iterator<Item = &TeamSpace> {
+        self.teams.values()
+    }
+
     /// Mutably borrows a team space.
     ///
     /// # Errors
@@ -201,11 +206,6 @@ impl Mmu {
         self.atlb.stats()
     }
 
-    /// Resets ATLB statistics (warmup boundary).
-    pub fn reset_atlb_stats(&mut self) {
-        self.atlb.reset_stats();
-    }
-
     /// Bounds traps taken (non-recoverable).
     pub fn bounds_traps(&self) -> u64 {
         self.bounds_traps
@@ -214,11 +214,6 @@ impl Mmu {
     /// Growth-forwarding traps taken (recoverable, §2.2).
     pub fn forward_traps(&self) -> u64 {
         self.forward_traps
-    }
-
-    /// Iterates over all team ids.
-    pub fn team_ids(&self) -> impl Iterator<Item = TeamId> + '_ {
-        self.teams.keys().copied()
     }
 }
 

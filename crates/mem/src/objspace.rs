@@ -1,11 +1,8 @@
 //! The object allocation and access API used by the machines.
 
-use std::collections::{HashMap, HashSet};
-
-use com_cache::FxBuildHasher;
 use com_fpa::{Fpa, SegmentName};
 
-use crate::gc::MarkTable;
+use crate::absolute::BlockNames;
 use crate::{
     AbsAddr, AbsoluteMemory, ClassId, MemError, Mmu, SegmentDescriptor, TeamId, Translation, Word,
 };
@@ -95,86 +92,6 @@ impl AllocStats {
     }
 }
 
-/// Generational bookkeeping shared between [`ObjectSpace`] and the
-/// collector in [`crate::gc`].
-///
-/// The heap is split in two generations. Everything allocated since the
-/// last collection's *promotion* step is the **nursery**; everything that
-/// survived a collection is **tenured**. A minor collection traverses only
-/// nursery segments (plus roots, pinned segments, and the remembered set)
-/// and sweeps only nursery segments, so its cost is proportional to young
-/// data, not to the whole heap. The soundness invariant: *every tenured
-/// segment that may hold a pointer into the nursery is in the remembered
-/// set* — maintained by the write barrier in [`ObjectSpace::write_abs`] /
-/// [`ObjectSpace::write_kind`], and by [`ObjectSpace::grow`], whose
-/// forward edges out of tenured aliases are nursery pointers too
-/// (context-cache-resident contexts bypass the barrier and are instead
-/// pinned by the machine at collection time).
-///
-/// The book is space-global while collections are per-team, so the
-/// generational split currently assumes a **single collected team** (the
-/// machine's arrangement): one team's promotion clears the other's
-/// nursery/remembered state. Multi-team generational collection would need
-/// the book keyed by team — see the doc note on [`crate::gc::collect`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GcBook {
-    /// Segment names allocated since the last promotion — the minor-sweep
-    /// candidates.
-    pub(crate) nursery_segs: HashSet<SegmentName, FxBuildHasher>,
-    /// Absolute block bases allocated since the last promotion. A segment
-    /// based in one of these blocks is traversed fully during a minor
-    /// mark (this includes grow-aliases re-pointed at a fresh block).
-    pub(crate) nursery_bases: HashSet<u64, FxBuildHasher>,
-    /// The remembered set: tenured segments possibly holding pointers
-    /// into the nursery, dirtied by the write barrier since the last
-    /// collection.
-    pub(crate) remembered: HashSet<SegmentName, FxBuildHasher>,
-    /// Block base → every live segment name sharing that block, canonical
-    /// (widest, newest) name first. Lets an absolute-addressed store find
-    /// the segment to remember, and lets the sweep free a block exactly
-    /// when its last name dies.
-    pub(crate) base_names: HashMap<u64, Vec<SegmentName>, FxBuildHasher>,
-    /// Pointer stores that consulted the barrier.
-    pub(crate) barrier_stores: u64,
-    /// Barrier consultations and grows that newly remembered a tenured
-    /// segment.
-    pub(crate) barrier_remembers: u64,
-    /// The collector's mark of every segment name, all unmarked between
-    /// collections.
-    pub(crate) marks: MarkTable,
-}
-
-impl GcBook {
-    /// A fresh segment in a fresh block just entered the heap.
-    pub(crate) fn on_create(&mut self, seg: SegmentName, base: AbsAddr) {
-        self.nursery_segs.insert(seg);
-        self.nursery_bases.insert(base.0);
-        self.base_names.insert(base.0, vec![seg]);
-    }
-
-    /// A descriptor was removed (explicit free or sweep).
-    pub(crate) fn on_drop_name(&mut self, seg: SegmentName, base: AbsAddr) {
-        self.nursery_segs.remove(&seg);
-        self.remembered.remove(&seg);
-        if let Some(names) = self.base_names.get_mut(&base.0) {
-            names.retain(|n| *n != seg);
-        }
-    }
-
-    /// A block's storage was returned to the allocator.
-    pub(crate) fn on_block_freed(&mut self, base: AbsAddr) {
-        self.base_names.remove(&base.0);
-        self.nursery_bases.remove(&base.0);
-    }
-
-    /// A tenured segment may now hold a pointer into the nursery.
-    fn remember(&mut self, seg: SegmentName) {
-        if self.remembered.insert(seg) {
-            self.barrier_remembers += 1;
-        }
-    }
-}
-
 /// Read-only snapshot of the generational bookkeeping (reports, benches).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BarrierStats {
@@ -212,8 +129,6 @@ pub struct ObjectSpace {
     stats: AllocStats,
     /// Pointers repaired by following growth forwards during read/write.
     repairs: u64,
-    /// Generational GC bookkeeping (nursery, remembered set, base index).
-    book: GcBook,
 }
 
 impl ObjectSpace {
@@ -227,64 +142,54 @@ impl ObjectSpace {
             mmu,
             stats: AllocStats::default(),
             repairs: 0,
-            book: GcBook::default(),
         }
     }
 
-    /// The generational bookkeeping (collector-internal).
-    pub(crate) fn book(&self) -> &GcBook {
-        &self.book
+    /// The MMU and memory, split for the collector.
+    pub(crate) fn gc_parts(&mut self) -> (&mut Mmu, &mut AbsoluteMemory) {
+        (&mut self.mmu, &mut self.mem)
     }
 
-    /// Mutable generational bookkeeping (collector-internal).
-    pub(crate) fn book_mut(&mut self) -> &mut GcBook {
-        &mut self.book
-    }
-
-    /// The MMU and memory the collector reads while it marks in the book.
-    pub(crate) fn gc_parts(&mut self) -> (&Mmu, &AbsoluteMemory, &mut GcBook) {
-        (&self.mmu, &self.mem, &mut self.book)
-    }
-
-    /// Write-barrier and generation counters.
+    /// Write-barrier and generation counters, summed over the teams.
     pub fn barrier_stats(&self) -> BarrierStats {
-        BarrierStats {
-            nursery_segments: self.book.nursery_segs.len(),
-            remembered_segments: self.book.remembered.len(),
-            pointer_stores: self.book.barrier_stores,
-            remembers: self.book.barrier_remembers,
+        let mut stats = BarrierStats::default();
+        for ts in self.mmu.teams() {
+            for (_, slot) in ts.table.slots() {
+                stats.nursery_segments += usize::from(slot.young);
+                stats.remembered_segments += usize::from(slot.remembered);
+            }
+            stats.pointer_stores += ts.book.barrier_stores;
+            stats.remembers += ts.book.barrier_remembers;
         }
+        stats
     }
 
     /// The canonical (widest, newest) live segment based at absolute block
     /// `base` — how the machine maps a context-cache-resident block back to
     /// the segment it pins at collection time.
     pub fn segment_at_base(&self, base: AbsAddr) -> Option<SegmentName> {
-        self.book
-            .base_names
-            .get(&base.0)
-            .and_then(|names| names.first())
-            .copied()
+        self.mem.block(base)?.names.as_slice().first().copied()
     }
 
     /// The write barrier: a pointer word was stored at absolute address
-    /// `abs`. Stores into nursery blocks need no record (the nursery is
-    /// traversed in full by every collection); stores into tenured blocks
-    /// add the block's canonical segment to the remembered set so a minor
+    /// `abs`. Stores into young blocks need no record (a minor collection
+    /// traverses them in full); a store into a tenured block puts the
+    /// block's canonical segment on its team's remembered list so a minor
     /// collection scans it.
     #[inline]
     fn note_pointer_store(&mut self, abs: AbsAddr) {
-        self.book.barrier_stores += 1;
-        let Some(base) = self.mem.containing_base(abs) else {
+        let Some((_, block)) = self.mem.block_containing(abs) else {
             return;
         };
-        if self.book.nursery_bases.contains(&base.0) {
+        let (team, young) = (block.team, block.young);
+        let canon = block.names.as_slice().first().copied();
+        let Ok(ts) = self.mmu.team_mut(team) else {
             return;
+        };
+        ts.book.barrier_stores += 1;
+        if let Some(canon) = canon.filter(|_| !young) {
+            ts.remember(canon);
         }
-        let Some(canon) = self.segment_at_base(base) else {
-            return;
-        };
-        self.book.remember(canon);
     }
 
     /// The underlying MMU (teams, ATLB, trap counters).
@@ -302,8 +207,8 @@ impl ObjectSpace {
         &self.mem
     }
 
-    /// Mutable access to the absolute memory (the GC and the context cache
-    /// write back through this).
+    /// Mutable access to the absolute memory: a write through it bypasses
+    /// the write barrier.
     pub fn memory_mut(&mut self) -> &mut AbsoluteMemory {
         &mut self.mem
     }
@@ -332,24 +237,40 @@ impl ObjectSpace {
         words: u64,
         kind: AllocKind,
     ) -> Result<Fpa, MemError> {
-        let base_abs = self.mem.alloc_block(words.max(1))?;
+        let words = words.max(1);
+        let (addr, _) = self.new_segment(team, class, words)?;
+        let i = AllocStats::idx(kind);
+        self.stats.allocs[i] += 1;
+        self.stats.words[i] += words;
+        Ok(addr)
+    }
+
+    /// Allocates a block of `words` words and a fresh name for it in
+    /// `team`, both young, returning the name's base capability and the
+    /// block's base.
+    fn new_segment(
+        &mut self,
+        team: TeamId,
+        class: ClassId,
+        words: u64,
+    ) -> Result<(Fpa, AbsAddr), MemError> {
         let ts = self.mmu.team_mut(team)?;
-        let addr = match ts.names.alloc_for_size(words.max(1)) {
+        let base = self.mem.alloc_block(words)?;
+        let addr = match ts.names.alloc_for_size(words) {
             Ok(a) => a,
             Err(e) => {
-                self.mem.free_block(base_abs)?;
+                self.mem.free_block(base)?;
                 return Err(e.into());
             }
         };
-        ts.table.insert(
-            addr.segment(),
-            SegmentDescriptor::new(base_abs, words.max(1), class),
-        );
-        self.book.on_create(addr.segment(), base_abs);
-        let i = AllocStats::idx(kind);
-        self.stats.allocs[i] += 1;
-        self.stats.words[i] += words.max(1);
-        Ok(addr)
+        let name = addr.segment();
+        ts.table
+            .insert(name, SegmentDescriptor::new(base, words, class));
+        ts.table.slot_mut(name).expect("inserted above").young = true;
+        ts.book.young_names.push(name);
+        let block = self.mem.block_mut(base).expect("allocated above");
+        (block.team, block.young, block.names) = (team, true, BlockNames::One(name));
+        Ok((addr, base))
     }
 
     /// Creates an object of `words` words and fills its first
@@ -412,13 +333,14 @@ impl ObjectSpace {
             .ok_or(MemError::UnknownSegment { team, segment })?;
         ts.names.free(segment);
         self.mmu.invalidate(team, segment);
-        self.book.on_drop_name(segment, desc.base);
         // Aliased (forwarded-from) names may still reference this block; the
         // storage is freed only if this descriptor still owns a live block
         // at its base (forwarded old names share the new block).
-        if self.mem.block_words(desc.base).is_some() && desc.forward.is_none() {
-            self.mem.free_block(desc.base)?;
-            self.book.on_block_freed(desc.base);
+        if let Some(block) = self.mem.block_mut(desc.base) {
+            block.drop_name(team, segment);
+            if desc.forward.is_none() {
+                self.mem.free_block(desc.base)?;
+            }
         }
         self.stats.frees[AllocStats::idx(kind)] += 1;
         Ok(())
@@ -443,65 +365,49 @@ impl ObjectSpace {
         if new_words <= old_desc.length {
             return Ok(addr); // nothing to do
         }
-        let new_abs = self.mem.alloc_block(new_words)?;
-        let ts = self.mmu.team_mut(team)?;
-        let new_addr = match ts.names.alloc_for_size(new_words) {
-            Ok(a) => a,
-            Err(com_fpa::FpaError::ObjectTooLarge { .. }) => {
-                self.mem.free_block(new_abs)?;
-                return Err(MemError::GrowTooLarge { addr, new_words });
+        let (new_addr, new_abs) = match self.new_segment(team, old_desc.class, new_words) {
+            Err(MemError::Address(com_fpa::FpaError::ObjectTooLarge { .. })) => {
+                return Err(MemError::GrowTooLarge { addr, new_words })
             }
-            Err(e) => {
-                self.mem.free_block(new_abs)?;
-                return Err(e.into());
-            }
+            made => made?,
         };
-        // Copy contents to the new block.
-        for off in 0..old_desc.length {
-            let w = self.mem.peek(old_desc.base.offset(off))?;
-            self.mem.write(new_abs.offset(off), w)?;
-        }
         let old_base = old_desc.base;
-        let ts = self.mmu.team_mut(team)?;
+        let words = (self.mem.words_from(old_base)).and_then(|w| w.get(..old_desc.length as usize));
+        let words = words.ok_or(MemError::UnmappedAbsolute(old_base))?.to_vec();
+        self.mem.write_run(new_abs, &words)?;
         // "The segment descriptors of both the old and the new pointers are
-        // set to point to the new segment." Every alias of the old block —
-        // names left behind by earlier grows included — is re-pointed and
+        // set to point to the new segment." Every name of the old block —
+        // aliases left behind by earlier grows included — is re-pointed and
         // forwarded to the newest name, so no alias can observe the freed
-        // storage.
-        ts.table.insert(
-            new_addr.segment(),
-            SegmentDescriptor::new(new_abs, new_words, old_desc.class),
-        );
-        let aliases: Vec<_> = ts
-            .table
-            .iter()
-            .filter(|(name, d)| d.base == old_base && *name != new_addr.segment())
-            .map(|(name, _)| name)
-            .collect();
-        for name in &aliases {
-            let d = ts.table.get_mut(*name).expect("listed above");
-            d.base = new_abs;
-            d.forward = Some(new_addr);
-        }
-        // The new block (and its new name) enter the nursery; the aliases
-        // move with the storage, so the base index keeps the canonical
-        // (widest) name first, followed by every alias. Each alias now
-        // forwards into the nursery, so a tenured alias is a tenured
-        // segment holding a nursery pointer and joins the remembered set:
-        // a minor collection that reaches it only through a tenured holder
-        // never scans that holder, and would otherwise sweep the new name.
-        self.book.on_create(new_addr.segment(), new_abs);
-        if let Some(names) = self.book.base_names.get_mut(&new_abs.0) {
-            names.extend(aliases.iter().copied());
-        }
-        for name in aliases {
-            if !self.book.nursery_segs.contains(&name) {
-                self.book.remember(name);
+        // storage, and follows it into the new block's record after the
+        // new canonical name. Each alias now forwards into the young
+        // generation, so a tenured alias is a tenured segment holding a
+        // young pointer and joins the remembered list: a minor collection
+        // that reaches it only through a tenured holder never scans that
+        // holder, and would otherwise sweep the new name.
+        let aliases = self
+            .mem
+            .block_mut(old_base)
+            .filter(|block| block.team == team)
+            .map(|block| std::mem::take(&mut block.names))
+            .unwrap_or_default();
+        let ts = self.mmu.team_mut(team)?;
+        for &name in aliases.as_slice() {
+            if let Some(slot) = ts.table.slot_mut(name) {
+                slot.desc.base = new_abs;
+                slot.desc.forward = Some(new_addr);
+                if !slot.young {
+                    ts.remember(name);
+                }
             }
+        }
+        for &name in aliases.as_slice() {
             self.mmu.invalidate(team, name);
         }
+        let names = std::iter::once(new_addr.segment()).chain(aliases.as_slice().iter().copied());
+        let block = self.mem.block_mut(new_abs).expect("allocated above");
+        block.names = BlockNames::Many(names.collect());
         self.mem.free_block(old_base)?;
-        self.book.on_block_freed(old_base);
         Ok(new_addr)
     }
 
@@ -733,6 +639,15 @@ mod tests {
         ));
         // The object must remain intact after the failed grow.
         assert_eq!(s.length_of(TEAM, obj).unwrap(), 4);
+    }
+
+    #[test]
+    fn an_unknown_team_gets_no_block() {
+        let mut s = space();
+        let unknown = TeamId(9);
+        let made = s.create(unknown, ClassId(9), 8, AllocKind::Object);
+        assert_eq!(made, Err(MemError::UnknownTeam(unknown)));
+        assert_eq!(s.memory().buddy().allocated_words(), 0);
     }
 
     #[test]

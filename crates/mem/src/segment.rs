@@ -1,11 +1,8 @@
 //! Per-team segment descriptor tables.
 
-use std::collections::HashMap;
-
-use com_cache::FxBuildHasher;
-
 use com_fpa::{Fpa, FpaFormat, NameAllocator, SegmentName};
 
+use crate::gc::{GcBook, Mark};
 use crate::{AbsAddr, ClassId};
 
 /// Identifier of a team of processes; the machine's SN register holds the
@@ -51,10 +48,27 @@ impl SegmentDescriptor {
     }
 }
 
-/// A team's segment descriptor table: segment name → descriptor.
+/// One held name's record: its descriptor and its collector state.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Slot {
+    pub(crate) desc: SegmentDescriptor,
+    /// Allocated since the team's last collection (on the young list).
+    pub(crate) young: bool,
+    /// Tenured and on the remembered list: it may hold a pointer to a
+    /// young segment.
+    pub(crate) remembered: bool,
+    pub(crate) mark: Mark,
+}
+
+/// A team's segment descriptor table: one slot per name, holding its
+/// descriptor and collector state, in a row per exponent class indexed by
+/// in-class index. The team's [`NameAllocator`] hands names out densely
+/// from zero in each class, so a row reaches only as far as the highest
+/// name inserted; a name read from a word is only looked up.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentTable {
-    entries: HashMap<SegmentName, SegmentDescriptor, FxBuildHasher>,
+    rows: Vec<Vec<Option<Slot>>>,
+    len: usize,
 }
 
 impl SegmentTable {
@@ -63,45 +77,81 @@ impl SegmentTable {
         Self::default()
     }
 
+    /// The slot of a held name.
+    pub(crate) fn slot(&self, name: SegmentName) -> Option<&Slot> {
+        let row = self.rows.get(usize::from(name.exponent()))?;
+        row.get(usize::try_from(name.index()).ok()?)?.as_ref()
+    }
+
+    /// The slot of a held name, mutably.
+    pub(crate) fn slot_mut(&mut self, name: SegmentName) -> Option<&mut Slot> {
+        let row = self.rows.get_mut(usize::from(name.exponent()))?;
+        row.get_mut(usize::try_from(name.index()).ok()?)?.as_mut()
+    }
+
+    /// Every held slot, in (exponent, index) order.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = (SegmentName, &Slot)> {
+        self.rows.iter().enumerate().flat_map(|(exponent, row)| {
+            let name = move |index| SegmentName::new(exponent as u8, index as u64);
+            let slots = row.iter().enumerate();
+            slots.filter_map(move |(index, slot)| Some((name(index), slot.as_ref()?)))
+        })
+    }
+
     /// Looks up a descriptor.
     pub fn get(&self, name: SegmentName) -> Option<&SegmentDescriptor> {
-        self.entries.get(&name)
+        self.slot(name).map(|slot| &slot.desc)
     }
 
     /// Looks up a descriptor mutably.
     pub fn get_mut(&mut self, name: SegmentName) -> Option<&mut SegmentDescriptor> {
-        self.entries.get_mut(&name)
+        self.slot_mut(name).map(|slot| &mut slot.desc)
     }
 
-    /// Installs (or replaces) a descriptor.
+    /// Installs (or replaces) a descriptor. The row grows to reach `name`,
+    /// so names come from the team's allocator.
     pub fn insert(&mut self, name: SegmentName, desc: SegmentDescriptor) {
-        self.entries.insert(name, desc);
+        let class = usize::from(name.exponent());
+        let index = usize::try_from(name.index()).expect("an allocated name's index fits the host");
+        if self.rows.len() <= class {
+            self.rows.resize_with(class + 1, Vec::new);
+        }
+        let row = &mut self.rows[class];
+        if row.len() <= index {
+            row.resize(index + 1, None);
+        }
+        self.len += usize::from(row[index].is_none());
+        row[index].get_or_insert_with(Slot::default).desc = desc;
     }
 
-    /// Removes a descriptor, returning it.
+    /// Removes a descriptor, returning it; the slot's collector state goes
+    /// with it.
     pub fn remove(&mut self, name: SegmentName) -> Option<SegmentDescriptor> {
-        self.entries.remove(&name)
+        let row = self.rows.get_mut(usize::from(name.exponent()))?;
+        let slot = row.get_mut(usize::try_from(name.index()).ok()?)?.take()?;
+        self.len -= 1;
+        Some(slot.desc)
     }
 
     /// Number of descriptors ("segment table entries need only be kept for
     /// those segments actually allocated", §2.2).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
-    /// Iterates over `(name, descriptor)` pairs in unspecified order.
+    /// Iterates over `(name, descriptor)` pairs in (exponent, index) order.
     pub fn iter(&self) -> impl Iterator<Item = (SegmentName, &SegmentDescriptor)> {
-        self.entries.iter().map(|(k, v)| (*k, v))
+        self.slots().map(|(name, slot)| (name, &slot.desc))
     }
 }
 
 /// A team space: its id, segment descriptor table and virtual-name
-/// allocator.
+/// allocator, and what the collector keeps with the table.
 #[derive(Debug, Clone)]
 pub struct TeamSpace {
     id: TeamId,
@@ -109,6 +159,9 @@ pub struct TeamSpace {
     pub table: SegmentTable,
     /// Allocator of fresh virtual names for this team.
     pub names: NameAllocator,
+    /// The lists that drive the collector's iteration over the team's
+    /// names, and its write-barrier counters.
+    pub(crate) book: GcBook,
 }
 
 impl TeamSpace {
@@ -118,12 +171,33 @@ impl TeamSpace {
             id,
             table: SegmentTable::new(),
             names: NameAllocator::new(format),
+            book: GcBook::default(),
         }
     }
 
     /// The team's identifier.
     pub fn id(&self) -> TeamId {
         self.id
+    }
+
+    /// Puts a held name on the remembered list: it is tenured and may now
+    /// hold a pointer to a young segment.
+    pub(crate) fn remember(&mut self, name: SegmentName) {
+        if let Some(slot) = self.table.slot_mut(name) {
+            if !slot.remembered {
+                slot.remembered = true;
+                self.book.remembered_names.push(name);
+                self.book.barrier_remembers += 1;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl SegmentTable {
+    /// How far each exponent class's row reaches.
+    pub(crate) fn row_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.rows.iter().map(Vec::len)
     }
 }
 
