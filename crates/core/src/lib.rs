@@ -39,11 +39,13 @@ pub use config::{MachineConfig, LOOKUP_COST, MEMORY_PENALTY};
 pub use ctxcache::{ContextCache, CtxCacheStats};
 pub use exec::data_op;
 pub use image::{MethodSource, ProgramImage};
-pub use loaded::LoadedImage;
+pub use loaded::{install_image, LoadedImage};
 pub use machine::{DispatchEvent, DispatchObserver, GcTotals, Machine, RunOutcome, RunResult};
 
-// Re-exported so machine drivers can pick a collection scope without
-// depending on `com-mem` directly.
+// Re-exported so code that runs a machine can pick a collection scope,
+// and name the addresses and formats a machine takes and hands out,
+// without depending on `com-mem` or `com-fpa` directly.
+pub use com_fpa::{Fpa, FpaFormat};
 pub use com_mem::gc::GcKind;
 pub use pipeline::CycleStats;
 pub use trap::MachineError;

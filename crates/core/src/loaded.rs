@@ -59,12 +59,11 @@ impl BootTemplate {
         space_log2: u8,
     ) -> Result<BootTemplate, MemError> {
         let mut space = ObjectSpace::new(space_log2, format);
-        let mut classes = image.classes.clone();
-        let context_class = context_class_in(&mut classes);
+        let mut classes = ClassTable::new();
         let mut code_roots = Vec::new();
         let mut slab = Vec::new();
         let mut index: HashMap<u64, u32, FxBuildHasher> = HashMap::default();
-        store_and_install(
+        let context_class = store_and_install(
             &mut space,
             TeamId(0),
             &mut classes,
@@ -89,20 +88,53 @@ impl BootTemplate {
 /// The class contexts take in a machine running `classes`: the table's
 /// `Context`, defined under `Object` when the table has none.
 pub(crate) fn context_class_in(classes: &mut ClassTable) -> ClassId {
-    match classes.by_name("Context") {
+    let name = "Context";
+    match classes.by_name(name) {
         Some(c) => c,
         None => classes
-            .define("Context", Some(ClassTable::OBJECT), 0)
+            .define(name, Some(ClassTable::OBJECT), 0)
             .expect("name free"),
     }
 }
 
+/// Fills `classes` with the class table a machine running `image`
+/// dispatches over, and returns the class its contexts take: the image's
+/// classes, with `Context` defined under `Object` when the image has no
+/// class of that name, then image method *i* installed as `method(i)`, in
+/// image order, so the last install of a (class, selector) pair wins.
+/// Every boot path builds its machine's table here, and a static analysis
+/// that does the same with entries of its own asks the table the machine
+/// asks.
+///
+/// # Errors
+///
+/// The first error `method` returns; `classes` then holds the installs
+/// made before it.
+///
+/// # Panics
+///
+/// If a method names a class the image does not define, as
+/// [`ClassTable::install`] does.
+pub fn install_image<E>(
+    classes: &mut ClassTable,
+    image: &ProgramImage,
+    mut method: impl FnMut(usize) -> Result<DefinedMethod, E>,
+) -> Result<ClassId, E> {
+    *classes = image.classes.clone();
+    let context = context_class_in(classes);
+    for (i, m) in image.methods.iter().enumerate() {
+        classes.install(m.class, m.selector, MethodRef::Defined(method(i)?));
+    }
+    Ok(context)
+}
+
 /// The one boot sequence for storing an image's methods into a machine's
-/// space: store each code object, pin it as a GC root, bind its shared
+/// space: [`install_image`], where each method's entry comes from storing
+/// its code object, pinning it as a GC root and binding its shared
 /// pre-decoded body (when one exists) into the caller's slab via `bind`,
-/// and install the (then pre-resolved) method reference. The template
-/// build, `Machine::boot`'s store-per-method path and `Machine::load` run
-/// exactly this function, so the boot paths cannot drift.
+/// so the entry is installed pre-resolved. The template build,
+/// `Machine::boot`'s store-per-method path and `Machine::load` run exactly
+/// this function, so the boot paths cannot drift.
 pub(crate) fn store_and_install(
     space: &mut ObjectSpace,
     team: TeamId,
@@ -111,19 +143,19 @@ pub(crate) fn store_and_install(
     body_of: impl Fn(usize) -> Option<Arc<DecodedBody>>,
     code_roots: &mut Vec<Fpa>,
     mut bind: impl FnMut(Fpa, AbsAddr, Arc<DecodedBody>) -> u32,
-) -> Result<(), MemError> {
-    for (i, m) in image.methods.iter().enumerate() {
-        let base = m.code.store(space, team)?;
+) -> Result<ClassId, MemError> {
+    install_image(classes, image, |i| {
+        let code = &image.methods[i].code;
+        let base = code.store(space, team)?;
         code_roots.push(base);
-        let mut dm = DefinedMethod::new(base, m.code.n_args);
-        if let Some(body) = body_of(i) {
-            let base = base.base();
-            let abs = space.translate(team, base)?.abs;
-            dm = dm.resolved(bind(base, abs, body));
-        }
-        classes.install(m.class, m.selector, MethodRef::Defined(dm));
-    }
-    Ok(())
+        let dm = DefinedMethod::new(base, code.n_args);
+        let Some(body) = body_of(i) else {
+            return Ok(dm);
+        };
+        let base = base.base();
+        let abs = space.translate(team, base)?.abs;
+        Ok(dm.resolved(bind(base, abs, body)))
+    })
 }
 
 /// An immutable, shareable compiled program: the [`ProgramImage`] plus a

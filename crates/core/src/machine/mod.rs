@@ -301,10 +301,8 @@ impl Machine {
         image: &ProgramImage,
         body_of: impl Fn(usize) -> Option<Arc<DecodedBody>>,
     ) -> Result<(), MachineError> {
-        self.classes = image.classes.clone();
         self.atoms = image.atoms.clone();
         self.opcodes = image.opcodes.clone();
-        self.context_class = crate::loaded::context_class_in(&mut self.classes);
         // The decoded methods go with every cache that reaches them: slab
         // slots cached in the ITLB would otherwise dangle into the old
         // program.
@@ -320,7 +318,7 @@ impl Machine {
         }
         let decoded = &mut self.decoded;
         let decoded_index = &mut self.decoded_index;
-        crate::loaded::store_and_install(
+        self.context_class = crate::loaded::store_and_install(
             &mut self.space,
             self.team,
             &mut self.classes,

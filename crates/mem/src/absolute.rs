@@ -260,8 +260,6 @@ pub struct AbsoluteMemory {
     /// Invalidated on any free (a memo hit must imply liveness;
     /// allocation only adds blocks, so it cannot stale the memo).
     last_block: std::cell::Cell<(u64, u64, u32)>,
-    reads: u64,
-    writes: u64,
 }
 
 impl AbsoluteMemory {
@@ -273,8 +271,6 @@ impl AbsoluteMemory {
             slots: Vec::new(),
             free_slots: Vec::new(),
             last_block: std::cell::Cell::new((0, 0, 0)),
-            reads: 0,
-            writes: 0,
         }
     }
 
@@ -379,9 +375,8 @@ impl AbsoluteMemory {
     /// # Errors
     ///
     /// Returns [`MemError::UnmappedAbsolute`] outside any live block.
-    pub fn read(&mut self, addr: AbsAddr) -> Result<Word, MemError> {
+    pub fn read(&self, addr: AbsAddr) -> Result<Word, MemError> {
         let (base, slot) = self.locate(addr)?;
-        self.reads += 1;
         Ok(self.slots[slot as usize].data[(addr.0 - base) as usize])
     }
 
@@ -392,7 +387,6 @@ impl AbsoluteMemory {
     /// Returns [`MemError::UnmappedAbsolute`] outside any live block.
     pub fn write(&mut self, addr: AbsAddr, word: Word) -> Result<(), MemError> {
         let (base, slot) = self.locate(addr)?;
-        self.writes += 1;
         self.slots[slot as usize].data[(addr.0 - base) as usize] = word;
         Ok(())
     }
@@ -420,15 +414,14 @@ impl AbsoluteMemory {
                 base.0 + run.len() as u64 - 1,
             )));
         }
-        self.writes += run.len() as u64;
         block.data[start..end].copy_from_slice(run);
         Ok(())
     }
 
     /// The held words of the live block containing `addr`, from `addr` to
-    /// the last of them: one bounds check for a run of non-recording reads
-    /// (the collector scans a segment through this, and a grow copies one).
-    /// `None` outside every live block.
+    /// the last of them: one bounds check for a run of reads (the collector
+    /// scans a segment through this, and a grow copies one). `None` outside
+    /// every live block.
     pub(crate) fn words_from(&self, addr: AbsAddr) -> Option<&[Word]> {
         let (base, slot) = self.locate(addr).ok()?;
         Some(&self.slots[slot as usize].data[(addr.0 - base) as usize..])
@@ -437,16 +430,6 @@ impl AbsoluteMemory {
     /// The buddy allocator (for occupancy statistics).
     pub fn buddy(&self) -> &BuddyAllocator {
         &self.buddy
-    }
-
-    /// Total recorded reads.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total recorded writes.
-    pub fn writes(&self) -> u64 {
-        self.writes
     }
 }
 
@@ -562,8 +545,6 @@ mod tests {
         assert_eq!(m.read(base.offset(4)).unwrap(), Word::Uninit);
         // The rounding reserves addresses, not words.
         assert!(m.write(base.offset(10), Word::Int(1)).is_err());
-        assert_eq!(m.reads(), 2);
-        assert_eq!(m.writes(), 1);
     }
 
     #[test]

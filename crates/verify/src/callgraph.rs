@@ -14,7 +14,7 @@ use com_core::ProgramImage;
 use com_obj::TrapSelector;
 
 use crate::cfg::Cfg;
-use crate::infer::{Inference, SiteKind, StaticResolver};
+use crate::infer::{Inference, SiteKind};
 use crate::solve::solve;
 
 /// A worst-case instruction budget, or the admission that none exists.
@@ -65,7 +65,6 @@ impl CallGraph {
                 degraded: true,
             };
         }
-        let resolver = StaticResolver::new(image, &inference.universe);
         let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
         // Per-method, per-pc callee lists for the fuel computation.
         let mut site_callees: Vec<Vec<Vec<usize>>> = vec![Vec::new(); n];
@@ -83,11 +82,10 @@ impl CallGraph {
                     // A trappable primitive may divert into a
                     // `badOperands:` handler on the receiver's chain.
                     if !site.prims.is_empty() {
-                        for rc in inference.universe.classes_in(&site.receivers) {
-                            if let Some(h) = resolver.handler(rc, TrapSelector::BadOperands) {
-                                if !callees.contains(&h) {
-                                    callees.push(h);
-                                }
+                        let bad = TrapSelector::BadOperands;
+                        for h in inference.universe.handlers(&site.receivers, bad) {
+                            if !callees.contains(&h) {
+                                callees.push(h);
                             }
                         }
                     }

@@ -9,6 +9,13 @@
 //! and propagated through the existing CFG with conservative havoc only
 //! at truly-unknown joins (context-escaping callees, privileged retags).
 //!
+//! Dispatch itself is the machine's, not a model of it: each (class,
+//! selector) pair is resolved once per image, by the machine's lookup
+//! ([`lookup_method`]) over the class table com-core's loader builds
+//! ([`install_image`]), into the table the inference, the call graph and
+//! the lints all read ([`ClassUniverse::target`]). It is the static twin
+//! of the ITLB, filled for every pair rather than on a miss.
+//!
 //! The machine semantics the transfer function mirrors (see
 //! `com-core`'s `Machine`):
 //!
@@ -47,11 +54,12 @@
 //! contained in the inferred receiver set.
 
 use std::collections::{BTreeSet, HashMap};
+use std::convert::Infallible;
 
-use com_core::ProgramImage;
+use com_core::{install_image, Fpa, FpaFormat, ProgramImage};
 use com_isa::{CodeObject, Instr, Opcode, Operand, PrimOp, ResultShape};
 use com_mem::{ClassId, Word};
-use com_obj::{ClassTable, MethodRef, TrapSelector};
+use com_obj::{lookup_method, ClassTable, DefinedMethod, MethodRef, TrapSelector};
 
 use crate::cfg::Cfg;
 use crate::check::verify_image;
@@ -130,47 +138,94 @@ impl core::fmt::Debug for ClassSet {
     }
 }
 
-/// The closed world the inference ranges over: every class the image
-/// registers, plus the machine's `Context` class (defined at adoption
-/// if the image does not carry one — mirrored here).
+/// The closed world the inference ranges over, and what each dispatch in
+/// it resolves to: the static twin of the ITLB.
+///
+/// The class table is the one a machine running the image dispatches
+/// over, built by com-core's loader ([`install_image`]): every class the
+/// image registers, `Context`, and the image's methods installed in image
+/// order. Each (class, selector) pair is resolved once, when the universe
+/// is built, by the machine's own lookup ([`lookup_method`]), so a query
+/// is one array read.
 #[derive(Debug, Clone)]
 pub struct ClassUniverse {
-    /// The image's class table with `Context` guaranteed present.
+    /// The class table a machine running the image dispatches over. The
+    /// entry image method *i* installs carries *i* in
+    /// [`DefinedMethod::slab`] and points at no code.
     pub classes: ClassTable,
     /// The class the machine tags context pointers with.
     pub context: ClassId,
     ids: Vec<ClassId>,
     index: HashMap<ClassId, usize>,
     top: ClassSet,
+    /// Selectors per row of `targets`: the highest interned opcode, plus
+    /// one.
+    width: usize,
+    /// What each pair resolves to, at row `class.0`, column `selector.0`.
+    targets: Vec<Target>,
+    /// Per row, the handlers in [`TrapSelector::ALL`] order.
+    handlers: Vec<[Option<usize>; 2]>,
 }
 
 impl ClassUniverse {
-    /// Builds the universe for an image, or `None` if it exceeds
-    /// [`MAX_CLASSES`].
-    pub fn for_image(image: &ProgramImage) -> Option<ClassUniverse> {
-        let mut classes = image.classes.clone();
-        let context = match classes.by_name("Context") {
-            Some(c) => c,
-            None => classes
-                .define("Context", Some(ClassTable::OBJECT), 0)
-                .ok()?,
-        };
-        let ids = classes.ids();
-        if ids.len() > MAX_CLASSES {
-            return None;
-        }
+    /// Builds the universe for an image and resolves every (class,
+    /// interned selector) pair in it.
+    ///
+    /// An image with more than [`MAX_CLASSES`] classes gets an empty
+    /// universe: no class sets, and resolutions only for the classes a
+    /// constant can carry (the lints' constant folding reads those).
+    pub fn for_image(image: &ProgramImage) -> ClassUniverse {
+        let nowhere = Fpa::from_raw(0, FpaFormat::COM).expect("name 0 is in every format");
+        let mut classes = ClassTable::new();
+        let Ok(context) = install_image(&mut classes, image, |i| {
+            let n_args = image.methods[i].code.n_args;
+            Ok::<_, Infallible>(DefinedMethod::new(nowhere, n_args).resolved(i as u32))
+        });
+        let all = classes.ids();
+        let degraded = all.len() > MAX_CLASSES;
+        let rows: Vec<ClassId> = all
+            .iter()
+            .copied()
+            .filter(|c| !degraded || *c < ClassTable::OBJECT)
+            .collect();
+        let ids = if degraded { Vec::new() } else { all };
         let index: HashMap<ClassId, usize> = ids.iter().enumerate().map(|(i, c)| (*c, i)).collect();
         let mut top = ClassSet::EMPTY;
         for i in 0..ids.len() {
             top.insert(i);
         }
-        Some(ClassUniverse {
+
+        let selectors: Vec<Opcode> = image.opcodes.iter().map(|(op, _)| op).collect();
+        let width = selectors.iter().map(|s| s.0 + 1).max().unwrap_or(0) as usize;
+        let height = rows.iter().map(|c| c.0 as usize + 1).max().unwrap_or(0);
+        let [dnu, bad] = TrapSelector::ALL.map(|t| image.opcodes.get(t.name()));
+        let n = image.methods.len();
+        let mut targets = vec![Target::Dnu { handler: None }; height * width];
+        let mut handlers = vec![[None; 2]; height];
+        for &class in &rows {
+            let row = &mut targets[class.0 as usize * width..][..width];
+            // The `doesNotUnderstand:` entry first: every selector the
+            // class does not answer dispatches to it.
+            let dnu_handler = dnu.and_then(|sel| {
+                row[sel.0 as usize] = resolve(&classes, class, sel, None, n);
+                row[sel.0 as usize].method()
+            });
+            for &sel in selectors.iter().filter(|s| Some(**s) != dnu) {
+                row[sel.0 as usize] = resolve(&classes, class, sel, dnu_handler, n);
+            }
+            let bad_handler = bad.and_then(|sel| row[sel.0 as usize].method());
+            handlers[class.0 as usize] = [dnu_handler, bad_handler];
+        }
+        ClassUniverse {
             classes,
             context,
             ids,
             index,
             top,
-        })
+            width,
+            targets,
+            handlers,
+        }
     }
 
     /// Number of classes in the universe.
@@ -178,7 +233,8 @@ impl ClassUniverse {
         self.ids.len()
     }
 
-    /// Whether the universe is empty (never — primitives always exist).
+    /// Whether the universe is empty: only for an image beyond
+    /// [`MAX_CLASSES`], whose inference is degraded.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
@@ -219,100 +275,87 @@ impl ClassUniverse {
         set.indices().filter_map(move |i| self.ids.get(i).copied())
     }
 
-    /// The superclass chain starting at `class` (cycle-guarded).
-    fn chain(&self, class: ClassId) -> Vec<ClassId> {
+    /// What a receiver of `class` dispatching `selector` resolves to. A
+    /// class the image does not register, or a selector it does not
+    /// intern, is not understood.
+    pub fn target(&self, class: ClassId, selector: Opcode) -> Target {
+        let (row, col) = (class.0 as usize, selector.0 as usize);
+        match self.targets.get(row * self.width + col) {
+            Some(t) if col < self.width => *t,
+            _ => Target::Dnu { handler: None },
+        }
+    }
+
+    /// The image method the machine's trap dispatch runs for `trap` on a
+    /// receiver of `class`, if any: the one
+    /// [`lookup_trap_handler`](com_obj::lookup_trap_handler) finds.
+    pub fn handler(&self, class: ClassId, trap: TrapSelector) -> Option<usize> {
+        self.handlers.get(class.0 as usize)?[trap as usize]
+    }
+
+    /// The distinct [`handler`](Self::handler)s for `trap` over the
+    /// classes in `set`, in class order.
+    pub fn handlers(&self, set: &ClassSet, trap: TrapSelector) -> Vec<usize> {
         let mut out = Vec::new();
-        let mut cur = Some(class);
-        while let Some(c) = cur {
-            if out.contains(&c) || out.len() > self.ids.len() {
-                break;
+        for h in self.classes_in(set).filter_map(|c| self.handler(c, trap)) {
+            if !out.contains(&h) {
+                out.push(h);
             }
-            out.push(c);
-            cur = self.classes.get(c).and_then(|i| i.superclass);
         }
         out
     }
 }
 
-/// What a (receiver class, selector) pair statically resolves to —
-/// mirroring the machine's lookup with the image's defined methods
-/// taking precedence over dictionary primitives at each class (the
-/// load-time install overwrites the dictionary entry).
+/// The machine's lookup of `sel` for a receiver of `class`, read as a
+/// [`Target`] over an image of `n` methods. A miss dispatches to `dnu`,
+/// the class's `doesNotUnderstand:` handler.
+fn resolve(
+    classes: &ClassTable,
+    class: ClassId,
+    sel: Opcode,
+    dnu: Option<usize>,
+    n: usize,
+) -> Target {
+    let out = lookup_method(classes, class, sel);
+    match out.method {
+        Some(MethodRef::Primitive(p)) => Target::Primitive(p),
+        Some(MethodRef::Defined(d)) if (d.slab as usize) < n => Target::Method(d.slab as usize),
+        // An entry the image's class table carried rather than installed:
+        // understood, but there is no code to analyse.
+        Some(MethodRef::Defined(_)) => Target::Dnu { handler: None },
+        // A superclass chain that loops traps as table corruption, and
+        // no handler runs.
+        None if out.cycle => Target::Dnu { handler: None },
+        None => Target::Dnu { handler: dnu },
+    }
+}
+
+/// What a (receiver class, selector) pair resolves to under the machine's
+/// lookup over the loader's class table, as [`ClassUniverse::target`]
+/// answers it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Target {
     /// A primitive function-unit operation.
     Primitive(PrimOp),
     /// The image method at this index.
     Method(usize),
-    /// No class on the chain answers: `doesNotUnderstand:`. `handled`
-    /// records whether the chain installs a defined handler for it.
+    /// The send does not reach analysable code: no class on the chain
+    /// answers (`doesNotUnderstand:`), the chain loops, or the entry found
+    /// was not installed by the image.
     Dnu {
-        /// Whether a `doesNotUnderstand:` handler is on the chain.
-        handled: bool,
+        /// The `doesNotUnderstand:` handler the machine runs instead, for
+        /// a plain miss on a chain that installs one.
+        handler: Option<usize>,
     },
 }
 
-/// The static resolver: the image's method installs over the class
-/// dictionaries, plus trap-handler lookups.
-#[derive(Debug)]
-pub struct StaticResolver<'a> {
-    universe: &'a ClassUniverse,
-    defined: HashMap<(ClassId, Opcode), usize>,
-    dnu: Option<Opcode>,
-    bad: Option<Opcode>,
-}
-
-impl<'a> StaticResolver<'a> {
-    /// Builds the resolver for an image over its universe.
-    pub fn new(image: &ProgramImage, universe: &'a ClassUniverse) -> StaticResolver<'a> {
-        // Last install wins, exactly as `ClassTable::install` overwrites.
-        let mut defined = HashMap::new();
-        for (i, m) in image.methods.iter().enumerate() {
-            defined.insert((m.class, m.selector), i);
+impl Target {
+    /// The image method, for a [`Target::Method`].
+    fn method(self) -> Option<usize> {
+        match self {
+            Target::Method(i) => Some(i),
+            _ => None,
         }
-        StaticResolver {
-            universe,
-            defined,
-            dnu: image.opcodes.get(TrapSelector::DoesNotUnderstand.name()),
-            bad: image.opcodes.get(TrapSelector::BadOperands.name()),
-        }
-    }
-
-    /// Resolves a selector against a receiver class, walking the chain.
-    pub fn resolve(&self, class: ClassId, selector: Opcode) -> Target {
-        for c in self.universe.chain(class) {
-            if let Some(i) = self.defined.get(&(c, selector)) {
-                return Target::Method(*i);
-            }
-            if let Some(info) = self.universe.classes.get(c) {
-                match info.dict.lookup(selector).0 {
-                    Some(MethodRef::Primitive(p)) => return Target::Primitive(p),
-                    // A pre-installed defined method in a bare image
-                    // dictionary has no method index; treat it as an
-                    // unanalyzable (but understood) target.
-                    Some(MethodRef::Defined(_)) => return Target::Dnu { handled: false },
-                    None => {}
-                }
-            }
-        }
-        Target::Dnu {
-            handled: self
-                .handler(class, TrapSelector::DoesNotUnderstand)
-                .is_some(),
-        }
-    }
-
-    /// The defined handler method for `trap` on `class`'s chain, if any
-    /// (the machine only dispatches traps to *defined* handlers).
-    pub fn handler(&self, class: ClassId, trap: TrapSelector) -> Option<usize> {
-        let sel = match trap {
-            TrapSelector::DoesNotUnderstand => self.dnu?,
-            TrapSelector::BadOperands => self.bad?,
-        };
-        self.universe
-            .chain(class)
-            .into_iter()
-            .find_map(|c| self.defined.get(&(c, sel)).copied())
     }
 }
 
@@ -466,7 +509,6 @@ impl State {
 struct Analyzer<'a> {
     image: &'a ProgramImage,
     universe: &'a ClassUniverse,
-    resolver: StaticResolver<'a>,
     install_sets: Vec<ClassSet>,
     cfgs: &'a [Cfg],
     uninit: ClassSet,
@@ -493,15 +535,14 @@ struct Analyzer<'a> {
 
 impl<'a> Analyzer<'a> {
     fn new(image: &'a ProgramImage, universe: &'a ClassUniverse, cfgs: &'a [Cfg]) -> Analyzer<'a> {
-        let resolver = StaticResolver::new(image, universe);
         // For each method, the receiver classes whose lookup of its
         // selector lands on it: the dispatch invariant that seeds every
-        // entry state. One lookup per class and selector, not per method.
+        // entry state. One read per class and selector, not per method.
         let selectors: BTreeSet<Opcode> = image.methods.iter().map(|m| m.selector).collect();
         let mut install_sets = vec![ClassSet::EMPTY; image.methods.len()];
         for &class in universe.ids() {
             for &selector in &selectors {
-                if let Target::Method(i) = resolver.resolve(class, selector) {
+                if let Target::Method(i) = universe.target(class, selector) {
                     install_sets[i].union(&universe.singleton(class));
                 }
             }
@@ -516,7 +557,6 @@ impl<'a> Analyzer<'a> {
         Analyzer {
             image,
             universe,
-            resolver,
             install_sets,
             cfgs,
             uninit: universe.singleton(ClassId::UNINIT),
@@ -642,19 +682,6 @@ impl<'a> Analyzer<'a> {
         p.is_pure_data() && !matches!(p, PrimOp::Move | PrimOp::Same | PrimOp::TagOf)
     }
 
-    /// `badOperands:` handler methods over a receiver set.
-    fn bad_handlers(&self, recv: &ClassSet) -> Vec<usize> {
-        let mut out = Vec::new();
-        for c in self.universe.classes_in(recv) {
-            if let Some(m) = self.resolver.handler(c, TrapSelector::BadOperands) {
-                if !out.contains(&m) {
-                    out.push(m);
-                }
-            }
-        }
-        out
-    }
-
     /// Applies the state effects of calling into `callees` (defined
     /// methods and/or trap handlers): havoc on context-writing callees,
     /// result join into the destination, next-context reset.
@@ -771,7 +798,7 @@ impl<'a> Analyzer<'a> {
         let mut dnu_unhandled = false;
         let receiver_classes: Vec<ClassId> = self.universe.classes_in(&bset).collect();
         for rc in &receiver_classes {
-            match self.resolver.resolve(*rc, selector) {
+            match self.universe.target(*rc, selector) {
                 Target::Primitive(p) => {
                     if !prims.contains(&p) {
                         prims.push(p);
@@ -782,18 +809,13 @@ impl<'a> Analyzer<'a> {
                         methods.push(m);
                     }
                 }
-                Target::Dnu { handled } => {
-                    if handled {
-                        dnu_handled = true;
-                    } else {
-                        dnu_unhandled = true;
-                    }
-                    if let Some(h) = self.resolver.handler(*rc, TrapSelector::DoesNotUnderstand) {
-                        if !methods.contains(&h) {
-                            methods.push(h);
-                        }
+                Target::Dnu { handler: Some(h) } => {
+                    dnu_handled = true;
+                    if !methods.contains(&h) {
+                        methods.push(h);
                     }
                 }
+                Target::Dnu { handler: None } => dnu_unhandled = true,
             }
         }
 
@@ -973,7 +995,7 @@ impl<'a> Analyzer<'a> {
             // `badOperands:` handlers, whose answer lands where the
             // primitive's result would have. Join the trapped path in.
             if prims.iter().any(|p| self.prim_can_trap(*p)) {
-                let handlers = self.bad_handlers(&bset);
+                let handlers = self.universe.handlers(&bset, TrapSelector::BadOperands);
                 if !handlers.is_empty() {
                     let mut trapped = st.clone();
                     self.apply_call(&mut trapped, dest, zero_form, &handlers);
@@ -1185,36 +1207,30 @@ fn fresh_facts(image: &ProgramImage, sites: &[Site], site_base: &[usize]) -> Vec
 /// The first [`VerifyError`], as [`verify_image`].
 pub fn infer_image(image: &ProgramImage) -> Result<Inference, VerifyError> {
     verify_image(image)?;
-    let Some(universe) = ClassUniverse::for_image(image) else {
+    let universe = ClassUniverse::for_image(image);
+    let n = image.methods.len();
+    if universe.is_empty() {
         // Degraded: too many classes for the dense domain. Trivially
         // sound (no claims), no sites.
-        let big = image.classes.clone();
-        let context = big.by_name("Context").unwrap_or(ClassTable::OBJECT);
         return Ok(Inference {
-            universe: ClassUniverse {
-                classes: big,
-                context,
-                ids: Vec::new(),
-                index: HashMap::new(),
-                top: ClassSet::EMPTY,
-            },
+            universe,
             sites: Vec::new(),
-            returns: vec![ClassSet::EMPTY; image.methods.len()],
-            may_write_ctx: vec![true; image.methods.len()],
-            install_sets: vec![ClassSet::EMPTY; image.methods.len()],
+            returns: vec![ClassSet::EMPTY; n],
+            may_write_ctx: vec![true; n],
+            install_sets: vec![ClassSet::EMPTY; n],
             fresh: Vec::new(),
             degraded: true,
-            site_base: vec![0; image.methods.len() + 1],
+            site_base: vec![0; n + 1],
         });
-    };
+    }
 
     let cfgs: Vec<Cfg> = image.methods.iter().map(|m| Cfg::build(&m.code)).collect();
     let mut analyzer = Analyzer::new(image, &universe, &cfgs);
     analyzer.converge();
     // Final collection pass with converged summaries.
     let mut sites = Vec::new();
-    let mut site_base = Vec::with_capacity(image.methods.len() + 1);
-    for m in 0..image.methods.len() {
+    let mut site_base = Vec::with_capacity(n + 1);
+    for m in 0..n {
         site_base.push(sites.len());
         analyzer.analyze_method(m, Some(&mut sites));
     }
@@ -1243,13 +1259,17 @@ pub fn infer_image(image: &ProgramImage) -> Result<Inference, VerifyError> {
 mod tests {
     use super::*;
     use com_cache::Rng;
+    use com_core::{Machine, MachineConfig, MachineError};
     use com_isa::Assembler;
+    use com_obj::lookup_trap_handler;
     use com_stc::{compile_com, CompileOptions};
+    use com_vm::{Vm, VmError};
 
     /// Converges `image` on a fresh analyzer and hands it to `check`
     /// with the method analyses the fixpoint took.
     fn with_converged<R>(image: &ProgramImage, check: impl FnOnce(&mut Analyzer, usize) -> R) -> R {
-        let universe = ClassUniverse::for_image(image).expect("within the class budget");
+        let universe = ClassUniverse::for_image(image);
+        assert!(!universe.is_empty(), "within the class budget");
         let cfgs: Vec<Cfg> = image.methods.iter().map(|m| Cfg::build(&m.code)).collect();
         let mut analyzer = Analyzer::new(image, &universe, &cfgs);
         let analyses = analyzer.converge();
@@ -1416,6 +1436,111 @@ mod tests {
         assert_eq!(n, 94);
         let analyses = with_converged(&image, |_, analyses| analyses);
         assert!(analyses + n < 4 * n, "{analyses} analyses of {n} methods");
+    }
+
+    #[test]
+    fn the_table_answers_what_a_loaded_machine_looks_up() {
+        // Every (class, interned selector) pair against the lookup of a
+        // machine that loaded the image, pairs no run dispatches included:
+        // the soundness differential only sees the pairs a workload sends.
+        let mut images = vec![compile("")];
+        images.extend(com_workloads::all().iter().map(|w| compile(w.source)));
+        let mut rng = Rng::new(0x7ab1_e5ed);
+        images.extend((0..20).map(|_| compile(&random_program(&mut rng))));
+        // `double` installed twice on SmallInteger (the second install
+        // wins), and `+` overridden there.
+        let mut image = double_image();
+        let double = image.methods[0].clone();
+        let mut asm = Assembler::new("SmallInteger ≫ +", 2);
+        asm.emit_three_ret(
+            Opcode::MOVE,
+            Operand::Cur(0),
+            Operand::Cur(2),
+            Operand::Cur(2),
+        )
+        .unwrap();
+        image.add_method(ClassId::SMALL_INT, Opcode::ADD, asm.finish().unwrap());
+        image.methods.push(double);
+        images.push(image);
+
+        for image in &images {
+            let universe = ClassUniverse::for_image(image);
+            let mut machine = Machine::new(MachineConfig::default());
+            machine.load(image).expect("loads");
+            let (classes, roots) = (machine.classes(), machine.code_roots());
+            for &class in universe.ids() {
+                for (sel, name) in image.opcodes.iter() {
+                    match (
+                        universe.target(class, sel),
+                        lookup_method(classes, class, sel).method,
+                    ) {
+                        (Target::Primitive(p), Some(MethodRef::Primitive(q))) => assert_eq!(p, q),
+                        (Target::Method(i), Some(MethodRef::Defined(d))) => {
+                            assert_eq!(roots[i], d.code, "{class} {name}")
+                        }
+                        (Target::Dnu { .. }, None) => {}
+                        (target, found) => {
+                            panic!(
+                                "{class} {name}: the table says {target:?}, the machine {found:?}"
+                            )
+                        }
+                    }
+                }
+                for trap in TrapSelector::ALL {
+                    let found = image
+                        .opcodes
+                        .get(trap.name())
+                        .and_then(|sel| lookup_trap_handler(classes, class, sel).0);
+                    let handler = universe.handler(class, trap).map(|i| roots[i]);
+                    assert_eq!(handler, found.map(|d| d.code), "{class} {trap}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cyclic_superclass_chain_calls_no_handler() {
+        // `Object`'s superclass looped back to `SmallInteger`: looking
+        // `frobnicate` up from an integer traps as table corruption, and
+        // the `doesNotUnderstand:` handler never runs.
+        let mut image = compile(
+            "class SmallInteger method probe ^self frobnicate end \
+             method doesNotUnderstand: m ^7 end end",
+        );
+        image
+            .classes
+            .get_mut(ClassTable::OBJECT)
+            .unwrap()
+            .superclass = Some(ClassId::SMALL_INT);
+        let vm = Vm::from_image(image.clone(), MachineConfig::default()).expect("verifies");
+        match vm.session().expect("boots").call::<i64>("probe", 1) {
+            Err(VmError::Trap(t)) => {
+                assert!(
+                    matches!(t.cause, MachineError::ClassChainCycle { .. }),
+                    "{t}"
+                );
+                assert_eq!(t.stats.soft_traps, 0, "no handler ran");
+            }
+            other => panic!("expected a chain-cycle trap, got {other:?}"),
+        }
+        let probe = image.opcodes.get("probe").unwrap();
+        let probe = image
+            .methods
+            .iter()
+            .position(|m| m.selector == probe)
+            .unwrap();
+        let frobnicate = image.opcodes.get("frobnicate").unwrap();
+        let inference = infer_image(&image).expect("verifies");
+        let site = inference
+            .sites_of(probe)
+            .iter()
+            .find(|s| s.selector == frobnicate)
+            .unwrap();
+        assert!(inference
+            .universe
+            .contains(&site.receivers, ClassId::SMALL_INT));
+        assert!(site.methods.is_empty(), "{site:?}");
+        assert!(!site.dnu_handled && site.dnu_unhandled, "{site:?}");
     }
 
     fn double_image() -> ProgramImage {

@@ -47,7 +47,5 @@ pub use check::{verify_code, verify_image, verify_words, MAX_SLOT};
 pub use dataflow::{ConstSlots, ConstVal, Liveness, PrimResolver, UninitSlots};
 pub use error::{Provenance, VerifyError, VerifyErrorKind};
 pub use facts::ImageFacts;
-pub use infer::{
-    infer_image, ClassSet, ClassUniverse, Inference, Site, SiteKind, StaticResolver, Target,
-};
+pub use infer::{infer_image, ClassSet, ClassUniverse, Inference, Site, SiteKind, Target};
 pub use lint::{lint_code, lint_facts, lint_image, DiagCode, Diagnostic, Severity};

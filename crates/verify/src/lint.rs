@@ -1,15 +1,14 @@
 //! Dataflow lints with stable diagnostic codes, for the `vmlint` CLI.
 
 use com_core::ProgramImage;
-use com_isa::{CodeObject, Opcode, PrimOp};
-use com_mem::ClassId;
-use com_obj::{lookup_method, MethodRef, TrapSelector};
-use std::collections::HashSet;
+use com_isa::CodeObject;
+use com_obj::TrapSelector;
 
 use crate::cfg::Cfg;
 use crate::dataflow::{def_slot, use_slots, ConstSlots, Liveness, UninitSlots};
 use crate::error::{Provenance, VerifyError};
 use crate::facts::ImageFacts;
+use crate::infer::Target;
 
 /// Diagnostic severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -175,20 +174,12 @@ pub fn lint_image(image: &ProgramImage) -> Result<Vec<Diagnostic>, VerifyError> 
 /// reports the methods `facts` found unreachable from its entries.
 pub fn lint_facts(image: &ProgramImage, facts: &ImageFacts) -> Vec<Diagnostic> {
     let inference = &facts.inference;
-    let sharp = (!inference.degraded)
-        .then(|| crate::infer::StaticResolver::new(image, &inference.universe));
-    // Selectors any image method defines: sends of these may dispatch to
-    // the defined method instead of the primitive, so constant folding
-    // must not claim to know their result (conservative, class-insensitive).
-    let overridden: HashSet<Opcode> = image.methods.iter().map(|m| m.selector).collect();
-    let resolve = |class: ClassId, op: Opcode| -> Option<PrimOp> {
-        if overridden.contains(&op) {
-            return None;
-        }
-        match lookup_method(&image.classes, class, op).method {
-            Some(MethodRef::Primitive(p)) => Some(p),
-            _ => None,
-        }
+    let universe = &inference.universe;
+    // Constant folding runs the primitive the constant's class dispatches
+    // to, and no send that reaches a defined method.
+    let resolve = |class, op| match universe.target(class, op) {
+        Target::Primitive(p) => Some(p),
+        _ => None,
     };
     let image_global_suppress = image
         .opcodes
@@ -214,12 +205,11 @@ pub fn lint_facts(image: &ProgramImage, facts: &ImageFacts) -> Vec<Diagnostic> {
             }
             // A dead site has no receiver class, so `all` holds: it
             // never executes.
-            let suppressed = match (&sharp, inference.site(index, pc)) {
-                (Some(r), Some(site)) => inference
-                    .universe
+            let suppressed = match inference.site(index, pc) {
+                Some(site) => universe
                     .classes_in(&site.receivers)
-                    .all(|c| r.handler(c, TrapSelector::BadOperands).is_some()),
-                _ => image_global_suppress,
+                    .all(|c| universe.handler(c, TrapSelector::BadOperands).is_some()),
+                None => image_global_suppress,
             };
             if !suppressed {
                 out.push(Diagnostic {
@@ -232,38 +222,25 @@ pub fn lint_facts(image: &ProgramImage, facts: &ImageFacts) -> Vec<Diagnostic> {
         }
 
         // L005 — sends the receiver set provably never understands.
-        if let Some(r) = &sharp {
-            for site in inference.sites_of(index) {
-                if site.receivers.is_empty() {
-                    continue;
-                }
-                let mut all_dnu = true;
-                let mut all_handled = true;
-                for c in inference.universe.classes_in(&site.receivers) {
-                    match r.resolve(c, site.selector) {
-                        crate::infer::Target::Dnu { handled } => {
-                            if !handled {
-                                all_handled = false;
-                            }
-                        }
-                        _ => {
-                            all_dnu = false;
-                            break;
-                        }
-                    }
-                }
-                if all_dnu && !all_handled {
-                    let name = image.opcodes.name(site.selector).unwrap_or("?");
-                    out.push(Diagnostic {
-                        code: DiagCode::GuaranteedDnu,
-                        method: prov.clone(),
-                        offset: Some(site.pc),
-                        message: format!(
-                            "no inferred receiver class understands `{name}` \
-                             and none installs a doesNotUnderstand: handler"
-                        ),
-                    });
-                }
+        for site in inference.sites_of(index) {
+            // Some(true): every receiver class misses, and one has no handler.
+            let unhandled = universe
+                .classes_in(&site.receivers)
+                .try_fold(false, |any, c| match universe.target(c, site.selector) {
+                    Target::Dnu { handler } => Some(any || handler.is_none()),
+                    _ => None,
+                });
+            if unhandled == Some(true) {
+                let name = image.opcodes.name(site.selector).unwrap_or("?");
+                out.push(Diagnostic {
+                    code: DiagCode::GuaranteedDnu,
+                    method: prov.clone(),
+                    offset: Some(site.pc),
+                    message: format!(
+                        "no inferred receiver class understands `{name}` \
+                         and none installs a doesNotUnderstand: handler"
+                    ),
+                });
             }
         }
 
@@ -391,8 +368,10 @@ pub fn lint_code(code: &CodeObject, prov: &Provenance) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use com_isa::{Assembler, Operand};
-    use com_mem::Word;
+    use com_isa::{Assembler, Opcode, Operand};
+    use com_mem::{ClassId, Word};
+    use com_stc::{compile_com, CompileOptions};
+    use com_vm::{Vm, VmError};
 
     fn image_with(code: CodeObject) -> ProgramImage {
         let mut img = ProgramImage::empty();
@@ -446,6 +425,34 @@ mod tests {
         assert_eq!(w[0].code, DiagCode::UseBeforeDef);
         assert_eq!(w[0].offset, Some(0));
         assert!(w[0].to_string().contains("L003"));
+    }
+
+    #[test]
+    fn an_override_on_an_unrelated_class_hides_no_always_trapping_send() {
+        // `Foo>>/` is not on SmallInteger's chain: with or without it, the
+        // machine runs SmallInteger's primitive `/` for `1 / 0`, and traps.
+        let boom = "class SmallInteger method boom ^1 / 0 end end";
+        let foo = format!("class Foo extends Object method / x ^x end end {boom}");
+        for source in [boom, &foo] {
+            let image = compile_com(source, CompileOptions::default()).expect("compiles");
+            let sel = image.opcodes.get("boom").unwrap();
+            let index = image.methods.iter().position(|m| m.selector == sel);
+            let l004: Vec<_> = lint_image(&image)
+                .unwrap()
+                .into_iter()
+                .filter(|d| d.code == DiagCode::AlwaysTraps)
+                .map(|d| (d.method.index, d.offset))
+                .collect();
+            assert_eq!(l004, vec![(index, Some(0))], "{source}");
+            let vm = Vm::from_image(image, Default::default()).expect("verifies");
+            match vm.session().expect("boots").call::<i64>("boom", 1) {
+                Err(VmError::Trap(t)) => assert!(
+                    matches!(t.cause, com_core::MachineError::BadOperands { .. }),
+                    "{t}"
+                ),
+                other => panic!("expected an operand trap, got {other:?}"),
+            }
+        }
     }
 
     #[test]
