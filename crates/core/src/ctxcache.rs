@@ -134,7 +134,7 @@ impl ContextCache {
     pub fn new(blocks: usize) -> Self {
         assert!(blocks >= 3, "context cache needs at least 3 blocks");
         ContextCache {
-            blocks: (0..blocks).map(|_| Block::empty()).collect(),
+            blocks: vec![Block::empty(); blocks],
             current: None,
             next: None,
             free_stack: (0..blocks).rev().collect(),

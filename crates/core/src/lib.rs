@@ -39,7 +39,7 @@ pub use config::{MachineConfig, LOOKUP_COST, MEMORY_PENALTY};
 pub use ctxcache::{ContextCache, CtxCacheStats};
 pub use exec::data_op;
 pub use image::{MethodSource, ProgramImage};
-pub use loaded::{install_image, LoadedImage};
+pub use loaded::{install_image, LoadedImage, SeededBoot};
 pub use machine::{DispatchEvent, DispatchObserver, GcTotals, Machine, RunOutcome, RunResult};
 
 // Re-exported so code that runs a machine can pick a collection scope,

@@ -18,11 +18,12 @@ use std::sync::{Arc, Mutex};
 
 use com_cache::FxBuildHasher;
 use com_fpa::{Fpa, FpaFormat};
-use com_mem::{AbsAddr, ClassId, MemError, ObjectSpace, TeamId};
-use com_obj::{ClassTable, DefinedMethod, MethodRef};
+use com_isa::OpcodeTable;
+use com_mem::{AbsAddr, ClassId, ObjectSpace, TeamId};
+use com_obj::{AtomTable, ClassTable, DefinedMethod, Itlb, ItlbKey, MethodRef};
 
 use crate::machine::{push_decoded, Decoded, DecodedBody};
-use crate::{MachineConfig, ProgramImage};
+use crate::{Machine, MachineConfig, MachineError, ProgramImage};
 
 /// A fully pre-booted machine state for one space geometry: the image's
 /// code objects already stored into a pristine object space, the class
@@ -30,6 +31,13 @@ use crate::{MachineConfig, ProgramImage};
 /// decoded-method slab laid out. Booting a session from the template is a
 /// handful of clones — no allocation walk, no dictionary installs, no
 /// decoding.
+///
+/// The class, selector and atom tables are held behind [`Arc`]s, and every
+/// machine booted from the template shares them: a machine only reads
+/// them, until [`Machine::load`] replaces them or
+/// [`Machine::intern_selector`] copies the selector table to add a name.
+/// What a machine writes (its space, slab, caches and statistics) is its
+/// own: the space and slab are cloned per boot.
 ///
 /// The template is geometry-specific (address format + space size); a
 /// machine with a different geometry takes the store-per-method path
@@ -42,7 +50,9 @@ pub(crate) struct BootTemplate {
     /// `Sync` (the space's bounds-check memo is interior-mutable); boots
     /// take the lock briefly to clone.
     pub(crate) space: Mutex<ObjectSpace>,
-    pub(crate) classes: ClassTable,
+    pub(crate) classes: Arc<ClassTable>,
+    pub(crate) atoms: Arc<AtomTable>,
+    pub(crate) opcodes: Arc<OpcodeTable>,
     pub(crate) context_class: ClassId,
     pub(crate) code_roots: Vec<Fpa>,
     /// The decoded-method slab, bound to the template space's code.
@@ -57,16 +67,14 @@ impl BootTemplate {
         bodies: &[Option<Arc<DecodedBody>>],
         format: FpaFormat,
         space_log2: u8,
-    ) -> Result<BootTemplate, MemError> {
+    ) -> Result<BootTemplate, MachineError> {
         let mut space = ObjectSpace::new(space_log2, format);
-        let mut classes = ClassTable::new();
         let mut code_roots = Vec::new();
         let mut slab = Vec::new();
         let mut index: HashMap<u64, u32, FxBuildHasher> = HashMap::default();
-        let context_class = store_and_install(
+        let (classes, context_class) = store_and_install(
             &mut space,
             TeamId(0),
-            &mut classes,
             image,
             |i| bodies[i].clone(),
             &mut code_roots,
@@ -76,12 +84,46 @@ impl BootTemplate {
             format,
             space_log2,
             space: Mutex::new(space),
-            classes,
+            classes: Arc::new(classes),
+            atoms: Arc::new(image.atoms.clone()),
+            opcodes: Arc::new(image.opcodes.clone()),
             context_class,
             code_roots,
             slab,
             index,
         })
+    }
+}
+
+/// A machine's state right after it was booted from an image and its ITLB
+/// was seeded ([`Machine::preseed_itlb`]), kept so that more machines can
+/// start from it: [`Machine::boot_seeded`] gives each one a copy of the
+/// seeded ITLB (contents, LRU stamps, clock and counters), of the slab
+/// entries the seeding decoded and of the space, and shares the image's
+/// tables, so it is bit-identical to a machine booted and seeded on its
+/// own without repeating a lookup.
+#[derive(Debug)]
+pub struct SeededBoot {
+    pub(crate) config: MachineConfig,
+    pub(crate) template: BootTemplate,
+    pub(crate) itlb: Option<Itlb>,
+}
+
+impl SeededBoot {
+    /// Boots one machine from `loaded` with `config`, seeds its ITLB with
+    /// `keys` and keeps the state it is then in.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::boot`].
+    pub fn new(
+        config: MachineConfig,
+        loaded: &LoadedImage,
+        keys: &[ItlbKey],
+    ) -> Result<SeededBoot, MachineError> {
+        let mut m = Machine::boot(config, loaded)?;
+        m.preseed_itlb(keys);
+        Ok(m.into_seeded_boot())
     }
 }
 
@@ -97,35 +139,35 @@ pub(crate) fn context_class_in(classes: &mut ClassTable) -> ClassId {
     }
 }
 
-/// Fills `classes` with the class table a machine running `image`
-/// dispatches over, and returns the class its contexts take: the image's
-/// classes, with `Context` defined under `Object` when the image has no
-/// class of that name, then image method *i* installed as `method(i)`, in
-/// image order, so the last install of a (class, selector) pair wins.
-/// Every boot path builds its machine's table here, and a static analysis
-/// that does the same with entries of its own asks the table the machine
-/// asks.
+/// The class table a machine running `image` dispatches over, and the
+/// class its contexts take: the image's classes, with `Context` defined
+/// under `Object` when the image has no class of that name, then image
+/// method *i* installed as `method(i)`, in image order, so the last install
+/// of a (class, selector) pair wins. Every boot path builds its machine's
+/// table here, and a static analysis that does the same with entries of
+/// its own asks the table the machine asks.
 ///
 /// # Errors
 ///
-/// The first error `method` returns; `classes` then holds the installs
-/// made before it.
-///
-/// # Panics
-///
-/// If a method names a class the image does not define, as
-/// [`ClassTable::install`] does.
-pub fn install_image<E>(
-    classes: &mut ClassTable,
+/// [`MachineError::UndefinedClass`] for the first method whose class the
+/// image does not define (before `method` is asked for it), or the first
+/// error `method` returns.
+pub fn install_image(
     image: &ProgramImage,
-    mut method: impl FnMut(usize) -> Result<DefinedMethod, E>,
-) -> Result<ClassId, E> {
-    *classes = image.classes.clone();
-    let context = context_class_in(classes);
+    mut method: impl FnMut(usize) -> Result<DefinedMethod, MachineError>,
+) -> Result<(ClassTable, ClassId), MachineError> {
+    let mut classes = image.classes.clone();
+    let context = context_class_in(&mut classes);
     for (i, m) in image.methods.iter().enumerate() {
+        if image.classes.get(m.class).is_none() {
+            return Err(MachineError::UndefinedClass {
+                method: i,
+                class: m.class,
+            });
+        }
         classes.install(m.class, m.selector, MethodRef::Defined(method(i)?));
     }
-    Ok(context)
+    Ok((classes, context))
 }
 
 /// The one boot sequence for storing an image's methods into a machine's
@@ -138,13 +180,12 @@ pub fn install_image<E>(
 pub(crate) fn store_and_install(
     space: &mut ObjectSpace,
     team: TeamId,
-    classes: &mut ClassTable,
     image: &ProgramImage,
     body_of: impl Fn(usize) -> Option<Arc<DecodedBody>>,
     code_roots: &mut Vec<Fpa>,
     mut bind: impl FnMut(Fpa, AbsAddr, Arc<DecodedBody>) -> u32,
-) -> Result<ClassId, MemError> {
-    install_image(classes, image, |i| {
+) -> Result<(ClassTable, ClassId), MachineError> {
+    install_image(image, |i| {
         let code = &image.methods[i].code;
         let base = code.store(space, team)?;
         code_roots.push(base);
@@ -171,7 +212,8 @@ pub struct LoadedImage {
     /// machine must decode lazily instead.
     bodies: Vec<Option<Arc<DecodedBody>>>,
     /// Pre-booted state for the prepared geometry (absent only if the
-    /// image cannot be stored in a space of that geometry).
+    /// image cannot be stored in a space of that geometry, or installs a
+    /// method into a class it does not define).
     template: Option<BootTemplate>,
 }
 
@@ -272,6 +314,27 @@ mod tests {
         assert_eq!(li.predecoded(), 1);
         assert!(li.body(0).is_some());
         assert!(li.body(1).is_none());
+    }
+
+    #[test]
+    fn a_method_on_an_undefined_class_is_a_typed_refusal() {
+        let mut img = sample_image();
+        img.methods[0].class = ClassId(300);
+        let refusal = Err(MachineError::UndefinedClass {
+            method: 0,
+            class: ClassId(300),
+        });
+        assert_eq!(install_image(&img, |_| unreachable!()).map(drop), refusal);
+        // Preparing the image builds no template; booting from it and
+        // loading it both refuse it.
+        let li = LoadedImage::prepare_for(img.clone(), &MachineConfig::default());
+        assert!(li.template.is_none());
+        assert_eq!(
+            Machine::boot(MachineConfig::default(), &li).map(drop),
+            refusal
+        );
+        let mut m = Machine::new(MachineConfig::default());
+        assert_eq!(m.load(&img), refusal);
     }
 
     #[test]

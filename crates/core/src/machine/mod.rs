@@ -78,7 +78,7 @@ mod tests;
 mod translate;
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use com_cache::{CacheConfig, CacheStats, FxBuildHasher, SetAssocCache};
 use com_fpa::{Fpa, SegmentName};
@@ -128,9 +128,11 @@ pub struct Machine {
     config: MachineConfig,
     space: ObjectSpace,
     team: TeamId,
-    classes: ClassTable,
-    atoms: AtomTable,
-    opcodes: OpcodeTable,
+    /// The class, atom and selector tables: shared with every machine
+    /// booted from the same template, and replaced or copied on write.
+    classes: Arc<ClassTable>,
+    atoms: Arc<AtomTable>,
+    opcodes: Arc<OpcodeTable>,
     itlb: Option<Itlb>,
     /// The instruction cache (tags only: the decoded slab holds the code).
     icache: SetAssocCache<u64, ()>,
@@ -194,7 +196,15 @@ impl Machine {
         let mut classes = ClassTable::new();
         com_obj::install_standard_primitives(&mut classes);
         let context_class = crate::loaded::context_class_in(&mut classes);
-        Self::assemble(config, space, classes, context_class)
+        Self::assemble(
+            config,
+            space,
+            Arc::new(classes),
+            Arc::new(AtomTable::new()),
+            Arc::new(OpcodeTable::new()),
+            context_class,
+            config.itlb.map(Itlb::new),
+        )
     }
 
     /// Boots a machine from a pre-decoded [`crate::LoadedImage`]: the one
@@ -204,17 +214,22 @@ impl Machine {
     /// shares the decoded bodies.
     ///
     /// When the image's pre-booted template matches `config`'s space
-    /// geometry, the machine is assembled around clones of the template's
-    /// space, class table and decoded slab; [`new`](Self::new)'s throwaway
-    /// table and space are never built. Otherwise a new machine stores
-    /// every method's code object and binds the shared bodies to the
-    /// stored addresses. Either way, architectural behaviour and
-    /// [`CycleStats`] are identical to [`load`](Self::load) followed by
-    /// lazy decodes: decoding is simulator-side and charges no cycles.
+    /// geometry, the machine is assembled around a clone of the template's
+    /// space and decoded slab, and shares the template's class, selector
+    /// and atom tables (a machine copies a table only when it changes it);
+    /// [`new`](Self::new)'s throwaway table and space are never built.
+    /// Otherwise a new machine stores every method's code object and binds
+    /// the shared bodies to the stored addresses. Either way,
+    /// architectural behaviour and [`CycleStats`] are identical to
+    /// [`load`](Self::load) followed by lazy decodes: decoding is
+    /// simulator-side and charges no cycles. [`boot_seeded`](Self::boot_seeded)
+    /// boots a machine whose ITLB is already seeded.
     ///
     /// # Errors
     ///
-    /// Propagates storage errors from the store-per-method path.
+    /// Propagates storage errors from the store-per-method path, and
+    /// [`MachineError::UndefinedClass`] for an image that installs a
+    /// method into a class it does not define.
     pub fn boot(
         config: MachineConfig,
         loaded: &crate::LoadedImage,
@@ -224,26 +239,76 @@ impl Machine {
             m.store_image(loaded.image(), |i| loaded.body(i))?;
             return Ok(m);
         };
+        Ok(Self::from_template(config, t, config.itlb.map(Itlb::new)))
+    }
+
+    /// Boots a machine in the state `seed` kept: the machine
+    /// [`boot`](Self::boot) makes from the same image and configuration,
+    /// after [`preseed_itlb`](Self::preseed_itlb) with the same keys. Its
+    /// ITLB is a copy of the seeded one (contents, LRU stamps, clock and
+    /// counters), so no lookup is repeated.
+    pub fn boot_seeded(seed: &crate::SeededBoot) -> Machine {
+        Self::from_template(seed.config, &seed.template, seed.itlb.clone())
+    }
+
+    /// A machine assembled around clones of `t`'s space, code roots and
+    /// slab, sharing `t`'s tables, with the given ITLB.
+    fn from_template(
+        config: MachineConfig,
+        t: &crate::loaded::BootTemplate,
+        itlb: Option<Itlb>,
+    ) -> Machine {
         let space = t.space.lock().expect("template lock").clone();
-        let mut m = Self::assemble(config, space, t.classes.clone(), t.context_class);
-        m.atoms = loaded.image().atoms.clone();
-        m.opcodes = loaded.image().opcodes.clone();
+        let mut m = Self::assemble(
+            config,
+            space,
+            Arc::clone(&t.classes),
+            Arc::clone(&t.atoms),
+            Arc::clone(&t.opcodes),
+            t.context_class,
+            itlb,
+        );
         m.code_roots = t.code_roots.clone();
         m.decoded = t.slab.clone();
         m.decoded_index = t.index.clone();
-        Ok(m)
+        m
+    }
+
+    /// Keeps this machine's boot state as a template other machines can
+    /// boot from. Only [`crate::SeededBoot::new`] calls it, on a machine
+    /// that was just booted and seeded and has run nothing.
+    pub(crate) fn into_seeded_boot(self) -> crate::SeededBoot {
+        crate::SeededBoot {
+            config: self.config,
+            template: crate::loaded::BootTemplate {
+                format: self.config.format,
+                space_log2: self.config.space_log2,
+                space: Mutex::new(self.space),
+                classes: self.classes,
+                atoms: self.atoms,
+                opcodes: self.opcodes,
+                context_class: self.context_class,
+                code_roots: self.code_roots,
+                slab: self.decoded,
+                index: self.decoded_index,
+            },
+            itlb: self.itlb,
+        }
     }
 
     /// The common constructor tail: every register, cache and counter in
-    /// its boot state around the given space and class table.
+    /// its boot state around the given space, tables and ITLB.
     fn assemble(
         config: MachineConfig,
         space: ObjectSpace,
-        classes: ClassTable,
+        classes: Arc<ClassTable>,
+        atoms: Arc<AtomTable>,
+        opcodes: Arc<OpcodeTable>,
         context_class: ClassId,
+        itlb: Option<Itlb>,
     ) -> Machine {
         Machine {
-            itlb: config.itlb.map(Itlb::new),
+            itlb,
             icache: SetAssocCache::new(
                 CacheConfig::new(ICACHE_ENTRIES, ICACHE_WAYS).expect("paper geometry is valid"),
             ),
@@ -252,8 +317,8 @@ impl Machine {
             space,
             team: TeamId(0),
             classes,
-            atoms: AtomTable::new(),
-            opcodes: OpcodeTable::new(),
+            atoms,
+            opcodes,
             decoded: Vec::new(),
             decoded_index: HashMap::default(),
             code_roots: Vec::new(),
@@ -286,7 +351,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates storage errors.
+    /// Propagates storage errors, and [`MachineError::UndefinedClass`] for
+    /// a method on a class the image does not define.
     pub fn load(&mut self, image: &ProgramImage) -> Result<(), MachineError> {
         self.store_image(image, |_| None)
     }
@@ -301,8 +367,10 @@ impl Machine {
         image: &ProgramImage,
         body_of: impl Fn(usize) -> Option<Arc<DecodedBody>>,
     ) -> Result<(), MachineError> {
-        self.atoms = image.atoms.clone();
-        self.opcodes = image.opcodes.clone();
+        // New tables, not writes into the old ones: those may be shared
+        // with the machines booted from the same template.
+        self.atoms = Arc::new(image.atoms.clone());
+        self.opcodes = Arc::new(image.opcodes.clone());
         // The decoded methods go with every cache that reaches them: slab
         // slots cached in the ITLB would otherwise dangle into the old
         // program.
@@ -318,15 +386,16 @@ impl Machine {
         }
         let decoded = &mut self.decoded;
         let decoded_index = &mut self.decoded_index;
-        self.context_class = crate::loaded::store_and_install(
+        let (classes, context_class) = crate::loaded::store_and_install(
             &mut self.space,
             self.team,
-            &mut self.classes,
             image,
             body_of,
             &mut self.code_roots,
             |base, abs, body| push_decoded(decoded, decoded_index, Decoded { base, abs, body }),
         )?;
+        self.classes = Arc::new(classes);
+        self.context_class = context_class;
         Ok(())
     }
 
@@ -409,14 +478,19 @@ impl Machine {
         self.privileged = p;
     }
 
-    /// Interns a selector (delegates to the opcode table).
+    /// Interns a selector (delegates to the opcode table). A new name is
+    /// added to a copy of the table while other machines share it, so they
+    /// never see it.
     ///
     /// # Errors
     ///
     /// Returns [`IsaError::OpcodeOutOfRange`](com_isa::IsaError) when the
     /// selector space is exhausted.
     pub fn intern_selector(&mut self, name: &str) -> Result<Opcode, com_isa::IsaError> {
-        self.opcodes.intern(name)
+        match self.opcodes.get(name) {
+            Some(op) => Ok(op),
+            None => Arc::make_mut(&mut self.opcodes).intern(name),
+        }
     }
 
     /// Number of code objects currently pinned as GC roots (observability

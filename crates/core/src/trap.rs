@@ -90,6 +90,16 @@ pub enum MachineError {
         /// The faulting constant index.
         index: u8,
     },
+    /// An image installs a method into a class its class table does not
+    /// define, so no machine can load it. Raised at boot or load, before
+    /// anything runs; verified images never raise it (the static verifier
+    /// refuses such an image with `V008`).
+    UndefinedClass {
+        /// The method's index in the image.
+        method: usize,
+        /// The class it names.
+        class: ClassId,
+    },
 }
 
 impl From<MemError> for MachineError {
@@ -148,6 +158,12 @@ impl core::fmt::Display for MachineError {
             }
             MachineError::ConstOutOfRange { index } => {
                 write!(f, "constant index {index} beyond method constant table")
+            }
+            MachineError::UndefinedClass { method, class } => {
+                write!(
+                    f,
+                    "image method #{method} installs into {class}, which the image does not define"
+                )
             }
         }
     }

@@ -102,7 +102,9 @@ impl ItlbConfig {
 ///
 /// It packs each key into a tag, hashes the tag to pick a set, and leaves
 /// the probe, the fill order and the LRU choice to its [`SetAssocCache`].
-/// `ways == 1` is the direct-mapped case.
+/// `ways == 1` is the direct-mapped case. A clone copies the contents,
+/// the LRU stamps, the clock and the counters, so it goes on exactly as
+/// the original would.
 ///
 /// ```
 /// use com_isa::{Opcode, PrimOp};
@@ -118,7 +120,7 @@ impl ItlbConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Itlb {
     lines: SetAssocCache<u64, Translation>,
 }

@@ -25,8 +25,10 @@ pub const MAX_SLOT: u8 = (CONTEXT_WORDS - OPERAND_BIAS - 1) as u8;
 /// This is the load-time gate [`VmBuilder`](../com_vm) runs in strict
 /// mode: an image that passes cannot make the interpreter read an
 /// out-of-geometry context slot, index past a constant table, jump out
-/// of a method body, or dispatch an un-interned opcode — and its trap
-/// handlers have the arity the reified-send protocol requires.
+/// of a method body, or dispatch an un-interned opcode — its trap
+/// handlers have the arity the reified-send protocol requires, and every
+/// method is installed into a class the image defines, so the loader
+/// ([`install_image`](com_core::install_image)) takes it.
 ///
 /// # Errors
 ///
@@ -39,6 +41,13 @@ pub fn verify_image(image: &ProgramImage) -> Result<(), VerifyError> {
             index: Some(index),
             name: m.code.name.clone(),
         };
+        if image.classes.get(m.class).is_none() {
+            return Err(VerifyError {
+                method: prov,
+                offset: None,
+                kind: VerifyErrorKind::UndefinedClass(m.class),
+            });
+        }
         verify_code_at(&m.code, &image.opcodes, &prov)?;
         // Trap-handler arity: the machine reifies a failed send into one
         // message argument, so a handler is exactly receiver + message.
@@ -478,6 +487,27 @@ mod tests {
         )
         .unwrap();
         img.add_method(ClassId::SMALL_INT, dnu, asm.finish().unwrap());
+        assert_eq!(verify_image(&img), Ok(()));
+    }
+
+    #[test]
+    fn a_method_on_an_undefined_class_is_refused_with_v008() {
+        // The loader cannot install this method: no class 300 exists.
+        let mut img = ProgramImage::empty();
+        let sel = img.opcodes.intern("orphan").unwrap();
+        img.add_method(ClassId(300), sel, valid_code());
+        let e = verify_image(&img).unwrap_err();
+        assert_eq!(e.code(), "V008");
+        assert_eq!(e.method.index, Some(0));
+        assert_eq!(e.kind, VerifyErrorKind::UndefinedClass(ClassId(300)));
+        assert!(e.to_string().contains("class#300"), "{e}");
+        // Every analysis entry point refuses it the same way, and the
+        // universe builder degrades instead of installing it.
+        assert_eq!(crate::ImageFacts::analyze(&img).unwrap_err().code(), "V008");
+        assert_eq!(crate::lint_image(&img).unwrap_err().code(), "V008");
+        assert!(crate::ClassUniverse::for_image(&img).is_empty());
+        // The same method on a class the image defines passes.
+        img.methods[0].class = ClassId::SMALL_INT;
         assert_eq!(verify_image(&img), Ok(()));
     }
 }

@@ -1,6 +1,7 @@
 //! The typed rejection: what was malformed, in which method, where.
 
 use com_isa::{IsaError, Opcode};
+use com_mem::ClassId;
 
 /// Which compiled method a finding is about.
 ///
@@ -81,10 +82,14 @@ pub enum VerifyErrorKind {
     /// entry point [`verify_words`](crate::verify_words); compiled
     /// [`Instr`](com_isa::Instr) streams are decodable by construction).
     Undecodable(IsaError),
+    /// The method is installed into a class the image's class table does
+    /// not define: no receiver can reach it, and no machine can load the
+    /// image.
+    UndefinedClass(ClassId),
 }
 
 impl VerifyErrorKind {
-    /// The stable diagnostic code (`V001`…`V007`) tools match on.
+    /// The stable diagnostic code (`V001`…`V008`) tools match on.
     pub fn code(&self) -> &'static str {
         match self {
             VerifyErrorKind::UnknownOpcode(_) => "V001",
@@ -94,6 +99,7 @@ impl VerifyErrorKind {
             VerifyErrorKind::BadHandlerArity { .. } => "V005",
             VerifyErrorKind::TooManyArgs { .. } => "V006",
             VerifyErrorKind::Undecodable(_) => "V007",
+            VerifyErrorKind::UndefinedClass(_) => "V008",
         }
     }
 }
@@ -134,6 +140,9 @@ impl core::fmt::Display for VerifyErrorKind {
                 write!(f, "{n_args} declared args exceed the context geometry")
             }
             VerifyErrorKind::Undecodable(e) => write!(f, "undecodable instruction word: {e}"),
+            VerifyErrorKind::UndefinedClass(class) => {
+                write!(f, "installed into {class}, which the image does not define")
+            }
         }
     }
 }
@@ -157,7 +166,7 @@ pub struct VerifyError {
 }
 
 impl VerifyError {
-    /// The stable diagnostic code of the underlying kind (`V001`…`V007`).
+    /// The stable diagnostic code of the underlying kind (`V001`…`V008`).
     pub fn code(&self) -> &'static str {
         self.kind.code()
     }

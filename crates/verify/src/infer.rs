@@ -54,7 +54,6 @@
 //! contained in the inferred receiver set.
 
 use std::collections::{BTreeSet, HashMap};
-use std::convert::Infallible;
 
 use com_core::{install_image, Fpa, FpaFormat, ProgramImage};
 use com_isa::{CodeObject, Instr, Opcode, Operand, PrimOp, ResultShape};
@@ -173,16 +172,20 @@ impl ClassUniverse {
     ///
     /// An image with more than [`MAX_CLASSES`] classes gets an empty
     /// universe: no class sets, and resolutions only for the classes a
-    /// constant can carry (the lints' constant folding reads those).
+    /// constant can carry (the lints' constant folding reads those). So
+    /// does an image no machine can load (a method on a class it does not
+    /// define, which [`verify_image`] refuses), over its own class table.
     pub fn for_image(image: &ProgramImage) -> ClassUniverse {
         let nowhere = Fpa::from_raw(0, FpaFormat::COM).expect("name 0 is in every format");
-        let mut classes = ClassTable::new();
-        let Ok(context) = install_image(&mut classes, image, |i| {
+        let installed = install_image(image, |i| {
             let n_args = image.methods[i].code.n_args;
-            Ok::<_, Infallible>(DefinedMethod::new(nowhere, n_args).resolved(i as u32))
+            Ok(DefinedMethod::new(nowhere, n_args).resolved(i as u32))
         });
+        let refused = installed.is_err();
+        let (classes, context) =
+            installed.unwrap_or_else(|_| (image.classes.clone(), ClassTable::OBJECT));
         let all = classes.ids();
-        let degraded = all.len() > MAX_CLASSES;
+        let degraded = refused || all.len() > MAX_CLASSES;
         let rows: Vec<ClassId> = all
             .iter()
             .copied()
@@ -234,7 +237,8 @@ impl ClassUniverse {
     }
 
     /// Whether the universe is empty: only for an image beyond
-    /// [`MAX_CLASSES`], whose inference is degraded.
+    /// [`MAX_CLASSES`], whose inference is degraded, or one no machine
+    /// can load.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }

@@ -103,13 +103,12 @@ pub use session::{Outcome, Session};
 
 // The engine types an embedder meets at this boundary.
 pub use com_core::{
-    CycleStats, GcTotals, LoadedImage, Machine, MachineConfig, ProgramImage, RunResult,
+    CycleStats, GcTotals, LoadedImage, Machine, MachineConfig, ProgramImage, RunResult, SeededBoot,
 };
 pub use com_mem::Word;
 pub use com_stc::CompileOptions;
 pub use com_verify::ImageFacts;
 
-use com_obj::ItlbKey;
 use std::sync::{Arc, OnceLock};
 
 /// Builds a [`Vm`]: gathers source text, compiles it once, pre-decodes
@@ -192,8 +191,10 @@ impl VmBuilder {
     /// paying a first-touch full-association lookup. Every pre-seeded
     /// entry is exactly what the first real dispatch would have filled,
     /// so results and execution are unchanged; only cold-start lookup
-    /// costs move. The analysis runs lazily once per `Vm` and is shared
-    /// by all sessions.
+    /// costs move. The analysis and the seeding run lazily, once per
+    /// `Vm`: one machine is booted and seeded
+    /// ([`Machine::preseed_itlb`]), and every session boots with a copy of
+    /// its ITLB ([`SeededBoot`]), bit-identical to seeding its own.
     pub fn preseed_itlb(mut self, preseed: bool) -> VmBuilder {
         self.preseed = preseed;
         self
@@ -214,21 +215,17 @@ impl VmBuilder {
         if self.verify {
             com_verify::verify_image(&image)?;
         }
-        Ok(Vm {
-            image: Arc::new(LoadedImage::prepare_for(image, &self.config)),
-            config: self.config,
-            preseed: self.preseed,
-            analysis: Arc::new(OnceLock::new()),
-        })
+        Ok(Vm::prepare(image, self.config, self.preseed))
     }
 }
 
 /// The lazily-computed whole-image analysis a `Vm` shares across its
-/// sessions: the facts artifact plus the pre-extracted seeding keys.
+/// sessions: the facts artifact, and for a pre-seeding `Vm` the boot state
+/// of one machine seeded with the facts' keys.
 #[derive(Debug)]
 struct Analysis {
     facts: ImageFacts,
-    keys: Vec<ItlbKey>,
+    seed: Option<SeededBoot>,
 }
 
 /// A compiled program ready to serve tenants: one shared, immutable
@@ -274,31 +271,43 @@ impl Vm {
     /// structural fault.
     pub fn from_image(image: ProgramImage, config: MachineConfig) -> Result<Vm, VmError> {
         com_verify::verify_image(&image)?;
-        Ok(Vm {
+        Ok(Vm::prepare(image, config, false))
+    }
+
+    /// A `Vm` serving `image`, whether or not it was verified.
+    fn prepare(image: ProgramImage, config: MachineConfig, preseed: bool) -> Vm {
+        Vm {
             image: Arc::new(LoadedImage::prepare_for(image, &config)),
             config,
-            preseed: false,
+            preseed,
             analysis: Arc::new(OnceLock::new()),
-        })
+        }
     }
 
     /// Spawns a fresh, isolated tenant session over the shared image.
     ///
-    /// This is the cheap path: no compilation, no decoding — the new
-    /// session's machine stores the image's code words into its own
-    /// object space and binds the shared pre-decoded bodies.
+    /// This is the cheap path: no compilation, no decoding. The new
+    /// session's machine clones the image's pre-stored object space and
+    /// decoded slab, and shares the image's class, selector and atom
+    /// tables and pre-decoded bodies; it copies a table only if it changes
+    /// it. Its space, caches and statistics are its own. With
+    /// [`preseed_itlb`](VmBuilder::preseed_itlb) on, it also starts with a
+    /// copy of the ITLB one machine was seeded with, so no session
+    /// repeats the seeding's lookups.
     ///
     /// # Errors
     ///
-    /// Propagates storage errors from the boot.
+    /// Propagates storage errors from the boot, and
+    /// [`MachineError::UndefinedClass`](com_core::MachineError) for an
+    /// image admitted unverified that installs a method into a class it
+    /// does not define.
     pub fn session(&self) -> Result<Session, VmError> {
-        let mut session = Session::boot(Arc::clone(&self.image), self.config)?;
-        if self.preseed {
-            if let Some(analysis) = self.analysis() {
-                session.machine_mut().preseed_itlb(&analysis.keys);
-            }
-        }
-        Ok(session)
+        let seeded = self.preseed.then(|| self.analysis()).flatten();
+        let machine = match seeded.and_then(|a| a.seed.as_ref()) {
+            Some(seed) => Machine::boot_seeded(seed),
+            None => Machine::boot(self.config, &self.image)?,
+        };
+        Ok(Session::new(machine, Arc::clone(&self.image)))
     }
 
     /// The whole-image analysis facts (class inference, send-site
@@ -315,8 +324,11 @@ impl Vm {
         self.analysis
             .get_or_init(|| {
                 let facts = ImageFacts::analyze(self.image.image()).ok()?;
-                let keys = facts.preseed_keys();
-                Some(Analysis { facts, keys })
+                let seed = self
+                    .preseed
+                    .then(|| SeededBoot::new(self.config, &self.image, &facts.preseed_keys()))
+                    .and_then(Result::ok);
+                Some(Analysis { facts, seed })
             })
             .as_ref()
     }
@@ -583,6 +595,38 @@ mod tests {
                 assert!(e.to_string().contains("wild"), "{e}");
             }
             other => panic!("expected VmError::Verify, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_method_on_an_undefined_class_is_refused_not_a_panic() {
+        use com_core::MachineError;
+        use com_isa::{Assembler, Opcode, Operand};
+        use com_mem::ClassId;
+        let mut img = ProgramImage::empty();
+        let sel = img.opcodes.intern("orphan").unwrap();
+        let mut asm = Assembler::new("Ghost>>orphan", 1);
+        asm.emit_three_ret(
+            Opcode::MOVE,
+            Operand::Cur(0),
+            Operand::Cur(1),
+            Operand::Cur(1),
+        )
+        .unwrap();
+        img.add_method(ClassId(300), sel, asm.finish().unwrap());
+        match Vm::from_image(img.clone(), MachineConfig::default()) {
+            Err(VmError::Verify(e)) => assert_eq!(e.code(), "V008"),
+            other => panic!("expected V008, got {other:?}"),
+        }
+        // What a build with verification off makes of it: no facts, and a
+        // session boot the loader refuses.
+        let vm = Vm::prepare(img, MachineConfig::default(), true);
+        assert!(vm.facts().is_none());
+        match vm.session() {
+            Err(VmError::Machine(MachineError::UndefinedClass { method: 0, class })) => {
+                assert_eq!(class, ClassId(300));
+            }
+            other => panic!("expected UndefinedClass, got {other:?}"),
         }
     }
 

@@ -3,9 +3,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use com_core::{
-    CtxCacheStats, CycleStats, GcTotals, LoadedImage, Machine, MachineConfig, RunOutcome, RunResult,
-};
+use com_core::{CtxCacheStats, CycleStats, GcTotals, LoadedImage, Machine, RunOutcome, RunResult};
 use com_mem::{ObjectSpace, Word};
 
 use crate::error::panic_message;
@@ -40,11 +38,12 @@ impl<T> Outcome<T> {
 /// One tenant's isolated executor: a private machine (object space,
 /// context cache, statistics) booted from a shared [`LoadedImage`].
 ///
-/// Sessions are cheap — spawning one stores the image's code words into a
-/// fresh object space and binds the image's pre-decoded method bodies; no
-/// compilation or decoding happens. Any number of sessions run over one
-/// image; each owns all of its mutable state, so they are fully isolated
-/// (and may run on different threads).
+/// Sessions are cheap — spawning one clones the image's pre-stored object
+/// space and decoded slab, and shares its class, selector and atom tables
+/// and pre-decoded method bodies; no compilation or decoding happens. Any
+/// number of sessions run over one image; each owns all of its mutable
+/// state (a shared table is copied before a session changes it), so they
+/// are fully isolated (and may run on different threads).
 ///
 /// Two call styles:
 ///
@@ -70,16 +69,16 @@ pub struct Session {
 }
 
 impl Session {
-    pub(crate) fn boot(image: Arc<LoadedImage>, config: MachineConfig) -> Result<Session, VmError> {
-        let machine = Machine::boot(config, &image)?;
-        Ok(Session {
+    /// A session over `machine`, booted from `image`.
+    pub(crate) fn new(machine: Machine, image: Arc<LoadedImage>) -> Session {
+        Session {
             machine,
             image,
             step_limit: u64::MAX,
             in_flight: false,
             last_run: None,
             call_base: CycleStats::default(),
-        })
+        }
     }
 
     /// Wraps a machine error from a *running* call as [`VmError::Trap`]

@@ -55,6 +55,7 @@ DIAGNOSTICS:
     V005  trap handler (doesNotUnderstand:/badOperands:) with wrong arity
     V006  method declares more args than the context geometry holds
     V007  instruction word does not decode
+    V008  method installed into a class the image does not define
 
   Lints (dataflow + whole-image class inference; severity in brackets):
     L001  [info]     unreachable code: no path from the method entry
