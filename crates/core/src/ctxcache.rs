@@ -10,6 +10,19 @@
 //! mechanism to automatically initialise a new context" (block clear in a
 //! single operation).
 //!
+//! Each fact about a cached context is kept once. The directory has one
+//! entry per block, the absolute base of the context it caches or free.
+//! The current and next vectors are the only record of which blocks hold
+//! CP and NCP: a call or transfer promotes next to current
+//! ([`ContextCache::advance`]), a LIFO return releases the next block and
+//! recycles the current one as the cleared next
+//! ([`ContextCache::recycle_current`]), and a return points the current
+//! vector at the caller. The free stack lists the free blocks in the order
+//! fills take them. A fault and a fresh context share one fill, which
+//! takes a free block or evicts the LRU block that is neither current nor
+//! next, the block copyback takes too. Every access stamps its block for
+//! that choice.
+//!
 //! Each cached word carries its 16-bit class tag (§3.2): "When a word is
 //! cached in the context cache, a 16-bit tag identifying the class of the
 //! object is cached with it."
@@ -42,12 +55,10 @@ pub struct CtxCacheStats {
     pub releases: u64,
 }
 
-/// One cached context block plus its directory entry.
+/// One block of the data memory. Its directory entry is kept apart, in
+/// [`ContextCache::directory`].
 #[derive(Debug, Clone)]
 struct Block {
-    /// Directory entry: the absolute base address of the cached context,
-    /// or `None` when the block is in the free vector.
-    abs: Option<AbsAddr>,
     /// The 32 words, and in a parallel array each word's cached class
     /// tag: fixed inline arrays, so the per-instruction operand accesses
     /// do not chase a heap pointer per block, and a word with its tag
@@ -59,6 +70,7 @@ struct Block {
     /// words instead of storing all 32.
     written: u32,
     dirty: bool,
+    /// LRU stamp, taken on every access: only victim choice reads it.
     last_used: u64,
 }
 
@@ -79,7 +91,6 @@ impl Block {
 
     fn empty() -> Self {
         Block {
-            abs: None,
             words: [Word::Uninit; WORDS],
             classes: [ClassId::UNINIT; WORDS],
             written: 0,
@@ -89,25 +100,30 @@ impl Block {
     }
 }
 
+/// The directory entry of a block in the free vector. Absolute addresses
+/// lie below `2^space_log2`, so no context base is `u64::MAX`.
+const FREE: u64 = u64::MAX;
+
 /// The context cache. The machine orchestrates fills and write-backs (it
 /// owns the memory); the cache owns residency, the access vectors and LRU.
 #[derive(Debug)]
 pub struct ContextCache {
     blocks: Vec<Block>,
+    /// The directory, one entry per block: the absolute base of the
+    /// context the block caches, or [`FREE`]. A probe (the match vector,
+    /// on every indirect context access, notably every returning
+    /// instruction's result store) scans these contiguous words instead
+    /// of the ~600-byte blocks themselves.
+    directory: Vec<u64>,
+    /// The current and next vectors: the only record of which blocks
+    /// hold CP and NCP.
     current: Option<usize>,
     next: Option<usize>,
-    /// The free vector as a stack of block indices: allocation pops,
-    /// release pushes — no scan. Its length is the free count the
-    /// per-instruction copyback low-water check reads.
+    /// The free vector as a stack of block indices: a fill pops, a release
+    /// pushes, no scan. It decides which free block a fill takes; its
+    /// length is the free count the per-instruction copyback low-water
+    /// check reads.
     free_stack: Vec<usize>,
-    /// The match vector's associative directory: compact `(absolute base,
-    /// block index)` pairs, maintained on every residency change. A probe
-    /// (which happens on every indirect context access — notably every
-    /// returning instruction's result store) scans at most `blocks`
-    /// contiguous words instead of walking the ~600-byte blocks
-    /// themselves, and maintenance is push/swap-remove — cheaper than a
-    /// hash map at context-cache sizes.
-    directory: Vec<(u64, u32)>,
     clock: u64,
     stats: CtxCacheStats,
 }
@@ -135,10 +151,10 @@ impl ContextCache {
         assert!(blocks >= 3, "context cache needs at least 3 blocks");
         ContextCache {
             blocks: vec![Block::empty(); blocks],
+            directory: vec![FREE; blocks],
             current: None,
             next: None,
             free_stack: (0..blocks).rev().collect(),
-            directory: Vec::with_capacity(blocks),
             clock: 0,
             stats: CtxCacheStats::default(),
         }
@@ -158,20 +174,29 @@ impl ContextCache {
     pub fn free_count(&self) -> usize {
         debug_assert_eq!(
             self.free_stack.len(),
-            self.blocks.iter().filter(|b| b.abs.is_none()).count()
+            self.directory.iter().filter(|a| **a == FREE).count()
         );
         self.free_stack.len()
     }
 
-    /// Absolute bases of all resident contexts (for GC pinning).
+    /// Absolute bases of all resident contexts, in block order (for GC
+    /// pinning).
     pub fn resident(&self) -> Vec<AbsAddr> {
-        self.blocks.iter().filter_map(|b| b.abs).collect()
+        self.directory
+            .iter()
+            .filter(|a| **a != FREE)
+            .map(|a| AbsAddr(*a))
+            .collect()
     }
 
-    #[inline]
-    fn tick(&mut self) -> u64 {
+    /// Stamps `block` as just used and returns it: the LRU clock advances
+    /// on every access.
+    #[inline(always)]
+    fn touch(&mut self, block: usize) -> &mut Block {
         self.clock += 1;
-        self.clock
+        let b = &mut self.blocks[block];
+        b.last_used = self.clock;
+        b
     }
 
     /// Directory lookup (the match vector): the block caching `abs`, if any.
@@ -187,51 +212,49 @@ impl ContextCache {
     /// Non-recording directory probe.
     #[inline]
     pub fn peek_find(&self, abs: AbsAddr) -> Option<usize> {
-        let hit = self
-            .directory
-            .iter()
-            .find(|(a, _)| *a == abs.0)
-            .map(|(_, i)| *i as usize);
-        debug_assert_eq!(hit, self.blocks.iter().position(|b| b.abs == Some(abs)));
-        hit
+        self.directory.iter().position(|a| *a == abs.0)
     }
 
-    fn directory_insert(&mut self, abs: AbsAddr, block: usize) {
-        debug_assert!(self.directory.iter().all(|(a, _)| *a != abs.0));
-        self.directory.push((abs.0, block as u32));
+    /// The least recently used occupied block that is neither current
+    /// nor next: the block an eviction or a copyback takes.
+    fn lru(&self) -> Option<usize> {
+        (0..self.blocks.len())
+            .filter(|i| {
+                self.directory[*i] != FREE && Some(*i) != self.current && Some(*i) != self.next
+            })
+            .min_by_key(|i| self.blocks[*i].last_used)
     }
 
-    fn directory_remove(&mut self, abs: AbsAddr) {
-        if let Some(i) = self.directory.iter().position(|(a, _)| *a == abs.0) {
-            self.directory.swap_remove(i);
-        }
-    }
-
-    /// Picks a victim block: a free one if available, else the LRU block
-    /// that is neither current nor next. Returns `(index, eviction)`.
-    fn victim(&mut self) -> (usize, Option<Eviction>) {
-        if let Some(i) = self.free_stack.pop() {
-            // The caller occupies the block immediately.
-            return (i, None);
-        }
-        let i = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| Some(*i) != self.current && Some(*i) != self.next)
-            .min_by_key(|(_, b)| b.last_used)
-            .map(|(i, _)| i)
-            .expect("≥3 blocks, so a victim exists");
+    /// Frees block `i`'s directory entry, returning the contents the
+    /// machine writes back.
+    fn evict(&mut self, i: usize) -> Eviction {
+        let abs = AbsAddr(std::mem::replace(&mut self.directory[i], FREE));
         let b = &mut self.blocks[i];
         let ev = Eviction {
-            abs: b.abs.expect("occupied"),
+            abs,
             words: b.words,
             dirty: b.dirty,
         };
-        b.abs = None;
         b.dirty = false;
-        self.directory_remove(ev.abs);
-        (i, Some(ev))
+        ev
+    }
+
+    /// The fill step of a fault and of a fresh context: takes a free block
+    /// if there is one, else evicts the LRU block, then enters `abs` in
+    /// the block's directory entry and stamps it. Returns the block and
+    /// any eviction the machine must handle.
+    fn fill(&mut self, abs: AbsAddr) -> (usize, Option<Eviction>) {
+        let (i, ev) = match self.free_stack.pop() {
+            Some(i) => (i, None),
+            None => {
+                let i = self.lru().expect("≥3 blocks, so a victim exists");
+                (i, Some(self.evict(i)))
+            }
+        };
+        debug_assert_eq!(self.peek_find(abs), None, "a context is cached once");
+        self.directory[i] = abs.0;
+        self.touch(i);
+        (i, ev)
     }
 
     /// Installs a context read from memory, its words and their class
@@ -244,57 +267,60 @@ impl ContextCache {
         classes: [ClassId; WORDS],
     ) -> (usize, Option<Eviction>) {
         self.stats.faults += 1;
-        let clock = self.tick();
-        let (i, ev) = self.victim();
-        self.directory_insert(abs, i);
+        let (i, ev) = self.fill(abs);
         let b = &mut self.blocks[i];
-        b.abs = Some(abs);
         b.words = words;
         b.classes = classes;
         b.written = u32::MAX;
         b.dirty = false;
-        b.last_used = clock;
         (i, ev)
     }
 
     /// Allocates a *cleared* block for a brand-new context at `abs`
     /// ("a new context … can be immediately placed in a block of the context
     /// cache and that block can be cleared. With this approach a new context
-    /// does not have to be faulted in", §2.3). Marks it the next context.
-    pub fn alloc_next(&mut self, abs: AbsAddr) -> (usize, Option<Eviction>) {
+    /// does not have to be faulted in", §2.3) and points the next vector
+    /// at it. Returns any eviction the machine must handle.
+    pub fn alloc_next(&mut self, abs: AbsAddr) -> Option<Eviction> {
+        let (i, ev) = self.fill(abs);
+        self.clear_as_next(i);
+        ev
+    }
+
+    /// The §2.3 single-operation clear of block `i`, which becomes the
+    /// next context. The cleared block is dirty by construction: memory
+    /// still holds stale words until copyback.
+    fn clear_as_next(&mut self, i: usize) {
         self.stats.clears += 1;
-        let clock = self.tick();
-        let (i, ev) = self.victim();
-        self.directory_insert(abs, i);
         let b = &mut self.blocks[i];
-        b.abs = Some(abs);
         b.clear_words();
-        // The cleared block is dirty by construction: memory still holds
-        // stale words until copyback.
         b.dirty = true;
-        b.last_used = clock;
         self.next = Some(i);
-        (i, ev)
     }
 
     /// The current-vector block index.
+    #[inline(always)]
     pub fn current(&self) -> Option<usize> {
         self.current
     }
 
     /// The next-vector block index.
+    #[inline(always)]
     pub fn next(&self) -> Option<usize> {
         self.next
     }
 
-    /// Points the current vector at `block`.
-    pub fn set_current(&mut self, block: Option<usize>) {
-        self.current = block;
+    /// Promotes the next context to current, leaving the next vector
+    /// empty: the CP <- NCP of a call or a transfer.
+    #[inline]
+    pub fn advance(&mut self) {
+        self.current = self.next.take();
     }
 
-    /// Points the next vector at `block`.
-    pub fn set_next(&mut self, block: Option<usize>) {
-        self.next = block;
+    /// Points the current vector at `block`, the context a return lands in.
+    #[inline]
+    pub fn set_current(&mut self, block: usize) {
+        self.current = Some(block);
     }
 
     /// Reads word `off` of `block` (fast path — no directory access).
@@ -305,20 +331,16 @@ impl ContextCache {
     /// beyond 63 and contexts are 32 words, so this is a machine bug.
     #[inline(always)]
     pub fn read(&mut self, block: usize, off: u64) -> (Word, ClassId) {
-        let clock = self.tick();
         self.stats.reads += 1;
-        let b = &mut self.blocks[block];
-        b.last_used = clock;
+        let b = self.touch(block);
         (b.words[off as usize], b.classes[off as usize])
     }
 
     /// Writes word `off` of `block` with its class tag.
     #[inline(always)]
     pub fn write(&mut self, block: usize, off: u64, word: Word, class: ClassId) {
-        let clock = self.tick();
         self.stats.writes += 1;
-        let b = &mut self.blocks[block];
-        b.last_used = clock;
+        let b = self.touch(block);
         b.words[off as usize] = word;
         b.classes[off as usize] = class;
         b.written |= 1 << off;
@@ -328,27 +350,10 @@ impl ContextCache {
     /// The absolute base the block caches.
     #[inline]
     pub fn block_abs(&self, block: usize) -> Option<AbsAddr> {
-        self.blocks.get(block).and_then(|b| b.abs)
-    }
-
-    /// Releases `block` directly (caller already knows the block index —
-    /// the validated fast path of [`release`](Self::release)).
-    #[inline]
-    pub fn release_block(&mut self, block: usize) {
-        let Some(abs) = self.blocks[block].abs else {
-            return;
-        };
-        self.stats.releases += 1;
-        self.free_stack.push(block);
-        self.directory_remove(abs);
-        self.blocks[block].abs = None;
-        self.blocks[block].dirty = false;
-        if self.current == Some(block) {
-            self.current = None;
-        }
-        if self.next == Some(block) {
-            self.next = None;
-        }
+        self.directory
+            .get(block)
+            .filter(|a| **a != FREE)
+            .map(|a| AbsAddr(*a))
     }
 
     /// Writes the three §3.5 linkage words (arg0, arg1, arg2) of `block`
@@ -362,10 +367,8 @@ impl ContextCache {
         arg1: (Word, ClassId),
         arg2: (Word, ClassId),
     ) {
-        let clock = self.tick();
         self.stats.writes += 3;
-        let b = &mut self.blocks[block];
-        b.last_used = clock;
+        let b = self.touch(block);
         for (off, (word, class)) in [
             (crate::CTX_ARG0, arg0),
             (crate::CTX_ARG1, arg1),
@@ -378,37 +381,33 @@ impl ContextCache {
         b.dirty = true;
     }
 
-    /// Releases a block to the free vector *without* write-back (used when
-    /// the context it holds is freed — its contents are dead).
+    /// Releases the block caching `abs` to the free vector *without*
+    /// write-back (used when the context it holds is freed — its contents
+    /// are dead). LIFO freeing releases the next context, so the next
+    /// vector is checked before the directory.
     pub fn release(&mut self, abs: AbsAddr) {
-        if let Some(i) = self.peek_find(abs) {
-            self.stats.releases += 1;
-            self.free_stack.push(i);
-            self.directory_remove(abs);
-            self.blocks[i].abs = None;
-            self.blocks[i].dirty = false;
-            if self.current == Some(i) {
-                self.current = None;
-            }
-            if self.next == Some(i) {
-                self.next = None;
-            }
-        }
+        let hit = match self.next {
+            Some(i) if self.directory[i] == abs.0 => Some(i),
+            _ => self.peek_find(abs),
+        };
+        let Some(i) = hit else {
+            return;
+        };
+        self.stats.releases += 1;
+        self.free_stack.push(i);
+        self.directory[i] = FREE;
+        self.blocks[i].dirty = false;
+        self.current = self.current.filter(|c| *c != i);
+        self.next = self.next.filter(|n| *n != i);
     }
 
-    /// Recycles an occupied block as the (cleared) next context: on method
+    /// Recycles the current block as the (cleared) next context: on method
     /// return "the current vector is moved back to the next vector" and the
     /// block is re-initialised for the next call.
-    pub fn recycle_as_next(&mut self, block: usize) {
-        self.stats.clears += 1;
-        let clock = self.tick();
-        let b = &mut self.blocks[block];
-        b.clear_words();
-        b.dirty = true;
-        b.last_used = clock;
-        self.next = Some(block);
-        if self.current == Some(block) {
-            self.current = None;
+    pub fn recycle_current(&mut self) {
+        if let Some(i) = self.current.take() {
+            self.touch(i);
+            self.clear_as_next(i);
         }
     }
 
@@ -421,39 +420,30 @@ impl ContextCache {
     /// Takes the LRU non-current/non-next block for copyback, returning its
     /// contents for the machine to write to memory. The block becomes free.
     pub fn copyback_victim(&mut self) -> Option<Eviction> {
-        let i = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| b.abs.is_some() && Some(*i) != self.current && Some(*i) != self.next)
-            .min_by_key(|(_, b)| b.last_used)
-            .map(|(i, _)| i)?;
+        let i = self.lru()?;
         self.stats.copybacks += 1;
         self.free_stack.push(i);
-        let b = &mut self.blocks[i];
-        let ev = Eviction {
-            abs: b.abs.take().expect("filtered on occupied"),
-            words: b.words,
-            dirty: b.dirty,
-        };
-        b.dirty = false;
-        self.directory_remove(ev.abs);
-        Some(ev)
+        Some(self.evict(i))
     }
 
     /// Takes the contents of every dirty resident block for write-back, in
     /// block order and in one pass, leaving each block resident and clean.
     /// Draining it is required before garbage collection scans contexts.
     pub fn drain_dirty(&mut self) -> impl Iterator<Item = Eviction> + '_ {
-        self.blocks.iter_mut().filter_map(|b| {
-            let abs = b.abs.filter(|_| b.dirty)?;
-            b.dirty = false;
-            Some(Eviction {
-                abs,
-                words: b.words,
-                dirty: true,
+        self.blocks
+            .iter_mut()
+            .zip(&self.directory)
+            .filter_map(|(b, abs)| {
+                if *abs == FREE || !b.dirty {
+                    return None;
+                }
+                b.dirty = false;
+                Some(Eviction {
+                    abs: AbsAddr(*abs),
+                    words: b.words,
+                    dirty: true,
+                })
             })
-        })
     }
 }
 
@@ -465,12 +455,17 @@ mod tests {
         ContextCache::new(4)
     }
 
+    /// Allocates a cleared next context at `abs` into `c`, returning its
+    /// block.
+    fn next_at(c: &mut ContextCache, abs: u64) -> usize {
+        assert!(c.alloc_next(AbsAddr(abs)).is_none(), "a free block");
+        c.next().expect("the next vector names the new block")
+    }
+
     #[test]
     fn alloc_next_clears_block() {
         let mut c = cc();
-        let (i, ev) = c.alloc_next(AbsAddr(0x100));
-        assert!(ev.is_none());
-        assert_eq!(c.next(), Some(i));
+        let i = next_at(&mut c, 0x100);
         assert_eq!(c.read(i, 5), (Word::Uninit, ClassId::UNINIT));
         assert_eq!(c.stats().clears, 1);
     }
@@ -478,7 +473,7 @@ mod tests {
     #[test]
     fn read_after_write_with_class_tag() {
         let mut c = cc();
-        let (i, _) = c.alloc_next(AbsAddr(0x100));
+        let i = next_at(&mut c, 0x100);
         c.write(i, 3, Word::Int(7), ClassId::SMALL_INT);
         assert_eq!(c.read(i, 3), (Word::Int(7), ClassId::SMALL_INT));
     }
@@ -486,7 +481,7 @@ mod tests {
     #[test]
     fn directory_match_vector() {
         let mut c = cc();
-        let (i, _) = c.alloc_next(AbsAddr(0x100));
+        let i = next_at(&mut c, 0x100);
         assert_eq!(c.find(AbsAddr(0x100)), Some(i));
         assert_eq!(c.find(AbsAddr(0x200)), None);
         let s = c.stats();
@@ -497,40 +492,57 @@ mod tests {
     #[test]
     fn eviction_prefers_free_then_lru_excluding_vectors() {
         let mut c = cc();
-        let (a, _) = c.alloc_next(AbsAddr(0x100));
-        c.set_current(Some(a));
-        let (b, _) = c.alloc_next(AbsAddr(0x200)); // next
+        let a = next_at(&mut c, 0x100);
+        c.advance();
+        assert_eq!(c.current(), Some(a));
+        let b = next_at(&mut c, 0x200);
         let (x, _) = c.install(AbsAddr(0x300), [Word::Int(1); 32], [ClassId::SMALL_INT; 32]);
         let (y, _) = c.install(AbsAddr(0x400), [Word::Int(2); 32], [ClassId::SMALL_INT; 32]);
         assert_eq!(c.free_count(), 0);
         // Touch x so y is LRU among non-vector blocks.
         c.read(x, 0);
-        let (_, ev) = c.install(AbsAddr(0x500), [Word::Uninit; 32], [ClassId::UNINIT; 32]);
+        let (z, ev) = c.install(AbsAddr(0x500), [Word::Uninit; 32], [ClassId::UNINIT; 32]);
         let ev = ev.expect("cache full, must evict");
         assert_eq!(ev.abs, AbsAddr(0x400));
+        assert_eq!(z, y, "the fault takes the victim's block");
         // current and next must never be evicted
         assert_eq!(c.block_abs(a), Some(AbsAddr(0x100)));
         assert_eq!(c.block_abs(b), Some(AbsAddr(0x200)));
-        let _ = y;
     }
 
     #[test]
     fn release_frees_without_writeback() {
         let mut c = cc();
-        let (i, _) = c.alloc_next(AbsAddr(0x100));
+        let i = next_at(&mut c, 0x100);
         c.write(i, 0, Word::Int(1), ClassId::SMALL_INT);
         c.release(AbsAddr(0x100));
         assert_eq!(c.free_count(), 4);
         assert_eq!(c.next(), None, "released block leaves the next vector");
+        assert_eq!(c.block_abs(i), None);
         assert!(c.drain_dirty().next().is_none(), "released dirt is dead");
+    }
+
+    #[test]
+    fn a_return_recycles_the_current_block_as_the_cleared_next() {
+        let mut c = cc();
+        let a = next_at(&mut c, 0x100);
+        c.advance();
+        c.write(a, 4, Word::Int(9), ClassId::SMALL_INT);
+        next_at(&mut c, 0x200);
+        c.release(AbsAddr(0x200));
+        c.recycle_current();
+        assert_eq!((c.current(), c.next()), (None, Some(a)));
+        assert_eq!(c.block_abs(a), Some(AbsAddr(0x100)));
+        assert_eq!(c.read(a, 4), (Word::Uninit, ClassId::UNINIT));
+        assert_eq!(c.stats().clears, 3);
     }
 
     #[test]
     fn copyback_picks_lru_and_frees() {
         let mut c = cc();
-        let (a, _) = c.alloc_next(AbsAddr(0x100));
-        c.set_current(Some(a));
-        c.alloc_next(AbsAddr(0x200));
+        next_at(&mut c, 0x100);
+        c.advance();
+        next_at(&mut c, 0x200);
         c.install(AbsAddr(0x300), [Word::Int(3); 32], [ClassId::SMALL_INT; 32]);
         c.install(AbsAddr(0x400), [Word::Int(4); 32], [ClassId::SMALL_INT; 32]);
         assert!(c.needs_copyback(2));
@@ -543,7 +555,7 @@ mod tests {
     #[test]
     fn dirty_blocks_drain_once() {
         let mut c = cc();
-        let (i, _) = c.alloc_next(AbsAddr(0x100));
+        let i = next_at(&mut c, 0x100);
         c.write(i, 1, Word::Int(5), ClassId::SMALL_INT);
         let d = c.drain_dirty().next().expect("one dirty block");
         assert_eq!(d.abs, AbsAddr(0x100));

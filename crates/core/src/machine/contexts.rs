@@ -5,7 +5,9 @@
 //! operand reads and writes, coherent reads and writes by absolute
 //! address, context allocation with its write-back and copyback, fault-in
 //! on return, LIFO freeing, and the cache's part in garbage collection and
-//! in unwinding an abandoned send.
+//! in unwinding an abandoned send. It is also the only file that touches
+//! the context cache: `linkage.rs` reads the caller's block through
+//! `Machine::current_block`.
 
 use com_fpa::{Fpa, SegmentName};
 use com_isa::{Opcode, Operand};
@@ -20,13 +22,14 @@ use crate::{ContextCache, MachineError, CONTEXT_WORDS, CTX_ARG0, CTX_ARG1, CTX_R
 
 /// A context register: virtual address plus its pretranslated absolute base
 /// ("the CP, NCP, and IP are pre-translated to absolute addresses and are
-/// cached in special hardware registers", §3.6).
+/// cached in special hardware registers", §3.6). With the context cache
+/// on, the blocks holding CP and NCP are the cache's current and next
+/// vectors, which operand reads and writes go through; a register does
+/// not name its block.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct CtxReg {
     pub(super) fpa: Fpa,
     pub(super) abs: AbsAddr,
-    /// Context cache block index, when the context cache is enabled.
-    pub(super) block: Option<usize>,
 }
 
 /// The B and C source operands of an instruction (value and class tag) and
@@ -49,15 +52,9 @@ impl Machine {
         if off >= CONTEXT_WORDS {
             return Err(MachineError::SlotOutOfRange { offset: off });
         }
-        // Touch only the fields the chosen path needs — copying the whole
-        // register out costs more than the cached read itself.
         if let Some(cc) = &mut self.cc {
-            let reg = if next { &self.ncp } else { &self.cp };
-            let block = match reg {
-                Some(r) => r.block.expect("vector contexts are resident"),
-                None => return Err(MachineError::NoContext),
-            };
-            Ok(cc.read(block, off))
+            let block = if next { cc.next() } else { cc.current() };
+            Ok(cc.read(block.ok_or(MachineError::NoContext)?, off))
         } else {
             // Without the cache the word is a memory access (ablation A2).
             let reg = self.ctx_reg(next)?;
@@ -82,12 +79,8 @@ impl Machine {
             return Err(MachineError::SlotOutOfRange { offset: off });
         }
         if let Some(cc) = &mut self.cc {
-            let reg = if next { &self.ncp } else { &self.cp };
-            let block = match reg {
-                Some(r) => r.block.expect("vector contexts are resident"),
-                None => return Err(MachineError::NoContext),
-            };
-            cc.write(block, off, w, class);
+            let block = if next { cc.next() } else { cc.current() };
+            cc.write(block.ok_or(MachineError::NoContext)?, off, w, class);
             Ok(())
         } else {
             let reg = self.ctx_reg(next)?;
@@ -272,10 +265,7 @@ impl Machine {
         arg2: (Word, ClassId),
     ) -> Result<(), MachineError> {
         if let Some(cc) = &mut self.cc {
-            let block = match self.ncp.as_ref() {
-                Some(r) => r.block.expect("vector contexts are resident"),
-                None => return Err(MachineError::NoContext),
-            };
+            let block = cc.next().ok_or(MachineError::NoContext)?;
             cc.write_linkage(block, arg0, arg1, arg2);
             Ok(())
         } else {
@@ -288,21 +278,23 @@ impl Machine {
     /// CP <- `cur`, then a fresh next context whose RCP links back to it
     /// ("any NCP relative accesses will be held up until the new context
     /// is available"): the tail of a call and of a transfer, and the
-    /// bootstrap of a send.
+    /// bootstrap of a send. `cur` is the context last allocated, the one
+    /// the cache's next vector holds, and one call promotes that block to
+    /// current.
     #[inline(always)]
     pub(super) fn advance_contexts(&mut self, cur: CtxReg) -> Result<(), MachineError> {
         self.cp = Some(cur);
         if let Some(cc) = &mut self.cc {
-            cc.set_current(cur.block);
-            cc.set_next(None);
+            cc.advance();
         }
         self.ncp = Some(self.alloc_context()?);
         self.ctx_write_raw(true, CTX_RCP, Word::Ptr(cur.fpa), self.context_class)
     }
 
     /// Allocates a context and places it, cleared, in the context cache as
-    /// the next context. One memory reference pops the free list (§2.3);
-    /// with the pool empty a fresh context object is created.
+    /// the next context (the register is the caller's to place). One memory
+    /// reference pops the free list (§2.3); with the pool empty a fresh
+    /// context object is created.
     pub(super) fn alloc_context(&mut self) -> Result<CtxReg, MachineError> {
         self.stats.contexts_allocated += 1;
         let pooled = self.free_list.pop();
@@ -314,17 +306,13 @@ impl Machine {
                 (fpa, self.space.translate(self.team, fpa)?.abs)
             }
         };
-        let block = if let Some(cc) = &mut self.cc {
-            let (block, ev) = cc.alloc_next(abs);
+        if let Some(cc) = &mut self.cc {
+            let ev = cc.alloc_next(abs);
             self.write_back(ev)?;
-            Some(block)
-        } else {
-            if pooled.is_some() {
-                self.clear_context_memory(fpa)?;
-            }
-            None
-        };
-        Ok(CtxReg { fpa, abs, block })
+        } else if pooled.is_some() {
+            self.clear_context_memory(fpa)?;
+        }
+        Ok(CtxReg { fpa, abs })
     }
 
     fn clear_context_memory(&mut self, fpa: Fpa) -> Result<(), MachineError> {
@@ -353,40 +341,30 @@ impl Machine {
         if !self.config.copyback {
             return Ok(());
         }
-        loop {
-            let Some(cc) = &mut self.cc else {
-                return Ok(());
-            };
-            if !cc.needs_copyback(COPYBACK_LOW_WATER) {
-                return Ok(());
-            }
-            let Some(ev) = cc.copyback_victim() else {
-                return Ok(());
-            };
-            // Victim blocks may belong to CP/NCP ancestors; fix block links.
+        while let Some(ev) = (self.cc.as_mut())
+            .filter(|cc| cc.needs_copyback(COPYBACK_LOW_WATER))
+            .and_then(ContextCache::copyback_victim)
+        {
             self.write_back(Some(ev))?;
         }
+        Ok(())
     }
 
     /// LIFO freeing at return (§2.3): the pre-allocated next context goes
     /// back to the free list (an explicit free), and the returning
-    /// callee's context, cleared, becomes the next context.
+    /// callee's context, the current one, becomes the cleared next
+    /// context.
     #[inline]
     pub(super) fn free_lifo(&mut self, callee: CtxReg) -> Result<(), MachineError> {
         if let Some(ncp) = self.ncp {
             if let Some(cc) = &mut self.cc {
-                match ncp.block {
-                    // The pre-allocated next is still resident in its
-                    // block; skip the directory probe.
-                    Some(b) if cc.block_abs(b) == Some(ncp.abs) => cc.release_block(b),
-                    _ => cc.release(ncp.abs),
-                }
+                cc.release(ncp.abs);
             }
-            self.free_list.push(CtxReg { block: None, ..ncp });
+            self.free_list.push(ncp);
             self.stats.contexts_freed_lifo += 1;
         }
         if let Some(cc) = &mut self.cc {
-            cc.recycle_as_next(callee.block.expect("current context resident"));
+            cc.recycle_current();
         } else {
             self.clear_context_memory(callee.fpa)?;
         }
@@ -394,50 +372,44 @@ impl Machine {
         Ok(())
     }
 
-    /// CP <- the caller a return lands in, at `fpa` and `abs`. The caller
-    /// may have been copied back, so its context is faulted in from memory
-    /// when the cache no longer holds it. `memo` is the caller's block as
-    /// the shadow stack remembers it: still holding the same context
-    /// (copyback may have evicted it mid-call), it is taken without a
-    /// directory lookup. `kept_next` marks a return that kept the
-    /// pre-allocated next context, whose block the next vector names again.
+    /// CP <- the caller a return lands in, at `fpa` and `abs`, and the
+    /// cache's current vector <- the caller's block; the next vector is
+    /// left as the return found it. The caller may have been copied back,
+    /// so its context is faulted in from memory when the cache no longer
+    /// holds it. `memo` is the caller's block as the shadow stack
+    /// remembers it: still holding the same context (copyback may have
+    /// evicted it mid-call), it is taken without a directory lookup.
     #[inline]
     pub(super) fn return_to(
         &mut self,
         fpa: Fpa,
         abs: AbsAddr,
         memo: Option<usize>,
-        kept_next: bool,
     ) -> Result<(), MachineError> {
-        let memo = memo.filter(|b| {
-            self.cc
-                .as_ref()
-                .is_some_and(|cc| cc.block_abs(*b) == Some(abs))
-        });
-        let block = match memo {
-            Some(b) => Some(b),
-            None => match self.cc.as_mut().map(|cc| cc.find(abs)) {
-                None => None,
-                Some(Some(b)) => Some(b),
-                Some(None) => Some(self.fault_in(abs)?),
-            },
-        };
-        self.cp = Some(CtxReg { fpa, abs, block });
         if let Some(cc) = &mut self.cc {
-            cc.set_current(block);
-            if kept_next {
-                if let Some(ncp) = self.ncp {
-                    cc.set_next(ncp.block);
-                }
+            match memo
+                .filter(|b| cc.block_abs(*b) == Some(abs))
+                .or_else(|| cc.find(abs))
+            {
+                Some(b) => cc.set_current(b),
+                None => self.fault_in(abs)?,
             }
         }
+        self.cp = Some(CtxReg { fpa, abs });
         Ok(())
     }
 
-    /// A context-cache miss on a context that must be resident: reads the
-    /// context at `abs` from memory into a block, writing back the block it
-    /// displaces, and returns the block.
-    fn fault_in(&mut self, abs: AbsAddr) -> Result<usize, MachineError> {
+    /// The block holding CP when the context cache is on: the memo a call
+    /// leaves on the shadow stack for its return.
+    #[inline]
+    pub(super) fn current_block(&self) -> Option<usize> {
+        self.cc.as_ref().and_then(ContextCache::current)
+    }
+
+    /// A context-cache miss on the context a return lands in: reads the
+    /// context at `abs` from memory into a block, points the current vector
+    /// at it, and writes back the block it displaces.
+    fn fault_in(&mut self, abs: AbsAddr) -> Result<(), MachineError> {
         self.stats.ctx_fault_cycles += CTX_FAULT_PENALTY;
         let mut words = [Word::Uninit; CONTEXT_WORDS as usize];
         let mut classes = [ClassId::UNINIT; CONTEXT_WORDS as usize];
@@ -450,8 +422,8 @@ impl Machine {
         }
         let cc = self.cc.as_mut().expect("only a context cache faults");
         let (block, ev) = cc.install(abs, words, classes);
-        self.write_back(ev)?;
-        Ok(block)
+        cc.set_current(block);
+        self.write_back(ev)
     }
 
     // ------------------------------------------------------------------
@@ -494,11 +466,10 @@ impl Machine {
         self.free_list.clear();
         self.escaped.clear();
         if let Some(cc) = &mut self.cc {
-            cc.set_current(None);
-            cc.set_next(None);
             for abs in cc.resident() {
                 cc.release(abs);
             }
+            debug_assert_eq!((cc.current(), cc.next()), (None, None));
         }
     }
 }

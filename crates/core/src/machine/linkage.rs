@@ -16,6 +16,9 @@ use crate::{MachineError, CTX_ARG1, CTX_RCP, CTX_RIP, OPERAND_BIAS};
 pub(super) struct ShadowFrame {
     /// The caller's context register at call time.
     pub(super) reg: CtxReg,
+    /// The context-cache block that held the caller at call time, a memo
+    /// the return checks against the directory before it trusts it.
+    block: Option<usize>,
     /// The continuation stored into the caller's RIP slot.
     rip: Fpa,
     /// Decoded-slab slot of the caller's method.
@@ -82,6 +85,7 @@ impl Machine {
         if let Some(caller) = self.cp {
             self.shadow.push(ShadowFrame {
                 reg: caller,
+                block: self.current_block(),
                 rip,
                 slab: self.cur_slab,
             });
@@ -259,12 +263,7 @@ impl Machine {
             Some(f) => f.reg.abs,
             None => self.space.translate(self.team, caller_fpa)?.abs,
         };
-        self.return_to(
-            caller_fpa,
-            caller_abs,
-            frame.and_then(|f| f.reg.block),
-            !lifo,
-        )?;
+        self.return_to(caller_fpa, caller_abs, frame.and_then(|f| f.block))?;
         // Whether recycled or kept, the next context's RCP must name the
         // context control just returned into — it was linked to the (now
         // defunct) callee when it was allocated.

@@ -8,7 +8,7 @@
 //! | step | file | what it owns |
 //! |------|------|--------------|
 //! | 1. fetch through the instruction cache | `fetch.rs` | the icache probe and its miss charge; the decoded-method slab, decoding, the synthesized entry method |
-//! | 2. read operands from the context cache | `contexts.rs` | the context store: each context word in a cache block or in memory, allocation, copyback, fault-in, LIFO freeing, coherent access by absolute address |
+//! | 2. read operands from the context cache | `contexts.rs` | the context store: each context word in a cache block or in memory, allocation, copyback, fault-in, LIFO freeing, coherent access by absolute address; the only file that touches the context cache (`linkage.rs` reads the caller's block through its `current_block`) |
 //! | 3. translate through the ITLB | `translate.rs` | the ITLB probe, full lookup, pre-seeding, the dispatch observer |
 //! | 4–5. perform the operation, store results | `execute.rs` | the primitives and their result stores |
 //!
