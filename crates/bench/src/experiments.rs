@@ -973,7 +973,6 @@ pub fn a1() -> Experiment {
 pub fn a3() -> Experiment {
     let blocks = CompileOptions {
         inline_control_flow: false,
-        with_stdlib: true,
     };
     let (mut rows, mut cheaper, mut totals) = (Vec::new(), Vec::new(), [(0, 0); 3]);
     for w in workloads::all() {

@@ -117,11 +117,6 @@ impl NameAllocator {
     pub fn free_count(&self) -> usize {
         self.free.values().map(Vec::len).sum()
     }
-
-    /// Live names: allocations not yet freed.
-    pub fn live_count(&self) -> u64 {
-        self.allocated.saturating_sub(self.freed)
-    }
 }
 
 #[cfg(test)]

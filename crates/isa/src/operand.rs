@@ -74,11 +74,6 @@ impl Operand {
     pub fn is_const(self) -> bool {
         matches!(self, Operand::Const(_))
     }
-
-    /// Whether this operand reads the next context.
-    pub fn is_next(self) -> bool {
-        matches!(self, Operand::Next(_))
-    }
 }
 
 impl core::fmt::Display for Operand {

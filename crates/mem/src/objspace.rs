@@ -61,11 +61,6 @@ impl AllocStats {
         self.allocs[Self::idx(kind)]
     }
 
-    /// Frees of `kind`.
-    pub fn frees_of(&self, kind: AllocKind) -> u64 {
-        self.frees[Self::idx(kind)]
-    }
-
     /// References (reads + writes) through segments of `kind`.
     pub fn references_of(&self, kind: AllocKind) -> u64 {
         self.references[Self::idx(kind)]

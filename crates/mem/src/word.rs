@@ -161,14 +161,6 @@ impl Word {
         }
     }
 
-    /// The atom payload, if this is an `Atom`.
-    pub fn as_atom(&self) -> Option<AtomId> {
-        match self {
-            Word::Atom(a) => Some(*a),
-            _ => None,
-        }
-    }
-
     /// The pointer payload, if this is a `Ptr`.
     pub fn as_ptr(&self) -> Option<Fpa> {
         match self {
@@ -183,11 +175,6 @@ impl Word {
             Word::Instr(i) => Some(*i),
             _ => None,
         }
-    }
-
-    /// Whether the word is [`Word::Uninit`].
-    pub fn is_uninit(&self) -> bool {
-        matches!(self, Word::Uninit)
     }
 
     /// Numeric value as `f64` for mixed-mode arithmetic (§3.3 "some mixed

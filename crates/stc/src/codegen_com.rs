@@ -1173,7 +1173,6 @@ mod tests {
         let program = parse(src).unwrap();
         let opts = CompileOptions {
             inline_control_flow: false,
-            with_stdlib: false,
         };
         let image = compile_com_program(&program, opts).unwrap();
         let mut m = Machine::new(MachineConfig::default());
@@ -1196,10 +1195,6 @@ mod tests {
         // Through the standard library's control-flow methods: a discarded
         // conditional's value, `timesRepeat:`, a negated condition, and an
         // assignment as an arm's last expression.
-        let opts = CompileOptions {
-            inline_control_flow: false,
-            with_stdlib: true,
-        };
         for (src, selector, arg, expected) in [
             (
                 "class SmallInteger method m1 | x | x := 0. self > 2 ifTrue: [ x := 10 ] ifFalse: [ x := 20 ]. ^x end end",

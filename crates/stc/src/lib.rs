@@ -56,46 +56,35 @@ pub struct CompileOptions {
     /// (ablation A3); loops remain inlined (jumps are the only looping
     /// construct the hardware offers).
     pub inline_control_flow: bool,
-    /// Prepend the standard library.
-    pub with_stdlib: bool,
 }
 
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             inline_control_flow: true,
-            with_stdlib: true,
         }
     }
 }
 
-/// Compiles source text to a COM program image.
+/// Compiles source text, after the standard library, to a COM program
+/// image.
 ///
 /// # Errors
 ///
 /// Returns [`CompileError`] for lexical, syntactic or semantic errors.
 pub fn compile_com(source: &str, options: CompileOptions) -> Result<ProgramImage, CompileError> {
-    let full = if options.with_stdlib {
-        format!("{}\n{}", stdlib::PRELUDE, source)
-    } else {
-        source.to_string()
-    };
-    let program = parse(&full)?;
+    let program = parse(&format!("{}\n{}", stdlib::PRELUDE, source))?;
     compile_com_program(&program, options)
 }
 
-/// Compiles source text to a Fith (stack machine) image.
+/// Compiles source text, after the standard library, to a Fith (stack
+/// machine) image.
 ///
 /// # Errors
 ///
 /// Returns [`CompileError`]; real (non-inlinable) blocks are not supported
 /// by the stack backend and are reported as errors.
-pub fn compile_fith(source: &str, options: CompileOptions) -> Result<FithImage, CompileError> {
-    let full = if options.with_stdlib {
-        format!("{}\n{}", stdlib::PRELUDE, source)
-    } else {
-        source.to_string()
-    };
-    let program = parse(&full)?;
+pub fn compile_fith(source: &str) -> Result<FithImage, CompileError> {
+    let program = parse(&format!("{}\n{}", stdlib::PRELUDE, source))?;
     compile_fith_program(&program)
 }

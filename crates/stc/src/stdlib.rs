@@ -142,8 +142,7 @@ mod tests {
 
     #[test]
     fn prelude_compiles_on_both_backends() {
-        let opts = CompileOptions::default();
-        compile_com("", opts).expect("COM prelude");
-        compile_fith("", opts).expect("Fith prelude");
+        compile_com("", CompileOptions::default()).expect("COM prelude");
+        compile_fith("").expect("Fith prelude");
     }
 }

@@ -63,7 +63,7 @@ fn com_and_fith_agree_on_random_programs() {
         );
         let recv = Word::Int(rng.below(100) as i64 - 50);
         let com_image = compile_com(&src, opts).expect("COM compiles");
-        let fith_image = compile_fith(&src, opts).expect("Fith compiles");
+        let fith_image = compile_fith(&src).expect("Fith compiles");
         let fith = FithMachine::new(&fith_image)
             .send(&fith_image, "probe", recv, &[], FUEL)
             .map(|r| r.result);

@@ -118,14 +118,6 @@ impl ClassSet {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Whether `self` is a subset of `other`.
-    pub fn subset_of(&self, other: &ClassSet) -> bool {
-        self.bits
-            .iter()
-            .zip(other.bits.iter())
-            .all(|(a, b)| a & !b == 0)
-    }
-
     fn indices(&self) -> impl Iterator<Item = usize> + '_ {
         (0..MAX_CLASSES).filter(move |i| self.contains_index(*i))
     }

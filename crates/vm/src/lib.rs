@@ -662,7 +662,7 @@ mod tests {
     fn compile_everywhere(source: &str, fith: bool) -> Result<(), String> {
         com_stc::compile_com(source, Default::default()).map_err(|e| e.to_string())?;
         if fith {
-            com_stc::compile_fith(source, Default::default()).map_err(|e| e.to_string())?;
+            com_stc::compile_fith(source).map_err(|e| e.to_string())?;
         }
         Vm::builder()
             .source(source)

@@ -55,14 +55,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries anything.
-    pub fn no_retries() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Whether `error` is retry-safe under this policy (condition 1 of
     /// the classification; idempotency and the attempt cap are judged
     /// separately by the supervisor).

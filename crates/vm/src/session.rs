@@ -28,11 +28,6 @@ impl<T> Outcome<T> {
             Outcome::Yielded => None,
         }
     }
-
-    /// Whether the call is still in flight.
-    pub fn is_yielded(&self) -> bool {
-        matches!(self, Outcome::Yielded)
-    }
 }
 
 /// One tenant's isolated executor: a private machine (object space,

@@ -575,7 +575,7 @@ pub fn run_com_with_options(
 /// Panics if the workload is COM-only or fails to compile.
 pub fn run_fith(w: &Workload, max_steps: u64) -> Result<(FithResult, FithMachine), MachineError> {
     assert!(!w.com_only, "workload {} is COM-only", w.name);
-    let image = compile_fith(w.source, CompileOptions::default())
+    let image = compile_fith(w.source)
         .unwrap_or_else(|e| panic!("workload {} failed to compile for fith: {e}", w.name));
     let mut m = FithMachine::new(&image);
     let out = m.send(&image, w.entry, Word::Int(w.size), &[], max_steps)?;
@@ -590,7 +590,7 @@ pub fn run_fith(w: &Workload, max_steps: u64) -> Result<(FithResult, FithMachine
 /// Propagates machine errors.
 pub fn trace_fith(w: &Workload, max_steps: u64) -> Result<(Trace, FithResult), MachineError> {
     assert!(!w.com_only, "workload {} is COM-only", w.name);
-    let image = compile_fith(w.source, CompileOptions::default())
+    let image = compile_fith(w.source)
         .unwrap_or_else(|e| panic!("workload {} failed to compile for fith: {e}", w.name));
     let mut m = FithMachine::new(&image);
     m.enable_trace();
@@ -612,7 +612,6 @@ mod tests {
         // where conditionals and loops run as real blocks.
         let no_inline = CompileOptions {
             inline_control_flow: false,
-            with_stdlib: true,
         };
         for w in all() {
             for options in [CompileOptions::default(), no_inline] {

@@ -99,7 +99,7 @@ fn com_and_fith_agree_on_fresh_programs() {
         end
     "#;
     let com_image = compile_com(src, CompileOptions::default()).unwrap();
-    let fith_image = compile_fith(src, CompileOptions::default()).unwrap();
+    let fith_image = compile_fith(src).unwrap();
     for n in [6i64, 27, 97, 871] {
         let mut m = Machine::new(MachineConfig::default());
         m.load(&com_image).unwrap();
