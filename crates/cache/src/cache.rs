@@ -275,35 +275,130 @@ mod tests {
         assert_eq!(c.stats().hits, 1, "clear keeps the counters");
     }
 
+    /// An independent LRU model: per set, the resident `(tag, value)`
+    /// lines in recency order, most recent last, and the counters each
+    /// operation should move.
+    struct RecencyModel {
+        sets: Vec<Vec<(u64, u64)>>,
+        ways: usize,
+        stats: CacheStats,
+    }
+
+    impl RecencyModel {
+        fn new(sets: usize, ways: usize) -> Self {
+            RecencyModel {
+                sets: vec![Vec::new(); sets],
+                ways,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set(&mut self, hash: u64) -> &mut Vec<(u64, u64)> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(hash % n) as usize]
+        }
+
+        /// Takes `tag`'s line out of its set, if resident.
+        fn take(&mut self, hash: u64, tag: u64) -> Option<(u64, u64)> {
+            let set = self.set(hash);
+            set.iter()
+                .position(|&(t, _)| t == tag)
+                .map(|at| set.remove(at))
+        }
+
+        fn lookup(&mut self, hash: u64, tag: u64) -> Option<u64> {
+            let hit = self.take(hash, tag);
+            match hit {
+                Some(line) => {
+                    self.stats.hits += 1;
+                    self.set(hash).push(line);
+                }
+                None => self.stats.misses += 1,
+            }
+            hit.map(|(_, v)| v)
+        }
+
+        fn fill(&mut self, hash: u64, tag: u64, value: u64) {
+            self.stats.fills += 1;
+            if self.take(hash, tag).is_none() && self.set(hash).len() == self.ways {
+                self.set(hash).remove(0);
+                self.stats.evictions += 1;
+            }
+            self.set(hash).push((tag, value));
+        }
+
+        fn invalidate(&mut self, hash: u64, tag: u64) {
+            if self.take(hash, tag).is_some() {
+                self.stats.invalidations += 1;
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+    }
+
     #[test]
     fn matches_recency_list_model_access_for_access() {
-        // An independent LRU model: per set, the resident tags in recency
-        // order, most recent last. On a stream with reuse and conflicts
-        // the cache and the model must agree on every hit, miss and
-        // eviction.
-        let (sets, ways) = (8, 2);
-        let mut cache: SetAssocCache<u64, u64> = SetAssocCache::new(cfg(sets * ways, ways));
-        let mut model: Vec<Vec<u64>> = vec![Vec::new(); sets];
-        let mut evictions = 0;
-        let mut rng = Rng::new(12345);
-        for i in 0..10_000u64 {
-            let addr = if i % 3 == 0 { i % 24 } else { rng.below(64) };
-            let set = &mut model[addr as usize % sets];
-            let hit = set.iter().position(|&t| t == addr).map(|at| set.remove(at));
-            assert_eq!(cache.lookup(addr, addr), hit.map(|t| t * 7), "access {i}");
-            if hit.is_none() {
-                cache.fill(addr, addr, addr * 7);
-                if set.len() == ways {
-                    set.remove(0);
-                    evictions += 1;
+        // On a stream of every operation, with reuse and conflicts, the
+        // cache and the model must agree after each step on the value
+        // returned, the resident count and all five counters: over 1-, 2-
+        // and 4-way sets, a set count that is not a power of two (the
+        // modulo path) and one fully associative set.
+        for (sets, ways) in [(8, 1), (8, 2), (4, 4), (6, 2), (1, 8)] {
+            let mut cache: SetAssocCache<u64, u64> = SetAssocCache::new(cfg(sets * ways, ways));
+            let mut model = RecencyModel::new(sets, ways);
+            let mut rng = Rng::new(12345 + (sets * ways) as u64);
+            // Scrambled, so the set index comes from the hash's high bits
+            // as well as its low ones.
+            let hash = |tag: u64| tag.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            for i in 0..20_000u64 {
+                let tag = if i % 3 == 0 { i % 24 } else { rng.below(64) };
+                let (h, value) = (hash(tag), rng.next_u64());
+                match rng.below(1000) {
+                    // The replay loop: look up, fill on a miss.
+                    0..=649 => {
+                        let got = cache.lookup(h, tag);
+                        assert_eq!(got, model.lookup(h, tag), "{sets}x{ways}, step {i}");
+                        if got.is_none() {
+                            cache.fill(h, tag, value);
+                            model.fill(h, tag, value);
+                        }
+                    }
+                    // A fill whatever is resident, half the time a refill
+                    // of a line the model holds in that set.
+                    650..=849 => {
+                        let set = model.set(h);
+                        let tag = if !set.is_empty() && rng.below(2) == 0 {
+                            set[rng.below(set.len() as u64) as usize].0
+                        } else {
+                            tag
+                        };
+                        cache.fill(hash(tag), tag, value);
+                        model.fill(hash(tag), tag, value);
+                    }
+                    850..=989 => {
+                        cache.invalidate(h, tag);
+                        model.invalidate(h, tag);
+                    }
+                    990..=994 => {
+                        cache.reset_stats();
+                        model.stats = CacheStats::default();
+                    }
+                    _ => {
+                        cache.clear();
+                        model.sets.iter_mut().for_each(Vec::clear);
+                    }
                 }
+                assert_eq!(cache.stats(), model.stats, "{sets}x{ways}, step {i}");
+                assert_eq!(cache.len(), model.len(), "{sets}x{ways}, step {i}");
+                assert_eq!(
+                    cache.is_empty(),
+                    model.len() == 0,
+                    "{sets}x{ways}, step {i}"
+                );
             }
-            set.push(addr);
         }
-        let s = cache.stats();
-        assert_eq!(s.evictions, evictions);
-        assert_eq!(s.misses, s.fills);
-        assert_eq!(cache.len(), model.iter().map(Vec::len).sum::<usize>());
     }
 
     #[test]
