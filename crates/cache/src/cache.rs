@@ -5,21 +5,25 @@ use crate::{CacheConfig, CacheStats};
 /// A set-associative cache from tags to values, with per-set LRU
 /// replacement and hit/miss accounting.
 ///
-/// The lines live in three parallel arrays — tags, recency stamps and
-/// values — and a probe compares the ways of one set in place, as the
-/// hardware's comparators would. The caller picks the set: every probe
-/// passes a `hash` of its key, which the cache reduces modulo the set
-/// count (a mask when the count is a power of two). So each structure
-/// keeps its own indexing — the instruction cache the address itself, the
-/// ITLB a multiplicative hash of its packed key, the ATLB the
+/// Each set keeps its valid lines in recency order, most recently used
+/// first, with a count of them: a hit moves its line to the front, a fill
+/// puts the new line there, and in a full set the last line, the least
+/// recently used, is the one that drops out. The order is all LRU needs,
+/// so no line carries a timestamp and no probe advances a clock. A probe
+/// compares the valid ways of one set in place, as the hardware's
+/// comparators would. The caller picks the set: every probe passes a
+/// `hash` of its key, which the cache reduces modulo the set count (a
+/// mask when the count is a power of two). So each structure keeps its
+/// own indexing — the instruction cache the address itself, the ITLB a
+/// multiplicative hash of its packed key, the ATLB the
 /// [`FxHasher`](crate::FxHasher) of its key, the Figure 10/11 replays
 /// SipHash — and all of them share one probe, one fill order and one LRU
 /// choice.
 ///
-/// A line whose stamp is zero is empty, so every bit pattern of `T` is a
-/// usable tag. This is a *simulation* structure: a miss returns `None`,
-/// the caller performs the authoritative lookup (method dictionaries,
-/// segment tables…) and then [`fill`](Self::fill)s.
+/// Validity is the count, not a reserved tag, so every bit pattern of `T`
+/// is a usable tag. This is a *simulation* structure: a miss returns
+/// `None`, the caller performs the authoritative lookup (method
+/// dictionaries, segment tables…) and then [`fill`](Self::fill)s.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<T, V> {
     sets: usize,
@@ -27,13 +31,11 @@ pub struct SetAssocCache<T, V> {
     /// (fall back to the modulo).
     mask: u64,
     ways: usize,
-    /// Each line's tag, meaningful only while its stamp is non-zero.
-    tags: Vec<T>,
-    /// The clock at each line's last use (LRU), or 0 for an empty line.
-    stamps: Vec<u64>,
-    /// Each line's value.
-    values: Vec<V>,
-    clock: u64,
+    /// Set `s` owns the `ways` lines from `s * ways`; the first
+    /// `valid[s]` of them are resident, most recently used first.
+    lines: Vec<(T, V)>,
+    /// Each set's count of resident lines.
+    valid: Vec<u32>,
     stats: CacheStats,
 }
 
@@ -41,7 +43,6 @@ impl<T: Copy + Eq + Default, V: Copy + Default> SetAssocCache<T, V> {
     /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
-        let lines = config.entries();
         SetAssocCache {
             sets,
             mask: if sets.is_power_of_two() {
@@ -50,10 +51,8 @@ impl<T: Copy + Eq + Default, V: Copy + Default> SetAssocCache<T, V> {
                 0
             },
             ways: config.ways(),
-            tags: vec![T::default(); lines],
-            stamps: vec![0; lines],
-            values: vec![V::default(); lines],
-            clock: 0,
+            lines: vec![(T::default(), V::default()); config.entries()],
+            valid: vec![0; sets],
             stats: CacheStats::default(),
         }
     }
@@ -72,46 +71,37 @@ impl<T: Copy + Eq + Default, V: Copy + Default> SetAssocCache<T, V> {
 
     /// Number of valid lines currently resident.
     pub fn len(&self) -> usize {
-        self.stamps.iter().filter(|&&s| s != 0).count()
+        self.valid.iter().map(|&n| n as usize).sum()
     }
 
     /// Whether no lines are resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.valid.iter().all(|&n| n == 0)
     }
 
-    /// The first line of the set `hash` selects.
+    /// The set `hash` selects.
     #[inline]
-    fn set_base(&self, hash: u64) -> usize {
-        let set = if self.mask != 0 {
+    fn set_of(&self, hash: u64) -> usize {
+        if self.mask != 0 {
             (hash & self.mask) as usize
         } else {
             (hash % self.sets as u64) as usize
-        };
-        set * self.ways
-    }
-
-    /// The valid line of the set starting at `base` whose tag is `tag`.
-    #[inline]
-    fn find(&self, base: usize, tag: T) -> Option<usize> {
-        let ways = base..base + self.ways;
-        self.tags[ways.clone()]
-            .iter()
-            .zip(&self.stamps[ways])
-            .position(|(&t, &s)| t == tag && s != 0)
-            .map(|way| base + way)
+        }
     }
 
     /// Looks `tag` up in the set `hash` selects, recording a hit or miss
-    /// and refreshing recency.
+    /// and making a hit the most recently used line of its set.
     #[inline]
     pub fn lookup(&mut self, hash: u64, tag: T) -> Option<V> {
-        self.clock += 1;
-        match self.find(self.set_base(hash), tag) {
-            Some(line) => {
-                self.stamps[line] = self.clock;
+        let set = self.set_of(hash);
+        let (base, valid) = (set * self.ways, self.valid[set] as usize);
+        let ways = &mut self.lines[base..base + valid];
+        match ways.iter().position(|&(t, _)| t == tag) {
+            Some(way) => {
+                let value = ways[way].1;
+                to_front(ways, way);
                 self.stats.hits += 1;
-                Some(self.values[line])
+                Some(value)
             }
             None => {
                 self.stats.misses += 1;
@@ -120,37 +110,39 @@ impl<T: Copy + Eq + Default, V: Copy + Default> SetAssocCache<T, V> {
         }
     }
 
-    /// Installs `tag → value` in the set `hash` selects. A resident `tag`
-    /// is refilled in place; otherwise the first empty way is taken, and
-    /// in a full set the least recently used line is evicted.
+    /// Installs `tag → value` as the most recently used line of the set
+    /// `hash` selects. A resident `tag` is refilled; otherwise the new
+    /// line takes a free way, and in a full set it takes the least
+    /// recently used line's, evicting it.
     pub fn fill(&mut self, hash: u64, tag: T, value: V) {
-        self.clock += 1;
         self.stats.fills += 1;
-        let base = self.set_base(hash);
-        let line = match self.find(base, tag) {
-            Some(line) => line,
+        let set = self.set_of(hash);
+        let (base, valid) = (set * self.ways, self.valid[set] as usize);
+        let ways = &mut self.lines[base..base + self.ways];
+        let way = match ways[..valid].iter().position(|&(t, _)| t == tag) {
+            Some(way) => way,
+            None if valid == ways.len() => {
+                self.stats.evictions += 1;
+                valid - 1
+            }
             None => {
-                // An empty line's zero stamp is its set's minimum, and
-                // `min_by_key` keeps the first minimum: one scan takes the
-                // first empty way, or else the LRU line.
-                let victim = (base..base + self.ways)
-                    .min_by_key(|&l| self.stamps[l])
-                    .expect("sets are nonempty");
-                if self.stamps[victim] != 0 {
-                    self.stats.evictions += 1;
-                }
-                victim
+                self.valid[set] += 1;
+                valid
             }
         };
-        self.tags[line] = tag;
-        self.stamps[line] = self.clock;
-        self.values[line] = value;
+        ways[way] = (tag, value);
+        to_front(ways, way);
     }
 
-    /// Removes `tag` from the set `hash` selects, if resident.
+    /// Removes `tag` from the set `hash` selects, if resident. The lines
+    /// behind it move up one, keeping their order.
     pub fn invalidate(&mut self, hash: u64, tag: T) {
-        if let Some(line) = self.find(self.set_base(hash), tag) {
-            self.stamps[line] = 0;
+        let set = self.set_of(hash);
+        let (base, valid) = (set * self.ways, self.valid[set] as usize);
+        let ways = &mut self.lines[base..base + valid];
+        if let Some(way) = ways.iter().position(|&(t, _)| t == tag) {
+            ways[way..].rotate_left(1);
+            self.valid[set] -= 1;
             self.stats.invalidations += 1;
         }
     }
@@ -158,7 +150,20 @@ impl<T: Copy + Eq + Default, V: Copy + Default> SetAssocCache<T, V> {
     /// Drops all contents (statistics are kept; pair with
     /// [`reset_stats`](Self::reset_stats) for a full reset).
     pub fn clear(&mut self) {
-        self.stamps.fill(0);
+        self.valid.fill(0);
+    }
+}
+
+/// Moves the line at `way` to the front of `ways`, the lines before it
+/// each moving back one. A line already in front stays where it is, and a
+/// 2-way set's second line swaps with its first, in line: only a set of
+/// more ways goes through the general rotation.
+#[inline]
+fn to_front<L>(ways: &mut [L], way: usize) {
+    match way {
+        0 => {}
+        1 => ways.swap(0, 1),
+        _ => ways[..=way].rotate_right(1),
     }
 }
 
@@ -225,7 +230,7 @@ mod tests {
 
     #[test]
     fn any_tag_bit_pattern_is_a_key() {
-        // Empty lines are marked by their stamp, not a reserved tag: the
+        // Empty lines are marked by their set's count, not a reserved tag: the
         // zero tag misses in a fresh cache, and the all-ones and
         // all-zero tuple tags (the ATLB's key shape) hold values.
         let mut c: SetAssocCache<(u16, u64), u64> = SetAssocCache::new(cfg(64, 2));
