@@ -126,9 +126,11 @@ impl Machine {
     }
 
     /// Which periodic collection is due once `step` instructions have
-    /// completed, if any. Shared by [`step`](Self::step) and the threaded
-    /// [`run`](Self::run) loop so the two charge GC cycles at identical
-    /// boundaries; a step on both cadences runs the full collection.
+    /// completed, if any: the one cadence rule. [`step`](Self::step)
+    /// asks it after every instruction, and the threaded
+    /// [`run`](Self::run) loop asks it which kind to run at the step
+    /// [`next_gc_due`](Self::next_gc_due) names. A step on both cadences
+    /// runs the full collection.
     #[inline]
     pub(super) fn gc_due(&self, step: u64) -> Option<GcKind> {
         if let Some(interval) = self.config.gc_full_interval {
@@ -142,6 +144,21 @@ impl Machine {
             }
         }
         None
+    }
+
+    /// The first step after `step` at which [`gc_due`](Self::gc_due)
+    /// names a collection, or `None` if none ever comes due: the next
+    /// multiple of either interval. A zero interval is due only at step
+    /// 0, which no later step is. The threaded loop computes this once
+    /// per segment and compares its step count against it, so it divides
+    /// per segment rather than per instruction.
+    pub(super) fn next_gc_due(&self, step: u64) -> Option<u64> {
+        let next = |interval: Option<u64>| {
+            let interval = interval.filter(|&i| i != 0)?;
+            (step / interval + 1).checked_mul(interval)
+        };
+        let (full, minor) = (self.config.gc_full_interval, self.config.gc_minor_interval);
+        next(full).into_iter().chain(next(minor)).min()
     }
 
     /// Creates an object of `words` words; when absolute space runs out,

@@ -40,9 +40,13 @@
 //! Both loops call the same stage functions for everything but operand
 //! fetch, hazard detection and the pure-data fast path: the icache probe,
 //! translation, primitives, the returning store, call, return, transfer,
-//! trap dispatch, copyback and the GC cadence. The `run`-vs-`run_stepwise`
-//! differential therefore cannot see a change to those functions;
-//! `tests/pinned_counts.rs` holds the cycles they charge.
+//! trap dispatch and copyback. The `run`-vs-`run_stepwise` differential
+//! therefore cannot see a change to those functions;
+//! `tests/pinned_counts.rs` holds the cycles they charge. The GC cadence
+//! is one rule, `gc_due`: `step` asks it after every instruction, while
+//! the threaded loop asks `next_gc_due` once per segment for the step at
+//! which `gc_due` next fires, so the differential checks the two against
+//! each other.
 //!
 //! # Dispatch in one word
 //!

@@ -206,11 +206,13 @@ impl Machine {
             }
             let body = bodies[slot].get_or_insert_with(|| Arc::clone(&self.decoded[slot].body));
             let gen = self.ip_gen;
-            let gc_on =
-                self.config.gc_minor_interval.is_some() || self.config.gc_full_interval.is_some();
             let steps_base = self.steps;
             // Instructions completed against `body`, not yet in the stats.
             let mut done: u64 = 0;
+            // The value of `done` at which the next periodic collection
+            // comes due, or 0 (which `done` has passed when it is
+            // compared) when none will.
+            let gc_at = self.next_gc_due(steps_base).map_or(0, |s| s - steps_base);
             let end = loop {
                 if done == remaining {
                     break SegEnd::Budget;
@@ -225,7 +227,7 @@ impl Machine {
                 if let Err(e) = self.exec_low(low) {
                     break SegEnd::Trap(e);
                 }
-                if gc_on && self.gc_due(steps_base + done).is_some() {
+                if done == gc_at {
                     break SegEnd::GcDue;
                 }
                 if self.ip_gen != gen || self.halted.is_some() {

@@ -324,6 +324,38 @@ fn repeated_sends_do_not_leak_entry_roots_or_heap() {
     );
 }
 
+/// The threaded loop's next collection step is the one `gc_due` rule
+/// looked ahead: from every step up to a few hundred, `next_gc_due` names
+/// the first later step `gc_due` fires on, for no cadence, minor only,
+/// full only, both with common multiples, and zero intervals (due only at
+/// step 0, so never after it).
+#[test]
+fn next_gc_due_is_the_first_later_step_gc_due_fires_on() {
+    let cadences = [
+        (None, None),
+        (Some(7), None),
+        (None, Some(11)),
+        (Some(6), Some(9)),
+        (Some(0), None),
+        (Some(0), Some(5)),
+    ];
+    for (minor, full) in cadences {
+        let m = Machine::new(MachineConfig {
+            gc_minor_interval: minor,
+            gc_full_interval: full,
+            ..MachineConfig::default()
+        });
+        for step in 0..400 {
+            let fires = (step + 1..=500).find(|&s| m.gc_due(s).is_some());
+            assert_eq!(
+                m.next_gc_due(step),
+                fires,
+                "minor {minor:?}, full {full:?}, after step {step}"
+            );
+        }
+    }
+}
+
 #[test]
 fn run_for_yields_and_resumes_bit_identically() {
     // Driving a program with many tiny budgets must reproduce the
