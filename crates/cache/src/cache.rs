@@ -9,16 +9,15 @@ use crate::{CacheConfig, CacheStats};
 /// first, with a count of them: a hit moves its line to the front, a fill
 /// puts the new line there, and in a full set the last line, the least
 /// recently used, is the one that drops out. The order is all LRU needs,
-/// so no line carries a timestamp and no probe advances a clock. A probe
-/// compares the valid ways of one set in place, as the hardware's
-/// comparators would. The caller picks the set: every probe passes a
-/// `hash` of its key, which the cache reduces modulo the set count (a
-/// mask when the count is a power of two). So each structure keeps its
-/// own indexing — the instruction cache the address itself, the ITLB a
-/// multiplicative hash of its packed key, the ATLB the
-/// [`FxHasher`](crate::FxHasher) of its key, the Figure 10/11 replays
-/// SipHash — and all of them share one probe, one fill order and one LRU
-/// choice.
+/// so a line holds only its tag and value. A probe compares the valid
+/// ways of one set in place, as the hardware's comparators would. The
+/// caller picks the set: every probe passes a `hash` of its key, which
+/// the cache reduces modulo the set count (a mask when the count is a
+/// power of two). So each structure keeps its own indexing — the
+/// instruction cache the address itself, the ITLB a multiplicative hash
+/// of its packed key, the ATLB the [`FxHasher`](crate::FxHasher) of its
+/// key, the Figure 10/11 replays SipHash — and all of them share one
+/// probe, one fill order and one LRU choice.
 ///
 /// Validity is the count, not a reserved tag, so every bit pattern of `T`
 /// is a usable tag. This is a *simulation* structure: a miss returns

@@ -7,15 +7,16 @@
 //!
 //! This crate provides the one set-associative cache the ITLB, the ATLB
 //! and the instruction cache are built on (the context cache, a block
-//! store with its own directory, lives in `com-core`). Every cache replaces the least recently used line of a set,
-//! as in the paper's simulations (§5), and records [`CacheStats`] with a
+//! store with its own directory, lives in `com-core`). Every cache replaces
+//! the least recently used line of a set, as in the paper's simulations
+//! (§5), and records [`CacheStats`] with a
 //! warmup-aware reset (the paper ran "a warmup trace … before the
 //! measurement trace", §5).
 //!
-//! * [`SetAssocCache`] — parallel tag, recency and value arrays probed in
-//!   place; each probe passes the hash that selects its set, so the
-//!   instruction cache indexes by address, the ITLB and ATLB by their own
-//!   key hashes, and the Figure 10/11 trace replays by SipHash.
+//! * [`SetAssocCache`] — each set's lines kept most recently used first,
+//!   probed in place; each probe passes the hash that selects its set, so
+//!   the instruction cache indexes by address, the ITLB and ATLB by their
+//!   own key hashes, and the Figure 10/11 trace replays by SipHash.
 //! * [`CacheConfig`] — cache geometry.
 //!
 //! It also holds the two small utilities every layer shares: the

@@ -98,7 +98,7 @@ impl BootTemplate {
 /// A machine's state right after it was booted from an image and its ITLB
 /// was seeded ([`Machine::preseed_itlb`]), kept so that more machines can
 /// start from it: [`Machine::boot_seeded`] gives each one a copy of the
-/// seeded ITLB (contents, LRU stamps, clock and counters), of the slab
+/// seeded ITLB (contents, each set's recency order and counters), of the slab
 /// entries the seeding decoded and of the space, and shares the image's
 /// tables, so it is bit-identical to a machine booted and seeded on its
 /// own without repeating a lookup.

@@ -249,8 +249,8 @@ impl Machine {
     /// Boots a machine in the state `seed` kept: the machine
     /// [`boot`](Self::boot) makes from the same image and configuration,
     /// after [`preseed_itlb`](Self::preseed_itlb) with the same keys. Its
-    /// ITLB is a copy of the seeded one (contents, LRU stamps, clock and
-    /// counters), so no lookup is repeated.
+    /// ITLB is a copy of the seeded one (contents, each set's recency
+    /// order and counters), so no lookup is repeated.
     pub fn boot_seeded(seed: &crate::SeededBoot) -> Machine {
         Self::from_template(seed.config, &seed.template, seed.itlb.clone())
     }

@@ -103,7 +103,7 @@ impl ItlbConfig {
 /// It packs each key into a tag, hashes the tag to pick a set, and leaves
 /// the probe, the fill order and the LRU choice to its [`SetAssocCache`].
 /// `ways == 1` is the direct-mapped case. A clone copies the contents,
-/// the LRU stamps, the clock and the counters, so it goes on exactly as
+/// each set's recency order and the counters, so it goes on exactly as
 /// the original would.
 ///
 /// ```
