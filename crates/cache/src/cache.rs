@@ -75,7 +75,7 @@ impl<T: Copy + Eq + Default, V: Copy + Default> SetAssocCache<T, V> {
 
     /// Whether no lines are resident.
     pub fn is_empty(&self) -> bool {
-        self.valid.iter().all(|&n| n == 0)
+        self.len() == 0
     }
 
     /// The set `hash` selects.

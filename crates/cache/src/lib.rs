@@ -9,9 +9,8 @@
 //! and the instruction cache are built on (the context cache, a block
 //! store with its own directory, lives in `com-core`). Every cache replaces
 //! the least recently used line of a set, as in the paper's simulations
-//! (§5), and records [`CacheStats`] with a
-//! warmup-aware reset (the paper ran "a warmup trace … before the
-//! measurement trace", §5).
+//! (§5), and records [`CacheStats`] with a warmup-aware reset (the paper
+//! ran "a warmup trace … before the measurement trace", §5).
 //!
 //! * [`SetAssocCache`] — each set's lines kept most recently used first,
 //!   probed in place; each probe passes the hash that selects its set, so
