@@ -8,9 +8,11 @@
 //! ```
 //!
 //! Each pipeline (see its module in `com_bench`) runs at one fixed
-//! configuration under the shared protocol, and every file starts with
-//! the same header: `bench`, `schema`, `host` (cores and
-//! `git describe --always --dirty`), `protocol` and `unit`. GC loop
+//! configuration under the shared protocol; the sessions round robin,
+//! the parallel sweep and the server pipeline all serve their tenants on
+//! a `com_vm::server::Server`. Every file starts with the same header:
+//! `bench`, `schema`, `host` (cores and `git describe --always
+//! --dirty`), `protocol` and `unit`. GC loop
 //! identity and parallel fidelity are asserted while measuring; the
 //! round-robin and server p99 bars after all four files are written, so
 //! a missed bar still leaves every artifact behind.
@@ -96,23 +98,20 @@ fn print_sessions(r: &SessionsReport) {
                 t.workload.to_string(),
                 format!("{}", t.result),
                 format!("{}", t.instructions),
-                format!("{}", t.slices),
                 if t.matches_sequential { "yes" } else { "NO" }.to_string(),
             ]
         })
         .collect();
     print_table(
         &format!(
-            "{}-session round-robin ({} rounds) vs sequential",
-            r.tenants.len(),
-            r.rounds
+            "{}-session round-robin on a one-worker server vs sequential",
+            r.tenants.len()
         ),
         &[
             "tenant",
             "workload",
             "result",
             "instructions",
-            "slices",
             "bit-identical",
         ],
         &table,

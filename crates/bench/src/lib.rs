@@ -15,12 +15,17 @@ pub mod protocol;
 pub mod server;
 pub mod sessions;
 
-use com_core::{CycleStats, MachineConfig};
+use std::time::Instant;
+
+use com_core::CycleStats;
 use com_mem::Word;
-use com_stc::CompileOptions;
 use com_trace::Trace;
+use com_vm::server::{Request, Server, ServerConfig, TenantConfig, Ticket};
 use com_vm::{Vm, VmError};
 use com_workloads::{self as workloads, Workload};
+
+/// Instructions per turn for every tenant [`serve`]s.
+pub(crate) const SLICE_STEPS: u64 = 5_000;
 
 /// Builds the merged Fith trace of all portable workloads — the
 /// reproduction's counterpart of the paper's "several traces … the longest
@@ -73,29 +78,36 @@ pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// A workload, its shared image, and its outcome when run alone on a
-/// fresh session: the reference every tenant of a multi-tenant run is
-/// compared with.
+/// A workload and its outcome when run alone on a fresh session of the
+/// joined image its tenants are served from: the reference every tenant
+/// of a multi-tenant run is compared with.
 pub(crate) struct Solo {
     /// The workload.
     pub workload: Workload,
-    /// The image tenants of this workload boot from.
-    pub vm: Vm,
     /// The solo run's result word.
     pub result: Word,
     /// The solo run's statistics.
     pub stats: CycleStats,
 }
 
-/// Boots one image per workload in `set` and runs each workload alone.
+/// Boots the joined image of `set` and runs each workload of `set` alone
+/// on a fresh session of it. A workload's own image gives some workloads
+/// other cycle counts than the joined one, so the baselines are taken on
+/// the image [`serve`] serves.
+///
+/// # Errors
+///
+/// Propagates compile, boot and machine errors.
 ///
 /// # Panics
 ///
 /// Panics if a workload fails its self-check.
-pub(crate) fn solo_baselines(set: &[Workload]) -> Result<Vec<Solo>, VmError> {
-    set.iter()
+pub(crate) fn solo_baselines(set: &[Workload]) -> Result<(Vm, Vec<Solo>), VmError> {
+    let sources: Vec<&str> = set.iter().map(|w| w.source).collect();
+    let vm = Vm::builder().source(&sources.join("\n")).build()?;
+    let solo = set
+        .iter()
         .map(|w| {
-            let vm = workloads::vm_for(w, MachineConfig::default(), CompileOptions::default());
             let out = workloads::run_on(w, &mut vm.session()?, workloads::MAX_STEPS)?;
             assert_eq!(
                 out.result,
@@ -105,12 +117,87 @@ pub(crate) fn solo_baselines(set: &[Workload]) -> Result<Vec<Solo>, VmError> {
             );
             Ok(Solo {
                 workload: *w,
-                vm,
                 result: out.result,
                 stats: out.stats,
             })
         })
-        .collect()
+        .collect::<Result<_, VmError>>()?;
+    Ok((vm, solo))
+}
+
+/// One tenant's response from [`serve`], held against its solo run.
+pub(crate) struct Served {
+    /// The tenant's workload.
+    pub workload: &'static str,
+    /// The result word.
+    pub result: Word,
+    /// The request's statistics.
+    pub stats: CycleStats,
+    /// Whether result and statistics equal the solo run's, bit for bit.
+    pub matches_solo: bool,
+}
+
+/// Serves `tenants` tenants over `vm` on a `workers`-worker [`Server`]
+/// with [`SLICE_STEPS`]-instruction turns, tenant `i` sending the entry
+/// of `solo[i % solo.len()]`'s workload once. Every tenant is registered
+/// before the clock starts, and the clock runs from the first submit to
+/// the last response. Returns the wall nanoseconds and each tenant's
+/// response, compared with its solo run, in tenant order.
+///
+/// # Errors
+///
+/// Propagates boot errors.
+///
+/// # Panics
+///
+/// Panics if a request is refused or fails.
+pub(crate) fn serve(
+    vm: &Vm,
+    solo: &[Solo],
+    tenants: usize,
+    workers: usize,
+) -> Result<(u64, Vec<Served>), VmError> {
+    let config = ServerConfig {
+        workers,
+        base_slice: SLICE_STEPS,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(vm.clone(), config);
+    let names: Vec<String> = (0..tenants).map(|i| format!("t{i}")).collect();
+    for name in &names {
+        server.register(name, TenantConfig::default())?;
+    }
+    let t0 = Instant::now();
+    let tickets: Vec<Ticket> = names
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let w = &solo[i % solo.len()].workload;
+            server
+                .submit(name, Request::new(w.entry, w.size))
+                .unwrap_or_else(|e| panic!("{} (tenant {i}) refused: {e}", w.name))
+        })
+        .collect();
+    let responses: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+    let wall_ns = t0.elapsed().as_nanos() as u64;
+    let served = responses
+        .into_iter()
+        .enumerate()
+        .map(|(i, response)| {
+            let baseline = &solo[i % solo.len()];
+            let name = baseline.workload.name;
+            let result = response
+                .outcome
+                .unwrap_or_else(|e| panic!("{name} (tenant {i}) failed at {workers} workers: {e}"));
+            Served {
+                workload: name,
+                result,
+                stats: response.stats,
+                matches_solo: result == baseline.result && response.stats == baseline.stats,
+            }
+        })
+        .collect();
+    Ok((wall_ns, served))
 }
 
 #[cfg(test)]

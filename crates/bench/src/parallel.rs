@@ -1,36 +1,33 @@
-//! The parallel-executor bench pipeline (`BENCH_parallel.json`).
+//! The parallel bench pipeline (`BENCH_parallel.json`).
 //!
-//! Measures the two claims the [`com_vm::ParallelExecutor`] makes:
+//! Measures the two claims a multi-worker [`com_vm::server::Server`]
+//! makes:
 //!
-//! 1. **Fidelity** — draining N mixed tenants across a worker pool must
+//! 1. **Fidelity** — serving N mixed tenants over a pool of workers must
 //!    leave every tenant's result *and* `CycleStats` bit-identical to
-//!    solo execution, at every worker count. Isolation is architectural,
-//!    so this is asserted exactly, not approximately — and it is what
-//!    makes the throughput comparison meaningful: every configuration
-//!    retires the *same* total instruction stream.
+//!    its solo run on the same image, at every worker count. Isolation
+//!    is architectural, so this is asserted exactly, not approximately —
+//!    and it is what makes the throughput comparison meaningful: every
+//!    configuration retires the *same* total instruction stream.
 //! 2. **Scaling** — aggregate throughput (retired instructions per
-//!    wall-second over the whole drain) at 4 workers must be ≥ 2× the
-//!    1-worker figure. Wall-clock scaling needs real cores: the JSON
-//!    records `host_cores` and flags `host_limited` when the host has
-//!    fewer than 4 cores (a 1-core container caps the honest speedup at
-//!    ~1×; 2 cores cap 4 workers at 2×), so a hardware cap is
-//!    distinguishable from a missed target on capable hardware.
+//!    wall-second from the first submit to the last response) at 4
+//!    workers must be ≥ 2× the 1-worker figure. Wall-clock scaling needs
+//!    real cores: the JSON records `host_cores` and flags `host_limited`
+//!    when the host has fewer than 4 cores (a 1-core container caps the
+//!    honest speedup at ~1×; 2 cores cap 4 workers at 2×), so a hardware
+//!    cap is distinguishable from a missed target on capable hardware.
 //!
-//! Protocol: the shared [`paired_median`]. Each round boots and starts
-//! the full tenant set per worker count and times only the drain, all
-//! worker counts back to back; the reported round is the one with the
-//! median 4-vs-1 speedup.
+//! Protocol: the shared [`paired_median`]. Each round serves the full
+//! tenant set at every worker count back to back, each on a fresh server
+//! over one joined image of the workloads. The clock runs from the first
+//! submit to the last response (registration is outside it); the
+//! reported round is the one with the median 4-vs-1 speedup.
 
-use std::time::Instant;
-
-use com_vm::{ParallelExecutor, Session, VmError};
+use com_vm::{Vm, VmError};
 use com_workloads::{self as workloads, Workload};
 
 use crate::protocol::{arr, artifact, num, obj, paired_median, ratio, rows, text, Host};
-use crate::{solo_baselines, Solo};
-
-/// Instruction slice per resume (same cadence as the sessions bench).
-pub const SLICE_STEPS: u64 = 5_000;
+use crate::{serve, solo_baselines, Solo, SLICE_STEPS};
 
 /// Tenants per drain.
 pub const TENANTS: usize = 32;
@@ -58,9 +55,9 @@ pub fn tenant_workloads() -> Vec<Workload> {
 /// One worker-count configuration of the median round.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalingRow {
-    /// Worker threads in the pool.
+    /// Server worker threads.
     pub workers: usize,
-    /// Wall nanoseconds to drain the whole tenant set.
+    /// Wall nanoseconds from the first submit to the last response.
     pub wall_ns: u64,
     /// Total instructions retired across tenants (identical at every
     /// worker count — asserted).
@@ -95,56 +92,18 @@ pub fn target_met(rows: &[ScalingRow]) -> bool {
     headline_speedup(rows) >= 2.0
 }
 
-/// Boots and starts the full tenant set, tenants cycling through the
-/// workloads (outside the timed region: boot cost is the sessions
-/// bench's subject, not this one's). Tenants share an image with the
-/// other tenants of the same workload, as a server's would.
-fn started_tenants(tenants: usize, solo: &[Solo]) -> Result<Vec<Session>, VmError> {
-    (0..tenants)
-        .map(|i| {
-            let tenant = &solo[i % solo.len()];
-            let mut s = tenant.vm.session()?;
-            workloads::start_on(&tenant.workload, &mut s)?;
-            Ok(s)
-        })
-        .collect()
-}
-
 /// One timed drain at one worker count; returns the row (speedup filled
 /// in by the caller) after asserting every tenant against its baseline.
-fn drain(workers: usize, tenants: usize, solo: &[Solo]) -> Result<ScalingRow, VmError> {
-    let sessions = started_tenants(tenants, solo)?;
-    let pool = ParallelExecutor::new(workers, SLICE_STEPS);
-    let t0 = Instant::now();
-    let runs = pool.run(sessions);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
+fn drain(workers: usize, tenants: usize, vm: &Vm, solo: &[Solo]) -> Result<ScalingRow, VmError> {
+    let (wall_ns, served) = serve(vm, solo, tenants, workers)?;
     let mut instructions = 0u64;
-    for (i, run) in runs.iter().enumerate() {
-        let baseline = &solo[i % solo.len()];
-        let w = &baseline.workload;
+    for (i, tenant) in served.iter().enumerate() {
         assert!(
-            run.error.is_none(),
-            "{} (tenant {i}) trapped at {workers} workers: {:?}",
-            w.name,
-            run.error
+            tenant.matches_solo,
+            "{} (tenant {i}) diverged from its solo run at {workers} workers",
+            tenant.workload
         );
-        assert_eq!(
-            run.result,
-            Some(baseline.result),
-            "{} (tenant {i}) result diverged at {workers} workers",
-            w.name
-        );
-        let stats = run
-            .session
-            .last_run()
-            .unwrap_or_else(|| panic!("tenant {i} has no run"))
-            .stats;
-        assert_eq!(
-            stats, baseline.stats,
-            "{} (tenant {i}) CycleStats diverged at {workers} workers",
-            w.name
-        );
-        instructions += stats.instructions;
+        instructions += tenant.stats.instructions;
     }
     Ok(ScalingRow {
         workers,
@@ -168,12 +127,12 @@ fn drain(workers: usize, tenants: usize, solo: &[Solo]) -> Result<ScalingRow, Vm
 /// Panics if any tenant's result or `CycleStats` diverges from its solo
 /// baseline — fidelity is the precondition of the throughput numbers.
 pub fn report() -> Result<Vec<ScalingRow>, VmError> {
-    let solo = solo_baselines(&tenant_workloads())?;
+    let (vm, solo) = solo_baselines(&tenant_workloads())?;
 
     // Warm up: one small drain per worker count (thread spawn paths,
     // allocator, lazy statics).
     for w in WORKER_COUNTS {
-        drain(w, solo.len(), &solo)?;
+        drain(w, solo.len(), &vm, &solo)?;
     }
 
     paired_median(
@@ -181,7 +140,7 @@ pub fn report() -> Result<Vec<ScalingRow>, VmError> {
         || {
             let mut round = WORKER_COUNTS
                 .iter()
-                .map(|&w| drain(w, TENANTS, &solo))
+                .map(|&w| drain(w, TENANTS, &vm, &solo))
                 .collect::<Result<Vec<_>, _>>()?;
             let base_ns = round[0].wall_ns;
             for row in &mut round {
@@ -228,7 +187,7 @@ pub fn to_json(median: &[ScalingRow], host: &Host) -> String {
         ]),
         &obj(&[(
             "throughput",
-            &text("retired instructions per wall-microsecond, aggregate over the whole drain; speedups are within-round ratios, median round kept"),
+            &text("retired instructions per wall-microsecond, aggregate from the first submit to the last response; speedups are within-round ratios, median round kept"),
         )]),
         &[
             ("rows", &rows(median.iter().map(row))),
@@ -260,9 +219,9 @@ mod tests {
     #[test]
     fn small_drain_matches_baselines_at_every_worker_count() {
         // `drain` panics on any divergence, so running it IS the check.
-        let solo = solo_baselines(&tenant_workloads()).unwrap();
+        let (vm, solo) = solo_baselines(&tenant_workloads()).unwrap();
         for workers in [1, 3] {
-            let row = drain(workers, 7, &solo).unwrap();
+            let row = drain(workers, 7, &vm, &solo).unwrap();
             assert_eq!(row.workers, workers);
             assert!(row.instructions > 0);
             assert!(row.wall_ns > 0);

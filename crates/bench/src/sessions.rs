@@ -2,32 +2,30 @@
 //!
 //! Measures the two claims the `com-vm` facade makes:
 //!
-//! 1. **Spin-up** — spawning a tenant [`Session`] over a shared, immutable
-//!    [`com_vm::LoadedImage`] must be ≥ 10× cheaper (wall clock) than the
-//!    old one-tenant path, a fresh compile + load of the same program.
-//!    Measured with the shared [`paired_median`] protocol: each round
-//!    times both paths back to back, and the round with the median ratio
-//!    is reported.
-//! 2. **Round-robin fidelity** — a 16-session cooperative round-robin run
-//!    (the [`com_vm::Scheduler`] interleaving tenants in fixed instruction
-//!    slices) must complete every workload with results *and*
-//!    [`com_core::CycleStats`] bit-identical to sequential execution.
-//!    Isolation is architectural, so this is asserted exactly, not
-//!    approximately.
+//! 1. **Spin-up** — spawning a tenant [`com_vm::Session`] over a shared,
+//!    immutable [`com_vm::LoadedImage`] must be ≥ 10× cheaper (wall
+//!    clock) than the old one-tenant path, a fresh compile + load of the
+//!    same program. Measured with the shared [`paired_median`] protocol:
+//!    each round times both paths back to back, and the round with the
+//!    median ratio is reported.
+//! 2. **Round-robin fidelity** — a 16-tenant round robin (a one-worker
+//!    [`com_vm::server::Server`] interleaving tenants in fixed
+//!    instruction turns over the joined image of the workloads) must
+//!    complete every workload with results *and*
+//!    [`com_core::CycleStats`] bit-identical to sequential execution on
+//!    that image. Isolation is architectural, so this is compared
+//!    exactly, not approximately.
 
 use std::time::Instant;
 
 use com_core::MachineConfig;
 use com_mem::Word;
 use com_stc::CompileOptions;
-use com_vm::{Scheduler, Session, Vm, VmError};
+use com_vm::{Vm, VmError};
 use com_workloads::{self as workloads, Workload};
 
 use crate::protocol::{arr, artifact, num, obj, paired_median, ratio, rows, text, Host};
-use crate::solo_baselines;
-
-/// Instruction slice each tenant receives per scheduler round.
-pub const SLICE_STEPS: u64 = 5_000;
+use crate::{serve, solo_baselines, SLICE_STEPS};
 
 /// Tenants in the round-robin run.
 pub const SESSIONS: usize = 16;
@@ -106,8 +104,6 @@ pub struct TenantRow {
     pub result: Word,
     /// Instructions the tenant executed.
     pub instructions: u64,
-    /// Scheduler slices the tenant consumed.
-    pub slices: u64,
     /// Whether result and `CycleStats` matched sequential execution
     /// bit-for-bit.
     pub matches_sequential: bool,
@@ -122,8 +118,6 @@ pub struct SessionsReport {
     pub preseed: PreseedMeasure,
     /// Per-tenant round-robin rows.
     pub tenants: Vec<TenantRow>,
-    /// Scheduler rounds the interleaved run took.
-    pub rounds: u64,
 }
 
 impl SessionsReport {
@@ -243,49 +237,32 @@ pub fn measure_preseed(repeats: u32) -> Result<PreseedMeasure, VmError> {
     })
 }
 
-/// Runs each workload once sequentially, then `sessions` tenants cycling
-/// through the workloads under the round-robin scheduler, asserting
-/// bit-identical results and statistics.
+/// Runs each workload once sequentially on the joined image, then serves
+/// `sessions` tenants cycling through the workloads on a one-worker
+/// server over that image, comparing each tenant's result and statistics
+/// with its sequential run.
 ///
 /// # Errors
 ///
-/// Propagates machine errors.
+/// Propagates compile, boot and machine errors.
 ///
 /// # Panics
 ///
-/// Panics if a workload fails its self-check or a tenant never finishes.
-pub fn measure_roundrobin(sessions: usize) -> Result<(Vec<TenantRow>, u64), VmError> {
-    let solo = solo_baselines(&tenant_workloads())?;
-
-    // Interleaved run.
-    let mut sched = Scheduler::new(SLICE_STEPS);
-    let mut ids = Vec::new();
-    for i in 0..sessions {
-        let tenant = &solo[i % solo.len()];
-        let mut s = tenant.vm.session()?;
-        workloads::start_on(&tenant.workload, &mut s)?;
-        ids.push(sched.spawn(s)?);
-    }
-    sched.run();
-
-    let mut rows = Vec::new();
-    for (i, id) in ids.iter().enumerate() {
-        let run = sched
-            .session(*id)
-            .and_then(Session::last_run)
-            .unwrap_or_else(|| panic!("tenant {i} never finished"))
-            .clone();
-        let baseline = &solo[i % solo.len()];
-        rows.push(TenantRow {
-            tenant: i,
-            workload: baseline.workload.name,
-            result: run.result,
-            instructions: run.stats.instructions,
-            slices: sched.slices(*id),
-            matches_sequential: run.result == baseline.result && run.stats == baseline.stats,
-        });
-    }
-    Ok((rows, sched.rounds()))
+/// Panics if a workload fails its self-check or a tenant's request fails.
+pub fn measure_roundrobin(sessions: usize) -> Result<Vec<TenantRow>, VmError> {
+    let (vm, solo) = solo_baselines(&tenant_workloads())?;
+    let (_, served) = serve(&vm, &solo, sessions, 1)?;
+    Ok(served
+        .into_iter()
+        .enumerate()
+        .map(|(tenant, t)| TenantRow {
+            tenant,
+            workload: t.workload,
+            result: t.result,
+            instructions: t.stats.instructions,
+            matches_sequential: t.matches_solo,
+        })
+        .collect())
 }
 
 /// Runs the whole pipeline: [`ROUNDS`] paired rounds of each wall-clock
@@ -297,12 +274,11 @@ pub fn measure_roundrobin(sessions: usize) -> Result<(Vec<TenantRow>, u64), VmEr
 pub fn report() -> Result<SessionsReport, VmError> {
     let spinup = measure_spinup()?;
     let preseed = measure_preseed(ROUNDS)?;
-    let (tenants, rounds) = measure_roundrobin(SESSIONS)?;
+    let tenants = measure_roundrobin(SESSIONS)?;
     Ok(SessionsReport {
         spinup,
         preseed,
         tenants,
-        rounds,
     })
 }
 
@@ -314,7 +290,6 @@ pub fn to_json(r: &SessionsReport, host: &Host) -> String {
             ("workload", &text(t.workload)),
             ("result", &text(&t.result.to_string())),
             ("instructions", &t.instructions),
-            ("slices", &t.slices),
             ("matches_sequential", &t.matches_sequential),
         ])
     };
@@ -359,10 +334,7 @@ pub fn to_json(r: &SessionsReport, host: &Host) -> String {
             ),
             (
                 "roundrobin",
-                &obj(&[
-                    ("rounds", &r.rounds),
-                    ("tenants", &rows(r.tenants.iter().map(tenant))),
-                ]),
+                &obj(&[("tenants", &rows(r.tenants.iter().map(tenant)))]),
             ),
             (
                 "summary",
@@ -383,9 +355,12 @@ mod tests {
 
     #[test]
     fn roundrobin_four_tenants_matches_sequential() {
-        let (rows, rounds) = measure_roundrobin(4).unwrap();
+        let rows = measure_roundrobin(4).unwrap();
         assert_eq!(rows.len(), 4);
-        assert!(rounds > 1, "workloads must outlast one slice");
+        assert!(
+            rows.iter().any(|row| row.instructions > SLICE_STEPS),
+            "workloads must outlast one turn"
+        );
         for row in &rows {
             assert!(row.matches_sequential, "{} diverged", row.workload);
         }
@@ -422,10 +397,8 @@ mod tests {
                 workload: "calls",
                 result: Word::Int(610),
                 instructions: 1234,
-                slices: 5,
                 matches_sequential: true,
             }],
-            rounds: 6,
         };
         let host = Host {
             cores: 2,

@@ -138,7 +138,7 @@ impl Machine {
     /// stopped — a program driven by many small budgets produces the same
     /// result and bit-identical statistics as one uninterrupted run. This
     /// is the engine primitive under the `com-vm` facade's resumable
-    /// `Session::resume` and its cooperative scheduler.
+    /// `Session::resume` and its server's turns.
     ///
     /// This is the *threaded* hot loop: the current decoded method is
     /// borrowed across the inner loop and re-fetched only on control

@@ -88,30 +88,28 @@ pub enum VmError {
     /// issued while an earlier resumable call was still in flight.
     CallInProgress,
     /// A resumable call yielded without retiring a single instruction, so
-    /// driving it further could never finish it — a zero-instruction
-    /// slice, or a wedged machine. The [`Scheduler`](crate::Scheduler)
-    /// and [`ParallelExecutor`](crate::ParallelExecutor) report this
-    /// instead of spinning forever. Classified **retry-safe** by
+    /// driving it further could never finish it — a wedged machine, or a
+    /// stall a [`FaultPlan`](crate::server::FaultPlan) injects. The
+    /// [`server`](crate::server) reports this instead of spinning
+    /// forever. Classified **retry-safe** by
     /// [`RetryPolicy`](crate::server::RetryPolicy): a fresh attempt gets
     /// a fresh slice and may well complete.
     Stalled {
         /// The per-resume instruction budget in force when progress
-        /// stopped.
+        /// stopped: for a server tenant, its turn of `base_slice × weight`
+        /// instructions, at least 1.
         slice: u64,
     },
     /// A thread panicked while driving a slice of this tenant's call —
     /// an engine invariant violation or an injected fault
     /// ([`FaultPlan`](crate::server::FaultPlan)), never an ordinary
     /// program trap (those surface as [`VmError::Trap`]). The panic was
-    /// **contained to the tenant**: the driving executor (the
-    /// [`Scheduler`](crate::Scheduler), the
-    /// [`ParallelExecutor`](crate::ParallelExecutor) or the
-    /// [`server`](crate::server) runtime) caught it, cancelled the
-    /// in-flight call, and both the session and every sibling tenant
-    /// remain serviceable. Classified **retry-safe** by
-    /// [`RetryPolicy`](crate::server::RetryPolicy) — a panic is
-    /// transient by definition — though the server still refuses to
-    /// retry non-idempotent in-flight calls.
+    /// **contained to the tenant**: the [`server`](crate::server) worker
+    /// driving it caught it, cancelled the in-flight call, and both the
+    /// session and every sibling tenant remain serviceable. Classified
+    /// **retry-safe** by [`RetryPolicy`](crate::server::RetryPolicy) — a
+    /// panic is transient by definition — though the server still
+    /// refuses to retry non-idempotent in-flight calls.
     EnginePanic {
         /// The panic payload, rendered to text.
         message: String,

@@ -16,23 +16,19 @@
 //!   `session.call::<i64>("factorial", 12)?`, under one [`VmError`].
 //! * Execution is **resumable**: [`Session::call_start`] +
 //!   [`Session::resume`] return [`Outcome::Yielded`] when a budget runs
-//!   out, instead of abusing a step-limit error — and the cooperative
-//!   [`Scheduler`] round-robins any number of in-flight sessions with
-//!   per-tenant results and statistics bit-identical to solo runs.
-//! * Execution is **parallel**: the whole engine layer is `Send`, and
-//!   the [`ParallelExecutor`] drains any number of in-flight sessions
-//!   across a fixed pool of worker threads, each taking the next session
-//!   from one shared queue — same yield cadence, same bit-identical
-//!   per-tenant results and statistics, N tenants on M cores.
-//! * Execution is **supervised**: the [`server`] module runs named
-//!   sessions on its own long-lived worker threads — bounded admission
+//!   out, instead of abusing a step-limit error: the primitive for a
+//!   caller that drives its own loop.
+//! * Execution is **parallel and supervised**: the whole engine layer is
+//!   `Send`, and the [`server`] module's [`Server`](server::Server)
+//!   resumes named sessions in weighted slices on its own long-lived
+//!   worker threads, N tenants on M cores, each tenant's results and
+//!   statistics bit-identical to a solo run. It adds bounded admission
 //!   with typed backpressure, per-request deadlines, per-tenant fuel
-//!   budgets and weighted fair scheduling, retry with capped backoff,
-//!   overload shedding, a drain that never loses a session, and a
-//!   deterministic fault-injection harness ([`server::FaultPlan`]) to
-//!   prove all of it.
+//!   budgets, retry with capped backoff, overload shedding, a drain that
+//!   never loses a session, and a deterministic fault-injection harness
+//!   ([`server::FaultPlan`]) to prove all of it.
 //!
-//! All three executors run every slice through one function that
+//! The server's workers run every slice through one function that
 //! contains panics, so a panic while driving a tenant surfaces as that
 //! tenant's [`VmError::EnginePanic`] and never reaches its siblings.
 //!
@@ -43,6 +39,9 @@
 //! * [`Vm`]`: Send + Sync` — one `Vm` (and its shared
 //!   [`Arc<LoadedImage>`]) may be cloned and used from any number of
 //!   threads at once.
+//! * [`server::Server`]`: Send + Sync` and [`server::Ticket`]`: Send` —
+//!   any number of threads may submit to one server, and a request's
+//!   ticket may be moved to any thread and waited on there.
 //! * [`Session`]`: Send` but **not** `Sync` — a session may be *moved*
 //!   between threads freely (start a call on one thread, resume it on
 //!   another; results and [`CycleStats`] are unaffected), but may only
@@ -90,15 +89,11 @@
 
 mod convert;
 mod error;
-mod pool;
-mod sched;
 pub mod server;
 mod session;
 
 pub use convert::{FromWord, ToWord};
 pub use error::{Trap, VmError};
-pub use pool::ParallelExecutor;
-pub use sched::{Scheduler, TaskId, TenantRun};
 pub use session::{Outcome, Session};
 
 // The engine types an embedder meets at this boundary.
@@ -235,8 +230,8 @@ struct Analysis {
 /// `Send + Sync`; `Session` is `Send`, so sessions really may be
 /// spawned and driven from any thread — including started on one and
 /// resumed on another (see the [crate docs](crate#thread-safety) for
-/// the full contract, and [`ParallelExecutor`] for the batteries-
-/// included worker pool).
+/// the full contract, and [`server::Server`] for the batteries-included
+/// worker pool).
 #[derive(Debug, Clone)]
 pub struct Vm {
     image: Arc<LoadedImage>,
@@ -347,6 +342,7 @@ impl Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{Request, ServeError, Server, ServerConfig, TenantConfig, Ticket};
 
     const FACTORIAL: &str = r#"
         class SmallInteger
@@ -477,27 +473,58 @@ mod tests {
         assert_eq!(s.call::<i64>("factorial", 3).unwrap(), 6);
     }
 
+    /// A one-worker server over `vm` granting `base_slice` instructions
+    /// a turn: a single-threaded round robin.
+    fn one_worker(vm: Vm, base_slice: u64) -> Server {
+        Server::start(
+            vm,
+            ServerConfig {
+                workers: 1,
+                base_slice,
+                ..ServerConfig::default()
+            },
+        )
+    }
+
     #[test]
     fn scheduler_round_robins_fairly() {
-        let vm = Vm::new(FACTORIAL).unwrap();
-        let mut sched = Scheduler::new(50);
-        let mut ids = Vec::new();
-        for n in [5i64, 10, 15, 20] {
-            let mut s = vm.session().unwrap();
-            s.call_start("factorial", n).unwrap();
-            ids.push(sched.spawn(s).unwrap());
-        }
-        sched.run();
-        assert_eq!(sched.result_as::<i64>(ids[0]).unwrap(), Some(120));
+        // A call that runs for seconds, submitted first, does not hold the
+        // one worker: every short call behind it gets its turns and
+        // finishes while it still runs.
+        let vm = Vm::builder()
+            .source(FACTORIAL)
+            .source(
+                "class SmallInteger
+                   method spin | n | n := 0. 1 to: self do: [ :i | n := n + i ]. ^n end
+                 end",
+            )
+            .build()
+            .unwrap();
+        let server = one_worker(vm, 50);
+        server.register("hog", TenantConfig::default()).unwrap();
+        let hog = server
+            .submit("hog", Request::new("spin", 500_000_000i64))
+            .unwrap();
+        let short: Vec<Ticket> = [5i64, 10, 15, 20]
+            .iter()
+            .map(|n| {
+                let name = format!("t{n}");
+                server.register(&name, TenantConfig::default()).unwrap();
+                server.submit(&name, Request::new("factorial", *n)).unwrap()
+            })
+            .collect();
+        let results: Vec<i64> = short
+            .into_iter()
+            .map(|t| t.wait().result_as().unwrap())
+            .collect();
         assert_eq!(
-            sched.result_as::<i64>(ids[3]).unwrap(),
-            Some(2_432_902_008_176_640_000)
+            results,
+            [120, 3_628_800, 1_307_674_368_000, 2_432_902_008_176_640_000]
         );
-        // Fairness: the longest task got at least as many slices as the
-        // shortest, and every task got at least one.
-        assert!(sched.slices(ids[3]) >= sched.slices(ids[0]));
-        assert!(sched.slices(ids[0]) >= 1);
-        assert!(sched.rounds() >= sched.slices(ids[3]));
+        assert!(hog.try_wait().is_none(), "the long call is still running");
+        let report = server.drain(std::time::Duration::ZERO);
+        assert_eq!(hog.wait().outcome, Err(ServeError::Cancelled));
+        assert_eq!(report.sessions.len(), 5);
     }
 
     #[test]
@@ -510,19 +537,20 @@ mod tests {
             let _ = s.call::<i64>("factorial", n).unwrap();
             solos.push(s.last_run().unwrap().clone());
         }
-        // The same three workloads, interleaved in 13-step slices.
-        let mut sched = Scheduler::new(13);
-        let mut ids = Vec::new();
-        for n in [6i64, 11, 17] {
-            let mut s = vm.session().unwrap();
-            s.call_start("factorial", n).unwrap();
-            ids.push(sched.spawn(s).unwrap());
-        }
-        sched.run();
-        for (i, id) in ids.iter().enumerate() {
-            let run = sched.session(*id).unwrap().last_run().unwrap();
-            assert_eq!(run.result, solos[i].result);
-            assert_eq!(run.stats, solos[i].stats, "task {i} stats diverged");
+        // The same three workloads, interleaved in 13-step turns.
+        let server = one_worker(vm, 13);
+        let tickets: Vec<Ticket> = [6i64, 11, 17]
+            .iter()
+            .map(|n| {
+                let name = format!("t{n}");
+                server.register(&name, TenantConfig::default()).unwrap();
+                server.submit(&name, Request::new("factorial", *n)).unwrap()
+            })
+            .collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let response = ticket.wait();
+            assert_eq!(response.outcome, Ok(solos[i].result));
+            assert_eq!(response.stats, solos[i].stats, "task {i} stats diverged");
         }
     }
 
@@ -535,16 +563,16 @@ mod tests {
              end",
         )
         .unwrap();
-        let mut sched = Scheduler::new(100);
-        let mut bad = vm.session().unwrap();
-        bad.call_start("boom", 3).unwrap();
-        let bad_id = sched.spawn(bad).unwrap();
-        let mut good = vm.session().unwrap();
-        good.call_start("fine", 3).unwrap();
-        let good_id = sched.spawn(good).unwrap();
-        sched.run();
-        assert!(sched.error(bad_id).is_some());
-        assert_eq!(sched.result_as::<i64>(good_id).unwrap(), Some(4));
+        let server = one_worker(vm, 100);
+        server.register("bad", TenantConfig::default()).unwrap();
+        server.register("good", TenantConfig::default()).unwrap();
+        let bad = server.submit("bad", Request::new("boom", 3i64)).unwrap();
+        let good = server.submit("good", Request::new("fine", 3i64)).unwrap();
+        assert!(matches!(
+            bad.wait().outcome,
+            Err(ServeError::Vm(VmError::Trap(_)))
+        ));
+        assert_eq!(good.wait().result_as::<i64>().unwrap(), 4);
     }
 
     #[test]

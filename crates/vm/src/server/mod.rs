@@ -5,8 +5,7 @@
 //! resumable calls let any thread drive a tenant in slices, and
 //! recoverable traps make per-tenant failure survivable. This module
 //! turns those pieces into something operable under sustained, hostile
-//! load: a [`Server`] that runs its own long-lived worker threads (it
-//! does not use the batch [`ParallelExecutor`](crate::ParallelExecutor)),
+//! load: a [`Server`] that runs its own long-lived worker threads,
 //! accepts an **unbounded stream** of typed requests against named
 //! sessions, and enforces a service contract —
 //!
@@ -22,12 +21,10 @@
 //! * **Graceful degradation** — overload sheds the lowest-priority
 //!   queued request ([`ServeError::Shed`]) instead of stalling every
 //!   tenant; worker panics are contained per tenant
-//!   ([`VmError::EnginePanic`](crate::VmError::EnginePanic)) by the
-//!   same panic containment the [`Scheduler`](crate::Scheduler) and the
-//!   executor use;
+//!   ([`VmError::EnginePanic`](crate::VmError::EnginePanic)), and the
+//!   session comes back re-callable;
 //! * **Drain** — [`Server::drain`] completes or cancels everything and
-//!   returns every session: the executors' "no session lost" guarantee,
-//!   extended to shutdown;
+//!   returns every session: no session is ever lost;
 //! * **Deterministic fault injection** — [`FaultPlan`] fires chosen
 //!   faults (traps, stalls, worker panics, fuel exhaustion) on chosen
 //!   requests at chosen step counts, so robustness claims are tested by

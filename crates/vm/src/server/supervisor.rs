@@ -664,12 +664,18 @@ fn drive_turn(shared: &Shared, cfg: TenantConfig, session: &mut Session, job: &m
             return settle(policy, job, session, error);
         }
     }
+    // The tenant's turn: `base_slice × weight` instructions, at least one.
+    let turn = shared
+        .config
+        .base_slice
+        .saturating_mul(u64::from(cfg.weight.max(1)))
+        .max(1);
     // The fault tripwire arms on the first attempt only; retries run
     // clean.
     let fault = job.fault.filter(|_| job.attempts == 1);
     if let Some(f) = fault {
         if job.steps_used >= f.at_step {
-            return apply_fault(shared, policy, job, session, f);
+            return apply_fault(shared, turn, job, session, f);
         }
     }
     let fuel = job.req.fuel.unwrap_or(cfg.fuel_per_request);
@@ -678,12 +684,7 @@ fn drive_turn(shared: &Shared, cfg: TenantConfig, session: &mut Session, job: &m
         session.cancel();
         return settle(policy, job, session, VmError::OutOfFuel { budget: fuel });
     }
-    let mut slice = shared
-        .config
-        .base_slice
-        .saturating_mul(u64::from(cfg.weight.max(1)))
-        .max(1)
-        .min(remaining_fuel);
+    let mut slice = turn.min(remaining_fuel);
     if let Some(f) = fault {
         // Land the attempt exactly on the tripwire step.
         slice = slice.min(f.at_step - job.steps_used);
@@ -697,7 +698,7 @@ fn drive_turn(shared: &Shared, cfg: TenantConfig, session: &mut Session, job: &m
             job.steps_used += session.stats().instructions - before;
             if let Some(f) = fault {
                 if job.steps_used >= f.at_step {
-                    return apply_fault(shared, policy, job, session, f);
+                    return apply_fault(shared, turn, job, session, f);
                 }
             }
             if deadline_passed(job) {
@@ -729,10 +730,11 @@ fn deadline_turn(session: &Session, job: &Job) -> Turn {
 
 /// Fires a planned fault on its victim: unwind the in-flight call and
 /// surface the fault's typed error (with the attempt's honest partial
-/// statistics), exactly as the organic failure would.
+/// statistics, and a stall's `turn`), exactly as the organic failure
+/// would.
 fn apply_fault(
     shared: &Shared,
-    policy: RetryPolicy,
+    turn: u64,
     job: &mut Job,
     session: &mut Session,
     fault: InjectedFault,
@@ -746,9 +748,7 @@ fn apply_fault(
             };
             VmError::trap(cause, session.stats().since(&job.attempt_base))
         }
-        FaultKind::Stall => VmError::Stalled {
-            slice: shared.config.base_slice,
-        },
+        FaultKind::Stall => VmError::Stalled { slice: turn },
         FaultKind::OutOfFuel => VmError::OutOfFuel {
             budget: fault.at_step,
         },
@@ -760,7 +760,7 @@ fn apply_fault(
             .expect_err("the closure always panics"),
     };
     session.cancel();
-    settle(policy, job, session, error)
+    settle(shared.config.retry, job, session, error)
 }
 
 /// Classifies a failed attempt: retry (gated by backoff) when the error
@@ -993,5 +993,31 @@ mod tests {
             .unwrap();
         assert_eq!(raised.wait().result_as::<i64>().unwrap(), 3_628_800);
         drop(s);
+    }
+
+    #[test]
+    fn an_injected_stall_reports_the_turn_the_tenant_ran_under() {
+        // A weight-3 tenant at base_slice 50 runs 150-instruction turns;
+        // at base_slice 0 every turn still runs one instruction.
+        for (base_slice, weight, turn) in [(50, 3, 150), (0, 1, 1)] {
+            let plan = FaultPlan::new().inject("a", 0, FaultKind::Stall, 20);
+            let config = ServerConfig {
+                workers: 1,
+                queue_depth: 4,
+                base_slice,
+                retry: RetryPolicy::default(),
+            };
+            let s = Server::with_faults(Vm::new(PROGRAM).unwrap(), config, plan);
+            s.register("a", TenantConfig::weighted(weight)).unwrap();
+            let response = s
+                .submit("a", Request::new("spin", 1_000i64))
+                .unwrap()
+                .wait();
+            assert_eq!(
+                response.outcome,
+                Err(ServeError::Vm(VmError::Stalled { slice: turn })),
+                "base_slice {base_slice}, weight {weight}"
+            );
+        }
     }
 }

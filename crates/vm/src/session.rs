@@ -48,8 +48,8 @@ impl<T> Outcome<T> {
 /// * **Resumable**: [`call_start`](Self::call_start) then
 ///   [`resume`](Self::resume) with an explicit budget, which returns
 ///   [`Outcome::Yielded`] instead of an error when the budget runs out —
-///   the cooperative primitive the [`Scheduler`](crate::Scheduler)
-///   round-robins over.
+///   the cooperative primitive the [`server`](crate::server) drives in
+///   turns, and the one a caller that runs its own loop uses.
 #[derive(Debug)]
 pub struct Session {
     machine: Machine,
@@ -268,12 +268,12 @@ impl Session {
         }
     }
 
-    /// [`resume_raw`](Self::resume_raw) with the executors' shared
-    /// progress guard: a yield that retired no instruction can never
-    /// finish (a zero budget, or a wedged machine), so it surfaces as
-    /// [`VmError::Stalled`] instead of letting a driving loop reschedule
-    /// it forever. The engine retires ≥ 1 instruction per non-zero
-    /// budget, so a live call never trips this.
+    /// [`resume_raw`](Self::resume_raw) with the server's progress guard:
+    /// a yield that retired no instruction can never finish (a zero
+    /// budget, or a wedged machine), so it surfaces as
+    /// [`VmError::Stalled`] instead of letting the server reschedule it
+    /// forever. The engine retires ≥ 1 instruction per non-zero budget,
+    /// so a live call never trips this.
     pub(crate) fn resume_raw_guarded(&mut self, budget: u64) -> Result<Outcome<Word>, VmError> {
         let before = self.machine.stats().instructions;
         match self.resume_raw(budget)? {
@@ -285,15 +285,12 @@ impl Session {
     }
 
     /// Runs `step` on this session with its panics contained: the one
-    /// place every executor drives a slice through (the
-    /// [`Scheduler`](crate::Scheduler), the
-    /// [`ParallelExecutor`](crate::ParallelExecutor) and the
-    /// [`server`](crate::server) workers). A panic inside `step` — an
-    /// engine invariant violation or an injected fault — must not unwind
-    /// into the executor, where it would poison its locks or kill its
-    /// worker: the interrupted call is cancelled so the session comes
-    /// back re-callable, and the panic surfaces as
-    /// [`VmError::EnginePanic`].
+    /// place the [`server`](crate::server) workers drive a slice through.
+    /// A panic inside `step` — an engine invariant violation or an
+    /// injected fault — must not unwind into the server, where it would
+    /// poison its locks or kill its worker: the interrupted call is
+    /// cancelled so the session comes back re-callable, and the panic
+    /// surfaces as [`VmError::EnginePanic`].
     pub(crate) fn contained<T>(
         &mut self,
         step: impl FnOnce(&mut Session) -> Result<T, VmError>,

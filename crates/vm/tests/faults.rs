@@ -8,12 +8,15 @@
 //! * the trapped call graph is collectable — after a collection the
 //!   trapped session's heap matches a fresh session's exactly;
 //! * [`VmError::Trap`] carries the unwound call's partial statistics;
-//! * a trapping tenant inside the [`Scheduler`] or [`ParallelExecutor`]
-//!   leaves every other tenant's results and statistics bit-identical to
-//!   solo runs.
+//! * a trapping tenant on a one-worker or a four-worker `Server` leaves
+//!   every other tenant's results and statistics bit-identical to solo
+//!   runs, and its own session keeps serving.
+
+use std::time::Duration;
 
 use com_core::CycleStats;
-use com_vm::{Outcome, ParallelExecutor, Scheduler, Session, Vm, VmError, Word};
+use com_vm::server::{Request, ServeError, Server, ServerConfig, TenantConfig, Ticket};
+use com_vm::{Outcome, Session, Vm, VmError, Word};
 
 const PROGRAM: &str = r#"
     class Other extends Object
@@ -155,18 +158,11 @@ fn stalled_session_cancels_and_reuses_bit_identical_to_fresh() {
     let boot_roots = fresh.machine().code_root_count();
     let baseline = fresh.send_raw("tri", Word::Int(9), &[], u64::MAX).unwrap();
 
-    // A zero-instruction slice can never make progress: the scheduler's
-    // guard reports the task as Stalled instead of spinning forever.
-    let mut sched = Scheduler::new(0);
+    // A zero-instruction resume can never make progress: it yields
+    // without retiring anything.
     let mut s = vm.session().unwrap();
     s.call_start("tri", 10_000i64).unwrap();
-    let id = sched.spawn(s).unwrap();
-    sched.run();
-    match sched.error(id) {
-        Some(VmError::Stalled { slice: 0 }) => {}
-        other => panic!("expected Stalled, got {other:?}"),
-    }
-    let mut s = sched.into_sessions().remove(0);
+    assert_eq!(s.resume::<i64>(0).unwrap(), Outcome::Yielded);
     // The stalled call is still in flight; cancel unwinds it and the
     // session serves again, bit-identical to a fresh one.
     assert!(
@@ -329,70 +325,59 @@ fn solo_baselines(vm: &Vm, sizes: &[i64]) -> Vec<(Word, CycleStats)> {
         .collect()
 }
 
-#[test]
-fn scheduler_tenant_trap_leaves_other_tenants_bit_identical() {
+/// Serves a trapping `boom` tenant, submitted first so its trap lands
+/// among its siblings' turns, and one `tri` tenant per size on a
+/// `workers`-worker server with `base_slice`-instruction turns. The trap
+/// carries partial statistics, every `tri` tenant answers bit-identical
+/// to its solo run, and the trapped tenant's drained session keeps
+/// serving.
+fn assert_trap_leaves_siblings_bit_identical(workers: usize, base_slice: u64, sizes: &[i64]) {
     let vm = vm();
-    let sizes = [6i64, 11, 17, 23];
-    let solos = solo_baselines(&vm, &sizes);
-
-    let mut sched = Scheduler::new(13);
-    let mut ids = Vec::new();
-    // The trapping tenant is spawned *first* so its mid-schedule trap
-    // precedes every other tenant's remaining slices.
-    let mut bad = vm.session().unwrap();
-    bad.call_start("boom", 3i64).unwrap();
-    let bad_id = sched.spawn(bad).unwrap();
-    for n in sizes {
-        let mut s = vm.session().unwrap();
-        s.call_start("tri", n).unwrap();
-        ids.push(sched.spawn(s).unwrap());
-    }
-    sched.run();
-    match sched.error(bad_id) {
-        Some(VmError::Trap(t)) => assert!(t.stats.instructions > 0),
+    let solos = solo_baselines(&vm, sizes);
+    let config = ServerConfig {
+        workers,
+        base_slice,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(vm, config);
+    server.register("bad", TenantConfig::default()).unwrap();
+    let bad = server.submit("bad", Request::new("boom", 3i64)).unwrap();
+    let tickets: Vec<Ticket> = sizes
+        .iter()
+        .map(|n| {
+            let name = format!("t{n}");
+            server.register(&name, TenantConfig::default()).unwrap();
+            server.submit(&name, Request::new("tri", *n)).unwrap()
+        })
+        .collect();
+    match bad.wait().outcome {
+        Err(ServeError::Vm(VmError::Trap(t))) => assert!(t.stats.instructions > 0),
         other => panic!("expected the boom tenant to trap, got {other:?}"),
     }
-    for (i, id) in ids.iter().enumerate() {
-        let run = sched.session(*id).unwrap().last_run().unwrap();
-        assert_eq!(run.result, solos[i].0);
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        let response = ticket.wait();
+        assert_eq!(response.outcome, Ok(solos[i].0));
         assert_eq!(
-            run.stats, solos[i].1,
+            response.stats, solos[i].1,
             "tenant {i}: a sibling's trap changed its statistics"
         );
     }
+    // The trapped tenant's session comes back alive and keeps serving.
+    let mut report = server.drain(Duration::from_secs(10));
+    let (_, revived) = report
+        .sessions
+        .iter_mut()
+        .find(|(name, _)| name == "bad")
+        .unwrap();
+    assert_eq!(revived.call::<i64>("tri", 4).unwrap(), 10);
+}
+
+#[test]
+fn scheduler_tenant_trap_leaves_other_tenants_bit_identical() {
+    assert_trap_leaves_siblings_bit_identical(1, 13, &[6, 11, 17, 23]);
 }
 
 #[test]
 fn pool_tenant_trap_leaves_other_tenants_bit_identical() {
-    let vm = vm();
-    let sizes = [6i64, 11, 17, 23, 29, 35];
-    let solos = solo_baselines(&vm, &sizes);
-
-    let mut sessions = Vec::new();
-    for n in sizes {
-        let mut s = vm.session().unwrap();
-        s.call_start("tri", n).unwrap();
-        sessions.push(s);
-    }
-    let mut bad = vm.session().unwrap();
-    bad.call_start("boom", 3i64).unwrap();
-    sessions.push(bad);
-
-    let runs = ParallelExecutor::new(4, 17).run(sessions);
-    match &runs.last().unwrap().error {
-        Some(VmError::Trap(t)) => assert!(t.stats.instructions > 0),
-        other => panic!("expected the boom tenant to trap, got {other:?}"),
-    }
-    for (i, solo) in solos.iter().enumerate() {
-        let run = runs[i].session.last_run().unwrap();
-        assert_eq!(run.result, solo.0);
-        assert_eq!(
-            run.stats, solo.1,
-            "tenant {i}: a sibling's trap changed its statistics"
-        );
-    }
-    // Trapped sessions keep serving: the pool hands the session back
-    // alive.
-    let mut revived = runs.into_iter().last().unwrap().session;
-    assert_eq!(revived.call::<i64>("tri", 4).unwrap(), 10);
+    assert_trap_leaves_siblings_bit_identical(4, 17, &[6, 11, 17, 23, 29, 35]);
 }

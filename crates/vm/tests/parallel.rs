@@ -1,11 +1,17 @@
 //! The concurrency contract of the facade, end to end: the engine layer
-//! is `Send`, sessions move freely across threads, and the parallel
-//! worker-pool executor preserves per-tenant results and `CycleStats`
-//! bit-for-bit against both solo and single-threaded-scheduler runs.
+//! is `Send`, sessions move freely across threads, and the `Server`'s
+//! workers keep every tenant's result and `CycleStats` bit-identical to
+//! a solo run at any worker count and any slice.
+
+use std::time::Duration;
 
 use com_core::CycleStats;
 use com_mem::Word;
-use com_vm::{Outcome, ParallelExecutor, Scheduler, Session, Vm, VmError};
+use com_vm::server::{
+    FaultKind, FaultPlan, Request, Response, ServeError, Server, ServerConfig, TenantConfig, Ticket,
+};
+use com_vm::{Outcome, Session, Vm, VmError};
+use com_workloads as workloads;
 
 const PROGRAM: &str = r#"
     class SmallInteger
@@ -49,15 +55,30 @@ fn solo_baselines(vm: &Vm) -> Vec<(Word, CycleStats)> {
         .collect()
 }
 
-fn started_sessions(vm: &Vm) -> Vec<Session> {
-    tenant_mix()
+/// A server over `vm` with `workers` workers and `base_slice`-instruction
+/// turns.
+fn server(vm: &Vm, workers: usize, base_slice: u64, plan: FaultPlan) -> Server {
+    let config = ServerConfig {
+        workers,
+        base_slice,
+        ..ServerConfig::default()
+    };
+    Server::with_faults(vm.clone(), config, plan)
+}
+
+/// Registers tenant `t{i}` for each call, submits call `i` as its one
+/// request, and returns the responses in tenant order.
+fn serve(server: &Server, calls: &[(&str, i64)]) -> Vec<Response> {
+    let tickets: Vec<Ticket> = calls
         .iter()
-        .map(|(sel, n, _)| {
-            let mut s = vm.session().unwrap();
-            s.call_start(sel, *n).unwrap();
-            s
+        .enumerate()
+        .map(|(i, (selector, n))| {
+            let name = format!("t{i}");
+            server.register(&name, TenantConfig::default()).unwrap();
+            server.submit(&name, Request::new(selector, *n)).unwrap()
         })
-        .collect()
+        .collect();
+    tickets.into_iter().map(Ticket::wait).collect()
 }
 
 #[test]
@@ -65,53 +86,66 @@ fn facade_thread_contract_is_compile_time() {
     fn assert_send<T: Send>() {}
     fn assert_send_sync<T: Send + Sync>() {}
     // The contract the crate docs state: Vm shared freely, Session moved
-    // freely. (Session: !Sync is asserted by a compile_fail doctest on
-    // the crate root — exclusive &mut-style driving is the design.)
+    // freely, one Server submitted to from any thread. (Session: !Sync
+    // is asserted by a compile_fail doctest on the crate root —
+    // exclusive &mut-style driving is the design.)
     assert_send_sync::<Vm>();
     assert_send_sync::<com_vm::LoadedImage>();
     assert_send::<Session>();
     assert_send::<com_vm::Machine>();
     assert_send::<VmError>();
-    assert_send::<Scheduler>();
-    assert_send::<ParallelExecutor>();
+    assert_send_sync::<Server>();
+    assert_send::<Ticket>();
 }
 
 #[test]
-fn parallel_pool_is_bit_identical_to_solo_and_scheduler() {
+fn server_is_bit_identical_to_solo_at_every_worker_count() {
     let vm = Vm::new(PROGRAM).unwrap();
     let solo = solo_baselines(&vm);
-
-    // Single-threaded reference: the cooperative round-robin scheduler.
-    let mut sched = Scheduler::new(701);
-    let ids: Vec<_> = started_sessions(&vm)
-        .into_iter()
-        .map(|s| sched.spawn(s).unwrap())
-        .collect();
-    sched.run();
+    // The mix, and a tenant that traps: its trap disturbs no sibling.
+    let mut calls: Vec<(&str, i64)> = tenant_mix().iter().map(|(s, n, _)| (*s, *n)).collect();
+    calls.push(("boom", 3));
 
     for workers in [1, 2, 4, 8] {
-        let pool = ParallelExecutor::new(workers, 701);
-        let runs = pool.run(started_sessions(&vm));
-        assert_eq!(runs.len(), solo.len());
-        for (i, run) in runs.iter().enumerate() {
-            assert_eq!(run.error, None, "tenant {i} trapped at {workers} workers");
+        let responses = serve(&server(&vm, workers, 701, FaultPlan::new()), &calls);
+        let (boom, mix) = responses.split_last().unwrap();
+        assert!(
+            matches!(boom.outcome, Err(ServeError::Vm(VmError::Trap(_)))),
+            "the boom tenant must trap at {workers} workers, got {:?}",
+            boom.outcome
+        );
+        for (i, response) in mix.iter().enumerate() {
             assert_eq!(
-                run.result,
-                Some(solo[i].0),
+                response.outcome,
+                Ok(solo[i].0),
                 "tenant {i} result diverged at {workers} workers"
             );
-            let stats = run.session.last_run().unwrap().stats;
             assert_eq!(
-                stats, solo[i].1,
+                response.stats, solo[i].1,
                 "tenant {i} CycleStats diverged from solo at {workers} workers"
             );
-            let sched_stats = sched.session(ids[i]).unwrap().last_run().unwrap().stats;
-            assert_eq!(
-                stats, sched_stats,
-                "tenant {i} CycleStats diverged from the scheduler at {workers} workers"
-            );
-            assert!(run.slices >= 1);
         }
+    }
+}
+
+#[test]
+fn zero_base_slice_still_finishes_bit_identical() {
+    // A zero base slice is clamped to one instruction a turn: every
+    // tenant finishes, bit-identical to its solo run on the same image.
+    let set = [
+        workloads::CALLS,
+        workloads::ARITH,
+        workloads::DISPATCH,
+        workloads::SORT,
+    ];
+    let source: Vec<&str> = set.iter().map(|w| w.source).collect();
+    let vm = Vm::new(&source.join("\n")).unwrap();
+    let calls: Vec<(&str, i64)> = set.iter().map(|w| (w.entry, w.size)).collect();
+    let responses = serve(&server(&vm, 1, 0, FaultPlan::new()), &calls);
+    for (w, response) in set.iter().zip(&responses) {
+        let solo = workloads::run_on(w, &mut vm.session().unwrap(), workloads::MAX_STEPS).unwrap();
+        assert_eq!(response.outcome, Ok(Word::Int(w.expected)), "{}", w.name);
+        assert_eq!(response.stats, solo.stats, "{} diverged from solo", w.name);
     }
 }
 
@@ -189,93 +223,60 @@ fn whole_sessions_spawned_and_finished_on_worker_threads() {
 }
 
 #[test]
-fn pool_reports_per_tenant_traps_without_disturbing_others() {
-    let vm = Vm::new(PROGRAM).unwrap();
-    let mut sessions = started_sessions(&vm);
-    let mut bad = vm.session().unwrap();
-    bad.call_start("boom", 3).unwrap();
-    sessions.push(bad);
-    let runs = ParallelExecutor::new(4, 500).run(sessions);
-    let last = runs.last().unwrap();
-    assert!(
-        matches!(last.error, Some(VmError::Trap(_))),
-        "the boom tenant must trap, got {:?}",
-        last.error
-    );
-    for (i, (_, _, expected)) in tenant_mix().iter().enumerate() {
-        assert_eq!(runs[i].result_as::<i64>().unwrap(), Some(*expected));
-    }
-}
-
-#[test]
-fn idle_sessions_come_back_with_a_per_tenant_error() {
-    let vm = Vm::new(PROGRAM).unwrap();
-    let idle = vm.session().unwrap();
-    let runs = ParallelExecutor::new(2, 100).run(vec![idle]);
-    assert_eq!(
-        runs.len(),
-        1,
-        "the idle session must come back, not be dropped"
-    );
-    assert_eq!(runs[0].error, Some(VmError::NoCallInProgress));
-    assert_eq!(runs[0].slices, 0);
-    // The handed-back session is alive and usable.
-    let mut s = runs.into_iter().next().unwrap().session;
-    assert_eq!(s.call::<i64>("tri", 4).unwrap(), 10);
-    assert!(ParallelExecutor::new(2, 100).run(Vec::new()).is_empty());
-}
-
-#[test]
-fn zero_slice_stalls_every_tenant_instead_of_spinning() {
-    let vm = Vm::new(PROGRAM).unwrap();
-    // The pool: a zero budget yields without retiring anything; the
-    // progress check must drain the pool with Stalled errors, not hang.
-    let runs = ParallelExecutor::new(2, 0).run(started_sessions(&vm));
-    for run in &runs {
-        assert_eq!(run.error, Some(VmError::Stalled { slice: 0 }));
-        assert_eq!(run.result, None);
-    }
-    // The single-threaded scheduler: same check, same surfaced error
-    // (this used to spin forever).
-    let mut sched = Scheduler::new(0);
-    let ids: Vec<_> = started_sessions(&vm)
-        .into_iter()
-        .map(|s| sched.spawn(s).unwrap())
-        .collect();
-    sched.run();
-    for id in ids {
-        assert_eq!(sched.error(id), Some(&VmError::Stalled { slice: 0 }));
-        assert_eq!(sched.result(id), None);
-    }
-}
-
-#[test]
 fn stalled_tenants_can_be_cancelled_and_reused() {
     let vm = Vm::new(PROGRAM).unwrap();
     let mut s = vm.session().unwrap();
     s.call_start("factorial", 10).unwrap();
-    let mut runs = ParallelExecutor::new(1, 0).run(vec![s]);
-    let mut s = runs.pop().unwrap().session;
+    // A zero-instruction resume yields without retiring anything.
+    assert_eq!(s.resume::<i64>(0).unwrap(), Outcome::Yielded);
+    assert_eq!(s.stats().instructions, 0);
     assert!(s.in_flight(), "a stalled call is still in flight");
     s.cancel();
     assert_eq!(s.call::<i64>("factorial", 5).unwrap(), 120);
 }
 
 #[test]
+fn all_tenants_panicking_does_not_wedge_the_server() {
+    FaultPlan::silence_injected_panics();
+    let vm = Vm::new(PROGRAM).unwrap();
+    // Every tenant's only request panics its worker mid-call: no lock is
+    // poisoned, every request is answered, every session comes back.
+    let mut plan = FaultPlan::new();
+    for i in 0..6 {
+        plan = plan.inject(&format!("t{i}"), 0, FaultKind::WorkerPanic, 25);
+    }
+    let server = server(&vm, 2, 25, plan);
+    let responses = serve(&server, &[("fib", 20); 6]);
+    for response in &responses {
+        assert!(
+            matches!(
+                response.outcome,
+                Err(ServeError::Vm(VmError::EnginePanic { .. }))
+            ),
+            "{}: {:?}",
+            response.tenant,
+            response.outcome
+        );
+    }
+    let report = server.drain(Duration::from_secs(10));
+    assert_eq!(report.stats.faults_injected, 6);
+    assert_eq!(report.sessions.len(), 6, "a session was lost");
+    for (name, mut session) in report.sessions {
+        assert!(
+            !session.in_flight(),
+            "{name}: the panicked call stayed in flight"
+        );
+        assert_eq!(session.call::<i64>("tri", 4).unwrap(), 10, "{name}");
+    }
+}
+
+#[test]
 fn many_tenants_over_few_workers_all_finish() {
     let vm = Vm::new(PROGRAM).unwrap();
-    let mut sessions = Vec::new();
-    let mut expected = Vec::new();
-    for i in 0..48i64 {
-        let mut s = vm.session().unwrap();
-        let n = 6 + (i % 11);
-        s.call_start("fib", n).unwrap();
-        sessions.push(s);
-        expected.push(fib(n));
-    }
-    let runs = ParallelExecutor::new(3, 211).run(sessions);
-    for (i, run) in runs.iter().enumerate() {
-        assert_eq!(run.result_as::<i64>().unwrap(), Some(expected[i]));
+    let calls: Vec<(&str, i64)> = (0..48i64).map(|i| ("fib", 6 + (i % 11))).collect();
+    let responses = serve(&server(&vm, 3, 211, FaultPlan::new()), &calls);
+    for ((_, n), response) in calls.iter().zip(&responses) {
+        assert_eq!(response.result_as::<i64>().unwrap(), fib(*n));
     }
 }
 

@@ -511,17 +511,6 @@ pub fn run_on(w: &Workload, session: &mut Session, max_steps: u64) -> Result<Run
     session.send_raw(w.entry, Word::Int(w.size), &[], max_steps)
 }
 
-/// Starts a workload's entry send as a resumable call on an existing
-/// session — the form the cooperative [`com_vm::Scheduler`] and the
-/// [`com_vm::ParallelExecutor`] drain.
-///
-/// # Errors
-///
-/// Propagates [`com_vm::VmError::CallInProgress`] and allocation traps.
-pub fn start_on(w: &Workload, session: &mut Session) -> Result<(), VmError> {
-    session.call_start_with(w.entry, Word::Int(w.size), &[])
-}
-
 /// Compiles and runs a workload on the COM through the embedding facade,
 /// returning the run and the session that performed it (statistics,
 /// spaces and caches stay inspectable).

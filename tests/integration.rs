@@ -207,7 +207,8 @@ fn object_allocation_stats_feed_t5() {
 // Embedding facade (`vm`): shared images, tenant sessions, scheduling
 // ---------------------------------------------------------------------
 
-use com_machine::vm::{Scheduler, Vm};
+use com_machine::vm::server::{Request, Server, ServerConfig, TenantConfig, Ticket};
+use com_machine::vm::Vm;
 
 #[test]
 fn one_image_many_tenants_runs_every_workload() {
@@ -262,49 +263,49 @@ fn reentrant_session_calls_match_fresh_machine_and_keep_roots_flat() {
 
 #[test]
 fn sixteen_tenants_round_robin_match_sequential_runs() {
-    // The acceptance scenario in miniature: 16 sessions over shared
-    // images, interleaved in 5000-step slices, must finish with results
-    // and CycleStats identical to sequential execution.
+    // The acceptance scenario in miniature: 16 sessions over one shared
+    // image, interleaved in 5000-step turns by a one-worker server, must
+    // finish with results and CycleStats identical to sequential
+    // execution on that image.
     let picks = [
         workloads::CALLS,
         workloads::ARITH,
         workloads::DISPATCH,
         workloads::SORT,
     ];
-    let vms: Vec<Vm> = picks
-        .iter()
-        .map(|w| workloads::vm_for(w, MachineConfig::default(), CompileOptions::default()))
-        .collect();
+    let sources: Vec<&str> = picks.iter().map(|w| w.source).collect();
+    let vm = Vm::new(&sources.join("\n")).unwrap();
 
     // Sequential baselines: one fresh session each, run to completion.
-    let mut baselines = Vec::new();
-    for i in 0..16 {
-        let w = &picks[i % picks.len()];
-        let mut s = vms[i % picks.len()].session().unwrap();
-        let out = workloads::run_on(w, &mut s, workloads::MAX_STEPS).unwrap();
-        assert_eq!(out.result, Word::Int(w.expected), "{} baseline", w.name);
-        baselines.push(out);
-    }
+    let baselines: Vec<_> = picks
+        .iter()
+        .map(|w| {
+            let out =
+                workloads::run_on(w, &mut vm.session().unwrap(), workloads::MAX_STEPS).unwrap();
+            assert_eq!(out.result, Word::Int(w.expected), "{} baseline", w.name);
+            out
+        })
+        .collect();
 
-    // The same 16 tenants, interleaved.
-    let mut sched = Scheduler::new(5_000);
-    let mut ids = Vec::new();
-    for i in 0..16 {
-        let w = &picks[i % picks.len()];
-        let mut s = vms[i % picks.len()].session().unwrap();
-        s.call_start_with(w.entry, Word::Int(w.size), &[]).unwrap();
-        ids.push(sched.spawn(s).unwrap());
-    }
-    sched.run();
-    assert!(sched.rounds() > 1, "16 workloads must take several rounds");
-    for (i, id) in ids.iter().enumerate() {
-        let run = sched
-            .session(*id)
-            .unwrap()
-            .last_run()
-            .expect("task finished")
-            .clone();
-        assert_eq!(run.result, baselines[i].result, "tenant {i} result");
-        assert_eq!(run.stats, baselines[i].stats, "tenant {i} stats");
+    // The same workloads as 16 tenants, interleaved.
+    let config = ServerConfig {
+        workers: 1,
+        base_slice: 5_000,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(vm, config);
+    let tickets: Vec<Ticket> = (0..16)
+        .map(|i| {
+            let w = &picks[i % picks.len()];
+            let name = format!("t{i}");
+            server.register(&name, TenantConfig::default()).unwrap();
+            server.submit(&name, Request::new(w.entry, w.size)).unwrap()
+        })
+        .collect();
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        let response = ticket.wait();
+        let baseline = &baselines[i % picks.len()];
+        assert_eq!(response.outcome, Ok(baseline.result), "tenant {i} result");
+        assert_eq!(response.stats, baseline.stats, "tenant {i} stats");
     }
 }
