@@ -269,8 +269,8 @@ impl Session {
     }
 
     /// [`resume_raw`](Self::resume_raw) with the server's progress guard:
-    /// a yield that retired no instruction can never finish (a zero
-    /// budget, or a wedged machine), so it surfaces as
+    /// a yield that retired no instruction can never finish (a wedged
+    /// machine; the server never grants a zero budget), so it surfaces as
     /// [`VmError::Stalled`] instead of letting the server reschedule it
     /// forever. The engine retires ≥ 1 instruction per non-zero budget,
     /// so a live call never trips this.
