@@ -66,7 +66,8 @@ pub use com_trace as trace;
 /// Static image verification and dataflow lint (the `vmlint` CLI).
 pub use com_verify as verify;
 /// The embedding facade: shared images, multi-tenant sessions, typed
-/// calls, resumable execution, cooperative scheduling.
+/// calls, resumable execution, and the supervised server that drives
+/// them in turns.
 pub use com_vm as vm;
 /// The benchmark workloads.
 pub use com_workloads as workloads;
