@@ -41,6 +41,11 @@ fn tenant_mix() -> Vec<(&'static str, i64, i64)> {
     ]
 }
 
+/// The mix as (selector, receiver) calls.
+fn mix_calls() -> Vec<(&'static str, i64)> {
+    tenant_mix().iter().map(|(s, n, _)| (*s, *n)).collect()
+}
+
 /// Runs every tenant alone, uninterrupted: the reference outcome.
 fn solo_baselines(vm: &Vm) -> Vec<(Word, CycleStats)> {
     tenant_mix()
@@ -99,11 +104,43 @@ fn facade_thread_contract_is_compile_time() {
 }
 
 #[test]
-fn server_is_bit_identical_to_solo_at_every_worker_count() {
+fn parallel_pool_is_bit_identical_to_solo_and_scheduler() {
+    let vm = Vm::new(PROGRAM).unwrap();
+    let solo = solo_baselines(&vm);
+    let calls = mix_calls();
+
+    // Single-threaded reference: one worker round-robins the tenants in
+    // 701-instruction turns.
+    let round_robin = serve(&server(&vm, 1, 701, FaultPlan::new()), &calls);
+
+    for workers in [1, 2, 4, 8] {
+        let responses = serve(&server(&vm, workers, 701, FaultPlan::new()), &calls);
+        assert_eq!(responses.len(), solo.len());
+        for (i, response) in responses.iter().enumerate() {
+            assert_eq!(
+                response.outcome,
+                Ok(solo[i].0),
+                "tenant {i} result diverged at {workers} workers"
+            );
+            assert_eq!(
+                response.stats, solo[i].1,
+                "tenant {i} CycleStats diverged from solo at {workers} workers"
+            );
+            assert_eq!(
+                response.stats, round_robin[i].stats,
+                "tenant {i} CycleStats diverged from the one-worker round robin at {workers} workers"
+            );
+            assert_eq!(response.attempts, 1, "tenant {i} was retried");
+        }
+    }
+}
+
+#[test]
+fn pool_reports_per_tenant_traps_without_disturbing_others() {
     let vm = Vm::new(PROGRAM).unwrap();
     let solo = solo_baselines(&vm);
     // The mix, and a tenant that traps: its trap disturbs no sibling.
-    let mut calls: Vec<(&str, i64)> = tenant_mix().iter().map(|(s, n, _)| (*s, *n)).collect();
+    let mut calls = mix_calls();
     calls.push(("boom", 3));
 
     for workers in [1, 2, 4, 8] {
